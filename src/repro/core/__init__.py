@@ -35,7 +35,6 @@ from repro.core.kernels import (
     NumpyBackend,
     LoopbackBackend,
     NumbaBackend,
-    JaxBackend,
     BACKENDS,
     resolve_backend,
     available_backends,
@@ -95,7 +94,6 @@ from repro.core.speculative import (
     ScheduledDraft,
     build_draft,
     SpeculativeDecodeEngine,
-    SpeculativeGenerateResult,
 )
 from repro.core.session import NovaSession
 from repro.core.streaming import StreamingLine, ObservationLog
@@ -111,7 +109,6 @@ __all__ = [
     "NumpyBackend",
     "LoopbackBackend",
     "NumbaBackend",
-    "JaxBackend",
     "BACKENDS",
     "resolve_backend",
     "available_backends",
@@ -161,7 +158,6 @@ __all__ = [
     "ScheduledDraft",
     "build_draft",
     "SpeculativeDecodeEngine",
-    "SpeculativeGenerateResult",
     "StreamingLine",
     "ObservationLog",
 ]

@@ -115,6 +115,8 @@ class AttentionRequest:
     ``x`` is ``(seq, hidden)``; the four weight matrices are
     ``(hidden, hidden)``.  Requests in a batch may differ in sequence
     length (and even hidden size) — the packed lane stream is flat.
+    Every input must be finite: construction raises ``ValueError``
+    naming the first field that holds a NaN or inf.
     """
 
     x: np.ndarray
@@ -152,6 +154,13 @@ class AttentionRequest:
             if w.shape != (hidden, hidden):
                 raise ValueError(
                     f"{name} must have shape ({hidden}, {hidden}), got {w.shape}"
+                )
+        # Checked once here, never per token: a NaN score would reach
+        # the table's quantiser as an address and come back finite.
+        for name in ("x", "wq", "wk", "wv", "wo"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(
+                    f"{name} holds NaN or inf; request inputs must be finite"
                 )
 
     @property

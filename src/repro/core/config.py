@@ -68,10 +68,10 @@ DRAFT_KINDS = ("truncated-table", "ngram")
 #: knows how to build (``NovaConfig.kernel_backend``).  As with
 #: :data:`DRAFT_KINDS`, the canonical tuple lives here so config
 #: validation needs no import of the kernel stack; a test pins it equal
-#: to :data:`repro.core.kernels.BACKENDS`.  ``numba``/``jax`` are
-#: optional dependencies — naming one where it is not installed warns
-#: and runs on ``numpy`` instead.
-KERNEL_BACKENDS = ("numpy", "loopback", "numba", "jax")
+#: to :data:`repro.core.kernels.BACKENDS`.  ``numba`` is an optional
+#: dependency — naming it where it is not installed warns and runs on
+#: ``numpy`` instead.
+KERNEL_BACKENDS = ("numpy", "loopback", "numba")
 
 #: The overlay-geometry fields (what a :class:`NovaVectorUnit` needs).
 GEOMETRY_FIELDS = (
@@ -223,9 +223,9 @@ class NovaConfig:
     exact against the beat-level simulation, so like the serving knobs
     it is purely an execution-speed lever; ``"numpy"`` is the default
     everywhere, ``"loopback"`` pins the pre-kernel per-token loop for
-    benchmarking, and ``"numba"``/``"jax"`` are optional accelerated
-    drop-ins that fall back to numpy (with a warning) when the package
-    is absent.
+    benchmarking, and ``"numba"`` is an optional accelerated drop-in
+    that falls back to numpy (with a warning) when the package is
+    absent.
     """
 
     n_routers: int = 8

@@ -22,15 +22,17 @@ hardware model the prefill engines use:
   every scheduler step packs the prefill rows of newly admitted requests
   *and* the decode rows of in-flight requests into a single lane stream
   through the shared overlay; requests join and leave the batch between
-  steps.  With ``speculative=True`` each in-flight decode row becomes a
-  whole draft-and-verify pass (:mod:`repro.core.speculative`): drafted
-  tokens ride the same fused streams and rejected suffixes roll back by
-  cache truncation, with results still bit-identical per request.  Two memory models back it: contiguous per-request pages
+  steps.  Two memory models back it: contiguous per-request pages
   recycled through a best-fit pool (any page with ``capacity >=
   requested`` serves), or — with ``paged=True`` — a vLLM-style
   :class:`~repro.core.paging.BlockPool` of fixed-size blocks shared by
   every request, with lazy block allocation, first-block-fit admission
   and a deferral/preemption policy under memory pressure.
+
+Every generated token comes out of one draft-and-verify pass
+(:mod:`repro.core.speculative`); plain decode is the pass of the
+depth-0 :class:`~repro.core.speculative.DraftTree` (one true token, no
+drafts), and ``speculative=True`` selects a deeper tree.
 
 Bit-exactness contract
 ----------------------
@@ -93,7 +95,6 @@ if TYPE_CHECKING:
     from repro.core.speculative import (
         DraftModel,
         SpeculativeDecodeEngine,
-        SpeculativeGenerateResult,
         VerifyPassResult,
         _SpecPass,
     )
@@ -479,15 +480,17 @@ def context_for_query(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeStepResult:
-    """One decoded token through the overlay.
+    """One committed token of a decode run.
 
     ``probabilities`` spans the KV cache at this step
     (``(n_heads, kv_length)``); ``position`` is the token's absolute
-    index in the sequence.  ``vector_cycles`` / ``counters`` are the
-    sequential-equivalent cost a dedicated engine invocation would
-    charge for exactly this step (tail padding included).
+    index in the sequence.  ``vector_cycles`` / ``nonlinear_queries``
+    are what a single-token pass charges for exactly this token (tail
+    padding included); the event counters live on the pass that
+    committed it.  ``drafted`` marks tokens whose input was an accepted
+    draft.
     """
 
     output: np.ndarray            # (hidden,)
@@ -496,7 +499,7 @@ class DecodeStepResult:
     kv_length: int
     vector_cycles: int
     nonlinear_queries: int
-    counters: EventCounters
+    drafted: bool = False
 
 
 @dataclass(frozen=True)
@@ -518,9 +521,11 @@ class CausalPrefillResult:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """A sequence decoded token by token (the pure decode regime)."""
+    """A sequence decoded token by token (the pure decode regime);
+    ``passes[i]`` is the single-token pass that produced ``steps[i]``."""
 
     steps: tuple[DecodeStepResult, ...]
+    passes: tuple[VerifyPassResult, ...]
     outputs: np.ndarray           # (n_tokens, hidden)
     vector_cycles: int
     counters: EventCounters
@@ -538,13 +543,48 @@ class DecodeResult:
 
 @dataclass(frozen=True)
 class GenerateResult:
-    """Prefill plus autoregressive generation for one request."""
+    """Prefill plus the passes that generated one request's tokens.
+
+    ``generated`` is **bit-identical** to plain decode for any draft
+    tree.  ``vector_cycles`` is the overlay's real spend (rolled-back
+    work included); ``sequential_vector_cycles`` what plain decode
+    charges for the same tokens, so ``cycle_speedup`` is the
+    speculation win on the cycle side (1.0 for plain decode).
+    """
 
     prefill: CausalPrefillResult
     steps: tuple[DecodeStepResult, ...]
+    passes: tuple[VerifyPassResult, ...]
     generated: np.ndarray         # (n_generated, hidden)
-    vector_cycles: int            # prefill + every decode step
+    vector_cycles: int
+    sequential_vector_cycles: int
     counters: EventCounters
+
+    @classmethod
+    def from_passes(
+        cls,
+        prefill: CausalPrefillResult,
+        steps: Sequence[DecodeStepResult],
+        passes: Sequence[VerifyPassResult],
+        counters: EventCounters,
+    ) -> GenerateResult:
+        """Assemble the result of a prefill and the passes after it."""
+        generated = (
+            np.stack([s.output for s in steps])
+            if steps
+            else np.zeros((0, prefill.outputs.shape[1]))
+        )
+        return cls(
+            prefill=prefill,
+            steps=tuple(steps),
+            passes=tuple(passes),
+            generated=generated,
+            vector_cycles=prefill.vector_cycles
+            + sum(p.vector_cycles for p in passes),
+            sequential_vector_cycles=prefill.vector_cycles
+            + sum(s.vector_cycles for s in steps),
+            counters=counters,
+        )
 
     @property
     def n_generated(self) -> int:
@@ -552,14 +592,52 @@ class GenerateResult:
         return len(self.steps)
 
     @property
+    def verify_passes(self) -> int:
+        """Passes run (one per token in plain decode)."""
+        return len(self.passes)
+
+    @property
+    def drafted_tokens(self) -> int:
+        """Draft proposals made across every pass."""
+        return sum(p.drafted for p in self.passes)
+
+    @property
+    def accepted_tokens(self) -> int:
+        """Draft proposals that verified bit-exactly."""
+        return sum(p.accepted for p in self.passes)
+
+    @property
+    def rolled_back_tokens(self) -> int:
+        """Provisional tokens truncated from the cache."""
+        return sum(p.rolled_back for p in self.passes)
+
+    @property
+    def acceptance_rate(self) -> float:
+        """Accepted fraction of drafted tokens (0.0 with no drafts)."""
+        drafted = self.drafted_tokens
+        return self.accepted_tokens / drafted if drafted else 0.0
+
+    @property
+    def tokens_per_pass(self) -> float:
+        """Mean committed tokens per pass (>= 1)."""
+        return self.n_generated / max(1, self.verify_passes)
+
+    @property
     def decode_vector_cycles(self) -> int:
-        """Vector cycles spent in decode steps only."""
+        """Vector cycles spent in decode passes only."""
         return self.vector_cycles - self.prefill.vector_cycles
 
     @property
     def cycles_per_token(self) -> float:
         """Mean decode vector cycles per generated token."""
         return self.decode_vector_cycles / max(1, self.n_generated)
+
+    @property
+    def cycle_speedup(self) -> float:
+        """Sequential-equivalent cycles per actually-charged cycle."""
+        if self.vector_cycles == 0:
+            return 1.0
+        return self.sequential_vector_cycles / self.vector_cycles
 
 
 class DecodeState:
@@ -638,14 +716,13 @@ class _TokenPlan:
 
 
 class _Job:
-    """One engine-invocation-equivalent unit of work (prefill or step)."""
+    """One engine-invocation-equivalent unit of work (a prefill or a
+    pass)."""
 
-    __slots__ = ("state", "kind", "tokens")
+    __slots__ = ("state", "tokens")
 
-    def __init__(self, state: DecodeState, kind: str,
-                 tokens: list[_TokenPlan]) -> None:
+    def __init__(self, state: DecodeState, tokens: list[_TokenPlan]) -> None:
         self.state = state
-        self.kind = kind            # "prefill" | "step"
         self.tokens = tokens
 
 
@@ -858,11 +935,7 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
         tokens = [
             self._plan_token(state, row) for row in state.request.x
         ]
-        return _Job(state, "prefill", tokens)
-
-    def _plan_step(self, state: DecodeState, x_t: np.ndarray) -> _Job:
-        """Stage one decode token as its own job."""
-        return _Job(state, "step", [self._plan_token(state, x_t)])
+        return _Job(state, tokens)
 
     # ------------------------------------------------------------------
     # Execution: the two packed hardware phases plus host assembly.
@@ -990,21 +1063,6 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
             counters=result.counters,
         )
 
-    @staticmethod
-    def _wrap_step(result: _JobResult) -> DecodeStepResult:
-        (token,) = result.job.tokens
-        (probs,) = result.probabilities
-        (output,) = result.outputs
-        return DecodeStepResult(
-            output=output,
-            probabilities=probs,
-            position=token.position,
-            kv_length=probs.shape[-1],
-            vector_cycles=result.vector_cycles,
-            nonlinear_queries=result.nonlinear_queries,
-            counters=result.counters,
-        )
-
     # ------------------------------------------------------------------
     # Public execution modes.
     # ------------------------------------------------------------------
@@ -1014,27 +1072,39 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
         (result,), _ = self._execute([self._plan_prefill(state)])
         return self._wrap_prefill(result)
 
+    def _draft_free(self) -> SpeculativeDecodeEngine:
+        """This engine's plain decode: passes of the depth-0 draft tree."""
+        from repro.core.speculative import DraftTree, SpeculativeDecodeEngine
+
+        return SpeculativeDecodeEngine(self, tree=DraftTree(()))
+
     def decode_step(
         self, state: DecodeState, x_t: np.ndarray
     ) -> DecodeStepResult:
         """Decode one token: append to the cache, attend, project out."""
-        (result,), _ = self._execute([self._plan_step(state, x_t)])
-        return self._wrap_step(result)
+        (step,), _ = self._draft_free().run_pass(state, x_t, 1)
+        return step
 
     def decode(self, request: DecodeRequest) -> DecodeResult:
         """Decode the prompt token by token (the pure decode regime).
 
-        Every prompt token goes through :meth:`decode_step` with its own
-        per-step hardware streams — the path the golden equivalence test
-        compares bit-for-bit against :meth:`prefill`.
+        Every prompt token runs as its own pass — the path the golden
+        equivalence test compares bit-for-bit against :meth:`prefill`.
         """
         state = self.start(request)
+        plain = self._draft_free()
         before = self.unit._lifetime_counters()
-        steps = [self.decode_step(state, row) for row in request.x]
+        steps: list[DecodeStepResult] = []
+        passes: list[VerifyPassResult] = []
+        for row in request.x:
+            (step,), pass_result = plain.run_pass(state, row, 1)
+            steps.append(step)
+            passes.append(pass_result)
         return DecodeResult(
             steps=tuple(steps),
+            passes=tuple(passes),
             outputs=np.stack([s.output for s in steps]),
-            vector_cycles=sum(s.vector_cycles for s in steps),
+            vector_cycles=sum(p.vector_cycles for p in passes),
             counters=self.unit._lifetime_counters().diff(before),
         )
 
@@ -1050,50 +1120,10 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
         token's embedding (deterministic closed loop — there is no
         vocabulary at the attention-layer level).  ``max_new_tokens``
         defaults to the request's budget; ``state`` optionally supplies
-        a pre-opened state (e.g. with a recycled cache page).
+        a pre-opened state (e.g. with a recycled cache page).  Runs one
+        draft-free pass per token.
         """
-        new_tokens = (
-            request.max_new_tokens
-            if max_new_tokens is None
-            else max_new_tokens
-        )
-        if new_tokens < 0:
-            raise ValueError(
-                f"max_new_tokens must be >= 0, got {new_tokens}"
-            )
-        # An override larger than the request's own budget must fail at
-        # admission like any other over-long request, not mid-generation.
-        if request.window is None and request.seq + new_tokens > request.capacity:
-            raise KVCacheOverflow(
-                f"generate needs {request.seq + new_tokens} cache slots "
-                f"({request.seq} prompt + {new_tokens} new) but the "
-                f"request's capacity is {request.capacity}; shorten "
-                "max_new_tokens, raise max_seq_len, or set a sliding "
-                "window"
-            )
-        if state is None:
-            state = self.start(request)
-        before = self.unit._lifetime_counters()
-        pre = self.prefill(state)
-        steps: list[DecodeStepResult] = []
-        x_t = pre.outputs[-1]
-        for _ in range(new_tokens):
-            step = self.decode_step(state, x_t)
-            steps.append(step)
-            x_t = step.output
-        generated = (
-            np.stack([s.output for s in steps])
-            if steps
-            else np.zeros((0, request.hidden))
-        )
-        return GenerateResult(
-            prefill=pre,
-            steps=tuple(steps),
-            generated=generated,
-            vector_cycles=pre.vector_cycles
-            + sum(s.vector_cycles for s in steps),
-            counters=self.unit._lifetime_counters().diff(before),
-        )
+        return self._draft_free().generate(request, max_new_tokens, state)
 
 
 # ----------------------------------------------------------------------
@@ -1105,9 +1135,9 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
 class ContinuousBatchResult:
     """Outcome of a continuously batched decode run.
 
-    ``results[i]`` is bit-identical (outputs, probabilities, per-step
-    sequential-equivalent cycles and counters) to
-    ``engine.generate(requests[i])`` run alone.  ``packed_vector_cycles``
+    ``results[i]`` is a :class:`GenerateResult` bit-identical (outputs,
+    probabilities, cycles and counters) to solo generation of
+    ``requests[i]`` through the same draft tree.  ``packed_vector_cycles``
     is what the shared overlay actually spent across all fused scheduler
     steps; ``sequential_vector_cycles`` is the sum of the per-request
     costs — the ratio is the continuous-batching win on the cycle side.
@@ -1122,8 +1152,11 @@ class ContinuousBatchResult:
     ``peak_kv_slots`` the most KV token slots reserved at once (whole
     worst-case pages in contiguous mode, allocated blocks in paged
     mode); ``peak_fragmentation_slots`` the worst reserved-but-unused
-    slot count observed; ``deferrals`` / ``preemptions`` the paged
-    scheduler's out-of-memory actions (always zero in contiguous mode);
+    slot count observed; ``deferrals`` the steps a sequence skipped
+    because the block pool ran dry (paged mode only);
+    ``preemptions`` the sequences evicted for recomputation, by a dry
+    pool (paged mode) or by the policy (either mode, e.g. a
+    higher-priority arrival under ``priority-preemptive``);
     ``paging`` the final :meth:`~repro.core.paging.BlockPool.pool_info`
     snapshot (``None`` in contiguous mode).
 
@@ -1141,7 +1174,7 @@ class ContinuousBatchResult:
     tokens, so the user-visible first token never moves).
     """
 
-    results: tuple[GenerateResult | SpeculativeGenerateResult, ...]
+    results: tuple[GenerateResult, ...]
     packed_vector_cycles: int
     sequential_vector_cycles: int
     scheduler_steps: int
@@ -1209,8 +1242,8 @@ class _Sequence:
         self.prefill_result: CausalPrefillResult | None = None
         self.steps: list[DecodeStepResult] = []
         self.admitted_at = -1
-        # Speculative-mode state: the per-sequence draft model, the
-        # completed verification passes, and the pass staged this step.
+        # The draft model (None for the draft-free tree), the completed
+        # passes, and the pass staged this step.
         self.draft: DraftModel | None = None
         self.passes: list[VerifyPassResult] = []
         self.pending_pass: _SpecPass | None = None
@@ -1315,17 +1348,16 @@ class ContinuousBatchScheduler:
     preemption change where K/V rows live and when work happens, never
     the numerics.
 
-    ``speculative=True`` composes with either memory model: each active
-    sequence's step becomes one draft-and-verify pass
-    (:class:`~repro.core.speculative.SpeculativeDecodeEngine`, at the
-    engine config's ``spec_k``/``spec_tree``/``draft_kind`` unless
-    overridden — a ``spec_tree`` scores a whole draft tree per pass;
-    one draft model per sequence via ``draft_factory``).  Verification
-    passes of different requests fuse into the shared lane streams
-    exactly like decode rows; a pass that cannot get provisional blocks
-    degrades to draft-free before it defers, and per-request results
-    (:class:`~repro.core.speculative.SpeculativeGenerateResult`) stay
-    identical to solo speculative generation.
+    Every in-flight sequence's step is one draft-and-verify pass
+    (:class:`~repro.core.speculative.SpeculativeDecodeEngine`), fused
+    with the other sequences' passes into the shared lane streams.
+    Plain decode runs the depth-0 tree, with no draft model;
+    ``speculative=True`` selects a deeper tree at the engine config's
+    ``spec_k``/``spec_tree``/``draft_kind`` unless overridden, with one
+    draft model per sequence from ``draft_factory``.  A pass that
+    cannot get provisional blocks degrades to draft-free before it
+    defers.  Each result is a :class:`GenerateResult` identical to solo
+    generation through the same tree.
 
     Scheduling decisions — which waiting request to admit next, which
     active sequences run a step, and who is preempted — are delegated
@@ -1384,29 +1416,28 @@ class ContinuousBatchScheduler:
                 "spec_k/spec_tree/draft_kind/draft_factory only apply to "
                 "the speculative scheduler (pass speculative=True)"
             )
-        self.engine = engine
-        self.speculative = bool(speculative)
-        self._speculator: SpeculativeDecodeEngine | None = None
-        if self.speculative:
-            from repro.core.speculative import (
-                SpeculativeDecodeEngine,
-                build_draft,
-            )
+        from repro.core.speculative import (
+            DraftTree,
+            SpeculativeDecodeEngine,
+            build_draft,
+        )
 
-            self._speculator = SpeculativeDecodeEngine(
-                engine, spec_k=spec_k, tree=spec_tree
-            )
-            kind = (
-                engine.config.draft_kind if draft_kind is None else draft_kind
-            )
-            #: One draft model per admitted sequence (drafts are
-            #: stateful; sharing one across interleaved requests would
-            #: break the solo-equivalence contract).
-            self.draft_factory: Callable[[], DraftModel] = (
-                (lambda: build_draft(kind, engine.config))
-                if draft_factory is None
-                else draft_factory
-            )
+        self.engine = engine
+        #: Every step's pass engine; plain decode is the depth-0 tree.
+        self._verifier = SpeculativeDecodeEngine(
+            engine,
+            spec_k=spec_k,
+            tree=spec_tree if speculative else DraftTree(()),
+        )
+        kind = engine.config.draft_kind if draft_kind is None else draft_kind
+        #: One draft model per admitted sequence (drafts are stateful;
+        #: sharing one across interleaved requests would break the
+        #: solo-equivalence contract).  Only called when the tree drafts.
+        self.draft_factory: Callable[[], DraftModel] = (
+            (lambda: build_draft(kind, engine.config))
+            if draft_factory is None
+            else draft_factory
+        )
         self.max_active = max_active
         self.paged = bool(paged)
         #: Prefix caching (paged only): ``None`` defers to the engine
@@ -1443,11 +1474,6 @@ class ContinuousBatchScheduler:
         self.pages_recycled = 0
         self.deferrals = 0
         self.preemptions = 0
-
-    def _require_speculator(self) -> SpeculativeDecodeEngine:
-        """The speculative engine (constructed iff ``speculative=True``)."""
-        assert self._speculator is not None
-        return self._speculator
 
     # -- contiguous cache-page pool -------------------------------------
 
@@ -1645,6 +1671,7 @@ class ContinuousBatchScheduler:
             self.engine.validate_request(request)
 
         engine = self.engine
+        verifier = self._verifier
         paged = self.paged
         pool: BlockPool | None = None
         if paged:
@@ -1672,9 +1699,7 @@ class ContinuousBatchScheduler:
         )
         waiting = deque(sequences)
         active: list[_Sequence] = []
-        slots: list[GenerateResult | SpeculativeGenerateResult | None] = (
-            [None] * len(request_list)
-        )
+        slots: list[GenerateResult | None] = [None] * len(request_list)
         policy = self.policy
         packed_cycles = 0
         scheduler_steps = 0
@@ -1718,11 +1743,11 @@ class ContinuousBatchScheduler:
             # preempted-then-readmitted request could steal the very
             # blocks its preemption freed and starve older sequences —
             # a livelock).  A dry pool defers the starved sequence to
-            # the next step.  In speculative mode an in-flight
-            # sequence's "step" is a whole verification pass (drafts
-            # appended provisionally, planned atomically); it degrades
-            # to a draft-free pass before it defers.  The policy picks
-            # which active sequences run this step (normally all).
+            # the next step.  An in-flight sequence's step is one
+            # pass (any drafts appended provisionally, planned
+            # atomically); a pass with drafts degrades to a draft-free
+            # one before it defers.  The policy picks which active
+            # sequences run this step (normally all).
             scheduled = list(policy.step_order(active, now))
             for seq in scheduled:
                 if seq not in active:
@@ -1731,26 +1756,16 @@ class ContinuousBatchScheduler:
                         "that is not active"
                     )
             for seq in scheduled:
-                if self.speculative:
-                    try:
-                        pending = self._require_speculator().plan_with_fallback(
-                            seq.live_state, seq.step_input, seq.remaining,
-                            draft=seq.draft,
-                        )
-                    except BlockPoolExhausted:
-                        self.deferrals += 1
-                        continue
-                    seq.pending_pass = pending
-                    job = pending.job
-                elif paged:
-                    try:
-                        job = engine._plan_step(seq.live_state, seq.step_input)
-                    except BlockPoolExhausted:
-                        self.deferrals += 1
-                        continue
-                else:
-                    job = engine._plan_step(seq.live_state, seq.step_input)
-                jobs.append(job)
+                try:
+                    pending = verifier.plan_with_fallback(
+                        seq.live_state, seq.step_input, seq.remaining,
+                        draft=seq.draft,
+                    )
+                except BlockPoolExhausted:
+                    self.deferrals += 1
+                    continue
+                seq.pending_pass = pending
+                jobs.append(pending.job)
                 stepping.append(seq)
             # Admission: fill the remaining slots with waiting requests'
             # prefills.  The policy picks the next candidate from the
@@ -1794,21 +1809,18 @@ class ContinuousBatchScheduler:
                         break
                 waiting.remove(seq)
                 seq.state = state
-                if self.speculative and seq.draft is None:
+                if seq.draft is None and verifier.tree.depth:
                     seq.draft = self.draft_factory()
                 admission_clock += 1
                 seq.admitted_at = admission_clock
-                if paged:
-                    try:
-                        job = engine._plan_prefill(state)
-                    except BlockPoolExhausted:
-                        state.cache.reset()
-                        seq.reset_progress()
-                        self.deferrals += 1
-                        waiting.appendleft(seq)
-                        break
-                else:
+                try:
                     job = engine._plan_prefill(state)
+                except BlockPoolExhausted:  # paged: pool ran dry
+                    state.cache.reset()
+                    seq.reset_progress()
+                    self.deferrals += 1
+                    waiting.appendleft(seq)
+                    break
                 jobs.append(job)
                 joining.append(seq)
 
@@ -1878,33 +1890,24 @@ class ContinuousBatchScheduler:
                         # token), so TTFT is the first landing.
                         seq.first_token_step = step_index
                         seq.first_token_time = now
-                    if self.speculative:
-                        draft = seq.draft
-                        assert draft is not None  # built at admission
+                    if seq.draft is not None:
                         # Seed the draft with the prompt trajectory, in
-                        # the exact order solo speculative generate does.
+                        # the exact order solo generate does.
                         for position, (x_row, out_row) in enumerate(
                             zip(seq.request.x, prefill.outputs)
                         ):
-                            draft.observe(x_row, out_row, position)
-                elif self.speculative:
+                            seq.draft.observe(x_row, out_row, position)
+                else:
                     staged = seq.pending_pass
                     assert staged is not None  # planned this very step
-                    new_steps, pass_result = (
-                        self._require_speculator().finish_verify_pass(
-                            staged, result, draft=seq.draft
-                        )
+                    new_steps, pass_result = verifier.finish_verify_pass(
+                        staged, result, draft=seq.draft
                     )
                     seq.pending_pass = None
                     seq.steps.extend(new_steps)
                     seq.passes.append(pass_result)
                     seq.next_x = new_steps[-1].output
                     seq.remaining -= len(new_steps)
-                else:
-                    step = engine._wrap_step(result)
-                    seq.steps.append(step)
-                    seq.next_x = step.output
-                    seq.remaining -= 1
 
             survivors: list[_Sequence] = []
             for seq in joining + active:
@@ -1917,42 +1920,13 @@ class ContinuousBatchScheduler:
                     seq.live_state.cache.reset()  # blocks back to the pool
                 else:
                     self._release_page(seq.live_state.cache)
-                generated = (
-                    np.stack([s.output for s in seq.steps])
-                    if seq.steps
-                    else np.zeros((0, seq.request.hidden))
-                )
-                counters = EventCounters.from_vector(seq.counter_total)
-                if self.speculative:
-                    from repro.core.speculative import (
-                        SpeculativeGenerateResult,
-                    )
-
-                    slots[seq.index] = SpeculativeGenerateResult(
-                        prefill=seq.finished_prefill,
-                        steps=tuple(seq.steps),
-                        passes=tuple(seq.passes),
-                        generated=generated,
-                        vector_cycles=seq.finished_prefill.vector_cycles
-                        + sum(p.vector_cycles for p in seq.passes),
-                        sequential_vector_cycles=(
-                            seq.finished_prefill.vector_cycles
-                            + sum(s.vector_cycles for s in seq.steps)
-                        ),
-                        counters=counters,
-                    )
-                    continue
-                slots[seq.index] = GenerateResult(
-                    prefill=seq.finished_prefill,
-                    steps=tuple(seq.steps),
-                    generated=generated,
-                    vector_cycles=seq.finished_prefill.vector_cycles
-                    + sum(s.vector_cycles for s in seq.steps),
-                    counters=counters,
+                slots[seq.index] = GenerateResult.from_passes(
+                    seq.finished_prefill, seq.steps, seq.passes,
+                    EventCounters.from_vector(seq.counter_total),
                 )
             active = survivors
 
-        finished: list[GenerateResult | SpeculativeGenerateResult] = []
+        finished: list[GenerateResult] = []
         for slot in slots:
             assert slot is not None  # the loop only exits once every slot fills
             finished.append(slot)

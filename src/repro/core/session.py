@@ -67,11 +67,7 @@ from repro.core.vector_unit import NovaVectorUnit
 
 if TYPE_CHECKING:
     from repro.accelerators import HostAccelerator
-    from repro.core.speculative import (
-        DraftModel,
-        SpeculativeDecodeEngine,
-        SpeculativeGenerateResult,
-    )
+    from repro.core.speculative import DraftModel, SpeculativeDecodeEngine
     from repro.serving.frontdoor import ServingRequest
     from repro.serving.metrics import ServingReport
     from repro.serving.policies import SchedulingPolicy
@@ -227,22 +223,24 @@ class NovaSession:
         spec_k: int | None = None,
         spec_tree: str | None = None,
         draft: "DraftModel | None" = None,
-    ) -> "GenerateResult | SpeculativeGenerateResult":
+    ) -> GenerateResult:
         """Prefill the prompt, then generate tokens autoregressively.
 
         ``max_new_tokens`` defaults to the request's own budget.  The
         attention output at the last position feeds back as the next
         token's embedding (there is no vocabulary at the
-        attention-layer level).  Rejects non-causal requests.
+        attention-layer level).  Rejects non-causal requests.  Every
+        token comes out of a draft-and-verify pass; plain decode runs
+        the draft-free pass, one token each.
 
-        ``speculative=True`` generates the **bit-identical** tokens by
-        draft-and-verify instead (:mod:`repro.core.speculative`): the
+        ``speculative=True`` generates the **bit-identical** tokens
+        with drafts instead (:mod:`repro.core.speculative`): the
         config's ``draft_kind`` drafts up to ``spec_k`` tokens per
         packed verification pass (both defaulting from the session
         config; ``draft`` substitutes any
-        :class:`~repro.core.speculative.DraftModel`), returning a
-        :class:`~repro.core.speculative.SpeculativeGenerateResult` with
-        acceptance and rollback accounting.  ``spec_tree`` (a
+        :class:`~repro.core.speculative.DraftModel`).  Either way the
+        result is a :class:`~repro.core.decode.GenerateResult`, with
+        per-pass acceptance and rollback accounting.  ``spec_tree`` (a
         ``"2x2,1x4"``-style spec, defaulting from the config) scores a
         whole :class:`~repro.core.speculative.DraftTree` of alternative
         drafts per pass instead of one linear chain — still

@@ -69,21 +69,25 @@ longest-accepted branch, and rolls every other branch back through the
 existing truncate/release path — zero leaked pool blocks for any
 accept pattern (a pinned property).  A width-1 tree plans no forks at
 all and degenerates to exactly the linear ``spec_k`` chain, which pins
-backward compatibility bit-for-bit.
+backward compatibility bit-for-bit.  The depth-0 tree ``DraftTree(())``
+plans no drafts: each pass is the one true token ``u_0``, i.e. a plain
+decode step.  Every plain decode path runs it, so there is one decode
+loop; its passes build no tree nodes or forks and never touch a draft.
 
 Accounting
 ----------
 Each verification pass is charged what the overlay actually spends (the
 packed closed form over *all* pass tokens, rolled-back ones included);
-:class:`SpeculativeGenerateResult` additionally reports the closed-form
-**sequential-equivalent** cycles — exactly what plain ``generate`` would
-have charged for the same committed tokens (a pinned invariant) — plus
-drafted / accepted / rolled-back token counts per pass and in total.
+:class:`~repro.core.decode.GenerateResult` additionally reports the
+closed-form **sequential-equivalent** cycles — exactly what plain
+``generate`` would have charged for the same committed tokens (a pinned
+invariant) — plus drafted / accepted / rolled-back token counts per pass
+and in total.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
@@ -101,9 +105,10 @@ from repro.core.config import (
     parse_tree_spec,
 )
 from repro.core.decode import (
-    CausalPrefillResult,
     DecodeRequest,
     DecodeState,
+    DecodeStepResult,
+    GenerateResult,
     KVCacheOverflow,
     NovaDecodeEngine,
     _Job,
@@ -111,6 +116,7 @@ from repro.core.decode import (
     project_token,
     scores_for_query,
 )
+from repro.core.paging import BlockPoolExhausted
 from repro.noc.stats import EventCounters
 
 if TYPE_CHECKING:
@@ -128,9 +134,7 @@ __all__ = [
     "build_draft",
     "host_step_output",
     "tree_causal_mask",
-    "SpeculativeStepResult",
     "VerifyPassResult",
-    "SpeculativeGenerateResult",
     "SpeculativeDecodeEngine",
 ]
 
@@ -192,10 +196,11 @@ class DraftTree:
     proposes at depth ``i + 1`` (the root ``u_0`` is depth 0 and always
     a single true token).  ``DraftTree.linear(k)`` — all widths 1 — is
     the degenerate tree: it plans the exact linear ``spec_k`` chain,
-    fork-free.  Identical sibling proposals are deduplicated at plan
-    time, so a draft that cannot produce ``widths[i]`` distinct
-    alternatives simply grows a narrower level — the tree is a budget,
-    not a quota.
+    fork-free.  ``DraftTree(())`` has no levels at all: every pass is
+    just ``u_0``, which is plain decode.  Identical sibling proposals
+    are deduplicated at plan time, so a draft that cannot produce
+    ``widths[i]`` distinct alternatives simply grows a narrower level —
+    the tree is a budget, not a quota.
     """
 
     widths: tuple[int, ...]
@@ -203,14 +208,14 @@ class DraftTree:
     def __post_init__(self) -> None:
         widths = tuple(int(w) for w in self.widths)
         object.__setattr__(self, "widths", widths)
-        if not widths:
-            raise ValueError("a draft tree needs at least one level")
         if any(w < 1 for w in widths):
             raise ValueError(
                 f"draft-tree widths must be >= 1, got {widths}"
             )
-        # Reuse the spec parser's node cap (it validates the same sum).
-        parse_tree_spec(self.spec)
+        if widths:
+            # Reuse the spec parser's node cap (it validates the same
+            # sum).
+            parse_tree_spec(self.spec)
 
     @classmethod
     def parse(cls, spec: str) -> DraftTree:
@@ -247,7 +252,8 @@ class DraftTree:
 
     @property
     def spec(self) -> str:
-        """The canonical ``WIDTHxCOUNT`` spec string (run-length form)."""
+        """The canonical ``WIDTHxCOUNT`` spec string (run-length form;
+        empty for the depth-0 tree)."""
         segments: list[str] = []
         for width in self.widths:
             prior = segments[-1] if segments else None
@@ -609,29 +615,7 @@ def build_draft(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpeculativeStepResult:
-    """One *committed* token of a speculative run.
-
-    ``vector_cycles`` / ``nonlinear_queries`` are the closed-form
-    sequential equivalent — exactly what a dedicated
-    :meth:`~repro.core.decode.NovaDecodeEngine.decode_step` would have
-    charged for this token (the overlay's real spend lives on the pass,
-    see :class:`VerifyPassResult`).  ``drafted`` marks tokens whose
-    *input* came from an accepted draft rather than the previous
-    committed output directly.
-    """
-
-    output: np.ndarray            # (hidden,)
-    probabilities: np.ndarray     # (n_heads, kv_length)
-    position: int
-    kv_length: int
-    drafted: bool
-    vector_cycles: int
-    nonlinear_queries: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifyPassResult:
     """One draft-and-verify round trip through the overlay.
 
@@ -639,7 +623,9 @@ class VerifyPassResult:
     them provisional); ``committed = accepted + 1`` survived (``u_0`` is
     always committed), ``rolled_back`` were truncated from the cache.
     ``vector_cycles`` / ``counters`` are what the overlay actually
-    charged for the whole pass, rolled-back work included.
+    charged for the whole pass, rolled-back work included.  A
+    draft-free pass (plain decode) is one token: ``tokens ==
+    committed == 1`` and nothing drafted.
     """
 
     tokens: int
@@ -650,77 +636,6 @@ class VerifyPassResult:
     vector_cycles: int
     nonlinear_queries: int
     counters: EventCounters
-
-
-@dataclass(frozen=True)
-class SpeculativeGenerateResult:
-    """Prefill plus speculative draft-and-verify generation.
-
-    ``generated`` is **bit-identical** to plain
-    :meth:`~repro.core.decode.NovaDecodeEngine.generate` of the same
-    request — for any draft model.  ``vector_cycles`` is the overlay's
-    real spend (prefill + every packed verification pass, rolled-back
-    work included); ``sequential_vector_cycles`` the closed-form cost
-    plain generate would have charged for the same tokens (a pinned
-    invariant: it equals the plain run's ``vector_cycles`` exactly), so
-    ``cycle_speedup`` isolates the speculation win on the cycle side.
-    """
-
-    prefill: CausalPrefillResult
-    steps: tuple[SpeculativeStepResult, ...]
-    passes: tuple[VerifyPassResult, ...]
-    generated: np.ndarray         # (n_generated, hidden)
-    vector_cycles: int
-    sequential_vector_cycles: int
-    counters: EventCounters
-
-    @property
-    def n_generated(self) -> int:
-        """Tokens generated after the prompt."""
-        return len(self.steps)
-
-    @property
-    def verify_passes(self) -> int:
-        """Verification passes run."""
-        return len(self.passes)
-
-    @property
-    def drafted_tokens(self) -> int:
-        """Draft proposals made across every pass."""
-        return sum(p.drafted for p in self.passes)
-
-    @property
-    def accepted_tokens(self) -> int:
-        """Draft proposals that verified bit-exactly."""
-        return sum(p.accepted for p in self.passes)
-
-    @property
-    def rolled_back_tokens(self) -> int:
-        """Provisional tokens truncated from the cache."""
-        return sum(p.rolled_back for p in self.passes)
-
-    @property
-    def acceptance_rate(self) -> float:
-        """Accepted fraction of drafted tokens (0.0 with no drafts)."""
-        drafted = self.drafted_tokens
-        return self.accepted_tokens / drafted if drafted else 0.0
-
-    @property
-    def tokens_per_pass(self) -> float:
-        """Mean committed tokens per verification pass (>= 1)."""
-        return self.n_generated / max(1, self.verify_passes)
-
-    @property
-    def decode_vector_cycles(self) -> int:
-        """Overlay cycles spent in verification passes only."""
-        return self.vector_cycles - self.prefill.vector_cycles
-
-    @property
-    def cycle_speedup(self) -> float:
-        """Sequential-equivalent cycles per actually-charged cycle."""
-        if self.vector_cycles == 0:
-            return 1.0
-        return self.sequential_vector_cycles / self.vector_cycles
 
 
 def _draft_candidates(
@@ -804,10 +719,11 @@ def tree_causal_mask(spec_pass: _SpecPass) -> np.ndarray:
     gathers only that branch's ancestor rows, so the single
     whole-batch ``table_gather_mac`` call per phase scores every branch
     with no masking arithmetic.  Exposed for tests and docs; the
-    engine never materialises it.
+    engine never materialises it.  A draft-free pass's mask is the
+    one-token identity.
     """
-    n = len(spec_pass.nodes)
-    mask = np.zeros((n, n), dtype=bool)
+    n = len(spec_pass.job.tokens)
+    mask = np.eye(n, dtype=bool)
     for node in spec_pass.nodes:
         cursor: _TreeNode | None = node
         while cursor is not None:
@@ -820,25 +736,22 @@ class _SpecPass:
     """One planned verification pass (a draft tree) awaiting execution.
 
     ``nodes`` is every planned token in job order (the root first,
-    then level by level); ``drafts`` the draft embeddings in the same
-    order (the linear chain's historical view of the pass); ``forks``
-    the branch caches to release at finish; ``in_state_tokens`` how
-    many pass tokens were appended to the live state's own cache.
+    then level by level); ``forks`` the branch caches to release at
+    finish; ``in_state_tokens`` how many pass tokens were appended to
+    the live state's own cache.  A draft-free pass has no tree
+    (``root`` is None): its one token is ``x0``, as the caller passed it.
     """
 
-    __slots__ = (
-        "job", "x0", "drafts", "state", "root", "nodes", "forks",
-        "in_state_tokens",
-    )
+    __slots__ = ("job", "x0", "root", "nodes", "forks", "in_state_tokens")
 
     def __init__(
         self,
         job: _Job,
         x0: np.ndarray,
-        root: _TreeNode,
-        nodes: list[_TreeNode],
-        forks: list[KVCacheLike],
-        in_state_tokens: int,
+        root: _TreeNode | None = None,
+        nodes: Sequence[_TreeNode] = (),
+        forks: Sequence[KVCacheLike] = (),
+        in_state_tokens: int = 1,
     ) -> None:
         self.job = job
         self.x0 = x0
@@ -846,8 +759,6 @@ class _SpecPass:
         self.nodes = nodes
         self.forks = forks
         self.in_state_tokens = in_state_tokens
-        self.drafts = [node.embedding for node in nodes[1:]]
-        self.state = job.state
 
 
 # ----------------------------------------------------------------------
@@ -867,11 +778,12 @@ class SpeculativeDecodeEngine:
     pass from the linear chain to a :class:`DraftTree` (a tree object
     or a ``"2x2,1x4"`` spec string; defaults to ``config.spec_tree``,
     and to the degenerate ``DraftTree.linear(spec_k)`` chain when that
-    is ``None`` too).
+    is ``None`` too).  ``DraftTree(())`` is plain decode.
 
     The primitive pair :meth:`plan_verify_pass` /
     :meth:`finish_verify_pass` is what the continuous batcher fuses
-    with in-flight plain decodes; :meth:`generate` is the solo loop.
+    across requests; :meth:`run_pass` runs one pass alone and
+    :meth:`generate` is the solo loop (the only decode loop).
     """
 
     def __init__(
@@ -915,6 +827,13 @@ class SpeculativeDecodeEngine:
             cfg = self.engine.config
             self._draft = build_draft(cfg.draft_kind, cfg)
         return self._draft
+
+    def _draft_for(self, draft: DraftModel | None) -> DraftModel | None:
+        """``draft``, else the default draft — unless the tree never
+        drafts, in which case no draft model is built at all."""
+        if draft is not None or not self.tree.depth:
+            return draft
+        return self.draft
 
     @property
     def config(self) -> NovaConfig:
@@ -973,7 +892,9 @@ class SpeculativeDecodeEngine:
         job: the engine's packed execute scores the whole tree in a
         single ``table_gather_mac`` launch per phase.  A width-1 tree
         takes the historical linear path exactly (same proposal calls,
-        no forks).
+        no forks); a pass clipped to no levels (the depth-0 tree, a
+        budget of 1 or ``max_drafts=0``) plans just ``u_0`` with no
+        tree and no draft call.
 
         ``budget`` caps the pass at the tokens still owed (a pass never
         commits more than ``budget``, so the tree is clipped to
@@ -987,23 +908,22 @@ class SpeculativeDecodeEngine:
         the pool and the position back to their pre-pass state before
         the exception propagates.
         """
-        draft = self.draft if draft is None else draft
         if budget < 1:
             raise ValueError(f"pass budget must be >= 1, got {budget}")
         engine = self.engine
-        request = state.request
-        x_t = np.asarray(x_t, dtype=np.float64).reshape(-1)
-        # Shape-checked before any state change (the engine's own check
-        # inside _plan_token would fire too, but only after reshaping).
-        if x_t.shape[0] != request.hidden:
-            raise ValueError(
-                f"token embedding must have hidden width {request.hidden}, "
-                f"got {x_t.shape[0]}"
-            )
         widths = self.tree.widths
         if max_drafts is not None:
             widths = widths[: max(0, max_drafts)]
         widths = widths[: budget - 1]
+        if not widths:
+            # Draft-free: the one true token is a plain decode step
+            # (shape-checked, then appended atomically).
+            token = engine._plan_token(state, x_t)
+            return _SpecPass(_Job(state, [token]), x_t)
+        request = state.request
+        x_t = np.asarray(x_t, dtype=np.float64).reshape(-1)
+        proposer = self._draft_for(draft)
+        assert proposer is not None  # the tree drafts
         tokens: list[_TokenPlan] = []
         nodes: list[_TreeNode] = []
         forks: list[KVCacheLike] = []
@@ -1023,7 +943,7 @@ class SpeculativeDecodeEngine:
                         # provisional append would evict.
                         continue
                     candidates = _draft_candidates(
-                        draft, request, cache, node.embedding,
+                        proposer, request, cache, node.embedding,
                         node.state.position - 1, width,
                     )
                     for d in candidates:
@@ -1069,7 +989,7 @@ class SpeculativeDecodeEngine:
             self._rollback(state, in_state)
             raise
         return _SpecPass(
-            _Job(state, "verify", tokens), x_t, root, nodes, forks, in_state
+            _Job(state, tokens), x_t, root, nodes, forks, in_state
         )
 
     def finish_verify_pass(
@@ -1077,7 +997,7 @@ class SpeculativeDecodeEngine:
         spec_pass: _SpecPass,
         result: _JobResult,
         draft: DraftModel | None = None,
-    ) -> tuple[list[SpeculativeStepResult], VerifyPassResult]:
+    ) -> tuple[list[DecodeStepResult], VerifyPassResult]:
         """Commit the longest-accepted branch, roll back every other.
 
         ``result`` is the pass's ``_JobResult`` from
@@ -1093,14 +1013,58 @@ class SpeculativeDecodeEngine:
         path does not cover, and the path's fork-resident rows are
         re-appended to the live cache (recomputing the k/v projection
         is deterministic, hence bit-identical to the rows the released
-        fork held) — zero pool blocks leak for any accept pattern.
+        fork held) — zero pool blocks leak for any accept pattern.  A
+        draft-free pass commits its one token as is: nothing to walk,
+        release or roll back.
         """
-        draft = self.draft if draft is None else draft
-        state = spec_pass.state
+        draft = self._draft_for(draft)
         tokens = spec_pass.job.tokens
         outputs = result.outputs
-        path = [spec_pass.root]
+        if spec_pass.root is None:
+            path = [(0, spec_pass.x0)]  # draft-free: u_0 commits as is
+        else:
+            path = self._commit_longest_branch(spec_pass, outputs)
+        lanes = self.engine.n_lanes
+        heads = spec_pass.job.state.request.n_heads
+        steps: list[DecodeStepResult] = []
+        for i, (index, embedding) in enumerate(path):
+            probs = result.probabilities[index]
+            kv_len = probs.shape[-1]
+            n_exp = heads * kv_len
+            position = tokens[index].position
+            steps.append(
+                DecodeStepResult(
+                    output=outputs[index],
+                    probabilities=probs,
+                    position=position,
+                    kv_length=kv_len,
+                    vector_cycles=-(-n_exp // lanes) + -(-heads // lanes),
+                    nonlinear_queries=n_exp + heads,
+                    drafted=i > 0,
+                )
+            )
+            if draft is not None:
+                draft.observe(embedding, outputs[index], position)
+        committed = len(path)
+        return steps, VerifyPassResult(
+            tokens=len(tokens),
+            drafted=len(tokens) - 1,
+            accepted=committed - 1,
+            committed=committed,
+            rolled_back=len(tokens) - committed,
+            vector_cycles=result.vector_cycles,
+            nonlinear_queries=result.nonlinear_queries,
+            counters=result.counters,
+        )
+
+    def _commit_longest_branch(
+        self, spec_pass: _SpecPass, outputs: list[np.ndarray]
+    ) -> list[tuple[int, np.ndarray]]:
+        """Walk the tree's accepted path, leave only it in the live
+        cache, and return it as ``(token index, input embedding)``."""
         node = spec_pass.root
+        assert node is not None  # a tree pass
+        path = [node]
         while True:
             out = outputs[node.token_index]
             match = None
@@ -1112,9 +1076,6 @@ class SpeculativeDecodeEngine:
                 break
             path.append(match)
             node = match
-        accepted = len(path) - 1
-        committed = accepted + 1
-        rolled_back = len(tokens) - committed
         # Forks first (shared tail blocks drop to their surviving
         # refcounts), then the in-place suffix beyond the accepted
         # in-place prefix truncates — the accepted path can only leave
@@ -1122,6 +1083,7 @@ class SpeculativeDecodeEngine:
         # tokens it covers are exactly a prefix.
         for fork in spec_pass.forks:
             fork.reset()
+        state = spec_pass.job.state
         kept_in_state = sum(1 for n in path if n.in_state)
         self._rollback(state, spec_pass.in_state_tokens - kept_in_state)
         request = state.request
@@ -1133,38 +1095,7 @@ class SpeculativeDecodeEngine:
                 )
                 state.cache.append(k_t, v_t)
                 state.position += 1
-        lanes = self.engine.n_lanes
-        heads = request.n_heads
-        steps: list[SpeculativeStepResult] = []
-        for i, n in enumerate(path):
-            probs = result.probabilities[n.token_index]
-            kv_len = probs.shape[-1]
-            n_exp = heads * kv_len
-            steps.append(
-                SpeculativeStepResult(
-                    output=outputs[n.token_index],
-                    probabilities=probs,
-                    position=tokens[n.token_index].position,
-                    kv_length=kv_len,
-                    drafted=i > 0,
-                    vector_cycles=-(-n_exp // lanes) + -(-heads // lanes),
-                    nonlinear_queries=n_exp + heads,
-                )
-            )
-            draft.observe(
-                n.embedding, outputs[n.token_index],
-                tokens[n.token_index].position,
-            )
-        return steps, VerifyPassResult(
-            tokens=len(tokens),
-            drafted=len(spec_pass.drafts),
-            accepted=accepted,
-            committed=committed,
-            rolled_back=rolled_back,
-            vector_cycles=result.vector_cycles,
-            nonlinear_queries=result.nonlinear_queries,
-            counters=result.counters,
-        )
+        return [(n.token_index, n.embedding) for n in path]
 
     def plan_with_fallback(
         self,
@@ -1180,16 +1111,30 @@ class SpeculativeDecodeEngine:
         step's worth of memory) still makes progress.  Only when even
         that cannot allocate does :class:`~repro.core.paging.
         BlockPoolExhausted` propagate (with cache and pool untouched) —
-        the scheduler's cue to defer or preempt.
+        the scheduler's cue to defer or preempt.  A plan that had no
+        drafts to shed (the depth-0 tree or a budget of 1) is not
+        retried.
         """
-        from repro.core.paging import BlockPoolExhausted
-
         try:
             return self.plan_verify_pass(state, x_t, budget, draft=draft)
         except BlockPoolExhausted:
+            if not self.tree.depth or budget < 2:
+                raise
             return self.plan_verify_pass(
                 state, x_t, budget, draft=draft, max_drafts=0
             )
+
+    def run_pass(
+        self,
+        state: DecodeState,
+        x_t: np.ndarray,
+        budget: int,
+        draft: DraftModel | None = None,
+    ) -> tuple[list[DecodeStepResult], VerifyPassResult]:
+        """Plan, execute and commit one pass on its own streams."""
+        spec_pass = self.plan_with_fallback(state, x_t, budget, draft=draft)
+        (result,), _ = self.engine._execute([spec_pass.job])
+        return self.finish_verify_pass(spec_pass, result, draft=draft)
 
     # ------------------------------------------------------------------
     # The solo loop.
@@ -1201,12 +1146,13 @@ class SpeculativeDecodeEngine:
         max_new_tokens: int | None = None,
         state: DecodeState | None = None,
         draft: DraftModel | None = None,
-    ) -> SpeculativeGenerateResult:
-        """Prefill, then generate speculatively until the budget is met.
+    ) -> GenerateResult:
+        """Prefill, then run passes until the budget is met.
 
-        Bit-identical outputs to the wrapped engine's
-        :meth:`~repro.core.decode.NovaDecodeEngine.generate` for the
-        same request, with the same admission-time validation.
+        ``max_new_tokens`` defaults to the request's budget (an override
+        beyond the request's capacity fails before any work); ``state``
+        optionally supplies a pre-opened state.  Outputs are
+        bit-identical to plain decode for any tree and any draft.
         """
         engine = self.engine
         new_tokens = (
@@ -1226,47 +1172,31 @@ class SpeculativeDecodeEngine:
                 "max_new_tokens, raise max_seq_len, or set a sliding "
                 "window"
             )
-        draft = self.draft if draft is None else draft
-        draft.reset()
+        draft = self._draft_for(draft)
+        if draft is not None:
+            draft.reset()
         if state is None:
             state = engine.start(request)
         before = engine.unit._lifetime_counters()
         pre = engine.prefill(state)
-        # Seed stateful drafts with the prompt's own (input, output)
-        # trajectory, exactly as the committed steps will extend it.
-        for position, (x_row, out_row) in enumerate(
-            zip(request.x, pre.outputs)
-        ):
-            draft.observe(x_row, out_row, position)
-        steps: list[SpeculativeStepResult] = []
+        if draft is not None:
+            # Seed stateful drafts with the prompt's own (input, output)
+            # trajectory, exactly as the committed steps will extend it.
+            for position, (x_row, out_row) in enumerate(
+                zip(request.x, pre.outputs)
+            ):
+                draft.observe(x_row, out_row, position)
+        steps: list[DecodeStepResult] = []
         passes: list[VerifyPassResult] = []
         x_t = pre.outputs[-1]
-        actual_cycles = pre.vector_cycles
-        sequential_cycles = pre.vector_cycles
         while len(steps) < new_tokens:
-            spec_pass = self.plan_with_fallback(
+            new_steps, pass_result = self.run_pass(
                 state, x_t, new_tokens - len(steps), draft=draft
-            )
-            (result,), _ = engine._execute([spec_pass.job])
-            new_steps, pass_result = self.finish_verify_pass(
-                spec_pass, result, draft=draft
             )
             steps.extend(new_steps)
             passes.append(pass_result)
             x_t = new_steps[-1].output
-            actual_cycles += pass_result.vector_cycles
-            sequential_cycles += sum(s.vector_cycles for s in new_steps)
-        generated = (
-            np.stack([s.output for s in steps])
-            if steps
-            else np.zeros((0, request.hidden))
-        )
-        return SpeculativeGenerateResult(
-            prefill=pre,
-            steps=tuple(steps),
-            passes=tuple(passes),
-            generated=generated,
-            vector_cycles=actual_cycles,
-            sequential_vector_cycles=sequential_cycles,
-            counters=engine.unit._lifetime_counters().diff(before),
+        return GenerateResult.from_passes(
+            pre, steps, passes,
+            engine.unit._lifetime_counters().diff(before),
         )

@@ -625,6 +625,29 @@ def batched_serving_throughput(
     return result
 
 
+def _check_solo_exact(label: str, results, solo, charged: bool = True) -> None:
+    """Raise ``RuntimeError`` unless each served result equals its solo
+    reference: tokens, prefill outputs and sequential-equivalent cycles
+    always, and with ``charged`` (nothing drafted, so nothing rolled
+    back) the charged cycles and event counters too."""
+    import numpy as np
+
+    for i, (ref, got) in enumerate(zip(solo, results)):
+        if (
+            not np.array_equal(got.generated, ref.generated)
+            or not np.array_equal(got.prefill.outputs, ref.prefill.outputs)
+            or got.sequential_vector_cycles != ref.sequential_vector_cycles
+            or charged and (
+                got.vector_cycles != ref.vector_cycles
+                or got.counters.as_dict() != ref.counters.as_dict()
+            )
+        ):
+            raise RuntimeError(
+                f"{label} diverged from the reference on request {i}: "
+                "the bit-exact contract is broken"
+            )
+
+
 def decode_serving_throughput(
     model_name="GPT-2-small",
     batch_size: int = 8,
@@ -656,8 +679,6 @@ def decode_serving_throughput(
     ``benchmarks/bench_decode_serving.py``.
     """
     import time
-
-    import numpy as np
 
     from repro.core.decode import ContinuousBatchScheduler
     from repro.core.session import NovaSession
@@ -699,17 +720,7 @@ def decode_serving_throughput(
     batch = scheduler.run(requests)
     t_batched = time.perf_counter() - t0
 
-    for i, (ref, got) in enumerate(zip(solo, batch.results)):
-        if (
-            not np.array_equal(got.generated, ref.generated)
-            or not np.array_equal(got.prefill.outputs, ref.prefill.outputs)
-            or got.vector_cycles != ref.vector_cycles
-            or got.counters.as_dict() != ref.counters.as_dict()
-        ):
-            raise RuntimeError(
-                f"continuous batching diverged from one-at-a-time decode on "
-                f"request {i}: the bit-exact/cycle-exact contract is broken"
-            )
+    _check_solo_exact("continuous batching", batch.results, solo)
 
     tokens = batch.total_generated_tokens
     solo_cycles = sum(r.vector_cycles for r in solo)
@@ -789,8 +800,6 @@ def kernel_backend_throughput(
     """
     import time
 
-    import numpy as np
-
     from repro.core.decode import ContinuousBatchScheduler
     from repro.core.kernels import available_backends, kernel_cache_info
     from repro.core.session import NovaSession
@@ -853,22 +862,9 @@ def kernel_backend_throughput(
 
     _, _, _, reference, _ = runs[0]
     for name, _, _, batch, _ in runs[1:]:
-        for i, (ref, got) in enumerate(
-            zip(reference.results, batch.results)
-        ):
-            if (
-                not np.array_equal(got.generated, ref.generated)
-                or not np.array_equal(
-                    got.prefill.outputs, ref.prefill.outputs
-                )
-                or got.vector_cycles != ref.vector_cycles
-                or got.counters.as_dict() != ref.counters.as_dict()
-            ):
-                raise RuntimeError(
-                    f"kernel backend {name!r} diverged from "
-                    f"{runs[0][0]!r} on request {i}: the bit-exact/"
-                    "cycle-exact contract is broken"
-                )
+        _check_solo_exact(
+            f"kernel backend {name!r}", batch.results, reference.results
+        )
 
     tokens = reference.total_generated_tokens
     base_wall = runs[0][2]
@@ -941,8 +937,6 @@ def paged_decode_utilization(
     """
     import time
 
-    import numpy as np
-
     from repro.core.decode import ContinuousBatchScheduler
     from repro.core.session import NovaSession
     from repro.workloads.bert import mixed_decode_batch, serving_config
@@ -1000,17 +994,7 @@ def paged_decode_utilization(
     paged, t_paged = run_path(True)
 
     for label, batch in (("contiguous", contiguous), ("paged", paged)):
-        for i, (ref, got) in enumerate(zip(solo, batch.results)):
-            if (
-                not np.array_equal(got.generated, ref.generated)
-                or got.vector_cycles != ref.vector_cycles
-                or got.counters.as_dict() != ref.counters.as_dict()
-            ):
-                raise RuntimeError(
-                    f"{label} scheduling diverged from one-at-a-time "
-                    f"decode on request {i}: the bit-exact contract is "
-                    "broken"
-                )
+        _check_solo_exact(f"{label} scheduling", batch.results, solo)
 
     tokens = contiguous.total_generated_tokens
     result = ExperimentResult(
@@ -1093,8 +1077,6 @@ def prefix_caching_residency(
     """
     import time
 
-    import numpy as np
-
     from repro.core.decode import ContinuousBatchScheduler, SequenceMeta
     from repro.core.session import NovaSession
     from repro.workloads.bert import serving_config, shared_prefix_decode_batch
@@ -1160,17 +1142,7 @@ def prefix_caching_residency(
     cached, t_cached = run_path(True)
 
     for label, batch in (("uncached", plain), ("prefix-cached", cached)):
-        for i, (ref, got) in enumerate(zip(solo, batch.results)):
-            if (
-                not np.array_equal(got.generated, ref.generated)
-                or got.vector_cycles != ref.vector_cycles
-                or got.counters.as_dict() != ref.counters.as_dict()
-            ):
-                raise RuntimeError(
-                    f"{label} scheduling diverged from one-at-a-time "
-                    f"decode on request {i}: the bit-exact contract is "
-                    "broken"
-                )
+        _check_solo_exact(f"{label} scheduling", batch.results, solo)
     paging = cached.paging
     assert paging is not None and plain.paging is not None
     if paging["prefix_hits"] == 0:
@@ -1268,12 +1240,12 @@ def speculative_decode_speedup(
     ``sequential_vector_cycles`` is checked equal to the plain run's
     ``vector_cycles`` (``RuntimeError`` on divergence) — rollback can
     waste cycles, never change tokens.  The table reports wall-clock
-    tokens/sec, overlay cycles/token, the measured acceptance rate and
-    committed tokens per pass.
+    tokens/sec and speedup, overlay cycles/token, the measured
+    acceptance rate, committed tokens per pass and the cycle speedup
+    (the plain run's cycles over the path's charged cycles, a
+    deterministic number).
     """
     import time
-
-    import numpy as np
 
     from repro.core.decode import ContinuousBatchScheduler
     from repro.core.session import NovaSession
@@ -1340,16 +1312,9 @@ def speculative_decode_speedup(
     batch, t_batched = run_scheduler()
 
     for label, results in (("solo", solo), ("batched", batch.results)):
-        for i, (ref, got) in enumerate(zip(plain, results)):
-            if (
-                not np.array_equal(got.generated, ref.generated)
-                or got.sequential_vector_cycles != ref.vector_cycles
-            ):
-                raise RuntimeError(
-                    f"speculative decode ({label}) diverged from plain "
-                    f"generate on request {i}: the bit-exact contract is "
-                    "broken"
-                )
+        _check_solo_exact(
+            f"speculative decode ({label})", results, plain, charged=False
+        )
 
     tokens = sum(r.n_generated for r in plain)
     plain_cycles = sum(r.vector_cycles for r in plain)
@@ -1368,6 +1333,7 @@ def speculative_decode_speedup(
         headers=[
             "Path", "Wall s", "Tokens/s", "Vector cycles",
             "Cycles/token", "Acceptance", "Tokens/pass", "Speedup",
+            "Cycle speedup",
         ],
         notes=(
             "Generated tokens bit-identical across all three paths and "
@@ -1391,6 +1357,7 @@ def speculative_decode_speedup(
             "-",
             "1.00",
             "1.00x",
+            "1.000x",
         ]
     )
     solo_cycles = sum(r.vector_cycles for r in solo)
@@ -1405,6 +1372,7 @@ def speculative_decode_speedup(
             f"{measured_acceptance:.2f}",
             round(tokens / solo_passes, 2),
             f"{t_plain / t_solo:.2f}x",
+            f"{plain_cycles / solo_cycles:.3f}x",
         ]
     )
     batch_drafted = sum(r.drafted_tokens for r in batch.results)
@@ -1420,6 +1388,7 @@ def speculative_decode_speedup(
             f"{batch_accepted / batch_drafted if batch_drafted else 0.0:.2f}",
             round(tokens / batch_passes, 2),
             f"{t_plain / t_batched:.2f}x",
+            f"{plain_cycles / batch.packed_vector_cycles:.3f}x",
         ]
     )
     return result
@@ -1468,8 +1437,6 @@ def tree_speculation_speedup(
     """
     import itertools
     import time
-
-    import numpy as np
 
     from repro.core.decode import ContinuousBatchScheduler
     from repro.core.session import NovaSession
@@ -1537,13 +1504,10 @@ def tree_speculation_speedup(
     treed, t_tree = run_scheduler(spec_tree)
 
     for label, batch in (("linear", linear), ("tree", treed)):
-        for i, (ref, got) in enumerate(zip(plain, batch.results)):
-            if not np.array_equal(got.generated, ref.generated):
-                raise RuntimeError(
-                    f"speculative decode ({label}) diverged from plain "
-                    f"generate on request {i}: the bit-exact contract is "
-                    "broken"
-                )
+        _check_solo_exact(
+            f"speculative decode ({label})", batch.results, plain,
+            charged=False,
+        )
 
     tokens = sum(r.n_generated for r in plain)
     result = ExperimentResult(
@@ -1623,8 +1587,6 @@ def serving_slo_comparison(
     request from head-of-line-blocking a crowd of short ones, which
     collapses p50/p99 TTFT and raises goodput at the same slot budget.
     """
-    import numpy as np
-
     from repro.core.session import NovaSession
     from repro.serving.arrivals import (
         build_trace,
@@ -1688,17 +1650,11 @@ def serving_slo_comparison(
             pool_blocks=pool_blocks,
         )
         report = door.serve(trace)
-        for rid, got in door.last_results().items():
-            ref = solo[rid]
-            if (
-                not np.array_equal(got.generated, ref.generated)
-                or got.vector_cycles != ref.vector_cycles
-                or got.counters.as_dict() != ref.counters.as_dict()
-            ):
-                raise RuntimeError(
-                    f"policy {name!r} diverged from solo generate on "
-                    f"request {rid}: the bit-exact contract is broken"
-                )
+        by_id = door.last_results()
+        _check_solo_exact(
+            f"policy {name!r}", list(by_id.values()),
+            [solo[rid] for rid in by_id],
+        )
         result.rows.append(
             [
                 report.policy,

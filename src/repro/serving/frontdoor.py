@@ -210,10 +210,9 @@ class FrontDoor:
     def last_results(self) -> dict[int, object]:
         """Per-request outputs of the last serve, keyed by request id.
 
-        Values are the scheduler's per-request results
-        (:class:`~repro.core.decode.GenerateResult` or
-        :class:`~repro.core.speculative.SpeculativeGenerateResult`) —
-        each bit-identical to solo ``generate`` of the same request.
+        Values are the scheduler's per-request
+        :class:`~repro.core.decode.GenerateResult` objects — each
+        bit-identical to solo ``generate`` of the same request.
         """
         if self.last_result is None:
             raise RuntimeError("no serve has completed yet")

@@ -14,6 +14,9 @@ The headline contracts:
   requests, non-causal configs) fail loudly.
 """
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -262,7 +265,7 @@ class TestDecodeAccounting:
         request = toy_request(prompt_len=3, max_new_tokens=2)
         engine = NovaDecodeEngine(SMALL)
         gen = engine.generate(request)
-        step = gen.steps[-1]
+        last_pass = gen.passes[-1]  # a draft-free pass: one step
 
         # re-plan the last step on a fresh state to recover its scores
         state = engine.start(request)
@@ -272,7 +275,7 @@ class TestDecodeAccounting:
             plan = engine._plan_token(state, x_t)
             x_t = done.output
         simulated = simulated_job_counters(engine, SMALL, [plan.shifted])
-        assert step.counters.as_dict() == simulated.as_dict()
+        assert last_pass.counters.as_dict() == simulated.as_dict()
 
     @pytest.mark.parametrize(
         "config",
@@ -294,7 +297,8 @@ class TestDecodeAccounting:
             request = toy_request(prompt_len=prompt_len)
             state = engine.start(request)
             engine.prefill(state)
-            jobs.append(engine._plan_step(state, request.x[-1]))
+            plain = engine._draft_free()
+            jobs.append(plain.plan_verify_pass(state, request.x[-1], 1).job)
         shifted = [[t.shifted.copy() for t in job.tokens] for job in jobs]
         results, _ = engine._execute(jobs)
         multi_segment = engine.unit.schedule.traversal_segments > 1
@@ -330,9 +334,9 @@ class TestDecodeAccounting:
         second = engine.decode(request)
         assert first.counters.as_dict() == second.counters.as_dict()
         merged = None
-        for step in second.steps:
-            merged = step.counters if merged is None else merged.merge(
-                step.counters
+        for pass_result in second.passes:
+            merged = pass_result.counters if merged is None else merged.merge(
+                pass_result.counters
             )
         assert merged.as_dict() == second.counters.as_dict()
 
@@ -364,6 +368,33 @@ class TestEngineAdmission:
             session.decode(non_causal)
         with pytest.raises(ValueError, match="causal"):
             session.generate(non_causal)
+
+    @pytest.mark.parametrize("path", ["generate", "serve_decode_paged"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("x", np.nan), ("wq", np.nan), ("wk", np.inf), ("wv", -np.inf),
+         ("wo", np.inf)],
+        ids=["nan_in_x", "nan_in_wq", "inf_in_wk", "inf_in_wv", "inf_in_wo"],
+    )
+    def test_rejects_non_finite_inputs(self, field, value, path):
+        """A NaN in ``x`` used to decode to all-NaN outputs, and one in
+        ``wq[0, 0]`` to finite garbage (the NaN score became a table
+        address) with only a RuntimeWarning.  Building the request now
+        raises, naming the field, before any math runs."""
+        request = toy_request()
+        bad = getattr(request, field).copy()
+        bad[0, 0] = value
+        session = NovaSession(SMALL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match=rf"^{field} holds NaN or inf"
+            ):
+                poisoned = replace(request, **{field: bad})
+                if path == "generate":
+                    session.generate(poisoned)
+                else:
+                    session.serve_decode([poisoned], paged=True)
 
     def test_rejects_plain_attention_requests(self):
         from repro.core.batched_attention import AttentionRequest

@@ -335,6 +335,7 @@ class TestPagedDecodeEquivalence:
         for a, b in zip(contiguous.steps, paged.steps):
             assert np.array_equal(a.probabilities, b.probabilities)
             assert a.vector_cycles == b.vector_cycles
+        for a, b in zip(contiguous.passes, paged.passes):
             assert a.counters.as_dict() == b.counters.as_dict()
 
     def test_windowed_paged_decode_matches(self):

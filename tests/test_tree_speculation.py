@@ -56,6 +56,10 @@ def toy_request(prompt_len=4, max_new_tokens=6, seed=0, window=None,
     )
 
 
+def _never_called():
+    raise AssertionError("the draft-free tree must never build a draft")
+
+
 # ----------------------------------------------------------------------
 # The spec syntax and the DraftTree value object.
 # ----------------------------------------------------------------------
@@ -108,8 +112,11 @@ class TestDraftTreeSpec:
         assert DraftTree((2, 2)).max_nodes == 6
 
     def test_widths_validation(self):
-        with pytest.raises(ValueError, match="at least one level"):
-            DraftTree(())
+        # No levels is legal: the depth-0 tree is plain decode.
+        plain = DraftTree(())
+        assert plain.depth == 0
+        assert plain.max_nodes == 0
+        assert plain.spec == ""
         with pytest.raises(ValueError, match=">= 1"):
             DraftTree((2, 0))
 
@@ -146,7 +153,21 @@ class TestDraftTreeSpec:
 # ----------------------------------------------------------------------
 
 
-TREES = ["1x3", "2x2", "3x1,1x2", "2x1,1x3", "2x3"]
+#: The depth-0 tree (plain decode) is one more input to every
+#: exactness test below.
+DEPTH0 = pytest.param(DraftTree(()), id="depth0")
+TREES = [DEPTH0, "1x3", "2x2", "3x1,1x2", "2x1,1x3", "2x3"]
+
+
+def assert_plain_exact(result, plain):
+    """Tokens and sequential cycles match plain generate; a draft-free
+    run must also match its charged cycles, counters and passes."""
+    assert np.array_equal(result.generated, plain.generated)
+    assert result.sequential_vector_cycles == plain.vector_cycles
+    if not result.drafted_tokens:
+        assert result.vector_cycles == plain.vector_cycles
+        assert result.counters.as_dict() == plain.counters.as_dict()
+        assert result.verify_passes == plain.n_generated
 
 
 class TestTreeBitExactness:
@@ -159,8 +180,7 @@ class TestTreeBitExactness:
         result = spec_engine.generate(
             request, draft=TruncatedTableDraft(SMALL, fidelity=fidelity)
         )
-        assert np.array_equal(result.generated, plain.generated)
-        assert result.sequential_vector_cycles == plain.vector_cycles
+        assert_plain_exact(result, plain)
         assert result.n_generated == request.max_new_tokens
         assert (
             result.rolled_back_tokens
@@ -178,7 +198,7 @@ class TestTreeBitExactness:
             request, state=state,
             draft=TruncatedTableDraft(SMALL, fidelity=0.55),
         )
-        assert np.array_equal(result.generated, plain.generated)
+        assert_plain_exact(result, plain)
         # every fork's blocks came back: only the live cache holds refs
         assert pool.in_use == state.cache.blocks_in_use
         assert pool.live_tokens == state.cache.length
@@ -291,7 +311,7 @@ class TestTreeCausalMask:
         _, state, spec_pass, _, _ = self._plan_pass("2x2", (True, False))
         assert spec_pass.job.state is state
         assert len(spec_pass.job.tokens) == len(spec_pass.nodes)
-        assert len(spec_pass.drafts) == len(spec_pass.nodes) - 1
+        assert spec_pass.nodes[0] is spec_pass.root
 
     def test_forks_are_released_and_longest_branch_committed(self):
         spec_engine, state, spec_pass, draft, pool = self._plan_pass(
@@ -385,37 +405,63 @@ class TestTreeWiring:
 
         return factory
 
+    def _scheduler(self, spec, **kwargs):
+        """The scheduler serving ``spec``; the depth-0 tree is the plain
+        scheduler, given a factory that fails the test if called."""
+        if spec is None:
+            scheduler = ContinuousBatchScheduler(ENGINE, **kwargs)
+            scheduler.draft_factory = _never_called
+            return scheduler
+        return ContinuousBatchScheduler(
+            ENGINE, speculative=True, spec_tree=spec,
+            draft_factory=self._factory(), **kwargs,
+        )
+
     def test_scheduler_tree_matches_solo_tree(self):
         requests = self._requests()
-        factory = self._factory()
-        speculator = SpeculativeDecodeEngine(ENGINE, tree="2x2")
-        solo = [speculator.generate(r, draft=factory()) for r in requests]
-        scheduler = ContinuousBatchScheduler(
-            ENGINE, max_active=2, speculative=True, spec_tree="2x2",
-            draft_factory=factory,
-        )
-        batch = scheduler.run(requests)
-        for ref, got in zip(solo, batch.results):
-            assert np.array_equal(got.generated, ref.generated)
-            assert got.vector_cycles == ref.vector_cycles
-            assert got.verify_passes == ref.verify_passes
-            assert got.drafted_tokens == ref.drafted_tokens
-            assert got.accepted_tokens == ref.accepted_tokens
-            assert got.counters.as_dict() == ref.counters.as_dict()
+        for spec, tree in (("2x2", "2x2"), (None, DraftTree(()))):
+            factory = self._factory()
+            speculator = SpeculativeDecodeEngine(ENGINE, tree=tree)
+            solo = [speculator.generate(r, draft=factory()) for r in requests]
+            batch = self._scheduler(spec, max_active=2).run(requests)
+            for ref, got in zip(solo, batch.results):
+                assert np.array_equal(got.generated, ref.generated)
+                assert got.vector_cycles == ref.vector_cycles
+                assert got.verify_passes == ref.verify_passes
+                assert got.drafted_tokens == ref.drafted_tokens
+                assert got.accepted_tokens == ref.accepted_tokens
+                assert got.counters.as_dict() == ref.counters.as_dict()
+        # the depth-0 run is plain decode, so it matches plain generate
+        plain = [ENGINE.generate(r) for r in requests]
+        for ref, got in zip(plain, batch.results):
+            assert_plain_exact(got, ref)
 
     def test_paged_scheduler_tree_frees_every_block(self):
         requests = self._requests()
-        scheduler = ContinuousBatchScheduler(
-            ENGINE, max_active=3, speculative=True, spec_tree="2x1,1x2",
-            paged=True, block_size=4, draft_factory=self._factory(),
-        )
-        batch = scheduler.run(requests)
-        assert batch.paging is not None
-        assert batch.paging["in_use"] == 0
-        assert batch.paging["blocks_allocated"] == batch.paging["blocks_freed"]
         plain = [ENGINE.generate(r) for r in requests]
-        for ref, got in zip(plain, batch.results):
-            assert np.array_equal(got.generated, ref.generated)
+        for spec in ("2x1,1x2", None):
+            batch = self._scheduler(
+                spec, max_active=3, paged=True, block_size=4
+            ).run(requests)
+            assert batch.paging is not None
+            assert batch.paging["in_use"] == 0
+            assert (
+                batch.paging["blocks_allocated"]
+                == batch.paging["blocks_freed"]
+            )
+            for ref, got in zip(plain, batch.results):
+                assert_plain_exact(got, ref)
+
+    def test_plain_scheduler_never_builds_a_draft(self):
+        """The depth-0 tree drafts nothing, so admission never calls the
+        draft factory, even under a pool tight enough to defer."""
+        requests = self._requests()
+        for kwargs in ({}, {"paged": True, "block_size": 2,
+                            "pool_blocks": 8}):
+            batch = self._scheduler(None, max_active=3, **kwargs).run(
+                requests
+            )
+            assert all(r.drafted_tokens == 0 for r in batch.results)
 
     def test_spec_tree_kwarg_needs_speculative_mode(self):
         with pytest.raises(ValueError, match="speculative scheduler"):
@@ -457,7 +503,7 @@ class TestTreeWiring:
 
 class TestTreeProperties:
     @given(
-        widths=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        widths=st.lists(st.integers(1, 3), min_size=0, max_size=3),
         program=st.lists(st.booleans(), min_size=1, max_size=10),
         seed=st.integers(0, 3),
     )
@@ -468,8 +514,7 @@ class TestTreeProperties:
         result = SpeculativeDecodeEngine(
             ENGINE, tree=DraftTree(tuple(widths))
         ).generate(request, draft=ScheduledDraft(SMALL, program))
-        assert np.array_equal(result.generated, plain.generated)
-        assert result.sequential_vector_cycles == plain.vector_cycles
+        assert_plain_exact(result, plain)
         assert result.n_generated == request.max_new_tokens
         assert (
             result.rolled_back_tokens
@@ -477,7 +522,7 @@ class TestTreeProperties:
         )
 
     @given(
-        widths=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+        widths=st.lists(st.integers(1, 3), min_size=0, max_size=2),
         program=st.lists(st.booleans(), min_size=1, max_size=8),
     )
     @settings(max_examples=25, deadline=None)
@@ -492,7 +537,7 @@ class TestTreeProperties:
         result = spec_engine.generate(
             request, state=state, draft=ScheduledDraft(SMALL, program)
         )
-        assert np.array_equal(result.generated, plain.generated)
+        assert_plain_exact(result, plain)
         assert pool.in_use == state.cache.blocks_in_use
         assert pool.live_tokens == state.cache.length
         state.cache.reset()
