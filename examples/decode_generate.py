@@ -65,7 +65,8 @@ def main() -> None:
           f"{batch.packed_vector_cycles} packed vector cycles vs "
           f"{batch.sequential_vector_cycles} one-at-a-time "
           f"({batch.packing_speedup:.2f}x packing win, "
-          f"{batch.pages_recycled} cache pages recycled)")
+          f"{batch.pages_allocated} whole pages reserved from one "
+          f"{batch.paging['n_blocks']}-block pool)")
 
 
 if __name__ == "__main__":

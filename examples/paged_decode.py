@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """Paged KV cache: block pool, block tables, admission under a budget.
 
-PR 3's decode engine gave every request a contiguous worst-case cache
-page; this example shows the vLLM-style replacement: all KV storage is
-fixed-size blocks in one shared :class:`~repro.core.paging.BlockPool`,
-each request maps logical token positions to physical blocks through a
-block table, and the continuous batcher admits by free blocks instead
-of whole pages.  Three layers:
+All serving KV storage is fixed-size blocks in one shared
+:class:`~repro.core.paging.BlockPool`.  By default each request reserves
+a contiguous worst-case page there (one run of blocks); this example
+shows the vLLM-style paged policy instead: each request maps logical
+token positions to physical blocks through a block table, and the
+continuous batcher admits by free blocks instead of whole pages.
+Three layers:
 
 1. a :class:`~repro.core.paging.PagedKVCache` fed by ``generate`` —
    bit-exact against the contiguous cache, while holding only
@@ -66,7 +67,7 @@ def main() -> None:
           f"blocks ({batch.peak_fragmentation_slots} slots fragmented), "
           f"{batch.packing_speedup:.2f}x packing win")
 
-    # 3. The admission story: same byte budget, two memory models.
+    # 3. The admission story: same byte budget, two reservation policies.
     page_bytes = 2 * 8 * model.hidden * model.seq_len
     budget = 4 * page_bytes  # four worst-case pages
     tight_contig = session.serve_decode(

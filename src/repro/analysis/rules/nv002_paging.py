@@ -3,8 +3,9 @@
 ``BlockPool`` conservation (``blocks_allocated - blocks_freed ==
 len(in use)``, every ``free`` matched to one ``allocate``) is what the
 paged-KV goldens pin down.  Callers hold pools, but only the paging
-layer's own structures (:class:`BlockTable` / :class:`PagedKVCache`)
-may call ``allocate``/``free`` — a scheduler or engine reaching into
+layer's own structures (:class:`BlockTable` / :class:`PagedKVCache` /
+:class:`ReservedKVCache`) may call ``allocate``/``free`` or
+``reserve_run``/``release_run`` — a scheduler or engine reaching into
 the pool directly can double-free or leak a block in a way no golden
 trace would localise.
 
@@ -17,7 +18,8 @@ Prefix caching widens the invariant surface: reference counts
 admission path uses them and they cannot move a counter.
 
 The check is name-based: a method call ``X.allocate(...)``,
-``X.free(...)``, ``X.share(...)``, ``X.register_prefix(...)``,
+``X.free(...)``, ``X.reserve_run(...)``, ``X.release_run(...)``,
+``X.share(...)``, ``X.register_prefix(...)``,
 ``X.forget_prefix(...)`` or ``X.lookup_prefix(...)`` is flagged when
 the receiver expression mentions ``pool`` (``pool``,
 ``self.block_pool``, ``seq.pool``...), in any module other than
@@ -37,11 +39,14 @@ __all__ = ["BlockPoolAccessRule"]
 
 
 #: Pool methods that mutate block accounting state — refcounts, the
-#: free list, the prefix index, or the golden-pinned hit/miss counters.
-#: Read-only probes (``probe_prefix``, ``refcount``) are not listed.
+#: free list, reserved runs, the prefix index, or the golden-pinned
+#: hit/miss counters.  Read-only probes (``probe_prefix``,
+#: ``refcount``) are not listed.
 _MUTATORS = (
     "allocate",
     "free",
+    "reserve_run",
+    "release_run",
     "share",
     "register_prefix",
     "forget_prefix",
@@ -52,7 +57,7 @@ _MUTATORS = (
 class BlockPoolAccessRule(Rule):
     rule_id = "NV002"
     title = (
-        "BlockPool mutation (allocate/free/share/prefix-index) only "
+        "BlockPool mutation (allocate/free/runs/share/prefix-index) only "
         "inside repro.core.paging"
     )
     severity = "error"
@@ -78,5 +83,5 @@ class BlockPoolAccessRule(Rule):
                     node,
                     f"direct pool call {name}.{node.func.attr}() outside "
                     "repro.core.paging breaks block/refcount conservation; "
-                    "go through BlockTable/PagedKVCache",
+                    "go through PagedKVCache/ReservedKVCache",
                 )

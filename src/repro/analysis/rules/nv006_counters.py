@@ -38,7 +38,6 @@ _EXACT = {
     "peak_in_use",
     "live_tokens",
     "pages_allocated",
-    "pages_recycled",
 }
 
 _SUFFIXES = ("_count", "_counts", "_cycles")

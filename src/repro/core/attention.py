@@ -63,7 +63,7 @@ import numpy as np
 
 from repro.approx.quantize import QuantizedPwl
 from repro.approx.table_cache import compiled_table
-from repro.core.config import NovaConfig, resolve_engine_config
+from repro.core.config import NovaConfig, as_config
 from repro.core.table_scheduler import TableScheduler
 from repro.core.vector_unit import NovaVectorUnit
 from repro.noc.stats import EventCounters
@@ -184,42 +184,20 @@ def finish_attention_layer(
 class NovaAttentionEngine:
     """One NOVA overlay executing attention non-linearities.
 
-    The primary constructor interface is a
-    :class:`~repro.core.config.NovaConfig` (or a Table II preset name
-    such as ``"jetson-nx"``)::
+    The constructor takes a :class:`~repro.core.config.NovaConfig` (or a
+    Table II preset name such as ``"jetson-nx"``; ``None`` is the default
+    config)::
 
         NovaAttentionEngine(NovaConfig(n_routers=2, neurons_per_router=16))
         NovaAttentionEngine("tpu-v4")
 
-    Legacy loose geometry kwargs still build the identical engine but
-    emit a ``DeprecationWarning``.  Tables for exp / reciprocal / gelu
-    are compiled once at construction (the paper's compile-time MLP
-    flow, via the process-wide table cache) and broadcast on demand.
+    Tables for exp / reciprocal / gelu are compiled once at construction
+    (the paper's compile-time MLP flow, via the process-wide table
+    cache) and broadcast on demand.
     """
 
-    def __init__(
-        self,
-        config: NovaConfig | str | None = None,
-        *,
-        n_routers: int | None = None,
-        neurons_per_router: int | None = None,
-        pe_frequency_ghz: float | None = None,
-        hop_mm: float | None = None,
-        n_segments: int | None = None,
-        seed: int | None = None,
-    ) -> None:
-        self.config = resolve_engine_config(
-            config,
-            dict(
-                n_routers=n_routers,
-                neurons_per_router=neurons_per_router,
-                pe_frequency_ghz=pe_frequency_ghz,
-                hop_mm=hop_mm,
-                n_segments=n_segments,
-                seed=seed,
-            ),
-            owner="NovaAttentionEngine",
-        )
+    def __init__(self, config: NovaConfig | str | None = None) -> None:
+        self.config = as_config(config)
         cfg = self.config
         self.tables = {
             name: compiled_table(name, n_segments=cfg.n_segments, seed=cfg.seed)

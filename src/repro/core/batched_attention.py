@@ -75,7 +75,7 @@ import numpy as np
 
 from repro.approx.quantize import beat_of_address
 from repro.approx.table_cache import compiled_table
-from repro.core.config import NovaConfig, resolve_engine_config
+from repro.core.config import NovaConfig, as_config
 from repro.core.attention import (
     ATTENTION_FUNCTIONS,
     AttentionLayerResult,
@@ -207,39 +207,16 @@ class BatchedAttentionResult:
 class BatchedNovaAttentionEngine:
     """One shared NOVA overlay serving batches of attention requests.
 
-    The primary constructor interface is a
-    :class:`~repro.core.config.NovaConfig` (or a Table II preset name),
-    mirroring :class:`NovaAttentionEngine`; legacy loose geometry kwargs
-    still build the identical engine but emit a ``DeprecationWarning``.
+    The constructor takes a :class:`~repro.core.config.NovaConfig` (or
+    a Table II preset name), mirroring :class:`NovaAttentionEngine`.
     The crucial difference from the reference engine is that a *single*
     :class:`NovaVectorUnit` serves every non-linear function by table
     switching (``retarget``), as the paper's overlay does, instead of
     one instance per function.
     """
 
-    def __init__(
-        self,
-        config: NovaConfig | str | None = None,
-        *,
-        n_routers: int | None = None,
-        neurons_per_router: int | None = None,
-        pe_frequency_ghz: float | None = None,
-        hop_mm: float | None = None,
-        n_segments: int | None = None,
-        seed: int | None = None,
-    ) -> None:
-        self.config = resolve_engine_config(
-            config,
-            dict(
-                n_routers=n_routers,
-                neurons_per_router=neurons_per_router,
-                pe_frequency_ghz=pe_frequency_ghz,
-                hop_mm=hop_mm,
-                n_segments=n_segments,
-                seed=seed,
-            ),
-            owner="BatchedNovaAttentionEngine",
-        )
+    def __init__(self, config: NovaConfig | str | None = None) -> None:
+        self.config = as_config(config)
         cfg = self.config
         self.tables = {
             name: compiled_table(name, n_segments=cfg.n_segments, seed=cfg.seed)

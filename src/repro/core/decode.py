@@ -7,8 +7,8 @@ cached key/value pair, so the softmax runs over exactly one row per head
 per step.  This module opens that workload on the same cycle/event-exact
 hardware model the prefill engines use:
 
-* :class:`KVCache` — a per-request key/value cache with append, optional
-  sliding-window eviction, and page recycling (``reset``).
+* :class:`KVCache` — a per-request key/value cache with append and
+  optional sliding-window eviction.
 * :class:`NovaDecodeEngine` — incremental single-token attention
   (``decode_step``) plus a causal packed prefill (``prefill``) and a
   self-feeding ``generate`` loop, built directly on top of
@@ -22,12 +22,13 @@ hardware model the prefill engines use:
   every scheduler step packs the prefill rows of newly admitted requests
   *and* the decode rows of in-flight requests into a single lane stream
   through the shared overlay; requests join and leave the batch between
-  steps.  Two memory models back it: contiguous per-request pages
-  recycled through a best-fit pool (any page with ``capacity >=
-  requested`` serves), or — with ``paged=True`` — a vLLM-style
-  :class:`~repro.core.paging.BlockPool` of fixed-size blocks shared by
-  every request, with lazy block allocation, first-block-fit admission
-  and a deferral/preemption policy under memory pressure.
+  steps.  Every run's KV storage is one
+  :class:`~repro.core.paging.BlockPool` of fixed-size blocks; ``paged``
+  only picks the reservation policy: a whole page (one run of
+  consecutive blocks) per request at admission, or — with
+  ``paged=True`` — vLLM-style lazy block allocation with
+  first-block-fit admission and a deferral/preemption policy under
+  memory pressure.
 
 Every generated token comes out of one draft-and-verify pass
 (:mod:`repro.core.speculative`); plain decode is the pass of the
@@ -74,7 +75,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, TypeAlias
 
 import numpy as np
@@ -174,9 +175,11 @@ class KVCache:
     evicted to make room and ``start_position`` advances, so the cache
     always holds positions ``[start_position, start_position + length)``.
 
-    ``reset()`` returns the page to its empty state without touching the
-    allocation, which is what lets
-    :class:`ContinuousBatchScheduler` recycle pages across requests.
+    ``storage`` optionally supplies the ``(keys, values)`` arrays, each
+    ``(n_heads, >= capacity, head_dim)`` — the scheduler's caches keep
+    their rows in a reserved run of block-pool slots
+    (:class:`~repro.core.paging.ReservedKVCache`); by default the cache
+    allocates its own.
     """
 
     def __init__(
@@ -185,6 +188,7 @@ class KVCache:
         head_dim: int,
         capacity: int,
         window: int | None = None,
+        storage: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         if n_heads < 1:
             raise ValueError(f"n_heads must be >= 1, got {n_heads}")
@@ -203,8 +207,12 @@ class KVCache:
         self.head_dim = head_dim
         self.capacity = capacity
         self.window = window
-        self._k = np.zeros((n_heads, capacity, head_dim))
-        self._v = np.zeros((n_heads, capacity, head_dim))
+        if storage is None:
+            storage = (
+                np.zeros((n_heads, capacity, head_dim)),
+                np.zeros((n_heads, capacity, head_dim)),
+            )
+        self._k, self._v = storage
         self.length = 0
         self.start_position = 0
         self.evictions = 0
@@ -327,30 +335,10 @@ class KVCache:
         self.evictions = source.evictions
 
     def reset(self) -> None:
-        """Empty the cache in place (page recycling; allocation kept)."""
+        """Empty the cache in place (allocation kept)."""
         self.length = 0
         self.start_position = 0
         self.evictions = 0
-
-    @property
-    def fragmentation_slots(self) -> int:
-        """Reserved-but-unused token slots (the contiguous layout's
-        stranded memory: a whole worst-case page minus the live span)."""
-        return self.capacity - self.length
-
-    def can_serve(self, n_heads: int, head_dim: int, capacity: int) -> bool:
-        """Whether this page can hold a request of the given geometry.
-
-        Capacity is a *lower bound*, not an exact match: a recycled
-        2048-token page serves a 512-token request fine (the request's
-        ``window``/overflow limits are enforced logically, against its
-        own capacity, by the engine).
-        """
-        return (
-            self.n_heads == n_heads
-            and self.head_dim == head_dim
-            and self.capacity >= capacity
-        )
 
     def __repr__(self) -> str:
         return (
@@ -766,8 +754,8 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
     tables come from the process-wide compiled-table cache, and
     per-request cost accounting reuses the closed-form
     sequential-equivalent counters.  Constructor interface matches the
-    other engines (a :class:`~repro.core.config.NovaConfig`, a Table II
-    preset name, or legacy kwargs with a ``DeprecationWarning``).
+    other engines (a :class:`~repro.core.config.NovaConfig` or a Table II
+    preset name).
 
     Three entry points, all bit-exact against one another:
 
@@ -822,13 +810,13 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
     ) -> DecodeState:
         """Open a decode state for ``request``.
 
-        ``cache`` optionally recycles an existing page that
-        :meth:`KVCache.can_serve` the request — any page with matching
-        head geometry and ``capacity >= request.capacity`` (it is reset
-        and adopts the request's sliding window).  ``pool`` instead
-        opens a :class:`~repro.core.paging.PagedKVCache` drawing blocks
-        lazily from the given :class:`~repro.core.paging.BlockPool`.
-        By default a fresh contiguous :class:`KVCache` of
+        ``cache`` optionally supplies the request's cache, used as is
+        (the scheduler passes a fresh
+        :class:`~repro.core.paging.ReservedKVCache`); its head geometry
+        must match the request's.  ``pool`` instead opens a
+        :class:`~repro.core.paging.PagedKVCache` drawing blocks lazily
+        from the given :class:`~repro.core.paging.BlockPool`.  By
+        default a fresh contiguous :class:`KVCache` of
         ``request.capacity`` entries is allocated.  Admission is
         atomic: every validation raise fires before any engine or
         cache state changes.
@@ -844,9 +832,7 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
         """
         self.validate_request(request)
         if cache is not None and pool is not None:
-            raise ValueError(
-                "pass either a recycled cache page or a block pool, not both"
-            )
+            raise ValueError("pass either a cache or a block pool, not both")
         if prefix and pool is None:
             raise ValueError(
                 "prefix caching needs a block pool (pass pool=...)"
@@ -877,17 +863,13 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
                 request.n_heads, request.head_dim, request.capacity,
                 window=request.window,
             )
-        else:
-            if not cache.can_serve(
-                request.n_heads, request.head_dim, request.capacity
-            ):
-                raise ValueError(
-                    f"recycled cache page {cache!r} does not match the "
-                    f"request geometry ({request.n_heads} heads x "
-                    f">={request.capacity} x {request.head_dim})"
-                )
-            cache.reset()
-            cache.window = request.window
+        elif (cache.n_heads, cache.head_dim) != (
+            request.n_heads, request.head_dim,
+        ):
+            raise ValueError(
+                f"cache {cache!r} does not match the request geometry "
+                f"({request.n_heads} heads x {request.head_dim})"
+            )
         return DecodeState(request=request, cache=cache)
 
     # ------------------------------------------------------------------
@@ -1120,7 +1102,7 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
         token's embedding (deterministic closed loop — there is no
         vocabulary at the attention-layer level).  ``max_new_tokens``
         defaults to the request's budget; ``state`` optionally supplies
-        a pre-opened state (e.g. with a recycled cache page).  Runs one
+        a pre-opened state (e.g. over a block pool).  Runs one
         draft-free pass per token.
         """
         return self._draft_free().generate(request, max_new_tokens, state)
@@ -1141,24 +1123,24 @@ class ContinuousBatchResult:
     is what the shared overlay actually spent across all fused scheduler
     steps; ``sequential_vector_cycles`` is the sum of the per-request
     costs — the ratio is the continuous-batching win on the cycle side.
-    ``pages_allocated`` / ``pages_recycled`` are this run's cache-page
-    pool activity (per-run deltas: a reused scheduler still reports
-    ``pages_allocated + pages_recycled == n_requests``; both are zero
-    in paged mode, where the block pool replaces whole-page recycling).
+    ``pages_allocated`` counts this run's whole-page reservations (one
+    per contiguous admission, readmissions included; zero in paged
+    mode).
 
-    Memory-side accounting: ``peak_active`` is the most requests ever
-    in flight at once (the admission-capacity metric the paged-vs-
-    contiguous benchmark compares at a fixed pool byte budget);
-    ``peak_kv_slots`` the most KV token slots reserved at once (whole
-    worst-case pages in contiguous mode, allocated blocks in paged
-    mode); ``peak_fragmentation_slots`` the worst reserved-but-unused
-    slot count observed; ``deferrals`` the steps a sequence skipped
-    because the block pool ran dry (paged mode only);
-    ``preemptions`` the sequences evicted for recomputation, by a dry
-    pool (paged mode) or by the policy (either mode, e.g. a
-    higher-priority arrival under ``priority-preemptive``);
-    ``paging`` the final :meth:`~repro.core.paging.BlockPool.pool_info`
-    snapshot (``None`` in contiguous mode).
+    Memory-side accounting, all read off the run's one block pool:
+    ``peak_active`` is the most requests ever in flight at once (the
+    admission-capacity metric the paged-vs-contiguous benchmark
+    compares at a fixed pool byte budget); ``peak_kv_slots`` the most
+    KV token slots held at once (``in_use * block_size`` — whole
+    reserved runs in contiguous mode, allocated blocks in paged mode);
+    ``peak_fragmentation_slots`` the worst reserved-but-unused slot
+    count observed (the pool's ``fragmentation_slots``); ``deferrals``
+    the steps a sequence skipped because the block pool ran dry (paged
+    mode only); ``preemptions`` the sequences evicted for
+    recomputation, by a dry pool (paged mode) or by the policy (either
+    mode, e.g. a higher-priority arrival under
+    ``priority-preemptive``); ``paging`` the final
+    :meth:`~repro.core.paging.BlockPool.pool_info` snapshot.
 
     Per-request step timing (the serving layer's raw material):
     ``first_token_steps[i]`` / ``finish_steps[i]`` are the 0-based
@@ -1180,13 +1162,12 @@ class ContinuousBatchResult:
     scheduler_steps: int
     counters: EventCounters
     pages_allocated: int
-    pages_recycled: int
     peak_active: int = 0
     peak_kv_slots: int = 0
     peak_fragmentation_slots: int = 0
     deferrals: int = 0
     preemptions: int = 0
-    paging: dict[str, int] | None = None
+    paging: dict[str, int] = field(default_factory=dict)
     first_token_steps: tuple[int, ...] = ()
     finish_steps: tuple[int, ...] = ()
     first_token_times: tuple[float, ...] = ()
@@ -1311,29 +1292,27 @@ class ContinuousBatchScheduler:
     join as slots free up (``max_active``) and leave the moment their
     budget is exhausted.
 
-    Two memory models govern admission:
+    One memory model, two reservation policies.  Every run takes its KV
+    storage from one :class:`~repro.core.paging.BlockPool` of
+    fixed-size blocks (``engine.config.kv_block_size`` tokens, or
+    ``block_size`` in paged mode), shared by every request; ``paged``
+    only picks how a sequence reserves it:
 
-    * **Contiguous (default)** — every request gets a whole
-      :class:`KVCache` page sized for its worst case; retired pages go
-      to a pool keyed on head geometry and any page with
-      ``capacity >= requested`` is recycled (best fit).  An optional
-      ``pool_bytes`` budget caps total page bytes: admission defers
-      until a page frees when the budget is exhausted.
-    * **Paged** (``paged=True``) — all KV storage is fixed-size blocks
-      (``block_size`` tokens, default
-      ``engine.config.kv_block_size``) in one
-      :class:`~repro.core.paging.BlockPool` shared by every request.
-      Admission needs only the request's *first* block to fit; later
-      blocks allocate lazily on append.  When the pool runs dry
-      mid-step, the starved sequences **defer** (skip the step, retry
-      after other sequences free blocks), and if *no* sequence can make
-      progress the most recently admitted one is **preempted**: its
-      blocks are freed and it restarts from its prompt later
-      (recomputation is deterministic, so its final results are still
-      bit-identical; the wasted work shows up only in
-      ``packed_vector_cycles``).  The pool is sized from
-      ``pool_blocks``, ``pool_bytes`` or — by default — large enough
-      that no request ever defers.  ``prefix_caching=True`` (or the
+    * **Contiguous (default)** — admission reserves the request's whole
+      worst-case page at once: one run of ``blocks_needed(capacity,
+      block_size)`` consecutive blocks, which the request's
+      :class:`KVCache` (a :class:`~repro.core.paging.ReservedKVCache`)
+      keeps its rows in.  When no free run is long enough, admission
+      defers until an in-flight request retires.
+    * **Paged** (``paged=True``) — admission needs only the request's
+      *first* block to fit; later blocks allocate lazily on append.
+      When the pool runs dry mid-step, the starved sequences **defer**
+      (skip the step, retry after other sequences free blocks), and if
+      *no* sequence can make progress the most recently admitted one is
+      **preempted**: its blocks are freed and it restarts from its
+      prompt later (recomputation is deterministic, so its final
+      results are still bit-identical; the wasted work shows up only in
+      ``packed_vector_cycles``).  ``prefix_caching=True`` (or the
       engine config's ``enable_prefix_caching``) additionally shares
       already-cached prompt blocks between requests: admission charges
       only *unshared* blocks (a request whose prefix is resident can
@@ -1341,6 +1320,12 @@ class ContinuousBatchScheduler:
       re-writing them, and the first divergent append copies on write —
       N requests sharing a prefix prefill once and pay ~1/N the pool
       residency, with bit/cycle/counter-exact outputs.
+
+    Retirement and preemption hand a sequence's memory back the same
+    way under both policies (``cache.reset()``).  The pool is sized from
+    ``pool_blocks`` (paged only), ``pool_bytes`` or — by default — the
+    ``max_active`` largest per-request reservations (whole pages, or
+    paged worst cases).  Every request must agree on head geometry.
 
     Outputs are bit-identical to running each request alone through
     :meth:`NovaDecodeEngine.generate` in **both** modes (checked by the
@@ -1466,102 +1451,19 @@ class ContinuousBatchScheduler:
 
             policy = FCFS()
         self.policy: SchedulingPolicy = policy
-        #: The paged run's block pool (the last one, when reused).
+        #: The run's block pool (the last one, when reused).
         self.block_pool: BlockPool | None = None
-        self._pool: dict[tuple[int, int], list[KVCache]] = {}
-        self._page_bytes_allocated = 0
-        self.pages_allocated = 0
-        self.pages_recycled = 0
         self.deferrals = 0
         self.preemptions = 0
-
-    # -- contiguous cache-page pool -------------------------------------
-
-    @staticmethod
-    def _page_bytes(n_heads: int, head_dim: int, tokens: int) -> int:
-        """Bytes of one contiguous K+V page (float64)."""
-        return 2 * 8 * n_heads * head_dim * tokens
-
-    def _acquire_page(self, request: DecodeRequest) -> KVCache | None:
-        """The best-fitting recycled page for ``request``, or None.
-
-        Any pooled page with matching head geometry and
-        ``capacity >= request.capacity`` can serve (the smallest such
-        page is chosen) — exact-capacity keying stranded every page
-        whose geometry didn't match the next request precisely.
-        """
-        pages = self._pool.get((request.n_heads, request.head_dim))
-        if pages:
-            fits = [
-                i for i, page in enumerate(pages)
-                if page.capacity >= request.capacity
-            ]
-            if fits:
-                best = min(fits, key=lambda i: pages[i].capacity)
-                self.pages_recycled += 1
-                return pages.pop(best)
-        return None
-
-    def _release_page(self, cache: KVCacheLike) -> None:
-        # Only the contiguous scheduler retires pages here; paged-mode
-        # caches hand their blocks back through ``reset()`` instead.
-        assert isinstance(cache, KVCache)
-        cache.reset()
-        self._pool.setdefault(
-            (cache.n_heads, cache.head_dim), []
-        ).append(cache)
-
-    def _reclaim_page_bytes(self, need: int) -> None:
-        """Deallocate idle pooled pages until ``need`` more bytes fit.
-
-        A recycled page only serves a request its capacity covers, so a
-        pool full of too-small (or wrong-geometry) pages would strand
-        budget bytes forever; under pressure those idle pages are
-        simply freed — their bytes return to the budget, exactly as a
-        real allocator would release cached pages.  Smallest pages go
-        first (they are the least likely to serve a future request).
-        """
-        budget = self.pool_bytes
-        assert budget is not None  # only called under a byte budget
-        idle = [
-            (page.capacity, key, page)
-            for key, pages in self._pool.items()
-            for page in pages
-        ]
-        idle.sort(key=lambda entry: entry[0])
-        for _, key, page in idle:
-            if self._page_bytes_allocated + need <= budget:
-                return
-            self._pool[key].remove(page)
-            self._page_bytes_allocated -= self._page_bytes(
-                page.n_heads, page.head_dim, page.capacity
-            )
-
-    def _open_contiguous(self, request: DecodeRequest) -> DecodeState | None:
-        """Admit one request in contiguous mode (None = defer: the page
-        budget is exhausted until an in-flight request retires)."""
-        page = self._acquire_page(request)
-        if page is not None:
-            return self.engine.start(request, cache=page)
-        need = self._page_bytes(
-            request.n_heads, request.head_dim, request.capacity
-        )
-        if self.pool_bytes is not None:
-            if self._page_bytes_allocated + need > self.pool_bytes:
-                self._reclaim_page_bytes(need)
-            if self._page_bytes_allocated + need > self.pool_bytes:
-                return None
-        self._page_bytes_allocated += need
-        self.pages_allocated += 1
-        return self.engine.start(request)
 
     # -- the scheduling loop --------------------------------------------
 
     def _build_pool(self, requests: Sequence[DecodeRequest]) -> BlockPool:
-        """The paged run's :class:`~repro.core.paging.BlockPool`."""
+        """The run's :class:`~repro.core.paging.BlockPool`."""
         from repro.core.paging import (
             BlockPool,
             BlockPoolExhausted,
+            blocks_needed,
             worst_case_blocks,
         )
 
@@ -1570,13 +1472,16 @@ class ContinuousBatchScheduler:
         for request in requests:
             if (request.n_heads, request.head_dim) != (n_heads, head_dim):
                 raise ValueError(
-                    "paged serving shares one block pool, so every request "
+                    "serving shares one block pool, so every request "
                     f"must agree on head geometry; got {n_heads}x{head_dim} "
                     f"and {request.n_heads}x{request.head_dim}"
                 )
         bs = self.block_size
-        worst = [
+        # Per-request reservation: the whole page, or the paged worst case.
+        reservations = [
             worst_case_blocks(r.total_tokens, r.window, bs)
+            if self.paged
+            else blocks_needed(r.capacity, bs)
             for r in requests
         ]
         if self.pool_blocks is not None:
@@ -1586,10 +1491,10 @@ class ContinuousBatchScheduler:
                 n_heads, head_dim, bs, self.pool_bytes
             )
         else:
-            # Auto-size: room for every request's worst case at once, so
-            # the default path never defers or preempts.
-            pool = BlockPool(n_heads, head_dim, bs, sum(worst))
-        for request, need in zip(requests, worst):
+            # Auto-size: room for the max_active largest reservations.
+            largest = sorted(reservations, reverse=True)[: self.max_active]
+            pool = BlockPool(n_heads, head_dim, bs, sum(largest))
+        for need in reservations:
             if need > pool.n_blocks:
                 raise BlockPoolExhausted(
                     f"request needs {need} blocks of {bs} tokens even "
@@ -1623,17 +1528,11 @@ class ContinuousBatchScheduler:
     def _preempt(self, victim: _Sequence) -> None:
         """Evict one in-flight sequence (preemption by recomputation).
 
-        Its cache memory is returned — blocks to the shared pool in
-        paged mode, the whole page to the recycle pool in contiguous
-        mode — and all progress is forgotten; when readmitted it
-        replays from its prompt, deterministically reproducing
-        bit-identical results.
+        Its blocks or reserved run go straight back to the pool and all
+        progress is forgotten; when readmitted it replays from its
+        prompt, deterministically reproducing bit-identical results.
         """
-        cache = victim.live_state.cache
-        if self.paged:
-            cache.reset()  # blocks straight back to the shared pool
-        else:
-            self._release_page(cache)
+        victim.live_state.cache.reset()
         victim.reset_progress()
         self.preemptions += 1
 
@@ -1651,7 +1550,7 @@ class ContinuousBatchScheduler:
         virtual clock is invisible: the run is step-for-step identical
         to the pre-metadata scheduler.
         """
-        from repro.core.paging import BlockPoolExhausted
+        from repro.core.paging import BlockPoolExhausted, ReservedKVCache
 
         request_list = tuple(requests)
         if not request_list:
@@ -1672,25 +1571,11 @@ class ContinuousBatchScheduler:
 
         engine = self.engine
         verifier = self._verifier
-        paged = self.paged
-        pool: BlockPool | None = None
-        if paged:
-            pool = self._build_pool(request_list)
-            self.block_pool = pool
-        elif self.pool_bytes is not None:
-            for request in request_list:
-                need = self._page_bytes(
-                    request.n_heads, request.head_dim, request.capacity
-                )
-                if need > self.pool_bytes:
-                    raise BlockPoolExhausted(
-                        f"request needs a {need}-byte page even running "
-                        f"alone, but pool_bytes is {self.pool_bytes}"
-                    )
+        pool = self._build_pool(request_list)
+        self.block_pool = pool
 
         before = engine.unit._lifetime_counters()
-        pages_allocated_before = self.pages_allocated
-        pages_recycled_before = self.pages_recycled
+        pages_allocated = 0
         deferrals_before = self.deferrals
         preemptions_before = self.preemptions
         sequences = tuple(
@@ -1771,10 +1656,11 @@ class ContinuousBatchScheduler:
             # prefills.  The policy picks the next candidate from the
             # *arrived* waiting requests (queue order preserved); the
             # first candidate that cannot get memory ends admission for
-            # this step (deferral).  Paged mode admits whenever the
-            # request's first block fits (free blocks >= 1) and rolls
-            # the prefill back — deferring the request — if the pool
-            # runs dry mid-prompt.
+            # this step (deferral).  Contiguous mode admits when a run
+            # of free blocks holds the whole page.  Paged mode admits
+            # whenever the request's first block fits (free blocks >= 1)
+            # and rolls the prefill back — deferring the request — if
+            # the pool runs dry mid-prompt.
             while waiting and len(active) + len(joining) < self.max_active:
                 arrived = [s for s in waiting if s.arrival <= now]
                 if not arrived:
@@ -1787,7 +1673,7 @@ class ContinuousBatchScheduler:
                         f"policy {policy.name!r} admitted a sequence that "
                         "is not waiting-and-arrived"
                     )
-                if pool is not None:
+                if self.paged:
                     # Admission charges only *unshared* blocks: a
                     # request whose leading prompt blocks are already
                     # cached can enter a dry pool — its prefill adopts
@@ -1804,9 +1690,14 @@ class ContinuousBatchScheduler:
                         seq.request, pool=pool, prefix=self.prefix_caching
                     )
                 else:
-                    state = self._open_contiguous(seq.request)
-                    if state is None:
+                    try:
+                        cache = ReservedKVCache(
+                            pool, seq.request.capacity, seq.request.window
+                        )
+                    except BlockPoolExhausted:
                         break
+                    pages_allocated += 1
+                    state = engine.start(seq.request, cache=cache)
                 waiting.remove(seq)
                 seq.state = state
                 if seq.draft is None and verifier.tree.depth:
@@ -1851,25 +1742,11 @@ class ContinuousBatchScheduler:
                 )
 
             scheduler_steps += 1
-            in_flight = joining + active
-            peak_active = max(peak_active, len(in_flight))
-            if pool is not None:
-                peak_kv_slots = max(
-                    peak_kv_slots, pool.in_use * pool.block_size
-                )
-                peak_fragmentation = max(
-                    peak_fragmentation, pool.fragmentation_slots
-                )
-            else:
-                peak_kv_slots = max(
-                    peak_kv_slots,
-                    sum(s.live_state.cache.capacity for s in in_flight),
-                )
-                peak_fragmentation = max(
-                    peak_fragmentation,
-                    sum(s.live_state.cache.fragmentation_slots
-                        for s in in_flight),
-                )
+            peak_active = max(peak_active, len(joining) + len(active))
+            peak_kv_slots = max(peak_kv_slots, pool.in_use * pool.block_size)
+            peak_fragmentation = max(
+                peak_fragmentation, pool.fragmentation_slots
+            )
 
             results, cycles = engine._execute(jobs)
             packed_cycles += cycles
@@ -1916,10 +1793,7 @@ class ContinuousBatchScheduler:
                     continue
                 seq.finish_step = step_index
                 seq.finish_time = now
-                if paged:
-                    seq.live_state.cache.reset()  # blocks back to the pool
-                else:
-                    self._release_page(seq.live_state.cache)
+                seq.live_state.cache.reset()  # memory back to the pool
                 slots[seq.index] = GenerateResult.from_passes(
                     seq.finished_prefill, seq.steps, seq.passes,
                     EventCounters.from_vector(seq.counter_total),
@@ -1937,14 +1811,13 @@ class ContinuousBatchScheduler:
             sequential_vector_cycles=sequential_cycles,
             scheduler_steps=scheduler_steps,
             counters=engine.unit._lifetime_counters().diff(before),
-            pages_allocated=self.pages_allocated - pages_allocated_before,
-            pages_recycled=self.pages_recycled - pages_recycled_before,
+            pages_allocated=pages_allocated,
             peak_active=peak_active,
             peak_kv_slots=peak_kv_slots,
             peak_fragmentation_slots=peak_fragmentation,
             deferrals=self.deferrals - deferrals_before,
             preemptions=self.preemptions - preemptions_before,
-            paging=pool.pool_info() if pool is not None else None,
+            paging=pool.pool_info(),
             first_token_steps=tuple(s.first_token_step for s in sequences),
             finish_steps=tuple(s.finish_step for s in sequences),
             first_token_times=tuple(s.first_token_time for s in sequences),

@@ -1,26 +1,27 @@
-"""Paged KV cache: a global block pool plus per-request block tables.
+"""One KV pool: a global block pool and its two reservation policies.
 
-PR 3's decode memory model was "one contiguous page per request, sized
-for the worst case": admission reserved ``max_seq_len`` slots up front,
-so short requests stranded memory and heterogeneous batches could not
-share the pool.  This module replaces that with the vLLM-style layout
-the ROADMAP names:
+All decode KV storage lives in one :class:`BlockPool` of fixed-size
+blocks (``block_size`` token slots each; ``NovaConfig.kv_block_size``
+sets the default).  Storage is slot-major, so a block is a slice of
+slots and a run of consecutive blocks is a plain view.  A serving run
+chooses how its sequences reserve that storage:
 
-* :class:`BlockPool` — owns **all** KV storage as fixed-size blocks of
-  ``block_size`` token slots (``NovaConfig.kv_block_size`` sets the
-  default).  Blocks are allocated and freed by id; the pool never
-  reallocates, so an append is always a row write into a live block.
-* :class:`BlockTable` — one per request: the ordered list of physical
-  block ids holding the request's logical token positions, plus the
-  offset of the first live token inside the first block (sliding-window
-  eviction advances the offset and frees whole head blocks).
-* :class:`PagedKVCache` — presents the exact
-  :class:`~repro.core.decode.KVCache` API (``append`` / ``evict`` /
-  ``truncate`` / ``keys`` / ``values`` / ``values_snapshot`` /
-  ``reset``) on top of the block-table indirection, so the decode
-  engines run unchanged on either cache.  ``truncate`` is the
-  speculative-decode rollback path: rejected draft tokens free whole
-  tail blocks back to the pool.
+* **Whole-page (contiguous)** — :class:`ReservedKVCache` reserves one
+  run of ``blocks_needed(capacity, block_size)`` consecutive blocks at
+  admission (:meth:`BlockPool.reserve_run`) and keeps its rows in the
+  run's slots, so it *is* a :class:`~repro.core.decode.KVCache`: append,
+  views, window shifts and forks are that class's own code.  ``reset``
+  releases the run (:meth:`BlockPool.release_run`).
+* **Paged** — :class:`PagedKVCache` allocates blocks lazily, one at a
+  time, through a :class:`BlockTable` (the ordered physical block ids
+  holding the request's logical token positions, plus the offset of the
+  first live token inside the first block; sliding-window eviction
+  advances the offset and frees whole head blocks).  It presents the
+  exact ``KVCache`` API (``append`` / ``evict`` / ``truncate`` /
+  ``keys`` / ``values`` / ``values_snapshot`` / ``reset``) on top of
+  the block-table indirection, so the decode engines run unchanged on
+  either cache.  ``truncate`` is the speculative-decode rollback path:
+  rejected draft tokens free whole tail blocks back to the pool.
 
 Prefix caching
 --------------
@@ -43,24 +44,26 @@ the numerics — only in pool residency.
 
 Numerics contract
 -----------------
-Paging changes **where** K/V rows live, never their values: ``keys`` /
-``values`` / ``values_snapshot`` gather the live span into a fresh
-contiguous array holding bit-identical floats in the same order a
-contiguous :class:`~repro.core.decode.KVCache` would present, so every
-downstream GEMV (scores, context) is bit-exact between the two layouts.
+The reservation policy changes **where** K/V rows live, never their
+values.  A paged cache's ``keys`` / ``values`` / ``values_snapshot``
+gather the live span into a fresh contiguous array holding
+bit-identical floats in the same order a contiguous
+:class:`~repro.core.decode.KVCache` would present, so every downstream
+GEMV (scores, context) is bit-exact between the two layouts.
 The equivalence gate in ``tests/test_paging.py`` pins this per Table II
 preset, and the golden traces prove the cycle/counter accounting is
 untouched.
 
 Accounting
 ----------
-The pool tracks cumulative ``blocks_allocated`` / ``blocks_freed``,
-current ``in_use`` / ``free``, ``peak_in_use`` and the fragmentation
-metric (allocated-but-unused token slots: block slots held by live
-caches that no cached token occupies).  Sharing adds ``blocks_shared``
-/ ``shared_frees`` (references taken and dropped without moving a
-physical block), ``cow_copies``, and the prefix-index counters
-(``prefix_hits`` / ``prefix_misses`` / ``prefix_index_size``).
+The pool tracks cumulative ``blocks_allocated`` / ``blocks_freed``
+(a run counts each of its blocks), current ``in_use`` / ``free``,
+``peak_in_use`` and the fragmentation metric (allocated-but-unused
+token slots: block slots held by live caches — block tables and
+reserved runs alike — that no cached token occupies).  Sharing adds
+``blocks_shared`` / ``shared_frees`` (references taken and dropped
+without moving a physical block), ``cow_copies``, and the prefix-index
+counters (``prefix_hits`` / ``prefix_misses`` / ``prefix_index_size``).
 ``live_tokens`` stays *logical* — an adopted slot counts for every
 cache presenting it — so under sharing ``fragmentation_slots`` can go
 negative: that deficit **is** the deduplication win (tokens served
@@ -77,15 +80,18 @@ from __future__ import annotations
 import hashlib
 import threading
 import weakref
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
+
+from repro.core.decode import KVCache, KVCacheOverflow
 
 __all__ = [
     "BlockPool",
     "BlockPoolExhausted",
     "BlockTable",
     "PagedKVCache",
+    "ReservedKVCache",
     "blocks_needed",
     "prefix_block_keys",
     "worst_case_blocks",
@@ -177,12 +183,16 @@ def prefix_block_keys(
 class BlockPool:
     """All KV storage for one geometry, as fixed-size blocks.
 
-    Storage is two preallocated ``(n_blocks, n_heads, block_size,
-    head_dim)`` float64 arrays (keys and values); a block id indexes the
-    leading axis.  :meth:`allocate` pops a free id (raising
-    :class:`BlockPoolExhausted` when the pool is dry — the caller's
-    deferral/preemption policy decides what happens next), :meth:`free`
-    returns it (double-free raises ``ValueError``).
+    Storage is two preallocated slot-major ``(n_heads, n_blocks *
+    block_size, head_dim)`` float64 arrays (keys and values): block
+    ``b`` is slots ``[b * block_size, (b + 1) * block_size)``, and a run
+    of consecutive blocks is one plain view (:meth:`keys_of`).  The
+    arrays themselves are :attr:`key_slots` / :attr:`value_slots`.
+    :meth:`allocate` pops a free id (raising :class:`BlockPoolExhausted`
+    when the pool is dry — the caller's deferral/preemption policy
+    decides what happens next), :meth:`free` returns it (double-free
+    raises ``ValueError``).  :meth:`reserve_run` / :meth:`release_run`
+    take and return a whole run at once, for the contiguous policy.
 
     Blocks carry a reference count: :meth:`allocate` hands out count 1,
     :meth:`share` takes one more reference on a live block, and
@@ -195,10 +205,10 @@ class BlockPool:
     block or on the first write that changes the block's content.
 
     ``live_tokens`` is maintained by the :class:`PagedKVCache` instances
-    drawing from the pool; ``fragmentation_slots`` — the paged analogue
-    of the contiguous layout's stranded worst-case pages — is the gap
-    between the slots held (``in_use * block_size``) and the tokens
-    logically cached (negative under sharing: the dedup win).
+    drawing from the pool; ``fragmentation_slots`` is the gap between
+    the slots held (``in_use * block_size``) and the tokens logically
+    cached, by block tables and reserved runs alike (negative under
+    sharing: the dedup win).
     """
 
     def __init__(
@@ -216,13 +226,16 @@ class BlockPool:
         self.head_dim = head_dim
         self.block_size = block_size
         self.n_blocks = n_blocks
-        self._k = np.zeros((n_blocks, n_heads, block_size, head_dim))
-        self._v = np.zeros((n_blocks, n_heads, block_size, head_dim))
+        slots = (n_heads, n_blocks * block_size, head_dim)
+        self.key_slots = np.zeros(slots)
+        self.value_slots = np.zeros(slots)
         self._free: list[int] = list(range(n_blocks - 1, -1, -1))
         self._live = np.zeros(n_blocks, dtype=bool)
         self._refcount: list[int] = [0] * n_blocks
         self._prefix_index: dict[bytes, int] = {}
         self._block_keys: dict[int, bytes] = {}
+        #: Reserved runs, ``(first block, n_blocks)`` by holding cache.
+        self._runs: dict[KVCache, tuple[int, int]] = {}
         self.blocks_allocated = 0
         self.blocks_freed = 0
         self.blocks_shared = 0
@@ -341,6 +354,54 @@ class BlockPool:
         self._free.append(block)
         self.blocks_freed += 1
 
+    def reserve_run(self, holder: KVCache, n_blocks: int) -> int:
+        """Allocate ``n_blocks`` consecutive blocks to ``holder`` at once.
+
+        The whole-page reservation: the lowest-addressed free run long
+        enough is taken (each block at refcount 1) and its first id
+        returned; until :meth:`release_run`, ``holder.length`` counts as
+        live tokens.  Raises :class:`BlockPoolExhausted` with nothing
+        changed when no free run is long enough — even if enough blocks
+        are free in total (the caller defers, as on a dry pool; the page
+        is never scattered).
+        """
+        if n_blocks < 1:
+            raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
+        free_before = np.concatenate(([0], np.cumsum(~self._live)))
+        starts = np.flatnonzero(
+            free_before[n_blocks:] - free_before[:-n_blocks] == n_blocks
+        )
+        if not starts.size:
+            raise BlockPoolExhausted(
+                f"no run of {n_blocks} free consecutive blocks of "
+                f"{self.block_size} tokens ({self.free_blocks} of "
+                f"{self.n_blocks} blocks free)"
+            )
+        first = int(starts[0])
+        run = range(first, first + n_blocks)
+        self._free = [b for b in self._free if b not in run]
+        self._live[first : first + n_blocks] = True
+        self._refcount[first : first + n_blocks] = [1] * n_blocks
+        self._runs[holder] = (first, n_blocks)
+        self.blocks_allocated += n_blocks
+        self.peak_in_use = max(self.peak_in_use, self.in_use)
+        return first
+
+    def release_run(self, holder: KVCache) -> None:
+        """Return ``holder``'s reserved run to the free list.
+
+        Releasing a cache that holds no run raises ``ValueError`` (the
+        run analogue of a double free).
+        """
+        run = self._runs.pop(holder, None)
+        if run is None:
+            raise ValueError("this cache holds no reserved run")
+        first, n_blocks = run
+        self._live[first : first + n_blocks] = False
+        self._refcount[first : first + n_blocks] = [0] * n_blocks
+        self._free.extend(range(first + n_blocks - 1, first - 1, -1))
+        self.blocks_freed += n_blocks
+
     # -- prefix index ---------------------------------------------------
 
     def register_prefix(self, key: bytes, block: int) -> None:
@@ -400,24 +461,31 @@ class BlockPool:
 
     # -- storage views --------------------------------------------------
 
-    def keys_of(self, block: int) -> np.ndarray:
-        """Key storage of one live block, ``(n_heads, block_size, head_dim)``."""
-        return self._k[block]
+    def keys_of(self, block: int, n_blocks: int = 1) -> np.ndarray:
+        """Key storage of ``n_blocks`` consecutive blocks from ``block``,
+        a ``(n_heads, n_blocks * block_size, head_dim)`` view."""
+        bs = self.block_size
+        return self.key_slots[:, block * bs : (block + n_blocks) * bs]
 
-    def values_of(self, block: int) -> np.ndarray:
-        """Value storage of one live block, same shape as :meth:`keys_of`."""
-        return self._v[block]
+    def values_of(self, block: int, n_blocks: int = 1) -> np.ndarray:
+        """Value storage, same slots and shape as :meth:`keys_of`."""
+        bs = self.block_size
+        return self.value_slots[:, block * bs : (block + n_blocks) * bs]
 
     # -- accounting -----------------------------------------------------
 
+    def _cached_tokens(self) -> int:
+        """Tokens logically cached: block tables' plus reserved runs'."""
+        return self.live_tokens + sum(cache.length for cache in self._runs)
+
     @property
     def fragmentation_slots(self) -> int:
-        """Allocated-but-unused token slots across all live block tables.
+        """Allocated-but-unused token slots across every live cache.
 
         Negative under prefix sharing: more tokens are logically served
         than slots are resident, and the deficit is the dedup win.
         """
-        return self.in_use * self.block_size - self.live_tokens
+        return self.in_use * self.block_size - self._cached_tokens()
 
     @property
     def shared_block_refs(self) -> int:
@@ -439,7 +507,9 @@ class BlockPool:
         Invariants (pinned by the suite): ``n_blocks == in_use + free``
         and ``blocks_allocated - blocks_freed == in_use`` — sharing
         never disturbs them, because :meth:`share` / shared
-        :meth:`free` move only the reference count.
+        :meth:`free` move only the reference count.  ``live_tokens``
+        here counts reserved runs' tokens too, so
+        ``fragmentation_slots == in_use * block_size - live_tokens``.
         """
         return {
             "block_size": self.block_size,
@@ -457,7 +527,7 @@ class BlockPool:
             "prefix_index_size": self.prefix_index_size,
             "shared_block_refs": self.shared_block_refs,
             "peak_in_use": self.peak_in_use,
-            "live_tokens": self.live_tokens,
+            "live_tokens": self._cached_tokens(),
             "fragmentation_slots": self.fragmentation_slots,
         }
 
@@ -469,6 +539,15 @@ class BlockPool:
         )
 
 
+#: The :meth:`BlockPool.pool_info` counters :func:`pool_cache_info` sums.
+_AGGREGATED = (
+    "n_blocks", "in_use", "free", "blocks_allocated", "blocks_freed",
+    "blocks_shared", "shared_frees", "cow_copies", "prefix_hits",
+    "prefix_misses", "prefix_index_size", "shared_block_refs",
+    "peak_in_use", "live_tokens", "fragmentation_slots",
+)
+
+
 def pool_cache_info() -> dict[str, int]:
     """Process-wide block-pool statistics (every live pool aggregated).
 
@@ -478,31 +557,15 @@ def pool_cache_info() -> dict[str, int]:
     """
     with _POOLS_LOCK:
         pools = list(_LIVE_POOLS)
+    infos = [pool.pool_info() for pool in pools]
+    # Cumulative totals.  Every free path — window eviction, speculative
+    # rollback, cache reset and run release — goes through the pool's
+    # own accounting, so ``blocks_freed`` counts them identically (the
+    # suite pins ``blocks_allocated - blocks_freed == in_use``).
     return {
         "pools_created": _POOLS_CREATED,
         "live_pools": len(pools),
-        "n_blocks": sum(p.n_blocks for p in pools),
-        "in_use": sum(p.in_use for p in pools),
-        "free": sum(p.free_blocks for p in pools),
-        # Cumulative totals.  Every free path — window eviction
-        # (:meth:`PagedKVCache.evict`), speculative rollback
-        # (:meth:`PagedKVCache.truncate`) and page recycling
-        # (:meth:`PagedKVCache.reset`) — goes through
-        # :meth:`BlockPool.free`, so ``blocks_freed`` counts them
-        # identically (the suite pins ``blocks_allocated - blocks_freed
-        # == in_use`` across all three).
-        "blocks_allocated": sum(p.blocks_allocated for p in pools),
-        "blocks_freed": sum(p.blocks_freed for p in pools),
-        "blocks_shared": sum(p.blocks_shared for p in pools),
-        "shared_frees": sum(p.shared_frees for p in pools),
-        "cow_copies": sum(p.cow_copies for p in pools),
-        "prefix_hits": sum(p.prefix_hits for p in pools),
-        "prefix_misses": sum(p.prefix_misses for p in pools),
-        "prefix_index_size": sum(p.prefix_index_size for p in pools),
-        "shared_block_refs": sum(p.shared_block_refs for p in pools),
-        "peak_in_use": sum(p.peak_in_use for p in pools),
-        "live_tokens": sum(p.live_tokens for p in pools),
-        "fragmentation_slots": sum(p.fragmentation_slots for p in pools),
+        **{key: sum(info[key] for info in infos) for key in _AGGREGATED},
     }
 
 
@@ -555,7 +618,7 @@ class PagedKVCache:
       scheduler can defer the token and retry the same step later;
     * sliding-window eviction advances ``first_offset`` and frees whole
       head blocks back to the pool instead of shifting arrays;
-    * ``reset`` frees every block (page recycling is the pool itself);
+    * ``reset`` frees every block;
     * blocks may be *shared* with other tables: :meth:`adopt_prefix`
       takes references on already-cached prompt blocks before prefill
       (appends below ``prefix_len`` then skip the redundant storage
@@ -622,25 +685,11 @@ class PagedKVCache:
         """Physical blocks this cache currently holds."""
         return self.table.n_blocks
 
-    @property
-    def fragmentation_slots(self) -> int:
-        """Slots this cache holds that no live token occupies."""
-        return self.table.n_blocks * self.block_size - self.length
-
-    def can_serve(self, n_heads: int, head_dim: int, capacity: int) -> bool:
-        """Whether this cache can hold a request of the given geometry."""
-        return (
-            self.n_heads == n_heads
-            and self.head_dim == head_dim
-            and self.capacity >= capacity
-        )
-
     # -- gathered views -------------------------------------------------
 
-    def _gather(
-        self, storage_of: Callable[[int], np.ndarray], kv_len: int
-    ) -> np.ndarray:
-        """First ``kv_len`` live rows as one fresh contiguous array."""
+    def _gather(self, slots: np.ndarray, kv_len: int) -> np.ndarray:
+        """First ``kv_len`` live rows of the pool's slot-major ``slots``
+        as one fresh contiguous array."""
         out = np.empty((self.n_heads, kv_len, self.head_dim))
         bs = self.block_size
         start = self.table.first_offset
@@ -650,27 +699,27 @@ class PagedKVCache:
             hi = min(stop, (i + 1) * bs)
             if lo >= hi:
                 continue
-            out[:, lo - start : hi - start] = storage_of(block)[
-                :, lo - i * bs : hi - i * bs
-            ]
+            # table slots [i * bs, (i + 1) * bs) are pool slots of block
+            base = (block - i) * bs
+            out[:, lo - start : hi - start] = slots[:, base + lo : base + hi]
         return out
 
     @property
     def keys(self) -> np.ndarray:
         """The live cached keys, ``(n_heads, length, head_dim)``
         (gathered copy — bit-identical to the contiguous layout's view)."""
-        return self._gather(self.pool.keys_of, self.length)
+        return self._gather(self.pool.key_slots, self.length)
 
     @property
     def values(self) -> np.ndarray:
         """The live cached values, ``(n_heads, length, head_dim)``."""
-        return self._gather(self.pool.values_of, self.length)
+        return self._gather(self.pool.value_slots, self.length)
 
     def values_snapshot(self, kv_len: int) -> np.ndarray:
         """Contiguous copy of the first ``kv_len`` live values (the
         decode engines' deferred-snapshot hook; see
         ``KVCache.values_snapshot``)."""
-        return self._gather(self.pool.values_of, kv_len)
+        return self._gather(self.pool.value_slots, kv_len)
 
     # -- prefix sharing -------------------------------------------------
 
@@ -775,8 +824,6 @@ class PagedKVCache:
         a block whose content key is pending publishes the block in the
         pool's prefix index.
         """
-        from repro.core.decode import KVCacheOverflow
-
         expected = (self.n_heads, self.head_dim)
         k_t = np.asarray(k_t, dtype=np.float64)
         v_t = np.asarray(v_t, dtype=np.float64)
@@ -855,8 +902,8 @@ class PagedKVCache:
         if self.pool.refcount(block) > 1:
             block = self._copy_on_write(slot // bs)
         self.pool.forget_prefix(block)
-        self.pool.keys_of(block)[:, offset] = k_t
-        self.pool.values_of(block)[:, offset] = v_t
+        self.pool.key_slots[:, block * bs + offset] = k_t
+        self.pool.value_slots[:, block * bs + offset] = v_t
         self.length += 1
         self.pool.live_tokens += 1
         if self._pending_keys and (slot + 1) % bs == 0:
@@ -959,3 +1006,41 @@ class PagedKVCache:
             + (f", window={self.window}" if self.window is not None else "")
             + ")"
         )
+
+
+class ReservedKVCache(KVCache):
+    """A contiguous :class:`~repro.core.decode.KVCache` over one
+    reserved run of pool blocks (the whole-page reservation policy).
+
+    Construction reserves ``blocks_needed(capacity, block_size)``
+    consecutive blocks at once — raising :class:`BlockPoolExhausted`,
+    with nothing reserved, when no free run is that long — and the
+    cache keeps its rows in the run's slots, a plain view of the pool's
+    slot-major storage.  Everything else is ``KVCache``'s own code:
+    appends, ``keys`` views, window shifts and :meth:`fork` (a private
+    copy outside the pool).  :meth:`reset` empties the cache *and*
+    releases the run: the cache is finished afterwards.
+    """
+
+    def __init__(
+        self, pool: BlockPool, capacity: int, window: int | None = None
+    ) -> None:
+        n_blocks = blocks_needed(capacity, pool.block_size)
+        first = pool.reserve_run(self, n_blocks)
+        try:
+            super().__init__(
+                pool.n_heads, pool.head_dim, capacity, window=window,
+                storage=(
+                    pool.keys_of(first, n_blocks),
+                    pool.values_of(first, n_blocks),
+                ),
+            )
+        except ValueError:
+            pool.release_run(self)
+            raise
+        self.pool = pool
+
+    def reset(self) -> None:
+        """Empty the cache and release its run back to the pool."""
+        super().reset()
+        self.pool.release_run(self)

@@ -285,13 +285,16 @@ class NovaSession:
 
         A fresh :class:`ContinuousBatchScheduler` (so pool statistics
         are per call) drives the session's decode engine; results are
-        bit-identical to per-request :meth:`generate` in either memory
-        mode.  ``paged=True`` swaps the per-request worst-case cache
-        pages for a shared :class:`~repro.core.paging.BlockPool` of
-        fixed-size blocks (``block_size`` defaults to the session
-        config's ``kv_block_size``); ``pool_blocks`` / ``pool_bytes``
-        cap the pool, enabling deferral/preemption under memory
-        pressure — by default it is sized so nothing ever defers.
+        bit-identical to per-request :meth:`generate` under either
+        reservation policy.  Every run's KV storage is one shared
+        :class:`~repro.core.paging.BlockPool` of fixed-size blocks; by
+        default each request reserves its whole worst-case page there at
+        admission, and ``paged=True`` allocates blocks lazily instead
+        (``block_size`` defaults to the session config's
+        ``kv_block_size``).  ``pool_bytes`` (either policy) or
+        ``pool_blocks`` (paged) cap the pool, enabling deferral (and,
+        paged, preemption) under memory pressure — by default it holds
+        the ``max_active`` largest per-request reservations.
         ``prefix_caching`` (paged only; ``None`` defers to the config's
         ``enable_prefix_caching``) shares already-cached prompt blocks
         between requests under refcounts with copy-on-write, charging

@@ -742,8 +742,9 @@ def decode_serving_throughput(
             "continuous batching fuses all in-flight requests' rows into "
             "one stream per scheduler step on the shared overlay. "
             f"Packing saves {batch.sequential_vector_cycles - batch.packed_vector_cycles} "
-            f"vector cycles; {batch.pages_recycled} cache pages recycled "
-            f"across {batch.scheduler_steps} scheduler steps."
+            f"vector cycles across {batch.scheduler_steps} scheduler "
+            f"steps; {batch.pages_allocated} whole pages reserved from "
+            f"one {batch.paging['n_blocks']}-block pool."
         ),
     )
     result.rows.append(
@@ -923,11 +924,12 @@ def paged_decode_utilization(
     declares the model's full ``max_seq_len`` worst case but actually
     uses only a short prompt + budget) is served twice through
     :class:`repro.core.decode.ContinuousBatchScheduler` under the same
-    pool byte budget — once with contiguous worst-case pages (admission
-    reserves a whole page; ``pool_pages`` of them fit) and once with
-    the paged KV cache (fixed ``block_size``-token blocks allocated
-    lazily from one shared :class:`repro.core.paging.BlockPool`;
-    admission needs only the first block).  The table compares **max
+    pool byte budget, under the two reservation policies over one
+    shared :class:`repro.core.paging.BlockPool`: contiguous worst-case
+    pages (admission reserves a whole page as one run of consecutive
+    blocks; ``pool_pages`` of them fit) and the paged KV cache (fixed
+    ``block_size``-token blocks allocated lazily; admission needs only
+    the first block).  The table compares **max
     concurrent requests** (the admission-capacity win), peak reserved
     KV slots, fragmentation (reserved-but-unused slots) and wall-clock
     throughput.  Both paths are checked bit-identical to one-at-a-time
@@ -1012,13 +1014,14 @@ def paged_decode_utilization(
         notes=(
             "Same pool byte budget both rows; outputs, per-step cycles "
             "and counters bit-identical to one-at-a-time generate on "
-            "both paths (checked). Contiguous reserves a whole "
-            f"{model.seq_len}-slot worst-case page per request "
-            f"({page_bytes} B; {pool_pages} fit); paged allocates "
-            f"{bs}-token blocks lazily from one shared pool "
+            "both paths (checked). Both rows are reservation policies "
+            "over one block pool of the same bytes: contiguous reserves "
+            f"a whole {model.seq_len}-slot worst-case page per request at "
+            f"admission, one run of consecutive blocks ({page_bytes} B; "
+            f"{pool_pages} fit); paged allocates {bs}-token blocks lazily "
             f"({paged.paging['n_blocks']} blocks), admitting any request "
-            "whose first block fits. Fragmentation is "
-            "reserved-but-unused token slots at the worst step. Paged "
+            "whose first block fits. Fragmentation is reserved-but-unused "
+            "token slots at the worst step. Paged "
             f"run: {paged.deferrals} deferrals, {paged.preemptions} "
             "preemptions."
         ),
@@ -1144,7 +1147,6 @@ def prefix_caching_residency(
     for label, batch in (("uncached", plain), ("prefix-cached", cached)):
         _check_solo_exact(f"{label} scheduling", batch.results, solo)
     paging = cached.paging
-    assert paging is not None and plain.paging is not None
     if paging["prefix_hits"] == 0:
         raise RuntimeError(
             "the trace never hit the prefix index: check that "

@@ -282,7 +282,7 @@ def build_report(
             )
         )
     per_request.sort(key=lambda r: r.request_id)
-    paging = result.paging or {}
+    paging = result.paging
     return ServingReport(
         policy=policy,
         requests=tuple(per_request),

@@ -1,23 +1,17 @@
 """Tests for the typed front door: NovaConfig, PRESETS and NovaSession.
 
-The headline contract: an engine built from a :class:`NovaConfig` (or a
-preset name, or through a :class:`NovaSession`) is bit-exact,
-cycle-exact and counter-exact against the same engine built with the
-legacy loose geometry kwargs — and the legacy path still works, but
-emits a ``DeprecationWarning``.
+The headline contract: a :class:`NovaConfig` (or a preset name) is the
+one way to give an engine its geometry, and a :class:`NovaSession`
+built from it runs the same engines bit-, cycle- and counter-exactly.
 """
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.attention import NovaAttentionEngine
-from repro.core.batched_attention import (
-    AttentionRequest,
-    BatchedNovaAttentionEngine,
-)
+from repro.core.batched_attention import AttentionRequest
 from repro.core.config import (
     ENGINE_FIELDS,
     GEOMETRY_FIELDS,
@@ -30,18 +24,6 @@ from repro.core.session import NovaSession
 from repro.core.vector_unit import NovaVectorUnit
 from repro.eval.paper_data import TABLE2_CONFIGS
 from repro.workloads.bert import bert_attention_batch
-
-
-def legacy_kwargs(cfg: NovaConfig) -> dict:
-    """The old-style engine kwargs equivalent to ``cfg``."""
-    return dict(
-        n_routers=cfg.n_routers,
-        neurons_per_router=cfg.neurons_per_router,
-        pe_frequency_ghz=cfg.pe_frequency_ghz,
-        hop_mm=cfg.hop_mm,
-        n_segments=cfg.n_segments,
-        seed=cfg.seed,
-    )
 
 
 class TestNovaConfigValidation:
@@ -167,54 +149,8 @@ class TestPresets:
 
 
 class TestEngineShim:
-    """Legacy kwargs warn but build the identical engine, per preset."""
-
-    @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_preset_engine_equals_legacy_engine(self, name):
-        cfg = PRESETS[name]
-        via_config = NovaAttentionEngine(cfg)
-        with pytest.warns(DeprecationWarning):
-            via_kwargs = NovaAttentionEngine(**legacy_kwargs(cfg))
-        for fn in via_config.tables:
-            # same compiled table *object* (shared cache) and the same
-            # frozen broadcast schedule => identical outputs, cycles and
-            # counters by construction
-            assert via_config.tables[fn] is via_kwargs.tables[fn]
-            assert (via_config.units[fn].schedule
-                    is via_kwargs.units[fn].schedule)
-        assert via_config.n_lanes == via_kwargs.n_lanes
-        assert via_config._shape == via_kwargs._shape
-        # host, kv_block_size and the speculative defaults are not
-        # engine geometry (no legacy kwarg ever carried them), so
-        # normalise them before comparing
-        assert via_config.config == via_kwargs.config.replace(
-            host=cfg.host, kv_block_size=cfg.kv_block_size,
-            spec_k=cfg.spec_k, draft_kind=cfg.draft_kind,
-        )
-
-    def test_config_plus_kwargs_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            NovaAttentionEngine("jetson-nx", n_routers=2)
-        with pytest.raises(TypeError, match="not both"):
-            BatchedNovaAttentionEngine(NovaConfig(), seed=1)
-        table = NovaConfig(n_segments=8).table("gelu")
-        with pytest.raises(TypeError, match="not both"):
-            NovaVectorUnit(table, NovaConfig(), n_routers=2)
-
-    def test_vector_unit_legacy_positional_identical(self):
-        table = NovaConfig().table("gelu")
-        via_config = NovaVectorUnit(table, NovaConfig(
-            n_routers=2, neurons_per_router=4, pe_frequency_ghz=1.0,
-            hop_mm=1.0))
-        with pytest.warns(DeprecationWarning):
-            via_kwargs = NovaVectorUnit(table, 2, 4, 1.0)
-        assert via_kwargs.schedule is via_config.schedule
-        x = np.random.default_rng(0).normal(0, 2, size=(2, 4))
-        a = via_config.approximate(x)
-        b = via_kwargs.approximate(x)
-        assert np.array_equal(a.outputs, b.outputs)
-        assert a.latency_pe_cycles == b.latency_pe_cycles
-        assert a.counters.as_dict() == b.counters.as_dict()
+    """The engine constructors take a NovaConfig or a preset name only
+    (the loose geometry kwargs are gone)."""
 
     def test_vector_unit_preset_name(self):
         table = NovaConfig().table("exp")
@@ -225,51 +161,6 @@ class TestEngineShim:
         table = NovaConfig().table("exp")
         with pytest.raises(TypeError, match="NovaConfig"):
             NovaVectorUnit(table)
-
-
-class TestBitExactEquivalence:
-    """Deep equality at the (fast) Jetson-like geometry: outputs, cycles
-    and counters of the config-built engines equal the legacy-built
-    engines', and the batched path still matches the sequential one."""
-
-    @pytest.fixture(scope="class")
-    def request_batch(self):
-        return bert_attention_batch("BERT-tiny", 2, seq_len=[6, 9], seed=1)
-
-    def test_sequential_engine_bit_cycle_counter_exact(self):
-        cfg = preset("jetson-nx")
-        via_config = NovaAttentionEngine(cfg)
-        with pytest.warns(DeprecationWarning):
-            via_kwargs = NovaAttentionEngine(**legacy_kwargs(cfg))
-        rng = np.random.default_rng(7)
-        hidden, seq = 16, 8
-        x = rng.normal(0, 1, size=(seq, hidden))
-        w = {
-            name: rng.normal(0, 1 / np.sqrt(hidden), size=(hidden, hidden))
-            for name in ("wq", "wk", "wv", "wo")
-        }
-        a = via_config.attention_layer(x, n_heads=2, **w)
-        b = via_kwargs.attention_layer(x, n_heads=2, **w)
-        assert np.array_equal(a.outputs, b.outputs)
-        assert np.array_equal(a.probabilities, b.probabilities)
-        assert a.vector_cycles == b.vector_cycles
-        assert a.nonlinear_queries == b.nonlinear_queries
-        assert a.counters.as_dict() == b.counters.as_dict()
-
-    def test_batched_engine_bit_cycle_counter_exact(self, request_batch):
-        cfg = preset("jetson-nx")
-        via_config = BatchedNovaAttentionEngine(cfg)
-        with pytest.warns(DeprecationWarning):
-            via_kwargs = BatchedNovaAttentionEngine(**legacy_kwargs(cfg))
-        a = via_config.attention_batch(request_batch)
-        b = via_kwargs.attention_batch(request_batch)
-        assert a.packed_vector_cycles == b.packed_vector_cycles
-        assert a.sequential_vector_cycles == b.sequential_vector_cycles
-        assert a.counters.as_dict() == b.counters.as_dict()
-        for ra, rb in zip(a.results, b.results):
-            assert np.array_equal(ra.outputs, rb.outputs)
-            assert ra.vector_cycles == rb.vector_cycles
-            assert ra.counters.as_dict() == rb.counters.as_dict()
 
 
 class TestNovaSession:

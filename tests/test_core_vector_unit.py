@@ -108,24 +108,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             NovaConfig(n_routers=4, neurons_per_router=0,
                        pe_frequency_ghz=1.0)
+        # geometry comes only from a NovaConfig or a preset name: the
+        # old positional ``(table, n_routers, neurons, ghz)`` form is gone
         spec = get_function("gelu")
         table = QuantizedPwl(PiecewiseLinear.fit(spec.fn, spec.domain, 16))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                NovaVectorUnit(table, 4, 0, 1.0)
+        with pytest.raises(TypeError, match="NovaConfig"):
+            NovaVectorUnit(table, 4)
 
     def test_bad_router_count(self):
         # regression: a zero/negative router count must fail fast in the
         # constructor, not deep inside the mapper or topology
-        spec = get_function("gelu")
-        table = QuantizedPwl(PiecewiseLinear.fit(spec.fn, spec.domain, 16))
         for n_routers in (0, -1):
             with pytest.raises(ValueError, match="n_routers"):
                 NovaConfig(n_routers=n_routers, neurons_per_router=8,
                            pe_frequency_ghz=1.0)
-            with pytest.warns(DeprecationWarning):
-                with pytest.raises(ValueError, match="n_routers"):
-                    NovaVectorUnit(table, n_routers, 8, 1.0)
 
     def test_stream_batch_shape_checked(self):
         unit = make_unit()

@@ -9,14 +9,25 @@ be clean with **zero** suppressions in the strict-typed packages.
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import ALL_RULES, main, render_json, run_lint
+from repro.analysis import (
+    ALL_RULES,
+    Finding,
+    ModuleContext,
+    Rule,
+    cli,
+    main,
+    render_json,
+    run_lint,
+)
 from repro.analysis.engine import module_name_of
 
 REPO = Path(__file__).resolve().parent.parent
@@ -83,6 +94,15 @@ FIXTURES = [
         "    return self.pool.probe_prefix(self.keys)\n",
     ),
     (
+        "NV002",
+        "repro/core/decode.py",
+        "def admit(self):\n"
+        "    self.block_pool.reserve_run(self, 4)\n"
+        "    self.block_pool.release_run(self)\n",
+        "def admit(self):\n"
+        "    return ReservedKVCache(self.block_pool, 64)\n",
+    ),
+    (
         "NV003",
         "snippet.py",
         "def is_half(x):\n    return x == 0.5\n",
@@ -94,14 +114,6 @@ FIXTURES = [
         'def poke(cfg):\n    object.__setattr__(cfg, "seed", 1)\n',
         'class C:\n    def __post_init__(self):\n'
         '        object.__setattr__(self, "seed", 1)\n',
-    ),
-    (
-        "NV005",
-        "snippet.py",
-        "from repro.core.decode import NovaDecodeEngine\n"
-        "e = NovaDecodeEngine(n_routers=4, neurons_per_router=64)\n",
-        "from repro.core.decode import NovaDecodeEngine\n"
-        'e = NovaDecodeEngine("jetson-nx")\n',
     ),
     (
         "NV006",
@@ -300,13 +312,23 @@ def test_cli_exit_codes_and_output_file(tmp_path, capsys):
     assert main([str(tmp_path / "missing_dir")]) == 2
 
 
-def test_warning_fails_only_under_strict(tmp_path, capsys):
-    src = (
-        "from repro.core.decode import NovaDecodeEngine\n"
-        "e = NovaDecodeEngine(n_routers=4)\n"
-    )
-    mod = tmp_path / "legacy.py"
-    mod.write_text(src, encoding="utf-8")
+class _TodoRule(Rule):
+    """A warning-severity rule for exercising ``--strict``."""
+
+    rule_id = "NV900"
+    title = "TODO marker"
+    severity = "warning"
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Name) and node.id == "TODO":
+                yield ctx.finding(self, node, "TODO left in source")
+
+
+def test_warning_fails_only_under_strict(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ALL_RULES", (*ALL_RULES, _TodoRule()))
+    mod = tmp_path / "todo.py"
+    mod.write_text("TODO = 1\n", encoding="utf-8")
     assert main([str(mod)]) == 0
     capsys.readouterr()
     assert main([str(mod), "--strict"]) == 1

@@ -26,17 +26,20 @@ from repro.core.decode import (
     KVCache,
     KVCacheOverflow,
     NovaDecodeEngine,
+    SequenceMeta,
 )
 from repro.core.paging import (
     BlockPool,
     BlockPoolExhausted,
     BlockTable,
     PagedKVCache,
+    ReservedKVCache,
     blocks_needed,
     pool_cache_info,
     worst_case_blocks,
 )
 from repro.core.session import NovaSession
+from repro.serving.policies import PriorityPreemptive
 from repro.workloads.bert import decode_batch, mixed_decode_batch
 from repro.workloads.transformer import TransformerConfig, decode_request
 
@@ -94,6 +97,38 @@ class TestBlockPool:
             pool.free(block)
         with pytest.raises(ValueError, match="outside pool"):
             pool.free(99)
+
+    def test_reserve_run_first_fit_release_and_accounting(self):
+        pool = BlockPool(2, 4, block_size=2, n_blocks=5)
+        a = ReservedKVCache(pool, capacity=3)      # 2 blocks: 0-1
+        b = ReservedKVCache(pool, capacity=2)      # 1 block: 2
+        c = ReservedKVCache(pool, capacity=4)      # 2 blocks: 3-4
+        assert pool.in_use == 5 and pool.free_blocks == 0
+        # a run is one plain view of the pool's slot-major storage
+        k, v = token(0)
+        b.append(k, v)
+        assert np.array_equal(pool.keys_of(2)[:, 0], k)
+        assert np.array_equal(pool.values_of(2)[:, 0], v)
+        assert pool.fragmentation_slots == 5 * 2 - 1
+        assert pool.pool_info()["live_tokens"] == 1
+        a.reset()
+        c.reset()
+        assert pool.free_blocks == 4
+        # four blocks free, but no run of three: nothing changes
+        before = pool.pool_info()
+        with pytest.raises(BlockPoolExhausted, match="no run of 3"):
+            ReservedKVCache(pool, capacity=6)
+        assert pool.pool_info() == before
+        b.reset()
+        d = ReservedKVCache(pool, capacity=10)     # the whole pool again
+        assert d.keys.shape == (2, 0, 4)
+        d.reset()
+        info = pool.pool_info()
+        assert info["in_use"] == 0 and info["live_tokens"] == 0
+        assert info["blocks_allocated"] == info["blocks_freed"] == 10
+        assert info["peak_in_use"] == 5
+        with pytest.raises(ValueError, match="no reserved run"):
+            d.reset()
 
     def test_constructor_validation(self):
         for field, kwargs in [
@@ -279,14 +314,6 @@ class TestPagedKVCache:
         with pytest.raises(ValueError, match="shape"):
             paged.append(np.zeros((2, 3)), np.zeros((2, 4)))
 
-    def test_can_serve(self):
-        pool = BlockPool(2, 4, block_size=2, n_blocks=2)
-        paged = PagedKVCache(pool, capacity=8)
-        assert paged.can_serve(2, 4, 8)
-        assert paged.can_serve(2, 4, 4)
-        assert not paged.can_serve(2, 4, 9)
-        assert not paged.can_serve(3, 4, 4)
-
     def test_block_table_physical_mapping(self):
         table = BlockTable()
         table.blocks.extend([7, 3, 9])
@@ -386,7 +413,7 @@ class TestPagedScheduler:
             assert ref.counters.as_dict() == got.counters.as_dict()
         assert batch.paging is not None
         assert batch.paging["in_use"] == 0  # every block returned
-        assert batch.pages_allocated == 0 and batch.pages_recycled == 0
+        assert batch.pages_allocated == 0
 
     def test_pool_exhaustion_mid_step_defers_not_crashes(self):
         """A pool too small for every sequence's next block must defer
@@ -446,9 +473,10 @@ class TestPagedScheduler:
         engine = NovaDecodeEngine(SMALL)
         a = decode_request(toy_model(hidden=16, heads=2), prompt_len=3)
         b = decode_request(toy_model(hidden=16, heads=4), prompt_len=3)
-        scheduler = ContinuousBatchScheduler(engine, paged=True)
-        with pytest.raises(ValueError, match="head geometry"):
-            scheduler.run([a, b])
+        for paged in (False, True):  # one pool per run, either policy
+            scheduler = ContinuousBatchScheduler(engine, paged=paged)
+            with pytest.raises(ValueError, match="head geometry"):
+                scheduler.run([a, b])
 
     def test_paged_only_knobs_rejected_in_contiguous_mode(self):
         engine = NovaDecodeEngine(SMALL)
@@ -545,6 +573,147 @@ class TestPagedScheduler:
 
 
 # ----------------------------------------------------------------------
+# One pool: contiguous serving is a whole-page reservation.
+# ----------------------------------------------------------------------
+
+
+class _PoolSpy(PriorityPreemptive):
+    """Checks, at every step, that each in-flight contiguous cache keeps
+    its rows in the run's block pool."""
+
+    def __init__(self) -> None:
+        self.scheduler: ContinuousBatchScheduler | None = None
+        self.checks = 0
+
+    def step_order(self, active, now):
+        pool = self.scheduler.block_pool
+        keys = pool.keys_of(0, pool.n_blocks)
+        values = pool.values_of(0, pool.n_blocks)
+        for seq in active:
+            cache = seq.live_state.cache
+            assert isinstance(cache, KVCache)
+            assert np.shares_memory(cache.keys, keys)
+            assert np.shares_memory(cache.values, values)
+            self.checks += 1
+        return super().step_order(active, now)
+
+
+def spied_scheduler(engine, **kwargs):
+    spy = _PoolSpy()
+    scheduler = ContinuousBatchScheduler(engine, policy=spy, **kwargs)
+    spy.scheduler = scheduler
+    return scheduler, spy
+
+
+def assert_solo_exact(engine, requests, batch):
+    for request, got in zip(requests, batch.results):
+        ref = engine.generate(request)
+        assert np.array_equal(ref.generated, got.generated)
+        assert ref.vector_cycles == got.vector_cycles
+        assert ref.counters.as_dict() == got.counters.as_dict()
+
+
+def assert_every_block_returned(batch):
+    assert batch.paging["in_use"] == 0
+    assert batch.paging["blocks_allocated"] == batch.paging["blocks_freed"]
+    assert batch.paging["live_tokens"] == 0
+
+
+class TestOnePool:
+    @pytest.mark.parametrize("paged", [False, True])
+    def test_default_pool_holds_the_max_active_largest_reservations(
+        self, paged
+    ):
+        max_active = 2
+        requests = [
+            decode_request(toy_model(seq_len=seq_len), prompt_len=prompt,
+                           max_new_tokens=new, seed=i)
+            for i, (seq_len, prompt, new) in enumerate(
+                [(16, 2, 1), (64, 20, 30), (32, 5, 5),
+                 (48, 3, 40), (16, 8, 8), (32, 17, 2)]
+            )
+        ]
+        assert len(requests) == 3 * max_active
+        bs = SMALL.kv_block_size
+        reservations = [
+            worst_case_blocks(r.total_tokens, r.window, bs)
+            if paged
+            else blocks_needed(r.capacity, bs)
+            for r in requests
+        ]
+        engine = NovaDecodeEngine(SMALL)
+        batch = ContinuousBatchScheduler(
+            engine, max_active=max_active, paged=paged
+        ).run(requests)
+        assert batch.paging["n_blocks"] == sum(
+            sorted(reservations)[-max_active:]
+        )
+        assert batch.paging["n_blocks"] < sum(reservations)
+        assert batch.preemptions == 0
+        assert_every_block_returned(batch)
+        assert_solo_exact(engine, requests, batch)
+
+    def test_contiguous_caches_are_runs_of_the_pool(self):
+        engine = NovaDecodeEngine(SMALL)
+        requests = [
+            decode_request(toy_model(seq_len=seq_len), prompt_len=3,
+                           max_new_tokens=4, seed=i)
+            for i, seq_len in enumerate((16, 32, 64))
+        ]
+        scheduler, spy = spied_scheduler(engine, max_active=3)
+        batch = scheduler.run(requests)
+        assert spy.checks > 0
+        # capacities are block multiples: slots held == capacities
+        assert batch.peak_kv_slots == sum(r.capacity for r in requests)
+        assert batch.peak_fragmentation_slots == 112 - 3 * 3
+        assert batch.pages_allocated == len(requests)
+        assert_every_block_returned(batch)
+        assert_solo_exact(engine, requests, batch)
+
+    def test_contiguous_preemption_returns_every_block(self):
+        engine = NovaDecodeEngine(SMALL)
+        requests = [
+            decode_request(toy_model(), prompt_len=3, max_new_tokens=6,
+                           seed=i)
+            for i in range(3)
+        ]
+        meta = [SequenceMeta(), SequenceMeta(),
+                SequenceMeta(arrival=5.0, priority=1)]
+        scheduler, spy = spied_scheduler(engine, max_active=2)
+        batch = scheduler.run(requests, meta=meta)
+        assert batch.preemptions >= 1
+        assert spy.checks > 0
+        assert batch.pages_allocated == len(requests) + batch.preemptions
+        assert_every_block_returned(batch)
+        assert_solo_exact(engine, requests, batch)
+
+    def test_budgeted_contiguous_defers_when_no_run_fits(self):
+        """Enough blocks free in total but no run long enough: the
+        request defers (the page is never scattered), then finishes
+        solo-exact once a run frees."""
+        engine = NovaDecodeEngine(SMALL)
+        shapes = [(16, 2, 1), (32, 3, 20), (16, 2, 1), (48, 3, 2)]
+        requests = [
+            decode_request(toy_model(seq_len=seq_len), prompt_len=prompt,
+                           max_new_tokens=new, seed=i)
+            for i, (seq_len, prompt, new) in enumerate(shapes)
+        ]
+        block_bytes = BlockPool(2, 8, SMALL.kv_block_size, 1).block_bytes
+        batch = ContinuousBatchScheduler(
+            engine, max_active=4, pool_bytes=5 * block_bytes
+        ).run(requests)
+        assert batch.paging["n_blocks"] == 5
+        short_a, long_b, short_c, wide_d = range(4)
+        # A and C retire long before B, leaving 3 free blocks split
+        # around B's run; D (3 blocks) only gets in once B retires.
+        assert batch.finish_steps[short_a] < batch.finish_steps[long_b]
+        assert batch.finish_steps[short_c] < batch.finish_steps[long_b]
+        assert batch.first_token_steps[wide_d] > batch.finish_steps[long_b]
+        assert_every_block_returned(batch)
+        assert_solo_exact(engine, requests, batch)
+
+
+# ----------------------------------------------------------------------
 # NovaConfig.kv_block_size.
 # ----------------------------------------------------------------------
 
@@ -570,64 +739,3 @@ class TestKvBlockSizeConfig:
         cfg = NovaConfig().with_overrides(["kv_block_size=64"])
         assert cfg.kv_block_size == 64
         assert NovaConfig.from_dict(cfg.to_dict()) == cfg
-
-
-# ----------------------------------------------------------------------
-# Legacy contiguous pool: capacity >= reuse (regression).
-# ----------------------------------------------------------------------
-
-
-class TestLegacyPoolReuse:
-    def test_bigger_recycled_page_serves_smaller_request(self):
-        """Regression: the pool used to key on exact capacity, so a pool
-        full of 2048-token pages could not serve a 512-token request."""
-        engine = NovaDecodeEngine(SMALL)
-        scheduler = ContinuousBatchScheduler(engine, max_active=1)
-        big = decode_request(
-            toy_model(seq_len=64), prompt_len=4, max_new_tokens=2, seed=0
-        )
-        small = decode_request(
-            toy_model(seq_len=16), prompt_len=3, max_new_tokens=1, seed=1
-        )
-        first = scheduler.run([big])
-        assert (first.pages_allocated, first.pages_recycled) == (1, 0)
-        second = scheduler.run([small])
-        assert (second.pages_allocated, second.pages_recycled) == (0, 1)
-        # and the recycled page produces the right numerics
-        assert np.array_equal(
-            second.results[0].generated, engine.generate(small).generated
-        )
-
-    def test_best_fit_prefers_the_smallest_sufficient_page(self):
-        engine = NovaDecodeEngine(SMALL)
-        scheduler = ContinuousBatchScheduler(engine, max_active=2)
-        reqs = [
-            decode_request(toy_model(seq_len=64), prompt_len=3,
-                           max_new_tokens=1, seed=0),
-            decode_request(toy_model(seq_len=16), prompt_len=3,
-                           max_new_tokens=1, seed=1),
-        ]
-        scheduler.run(reqs)  # pools a 64-page and a 16-page
-        pages = scheduler._pool[(reqs[0].n_heads, reqs[0].head_dim)]
-        assert sorted(p.capacity for p in pages) == [16, 64]
-        small = decode_request(toy_model(seq_len=16), prompt_len=2,
-                               max_new_tokens=1, seed=2)
-        page = scheduler._acquire_page(small)
-        assert page.capacity == 16  # best fit, not the 64-page
-
-    def test_recycled_page_adopts_the_new_window(self):
-        engine = NovaDecodeEngine(SMALL)
-        request = decode_request(
-            toy_model(), prompt_len=4, max_new_tokens=2, seed=0
-        )
-        windowed = decode_request(
-            toy_model(), prompt_len=4, max_new_tokens=2, seed=0, window=3
-        )
-        page = KVCache(request.n_heads, request.head_dim, 64)
-        state = engine.start(windowed, cache=page)
-        assert state.cache is page
-        assert page.window == 3
-        gen = engine.generate(windowed, state=state)
-        assert np.array_equal(
-            gen.generated, engine.generate(windowed).generated
-        )

@@ -49,7 +49,6 @@ def empty_result() -> ContinuousBatchResult:
         scheduler_steps=0,
         counters=EventCounters(),
         pages_allocated=0,
-        pages_recycled=0,
     )
 
 
