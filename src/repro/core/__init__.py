@@ -33,7 +33,6 @@ from repro.core.comparator import ComparatorBank
 from repro.core.kernels import (
     KernelBackend,
     NumpyBackend,
-    LoopbackBackend,
     NumbaBackend,
     BACKENDS,
     resolve_backend,
@@ -107,7 +106,6 @@ __all__ = [
     "NovaSession",
     "KernelBackend",
     "NumpyBackend",
-    "LoopbackBackend",
     "NumbaBackend",
     "BACKENDS",
     "resolve_backend",

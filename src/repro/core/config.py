@@ -67,7 +67,7 @@ DRAFT_KINDS = ("truncated-table", "ngram")
 #: to :data:`repro.core.kernels.BACKENDS`.  ``numba`` is an optional
 #: dependency — naming it where it is not installed warns and runs on
 #: ``numpy`` instead.
-KERNEL_BACKENDS = ("numpy", "loopback", "numba")
+KERNEL_BACKENDS = ("numpy", "numba")
 
 #: The overlay-geometry fields (what a :class:`NovaVectorUnit` needs).
 GEOMETRY_FIELDS = (
@@ -218,10 +218,8 @@ class NovaConfig:
     (:mod:`repro.core.kernels`).  Every backend is bit/cycle/counter
     exact against the beat-level simulation, so like the serving knobs
     it is purely an execution-speed lever; ``"numpy"`` is the default
-    everywhere, ``"loopback"`` pins the pre-kernel per-token loop for
-    benchmarking, and ``"numba"`` is an optional accelerated drop-in
-    that falls back to numpy (with a warning) when the package is
-    absent.
+    everywhere and ``"numba"`` is an optional accelerated drop-in that
+    falls back to numpy (with a warning) when the package is absent.
     """
 
     n_routers: int = 8

@@ -13,16 +13,12 @@ bottoms out in exactly two whole-batch operations:
   selects beat ``b`` performs one tag comparison on each of beats
   ``0..b``, so its exact contribution is ``(address & (n_beats - 1)) + 1``.
 
-:class:`NumpyBackend` is the vectorised path PR 1 built into
-:meth:`~repro.core.vector_unit.NovaVectorUnit._stream_vectorized`,
-refactored out so it is one registry entry among several.
-:class:`LoopbackBackend` pins the pre-refactor per-batch Python loop as
-a wall-clock reference (still bit-exact — it is what
-``benchmarks/bench_kernel_backends.py`` measures speedups against).
-:class:`NumbaBackend` is an optional drop-in behind a lazy import:
-when numba is missing,
-:func:`resolve_backend` warns and falls back to numpy rather than
-failing, so a config that names it stays runnable everywhere.
+:class:`NumpyBackend` is the default vectorised path, one whole-stream
+gather per launch.  :class:`NumbaBackend` is an optional drop-in behind
+a lazy import: when numba is missing, :func:`resolve_backend` warns and
+falls back to numpy rather than failing, so a config that names it
+stays runnable everywhere.  The numerics reference for both is the
+beat-level NoC simulation (``run_stream(..., simulate=True)``).
 
 Exactness is the contract, not a goal: every backend must be
 bit-identical to :meth:`~repro.approx.quantize.QuantizedPwl.lookup` +
@@ -53,7 +49,6 @@ if TYPE_CHECKING:
 __all__ = [
     "KernelBackend",
     "NumpyBackend",
-    "LoopbackBackend",
     "NumbaBackend",
     "BACKENDS",
     "resolve_backend",
@@ -112,9 +107,9 @@ class KernelBackend(Protocol):
 _STATS: dict[str, dict[str, int]] = {}
 
 
-def _record_launch(name: str, elements: int, launches: int = 1) -> None:
+def _record_launch(name: str, elements: int) -> None:
     stats = _STATS.setdefault(name, {"launches": 0, "elements": 0})
-    stats["launches"] += launches
+    stats["launches"] += 1
     stats["elements"] += elements
 
 
@@ -141,7 +136,7 @@ def kernel_cache_info() -> dict[str, Any]:
 
     ``registered`` lists every name the registry accepts;
     ``available`` the subset whose dependencies import in this process
-    (numpy and loopback always; numba only when installed);
+    (numpy always; numba only when installed);
     ``backends`` maps each backend that has launched to its cumulative
     ``launches`` / ``elements`` tallies.
     """
@@ -180,56 +175,6 @@ class NumpyBackend:
         self, addresses: np.ndarray, n_beats: int
     ) -> np.ndarray:
         return _closed_form_tag_totals(addresses, n_beats)
-
-
-# ----------------------------------------------------------------------
-# loopback: the pre-refactor per-batch Python loop, pinned as reference
-# ----------------------------------------------------------------------
-
-
-class LoopbackBackend:
-    """Per-batch, per-router Python iteration — the wall-clock baseline.
-
-    Reproduces how the stack executed before the whole-batch kernels:
-    one small table lookup + MAC per router row per batch, paying the
-    Python/numpy dispatch overhead on every token the way the per-token
-    decode loop did.  Bit-exact (the per-row ops are the same
-    elementwise numerics), deliberately slow, and pinned so
-    ``benchmarks/bench_kernel_backends.py`` has a stable denominator.
-    """
-
-    name = "loopback"
-
-    def table_gather_mac(
-        self, table: "QuantizedPwl", xs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        xs = np.asarray(xs, dtype=np.float64)
-        quantized = table.quantized_pwl
-        outputs = np.empty_like(xs)
-        addresses = np.empty(xs.shape, dtype=np.int64)
-        launches = 0
-        for t in range(xs.shape[0]):
-            for r in range(xs.shape[1]):
-                xq, idx = table.lookup(xs[t, r])
-                outputs[t, r] = table.output_format.mac(
-                    quantized.slopes[idx], xq, quantized.biases[idx]
-                )
-                addresses[t, r] = idx
-                launches += 1
-        _record_launch(self.name, xs.size, launches=max(launches, 1))
-        return outputs, addresses
-
-    def tag_match_totals(
-        self, addresses: np.ndarray, n_beats: int
-    ) -> np.ndarray:
-        addresses = np.asarray(addresses)
-        n_batches, n_routers, n_neurons = addresses.shape
-        totals = np.zeros(n_routers, dtype=np.int64)
-        for t in range(n_batches):
-            for r in range(n_routers):
-                row = addresses[t, r] & (n_beats - 1)
-                totals[r] += int(row.sum()) + n_neurons
-        return totals
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +312,6 @@ class NumbaBackend:
 #: :data:`repro.core.config.KERNEL_BACKENDS`).
 BACKENDS: dict[str, Callable[[], KernelBackend]] = {
     "numpy": NumpyBackend,
-    "loopback": LoopbackBackend,
     "numba": NumbaBackend,
 }
 
@@ -407,8 +351,8 @@ def resolve_backend(name: str) -> KernelBackend:
 def available_backends() -> tuple[str, ...]:
     """Registry names whose dependencies import in this process.
 
-    This is what the equivalence tests parametrise over: numpy and
-    loopback always qualify; numba only where installed.
+    This is what the equivalence tests parametrise over: numpy always
+    qualifies; numba only where installed.
     """
     names = []
     for name, factory in sorted(BACKENDS.items()):

@@ -9,6 +9,7 @@ of :mod:`repro.hw.calibration` sets the absolute gauge.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from repro.accelerators import build_accelerator
@@ -33,9 +34,11 @@ __all__ = [
     "nvdla_duty_cycle_estimate",
     "batched_serving_throughput",
     "decode_serving_throughput",
-    "kernel_backend_throughput",
     "paged_decode_utilization",
     "prefix_caching_residency",
+    "speculative_decode_speedup",
+    "tree_speculation_speedup",
+    "serving_slo_comparison",
 ]
 
 
@@ -500,6 +503,69 @@ def scalability_sweep() -> ExperimentResult:
     return result
 
 
+# ----------------------------------------------------------------------
+# Serving studies (the ROADMAP's serving direction, not paper figures)
+# ----------------------------------------------------------------------
+
+def _setup(config, seed, model_name, max_new_tokens: int = 1):
+    """Resolve one serving study's config, seed, model and session.
+
+    ``config`` is a :class:`repro.core.config.NovaConfig` or preset
+    name.  ``seed`` defaults to the config's own seed (so ``--override
+    seed=N`` on the CLI takes effect); an explicit seed is written into
+    the config, so it seeds both the synthetic requests and the
+    engines' compile-time tables.  ``model_name`` is a
+    :data:`repro.workloads.bert.SERVING_MODELS` key or a
+    :class:`repro.workloads.transformer.TransformerConfig`.  The
+    studies report tokens/s over generated tokens, so
+    ``max_new_tokens`` must be >= 1.
+    """
+    from repro.core.session import NovaSession
+    from repro.workloads.bert import serving_config
+
+    if max_new_tokens < 1:
+        raise ValueError(
+            "the study measures tokens/s over generated tokens, so "
+            f"max_new_tokens must be >= 1 (got {max_new_tokens})"
+        )
+    cfg = as_config(config)
+    if seed is None:
+        seed = cfg.seed
+    elif cfg.seed != seed:
+        cfg = cfg.replace(seed=seed)
+    return cfg, seed, serving_config(model_name), NovaSession(cfg)
+
+
+def _solo(serve, requests):
+    """A one-at-a-time path for :func:`_timed`: it warms on the first
+    request and runs every request in turn."""
+    return (
+        lambda: serve(requests[0]),
+        lambda: [serve(r) for r in requests],
+    )
+
+
+def _timed(warmup: bool, *paths) -> list[tuple]:
+    """Time one run of each path, in order: ``[(result, wall_s), ...]``.
+
+    A path is a zero-argument callable (warmed by one untimed call of
+    itself) or a ``(warm, run)`` pair such as :func:`_solo` builds.
+    With ``warmup`` every path is warmed before any is timed, so the
+    timings are steady-state (first-call allocator growth and
+    table/schedule cache population excluded).
+    """
+    pairs = [p if isinstance(p, tuple) else (p, p) for p in paths]
+    if warmup:
+        for warm, _ in pairs:
+            warm()
+    timed = []
+    for _, run in pairs:
+        t0 = time.perf_counter()
+        result = run()
+        timed.append((result, time.perf_counter() - t0))
+    return timed
+
+
 def batched_serving_throughput(
     model_name: str = "BERT-tiny",
     batch_size: int = 8,
@@ -510,63 +576,39 @@ def batched_serving_throughput(
 ) -> ExperimentResult:
     """Sequential vs batched attention serving on one overlay geometry.
 
-    Not a paper figure — this is the ROADMAP's serving direction: the
-    same batch of attention requests is run once through the
+    The same batch of attention requests is run once through the
     cycle-accurate single-request engine (looped) and once through the
     batched serving engine (lane-packed, vectorised), and the table
     reports wall-clock throughput, per-request vector cycles and the
-    packing win.  ``config`` is a :class:`repro.core.config.NovaConfig`
-    or preset name (default: the Jetson-like Table II geometry); ``seed``
-    seeds both the synthetic requests and the engines' compile-time
-    tables and defaults to the config's own seed (so ``--override
-    seed=N`` on the CLI takes effect).  Before the table is built,
-    outputs, per-request cycle
+    packing win.  Before the table is built, outputs, per-request cycle
     counts and per-request event counters are checked identical between
-    the two paths (``RuntimeError`` on divergence).  ``warmup`` runs
-    each path once first so the timings are steady-state (first-call
-    allocator growth and table/schedule cache population excluded);
-    this is also the single harness behind
+    the two paths (``RuntimeError`` on divergence).  ``config``,
+    ``seed`` and ``model_name`` resolve as in :func:`_setup`;
+    ``warmup`` runs each path once first (:func:`_timed`).  This is
+    also the single harness behind
     ``benchmarks/bench_batched_serving.py``.
     """
-    import time
-
     import numpy as np
 
-    from repro.core.session import NovaSession
     from repro.workloads.bert import bert_attention_batch
 
-    cfg = as_config(config)
-    if seed is None:
-        seed = cfg.seed
-    elif cfg.seed != seed:
-        cfg = cfg.replace(seed=seed)
+    cfg, seed, model, session = _setup(config, seed, model_name)
     requests = bert_attention_batch(
-        model_name, batch_size, seq_len=seq_len, seed=seed
+        model, batch_size, seq_len=seq_len, seed=seed
     )
-    session = NovaSession(cfg)
     sequential = session.reference
     batched = session.server
 
-    if warmup:
-        first = requests[0]
-        sequential.attention_layer(
-            first.x, first.wq, first.wk, first.wv, first.wo,
-            n_heads=first.n_heads,
-        )
-        batched.attention_batch(requests)
-
-    t0 = time.perf_counter()
-    seq_results = [
-        sequential.attention_layer(
+    def attend(r):
+        return sequential.attention_layer(
             r.x, r.wq, r.wk, r.wv, r.wo, n_heads=r.n_heads
         )
-        for r in requests
-    ]
-    t_sequential = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    batch = batched.attention_batch(requests)
-    t_batched = time.perf_counter() - t0
+    (seq_results, t_sequential), (batch, t_batched) = _timed(
+        warmup,
+        _solo(attend, requests),
+        lambda: batched.attention_batch(requests),
+    )
 
     for i, (got, ref) in enumerate(zip(batch.results, seq_results)):
         if (
@@ -583,7 +625,7 @@ def batched_serving_throughput(
     result = ExperimentResult(
         experiment_id="Serving",
         title=(
-            f"Batched attention serving: {batch_size} x {model_name} "
+            f"Batched attention serving: {batch_size} x {model.name} "
             f"(seq {seq_len}) on {cfg.n_routers}x{cfg.neurons_per_router} "
             "lanes"
         ),
@@ -671,54 +713,30 @@ def decode_serving_throughput(
     table is built, every request's generated tokens, per-step
     sequential-equivalent cycles and event counters are checked
     identical between the two paths (``RuntimeError`` on divergence).
-    ``model_name`` is a causal :data:`repro.workloads.bert.SERVING_MODELS`
-    key or a :class:`repro.workloads.transformer.TransformerConfig`
-    directly; ``seed`` defaults to the config's own seed; ``warmup``
-    runs each path once first so the timings are steady-state.  This is
-    also the single harness behind
+    ``model_name`` must be causal; ``config``, ``seed`` and
+    ``model_name`` resolve as in :func:`_setup`, and ``warmup`` runs
+    each path once first.  This is also the single harness behind
     ``benchmarks/bench_decode_serving.py``.
     """
-    import time
-
     from repro.core.decode import ContinuousBatchScheduler
-    from repro.core.session import NovaSession
-    from repro.workloads.bert import decode_batch, serving_config
-    from repro.workloads.transformer import TransformerConfig
+    from repro.workloads.bert import decode_batch
 
-    if max_new_tokens < 1:
-        raise ValueError(
-            "decode_serving_throughput measures tokens/sec over generated "
-            f"tokens, so max_new_tokens must be >= 1 (got {max_new_tokens})"
-        )
-    cfg = as_config(config)
-    if seed is None:
-        seed = cfg.seed
-    elif cfg.seed != seed:
-        cfg = cfg.replace(seed=seed)
-    model = (
-        model_name
-        if isinstance(model_name, TransformerConfig)
-        else serving_config(model_name)
+    cfg, seed, model, session = _setup(
+        config, seed, model_name, max_new_tokens
     )
     requests = decode_batch(
         model, batch_size, prompt_len=prompt_len,
         max_new_tokens=max_new_tokens, seed=seed,
     )
-    session = NovaSession(cfg)
     engine = session.decoder
 
-    if warmup:
-        engine.generate(requests[0])
-        ContinuousBatchScheduler(engine, max_active=max_active).run(requests)
-
-    t0 = time.perf_counter()
-    solo = [engine.generate(r) for r in requests]
-    t_solo = time.perf_counter() - t0
-
-    scheduler = ContinuousBatchScheduler(engine, max_active=max_active)
-    t0 = time.perf_counter()
-    batch = scheduler.run(requests)
-    t_batched = time.perf_counter() - t0
+    (solo, t_solo), (batch, t_batched) = _timed(
+        warmup,
+        _solo(engine.generate, requests),
+        lambda: ContinuousBatchScheduler(
+            engine, max_active=max_active
+        ).run(requests),
+    )
 
     _check_solo_exact("continuous batching", batch.results, solo)
 
@@ -770,143 +788,8 @@ def decode_serving_throughput(
     return result
 
 
-def kernel_backend_throughput(
-    model_name="GPT-2-small",
-    batch_size: int = 6,
-    prompt_len: int = 8,
-    max_new_tokens: int = 64,
-    config: "NovaConfig | str" = "jetson-nx",
-    seed: int | None = None,
-    max_active: int = 8,
-    backends: "tuple[str, ...] | list[str] | None" = None,
-    warmup: bool = True,
-) -> ExperimentResult:
-    """Kernel backends racing the pinned per-token loopback reference.
-
-    The same long-decode continuous-batch sweep (``batch_size`` causal
-    requests, ``prompt_len`` + ``max_new_tokens`` tokens each, served
-    through the :class:`~repro.core.decode.ContinuousBatchScheduler`)
-    runs once per kernel backend, and the table reports wall-clock
-    tokens/sec plus the speedup over the first row.  ``backends``
-    defaults to ``loopback`` (the pre-kernel per-token execution,
-    pinned as the denominator) followed by every other backend
-    installed in this process (:func:`repro.core.kernels.
-    available_backends`); the first entry is always the baseline.
-
-    Before the table is built, every backend's results are checked
-    bit/cycle/counter-identical to the baseline's (``RuntimeError`` on
-    divergence) — backends are an execution-speed lever only, and this
-    harness enforces it before reporting any speedup.  This is also the
-    single harness behind ``benchmarks/bench_kernel_backends.py``.
-    """
-    import time
-
-    from repro.core.decode import ContinuousBatchScheduler
-    from repro.core.kernels import available_backends, kernel_cache_info
-    from repro.core.session import NovaSession
-    from repro.workloads.bert import decode_batch, serving_config
-    from repro.workloads.transformer import TransformerConfig
-
-    if max_new_tokens < 1:
-        raise ValueError(
-            "kernel_backend_throughput measures tokens/sec over generated "
-            f"tokens, so max_new_tokens must be >= 1 (got {max_new_tokens})"
-        )
-    cfg = as_config(config)
-    if seed is None:
-        seed = cfg.seed
-    elif cfg.seed != seed:
-        cfg = cfg.replace(seed=seed)
-    if backends is None:
-        names = ["loopback"] + [
-            name for name in available_backends() if name != "loopback"
-        ]
-    else:
-        names = list(backends)
-    if not names:
-        raise ValueError("kernel_backend_throughput needs >= 1 backend")
-    model = (
-        model_name
-        if isinstance(model_name, TransformerConfig)
-        else serving_config(model_name)
-    )
-    requests = decode_batch(
-        model, batch_size, prompt_len=prompt_len,
-        max_new_tokens=max_new_tokens, seed=seed,
-    )
-
-    runs = []
-    for name in names:
-        # cfg validation rejects unknown names; missing optional deps
-        # fall back to numpy inside resolve_backend (with a warning)
-        session = NovaSession(cfg.replace(kernel_backend=name))
-        engine = session.decoder
-        scheduler = ContinuousBatchScheduler(engine, max_active=max_active)
-        if warmup:
-            scheduler.run(requests)
-            scheduler = ContinuousBatchScheduler(
-                engine, max_active=max_active
-            )
-        resolved = engine.unit.backend.name
-        before = (
-            kernel_cache_info()["backends"]
-            .get(resolved, {})
-            .get("launches", 0)
-        )
-        t0 = time.perf_counter()
-        batch = scheduler.run(requests)
-        wall = time.perf_counter() - t0
-        launches = (
-            kernel_cache_info()["backends"][resolved]["launches"] - before
-        )
-        runs.append((name, resolved, wall, batch, launches))
-
-    _, _, _, reference, _ = runs[0]
-    for name, _, _, batch, _ in runs[1:]:
-        _check_solo_exact(
-            f"kernel backend {name!r}", batch.results, reference.results
-        )
-
-    tokens = reference.total_generated_tokens
-    base_wall = runs[0][2]
-    result = ExperimentResult(
-        experiment_id="Kernel backends",
-        title=(
-            f"Kernel backends: {batch_size} x {model.name} (prompt "
-            f"{prompt_len} + {max_new_tokens} new) continuously batched "
-            f"on {cfg.n_routers}x{cfg.neurons_per_router} lanes"
-        ),
-        headers=[
-            "Backend", "Wall s", "Tokens/s", "Vector cycles",
-            "Kernel launches", "Speedup",
-        ],
-        notes=(
-            "Generated tokens, per-step vector_cycles and event counters "
-            "identical across every backend (checked against the first "
-            "row before reporting). The loopback backend pins the "
-            "pre-kernel per-token execution as the wall-clock "
-            "denominator; accelerated rows differ only in how the "
-            "whole-batch gather/MAC primitives execute. "
-            f"{reference.scheduler_steps} scheduler steps per run."
-        ),
-    )
-    for name, resolved, wall, batch, launches in runs:
-        label = name if name == resolved else f"{name} (-> {resolved})"
-        result.rows.append(
-            [
-                label,
-                round(wall, 4),
-                round(tokens / wall, 2),
-                batch.packed_vector_cycles,
-                launches,
-                f"{base_wall / wall:.2f}x",
-            ]
-        )
-    return result
-
-
 def paged_decode_utilization(
-    model_name=None,
+    model_name="gpt2-mini",
     batch_size: int = 16,
     config: "NovaConfig | str" = "jetson-nx",
     pool_pages: int = 4,
@@ -937,39 +820,16 @@ def paged_decode_utilization(
     table is built (``RuntimeError`` on divergence).  ``block_size``
     defaults to the config's ``kv_block_size``.
     """
-    import time
-
     from repro.core.decode import ContinuousBatchScheduler
-    from repro.core.session import NovaSession
-    from repro.workloads.bert import mixed_decode_batch, serving_config
-    from repro.workloads.transformer import TransformerConfig
+    from repro.workloads.bert import mixed_decode_batch
 
     if pool_pages < 1:
         raise ValueError(f"pool_pages must be >= 1, got {pool_pages}")
-    cfg = as_config(config)
-    if seed is None:
-        seed = cfg.seed
-    elif cfg.seed != seed:
-        cfg = cfg.replace(seed=seed)
-    if model_name is None:
-        # GPT-2 family shape scaled down (same rationale as the decode
-        # benchmark: at full width numpy GEMVs dominate both paths and
-        # the harness would measure numpy, not the memory model), with
-        # a real 256-token context so worst-case pages are 10-60x the
-        # tokens a mixed request actually caches.
-        model = TransformerConfig(
-            "gpt2-mini", layers=1, hidden=64, heads=4, intermediate=256,
-            seq_len=256, causal=True,
-        )
-    elif isinstance(model_name, TransformerConfig):
-        model = model_name
-    else:
-        model = serving_config(model_name)
+    cfg, seed, model, session = _setup(config, seed, model_name)
     requests = mixed_decode_batch(
         model, batch_size, prompt_lens=prompt_lens, new_tokens=new_tokens,
         seed=seed,
     )
-    session = NovaSession(cfg)
     engine = session.decoder
     bs = cfg.kv_block_size if block_size is None else block_size
 
@@ -977,23 +837,18 @@ def paged_decode_utilization(
     page_bytes = 2 * 8 * model.heads * head_dim * model.seq_len
     pool_bytes = pool_pages * page_bytes
 
-    def run_path(paged: bool):
-        scheduler = ContinuousBatchScheduler(
+    def serve(paged: bool):
+        return ContinuousBatchScheduler(
             engine, max_active=batch_size, paged=paged,
             block_size=bs if paged else None, pool_bytes=pool_bytes,
-        )
-        t0 = time.perf_counter()
-        batch = scheduler.run(requests)
-        return batch, time.perf_counter() - t0
+        ).run(requests)
 
-    if warmup:
-        engine.generate(requests[0])
-        run_path(False)
-        run_path(True)
-
-    solo = [engine.generate(r) for r in requests]
-    contiguous, t_contiguous = run_path(False)
-    paged, t_paged = run_path(True)
+    (solo, _), (contiguous, t_contiguous), (paged, t_paged) = _timed(
+        warmup,
+        _solo(engine.generate, requests),
+        lambda: serve(False),
+        lambda: serve(True),
+    )
 
     for label, batch in (("contiguous", contiguous), ("paged", paged)):
         _check_solo_exact(f"{label} scheduling", batch.results, solo)
@@ -1046,7 +901,7 @@ def paged_decode_utilization(
 
 
 def prefix_caching_residency(
-    model_name=None,
+    model_name="gpt2-mini",
     batch_size: int = 8,
     prefix_tokens: int = 64,
     suffix_tokens: int = 2,
@@ -1078,23 +933,15 @@ def prefix_caching_residency(
     arrive one cycle after the leader so adoption happens against a
     published prefix rather than racing the leader's prefill.
     """
-    import time
-
     from repro.core.decode import ContinuousBatchScheduler, SequenceMeta
-    from repro.core.session import NovaSession
-    from repro.workloads.bert import serving_config, shared_prefix_decode_batch
-    from repro.workloads.transformer import TransformerConfig
+    from repro.workloads.bert import shared_prefix_decode_batch
 
     if batch_size < 2:
         raise ValueError(
             f"batch_size must be >= 2 (nothing shares below that), "
             f"got {batch_size}"
         )
-    cfg = as_config(config)
-    if seed is None:
-        seed = cfg.seed
-    elif cfg.seed != seed:
-        cfg = cfg.replace(seed=seed)
+    cfg, seed, model, session = _setup(config, seed, model_name)
     bs = cfg.kv_block_size if block_size is None else block_size
     if prefix_tokens < bs:
         raise ValueError(
@@ -1102,18 +949,6 @@ def prefix_caching_residency(
             f"(nothing below a full block is shareable), got "
             f"{prefix_tokens}"
         )
-    if model_name is None:
-        # Same scaled-down GPT-2 shape as paged_decode_utilization, and
-        # for the same reason: at full width numpy GEMVs dominate both
-        # paths and the harness would measure numpy, not the pool.
-        model = TransformerConfig(
-            "gpt2-mini", layers=1, hidden=64, heads=4, intermediate=256,
-            seq_len=256, causal=True,
-        )
-    elif isinstance(model_name, TransformerConfig):
-        model = model_name
-    else:
-        model = serving_config(model_name)
     requests = shared_prefix_decode_batch(
         model, batch_size, prefix_len=prefix_tokens,
         suffix_len=suffix_tokens, max_new_tokens=max_new_tokens, seed=seed,
@@ -1123,26 +958,20 @@ def prefix_caching_residency(
     metas = [SequenceMeta(arrival=0.0)] + [
         SequenceMeta(arrival=1.0) for _ in requests[1:]
     ]
-    session = NovaSession(cfg)
     engine = session.decoder
 
-    def run_path(prefix: bool):
-        scheduler = ContinuousBatchScheduler(
+    def serve(prefix: bool):
+        return ContinuousBatchScheduler(
             engine, max_active=batch_size, paged=True, block_size=bs,
             prefix_caching=prefix,
-        )
-        t0 = time.perf_counter()
-        batch = scheduler.run(requests, meta=metas)
-        return batch, time.perf_counter() - t0
+        ).run(requests, meta=metas)
 
-    if warmup:
-        engine.generate(requests[0])
-        run_path(False)
-        run_path(True)
-
-    solo = [engine.generate(r) for r in requests]
-    plain, t_plain = run_path(False)
-    cached, t_cached = run_path(True)
+    (solo, _), (plain, t_plain), (cached, t_cached) = _timed(
+        warmup,
+        _solo(engine.generate, requests),
+        lambda: serve(False),
+        lambda: serve(True),
+    )
 
     for label, batch in (("uncached", plain), ("prefix-cached", cached)):
         _check_solo_exact(f"{label} scheduling", batch.results, solo)
@@ -1155,7 +984,6 @@ def prefix_caching_residency(
         )
     for label, batch in (("uncached", plain), ("prefix-cached", cached)):
         info = batch.paging
-        assert info is not None
         if info["in_use"] != 0 or info["blocks_allocated"] != info[
             "blocks_freed"
         ]:
@@ -1194,7 +1022,6 @@ def prefix_caching_residency(
         ("paged + prefix cache", cached, t_cached),
     ):
         info = batch.paging
-        assert info is not None
         result.rows.append(
             [
                 label,
@@ -1211,7 +1038,7 @@ def prefix_caching_residency(
 
 
 def speculative_decode_speedup(
-    model_name=None,
+    model_name="gpt2-mini",
     batch_size: int = 8,
     prompt_len: int = 16,
     max_new_tokens: int = 32,
@@ -1247,71 +1074,35 @@ def speculative_decode_speedup(
     (the plain run's cycles over the path's charged cycles, a
     deterministic number).
     """
-    import time
-
     from repro.core.decode import ContinuousBatchScheduler
-    from repro.core.session import NovaSession
     from repro.core.speculative import SpeculativeDecodeEngine
-    from repro.workloads.bert import serving_config, speculative_decode_batch
-    from repro.workloads.transformer import TransformerConfig
+    from repro.workloads.bert import speculative_decode_batch
 
-    if max_new_tokens < 1:
-        raise ValueError(
-            "speculative_decode_speedup measures tokens/sec over generated "
-            f"tokens, so max_new_tokens must be >= 1 (got {max_new_tokens})"
-        )
-    cfg = as_config(config)
-    if seed is None:
-        seed = cfg.seed
-    elif cfg.seed != seed:
-        cfg = cfg.replace(seed=seed)
+    cfg, seed, model, session = _setup(
+        config, seed, model_name, max_new_tokens
+    )
     if spec_k is None:
         spec_k = cfg.spec_k
-    if model_name is None:
-        # GPT-2 family shape scaled down (same rationale as the other
-        # decode harnesses: at full width numpy GEMVs dominate every
-        # path and the harness would measure numpy, not the serving
-        # machinery).
-        model = TransformerConfig(
-            "gpt2-mini", layers=1, hidden=64, heads=4, intermediate=256,
-            seq_len=256, causal=True,
-        )
-    elif isinstance(model_name, TransformerConfig):
-        model = model_name
-    else:
-        model = serving_config(model_name)
     requests, draft_factory = speculative_decode_batch(
         model, batch_size, acceptance_rate=acceptance_rate,
         prompt_len=prompt_len, max_new_tokens=max_new_tokens, seed=seed,
         config=cfg, spec_k=spec_k,
     )
-    session = NovaSession(cfg)
     engine = session.decoder
     speculator = SpeculativeDecodeEngine(engine, spec_k=spec_k)
 
-    def run_scheduler():
-        scheduler = ContinuousBatchScheduler(
+    (plain, t_plain), (solo, t_solo), (batch, t_batched) = _timed(
+        warmup,
+        _solo(engine.generate, requests),
+        _solo(
+            lambda r: speculator.generate(r, draft=draft_factory()),
+            requests,
+        ),
+        lambda: ContinuousBatchScheduler(
             engine, max_active=max_active, speculative=True,
             spec_k=spec_k, draft_factory=draft_factory,
-        )
-        t0 = time.perf_counter()
-        batch = scheduler.run(requests)
-        return batch, time.perf_counter() - t0
-
-    if warmup:
-        engine.generate(requests[0])
-        speculator.generate(requests[0], draft=draft_factory())
-        run_scheduler()
-
-    t0 = time.perf_counter()
-    plain = [engine.generate(r) for r in requests]
-    t_plain = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    solo = [speculator.generate(r, draft=draft_factory()) for r in requests]
-    t_solo = time.perf_counter() - t0
-
-    batch, t_batched = run_scheduler()
+        ).run(requests),
+    )
 
     for label, results in (("solo", solo), ("batched", batch.results)):
         _check_solo_exact(
@@ -1397,7 +1188,7 @@ def speculative_decode_speedup(
 
 
 def tree_speculation_speedup(
-    model_name=None,
+    model_name="gpt2-mini",
     batch_size: int = 8,
     prompt_len: int = 16,
     max_new_tokens: int = 32,
@@ -1438,72 +1229,46 @@ def tree_speculation_speedup(
     linear chain.
     """
     import itertools
-    import time
 
     from repro.core.decode import ContinuousBatchScheduler
-    from repro.core.session import NovaSession
     from repro.core.speculative import DraftTree, TruncatedTableDraft
-    from repro.workloads.bert import decode_batch, serving_config
-    from repro.workloads.transformer import TransformerConfig
+    from repro.workloads.bert import decode_batch
 
-    if max_new_tokens < 1:
-        raise ValueError(
-            "tree_speculation_speedup measures tokens/sec over generated "
-            f"tokens, so max_new_tokens must be >= 1 (got {max_new_tokens})"
-        )
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError(f"fidelity must be in [0, 1], got {fidelity}")
-    cfg = as_config(config)
-    if seed is None:
-        seed = cfg.seed
-    elif cfg.seed != seed:
-        cfg = cfg.replace(seed=seed)
+    cfg, seed, model, session = _setup(
+        config, seed, model_name, max_new_tokens
+    )
     if spec_tree is None:
         spec_tree = cfg.spec_tree if cfg.spec_tree is not None else "4x1,2x1,1x1"
     tree = DraftTree.parse(spec_tree)
     # the linear baseline stakes exactly as many provisional tokens per
     # pass as the tree has nodes: same budget, different shape
     spec_k = tree.max_nodes
-    if model_name is None:
-        model = TransformerConfig(
-            "gpt2-mini", layers=1, hidden=64, heads=4, intermediate=256,
-            seq_len=256, causal=True,
-        )
-    elif isinstance(model_name, TransformerConfig):
-        model = model_name
-    else:
-        model = serving_config(model_name)
     requests = decode_batch(
         model, batch_size, prompt_len=prompt_len,
         max_new_tokens=max_new_tokens, seed=seed,
     )
-    session = NovaSession(cfg)
     engine = session.decoder
     plain = [engine.generate(r) for r in requests]
 
-    def run_scheduler(shape: str | None):
+    def serve(shape: str | None):
         # successive drafts draw successive seeds, same rationale as
         # speculative_decode_batch: one coin sequence per request
         draft_seeds = itertools.count(seed)
         # pool sized so provisional branches never hit the fallback
         # path: the study measures budget shape, not memory pressure
-        scheduler = ContinuousBatchScheduler(
+        return ContinuousBatchScheduler(
             engine, max_active=max_active, paged=True, speculative=True,
             spec_k=spec_k, spec_tree=shape, pool_blocks=1024,
             draft_factory=lambda: TruncatedTableDraft(
                 cfg, fidelity=fidelity, seed=next(draft_seeds)
             ),
-        )
-        t0 = time.perf_counter()
-        batch = scheduler.run(requests)
-        return batch, time.perf_counter() - t0
+        ).run(requests)
 
-    if warmup:
-        run_scheduler(None)
-        run_scheduler(spec_tree)
-
-    linear, t_linear = run_scheduler(None)
-    treed, t_tree = run_scheduler(spec_tree)
+    (linear, t_linear), (treed, t_tree) = _timed(
+        warmup, lambda: serve(None), lambda: serve(spec_tree)
+    )
 
     for label, batch in (("linear", linear), ("tree", treed)):
         _check_solo_exact(
@@ -1597,8 +1362,7 @@ def serving_slo_comparison(
     from repro.serving.frontdoor import FrontDoor
 
     cfg = as_config(config)
-    session = NovaSession(cfg)
-    engine = session.decoder
+    engine = NovaSession(cfg).decoder
 
     hidden, n_heads = 16, 2
     cpt = estimate_cycles_per_token(

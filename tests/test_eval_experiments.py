@@ -22,6 +22,22 @@ def ratios(column):
     return [float(str(c).rstrip("x")) for c in column]
 
 
+@pytest.fixture
+def solo_checks(monkeypatch):
+    """Labels of every ``_check_solo_exact`` call a study makes."""
+    from repro.eval import experiments
+
+    labels = []
+    check = experiments._check_solo_exact
+
+    def spy(label, *args, **kwargs):
+        labels.append(label)
+        return check(label, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_check_solo_exact", spy)
+    return labels
+
+
 class TestTable2:
     def test_rows_match_paper_configs(self):
         result = table2_configs()
@@ -252,6 +268,46 @@ class TestOthers:
             prefix_caching_residency(batch_size=1)
         with pytest.raises(ValueError, match="full block"):
             prefix_caching_residency(prefix_tokens=4, block_size=8)
+
+    def test_tree_speculation_speedup_rows(self, solo_checks):
+        from repro.eval.experiments import tree_speculation_speedup
+        from repro.workloads.transformer import TransformerConfig
+
+        model = TransformerConfig(
+            "tree-smoke", layers=1, hidden=8, heads=2, intermediate=32,
+            seq_len=64, causal=True,
+        )
+        result = tree_speculation_speedup(
+            model_name=model, batch_size=2, prompt_len=4, max_new_tokens=4,
+            config="jetson-nx", spec_tree="2x1,1x1", warmup=False,
+        )
+        assert result.column("Path") == [
+            "linear chain (spec_k)", "draft tree (2x1,1x1)",
+        ]
+        assert solo_checks == [
+            "speculative decode (linear)", "speculative decode (tree)",
+        ]
+        assert result.column("vs linear")[0] == "1.00x"
+
+    def test_tree_speculation_speedup_validation(self):
+        from repro.eval.experiments import tree_speculation_speedup
+
+        for fidelity in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="fidelity"):
+                tree_speculation_speedup(fidelity=fidelity)
+        with pytest.raises(ValueError, match="max_new_tokens"):
+            tree_speculation_speedup(max_new_tokens=0)
+
+    def test_serving_slo_comparison_rows(self, solo_checks):
+        from repro.eval.experiments import serving_slo_comparison
+
+        result = serving_slo_comparison(
+            n_requests=6, config="jetson-nx", max_active=2,
+            policies=("fcfs", "slo-aware"),
+        )
+        assert result.column("Policy") == ["fcfs", "slo-aware"]
+        assert solo_checks == ["policy 'fcfs'", "policy 'slo-aware'"]
+        assert all(0.0 <= float(a) <= 1.0 for a in result.column("SLO attain"))
 
     def test_render_experiment(self):
         text = render_experiment(table2_configs())

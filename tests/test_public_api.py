@@ -15,6 +15,7 @@ PACKAGES = [
     "repro.workloads",
     "repro.ml",
     "repro.eval",
+    "repro.eval.experiments",
     "repro.serving",
     "repro.utils",
 ]
