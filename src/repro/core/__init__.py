@@ -87,6 +87,7 @@ from repro.core.decode import (
     ContinuousBatchResult,
 )
 from repro.core.speculative import (
+    DraftBranch,
     DraftModel,
     NGramDraft,
     TruncatedTableDraft,
@@ -150,6 +151,7 @@ __all__ = [
     "NovaDecodeEngine",
     "ContinuousBatchScheduler",
     "ContinuousBatchResult",
+    "DraftBranch",
     "DraftModel",
     "NGramDraft",
     "TruncatedTableDraft",

@@ -33,16 +33,25 @@ token per pass.
 
 Draft models
 ------------
+A draft answers **one call per tree level**:
+``propose_candidates(request, branches, position, width)`` receives every
+live frontier node of the level as a :class:`DraftBranch` (its input
+embedding, its branch cache and the verify plan's already-computed
+max-subtracted scores) and returns up to ``width`` alternative proposals
+per branch; a linear chain is the width-1 case of the same call.
 :class:`TruncatedTableDraft` re-runs the per-token host numerics through
 the *same compiled LUT objects* the engine holds (``QuantizedPwl.
 evaluate`` is the golden model the hardware is bit-exact against), so at
 ``fidelity=1.0`` every proposal verifies bit-identically with zero
-overlay cost.  ``fidelity < 1.0`` drafts a seeded, per-position fraction
-of tokens through the same LUTs at *reduced output precision* instead —
-those proposals disagree and are rejected, making ``fidelity`` the
-long-run acceptance-rate knob the serving studies sweep (the simulator
-stand-in for draft-model quality).  :class:`NGramDraft` is the
-model-free alternative: it replays the output last seen after a
+overlay cost.  It reuses the plan's scores instead of re-projecting, and
+streams a whole level through one exp and one reciprocal evaluation
+(:func:`host_level_outputs`) — the long-vector batching the overlay
+itself relies on.  ``fidelity < 1.0`` drafts a seeded, per-position
+fraction of tokens through the same LUTs at *reduced output precision*
+instead — those proposals disagree and are rejected, making
+``fidelity`` the long-run acceptance-rate knob the serving studies sweep
+(the simulator stand-in for draft-model quality).  :class:`NGramDraft`
+is the model-free alternative: it replays the output last seen after a
 matching (reduced-precision-keyed) input, which starts paying off once
 a self-fed trajectory revisits states.  :class:`ScheduledDraft` follows
 an explicit accept/reject program — the test and golden-trace
@@ -126,12 +135,14 @@ if TYPE_CHECKING:
     from repro.core.vector_unit import NovaVectorUnit
 
 __all__ = [
+    "DraftBranch",
     "DraftModel",
     "DraftTree",
     "NGramDraft",
     "TruncatedTableDraft",
     "ScheduledDraft",
     "build_draft",
+    "host_level_outputs",
     "host_step_output",
     "tree_causal_mask",
     "VerifyPassResult",
@@ -142,6 +153,79 @@ __all__ = [
 # ----------------------------------------------------------------------
 # The exact per-token step on the host (the draft models' substrate).
 # ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class DraftBranch:
+    """One live frontier node of a tree level, as a draft sees it.
+
+    ``x_t`` is the node's input embedding, ``cache`` its branch cache
+    (already holding ``x_t``'s k/v row) and ``shifted`` the verify
+    plan's max-subtracted scores of ``x_t`` against that cache,
+    ``(heads, kv_len)`` — computed once at plan time, so drafting never
+    re-projects the token or re-gathers its keys.  Every branch of one
+    level sits at the same position over the same KV span length.
+    """
+
+    x_t: np.ndarray
+    cache: KVCacheLike
+    shifted: np.ndarray
+
+
+def _truncate(x: np.ndarray, bits: int | None) -> np.ndarray:
+    """Round to ``bits`` fraction bits (``None`` keeps full precision)."""
+    if bits is None:
+        return x
+    return np.ldexp(np.round(np.ldexp(x, bits)), -bits)
+
+
+def host_level_outputs(
+    request: DecodeRequest,
+    branches: Sequence[DraftBranch],
+    drop_bits: Sequence[Sequence[int | None]],
+    exp_table: QuantizedPwl,
+    recip_table: QuantizedPwl,
+) -> list[list[np.ndarray]]:
+    """One tree level's host step outputs, every branch and alternative.
+
+    ``drop_bits[b][j]`` is alternative ``j`` of branch ``b`` (at least
+    one alternative overall): ``None`` reproduces the verification pass
+    **bit for bit** (the helpers are the single shared copies the engine
+    executes — :func:`~repro.core.attention.softmax_reduction`, ... —
+    and ``QuantizedPwl.evaluate`` is the golden model the overlay is
+    bit-exact against); an integer ``n`` rounds both non-linear results
+    to ``n`` fraction bits — the same LUTs at reduced precision, which
+    is how the in-tree drafts model a lower-fidelity draft.
+
+    The level streams like the overlay does: **one** exp evaluation over
+    every branch's stacked scores, the per-alternative truncation, one
+    row-wise softmax reduction, and **one** reciprocal evaluation over
+    every (branch, alternative) mantissa.  All of these are element-wise
+    or reduce along the last axis only, so each row is bit-identical to
+    evaluating it alone.  The context GEMV and output projection run
+    per row; each branch's value snapshot is taken once and dropped
+    after its alternatives.
+    """
+    raw = exp_table.evaluate(np.stack([b.shifted for b in branches]))
+    rows = [
+        (b, bits) for b, alternatives in enumerate(drop_bits)
+        for bits in alternatives
+    ]
+    numer, mantissa, exponent = softmax_reduction(
+        np.stack([_truncate(raw[b], bits) for b, bits in rows])
+    )
+    inv = recip_table.evaluate(mantissa)
+    for i, (_, bits) in enumerate(rows):
+        inv[i] = _truncate(inv[i], bits)
+    probs = iter(assemble_probabilities(numer, inv, exponent))
+    outputs: list[list[np.ndarray]] = []
+    for branch, alternatives in zip(branches, drop_bits):
+        values = branch.cache.values_snapshot(branch.cache.length)
+        outputs.append([
+            context_for_query(next(probs), values) @ request.wo
+            for _ in alternatives
+        ])
+    return outputs
 
 
 def host_step_output(
@@ -155,32 +239,23 @@ def host_step_output(
     """One decode step's attention output, computed entirely on the host.
 
     ``cache`` must already hold ``x_t``'s k/v row (the engine appends
-    before asking for a proposal).  With the engine's own compiled
-    tables and ``drop_to_bits=None`` this reproduces the verification
-    pass **bit for bit**: the helpers are the single shared copies the
-    engine executes (:func:`~repro.core.decode.project_token`,
-    :func:`~repro.core.attention.softmax_reduction`, ...) and
-    ``QuantizedPwl.evaluate`` is the golden model the overlay is
-    bit-exact against.  ``drop_to_bits=b`` rounds both non-linear
-    results to ``b`` fraction bits — the same LUTs at reduced
-    precision, which is how :class:`TruncatedTableDraft` models a
-    lower-fidelity draft.
+    before asking for a proposal).  This is the one-branch,
+    one-alternative case of :func:`host_level_outputs`: it projects
+    ``x_t`` and scores it against the cache itself, then runs the same
+    numerics — bit-identical to the verification pass with the engine's
+    own tables and ``drop_to_bits=None``.
     """
     x_t = np.asarray(x_t, dtype=np.float64).reshape(-1)
     q, _, _ = project_token(
         x_t, request.wq, request.wk, request.wv, request.n_heads
     )
-    scores = scores_for_query(q, cache.keys)
-    raw = exp_table.evaluate(shift_scores(scores))
-    if drop_to_bits is not None:
-        raw = np.ldexp(np.round(np.ldexp(raw, drop_to_bits)), -drop_to_bits)
-    numer, mantissa, exponent = softmax_reduction(raw)
-    inv = recip_table.evaluate(mantissa)
-    if drop_to_bits is not None:
-        inv = np.ldexp(np.round(np.ldexp(inv, drop_to_bits)), -drop_to_bits)
-    probs = assemble_probabilities(numer, inv, exponent)
-    context = context_for_query(probs, cache.values_snapshot(cache.length))
-    return context @ request.wo
+    branch = DraftBranch(
+        x_t, cache, shift_scores(scores_for_query(q, cache.keys))
+    )
+    ((output,),) = host_level_outputs(
+        request, [branch], [[drop_to_bits]], exp_table, recip_table
+    )
+    return output
 
 
 # ----------------------------------------------------------------------
@@ -280,31 +355,28 @@ class DraftTree:
 class DraftModel(Protocol):
     """What the speculative engine needs from a draft.
 
-    ``propose(request, cache, x_t, position)`` predicts the attention
-    output of token ``x_t`` at absolute ``position`` (the cache already
-    holds ``x_t``'s k/v row); the prediction becomes the next drafted
-    input.  ``observe(x_t, output, position)`` feeds back every
+    ``propose_candidates(request, branches, position, width)`` is called
+    **once per tree level**: ``branches`` holds every live frontier node
+    of the level (:class:`DraftBranch`, in planning order), all at
+    absolute ``position`` (each cache already holds its ``x_t``'s k/v
+    row).  It returns one list per branch of at most ``width``
+    alternative predictions of that branch's attention output; each
+    becomes a drafted input of the next level.  A linear chain is the
+    width-1 case.  ``observe(x_t, output, position)`` feeds back every
     *committed* (input, true output) pair so stateful drafts can learn
     the trajectory; ``reset()`` clears per-request state.  Proposals
     must be deterministic in ``(cache state, x_t, position)`` — the
     continuous batcher relies on that to stay result-identical to
     one-at-a-time speculative decode.
-
-    Drafts may additionally implement the optional tree extension
-    ``propose_candidates(request, cache, x_t, position, width)``
-    returning up to ``width`` alternative proposals for one
-    :class:`DraftTree` level (the in-tree drafts all do).  It is not
-    part of the protocol: a plain linear draft works under any tree —
-    wide levels just degrade to its single :meth:`propose` answer.
     """
 
-    def propose(
+    def propose_candidates(
         self,
         request: DecodeRequest,
-        cache: KVCacheLike,
-        x_t: np.ndarray,
+        branches: Sequence[DraftBranch],
         position: int,
-    ) -> np.ndarray: ...
+        width: int,
+    ) -> list[list[np.ndarray]]: ...
 
     def observe(
         self, x_t: np.ndarray, output: np.ndarray, position: int
@@ -350,63 +422,53 @@ class TruncatedTableDraft:
         self.reduced_bits = int(reduced_bits)
         self._exp = cfg.table("exp")
         self._recip = cfg.table("reciprocal")
+        #: Memoised fidelity coins by ``(position, alternative)``.
+        self._coins: dict[tuple[int, int], bool] = {}
 
-    def _exact(self, position: int, alternative: int = 0) -> bool:
+    def _exact(self, position: int, alternative: int) -> bool:
         if self.fidelity >= 1.0:
             return True
         if self.fidelity <= 0.0:
             return False
-        # Alternative 0 keeps the historical (seed, position) key so a
-        # width-1 tree draws the exact coins the linear chain always
-        # has; siblings flip independent coins.
-        key = (
-            (self.seed, position)
-            if alternative == 0
-            else (self.seed, position, alternative)
-        )
-        coin = np.random.default_rng(key).random()
-        return bool(coin < self.fidelity)
-
-    def propose(
-        self,
-        request: DecodeRequest,
-        cache: KVCacheLike,
-        x_t: np.ndarray,
-        position: int,
-    ) -> np.ndarray:
-        return host_step_output(
-            request, cache, x_t, self._exp, self._recip,
-            drop_to_bits=None if self._exact(position) else self.reduced_bits,
-        )
+        coin = self._coins.get((position, alternative))
+        if coin is None:
+            # Alternative 0 keeps the historical (seed, position) key so
+            # a width-1 tree draws the exact coins the linear chain
+            # always has; siblings flip independent coins.
+            key = (
+                (self.seed, position)
+                if alternative == 0
+                else (self.seed, position, alternative)
+            )
+            coin = bool(np.random.default_rng(key).random() < self.fidelity)
+            self._coins[(position, alternative)] = coin
+        return coin
 
     def propose_candidates(
         self,
         request: DecodeRequest,
-        cache: KVCacheLike,
-        x_t: np.ndarray,
+        branches: Sequence[DraftBranch],
         position: int,
         width: int,
-    ) -> list[np.ndarray]:
-        """``width`` alternative proposals for one tree level.
+    ) -> list[list[np.ndarray]]:
+        """``width`` alternative proposals for every branch of a level.
 
         Alternative ``j`` flips its own fidelity coin (independent per
-        sibling, still keyed on absolute position only, so acceptance is
-        pass-grouping invariant) and, when inexact, truncates to
-        ``reduced_bits + j`` fraction bits — distinct wrong siblings
-        rather than ``width`` copies of the same miss.  Alternative 0 is
-        bit-identical to :meth:`propose`.
+        sibling, keyed on absolute position only, so acceptance is
+        pass-grouping invariant and every branch of the level draws the
+        same coins) and, when inexact, truncates to ``reduced_bits + j``
+        fraction bits — distinct wrong siblings rather than ``width``
+        copies of the same miss.  The whole level is one
+        :func:`host_level_outputs` call.
         """
-        return [
-            host_step_output(
-                request, cache, x_t, self._exp, self._recip,
-                drop_to_bits=(
-                    None
-                    if self._exact(position, j)
-                    else self.reduced_bits + j
-                ),
-            )
+        drops = [
+            None if self._exact(position, j) else self.reduced_bits + j
             for j in range(width)
         ]
+        return host_level_outputs(
+            request, branches, [drops] * len(branches),
+            self._exp, self._recip,
+        )
 
     def observe(
         self, x_t: np.ndarray, output: np.ndarray, position: int
@@ -414,7 +476,7 @@ class TruncatedTableDraft:
         pass
 
     def reset(self) -> None:
-        pass
+        self._coins.clear()
 
     def __repr__(self) -> str:
         return (
@@ -453,36 +515,32 @@ class NGramDraft:
             .tobytes()
         )
 
-    def propose(
-        self,
-        request: DecodeRequest,
-        cache: KVCacheLike,
-        x_t: np.ndarray,
-        position: int,
-    ) -> np.ndarray:
-        hit = self._history.get(self._key(x_t))
-        return np.array(x_t if hit is None else hit, dtype=np.float64)
-
     def propose_candidates(
         self,
         request: DecodeRequest,
-        cache: KVCacheLike,
-        x_t: np.ndarray,
+        branches: Sequence[DraftBranch],
         position: int,
         width: int,
-    ) -> list[np.ndarray]:
-        """Up to two alternatives: the learned follower, then persistence.
+    ) -> list[list[np.ndarray]]:
+        """Up to two alternatives per branch: the learned follower, then
+        persistence.
 
         An n-gram table has exactly one follower per key, so the only
         extra hedge a tree buys it is proposing ``x_t`` itself alongside
         a history hit (on a miss the two coincide).  Narrower than
         ``width`` is fine — the tree prunes.
         """
-        hit = self._history.get(self._key(x_t))
-        candidates = [np.array(x_t if hit is None else hit, dtype=np.float64)]
-        if hit is not None and width > 1:
-            candidates.append(np.array(x_t, dtype=np.float64))
-        return candidates
+        proposals: list[list[np.ndarray]] = []
+        for branch in branches:
+            x_t = branch.x_t
+            hit = self._history.get(self._key(x_t))
+            candidates = [
+                np.array(x_t if hit is None else hit, dtype=np.float64)
+            ]
+            if hit is not None and width > 1:
+                candidates.append(np.array(x_t, dtype=np.float64))
+            proposals.append(candidates)
+        return proposals
 
     def observe(
         self, x_t: np.ndarray, output: np.ndarray, position: int
@@ -532,29 +590,15 @@ class ScheduledDraft:
         self._recip = cfg.table("reciprocal")
         self._cursor = 0
 
-    def propose(
-        self,
-        request: DecodeRequest,
-        cache: KVCacheLike,
-        x_t: np.ndarray,
-        position: int,
-    ) -> np.ndarray:
-        exact = self.program[self._cursor % len(self.program)]
-        self._cursor += 1
-        return host_step_output(
-            request, cache, x_t, self._exp, self._recip,
-            drop_to_bits=None if exact else self.reduced_bits,
-        )
-
     def propose_candidates(
         self,
         request: DecodeRequest,
-        cache: KVCacheLike,
-        x_t: np.ndarray,
+        branches: Sequence[DraftBranch],
         position: int,
         width: int,
-    ) -> list[np.ndarray]:
-        """``width`` alternatives, each consuming one program decision.
+    ) -> list[list[np.ndarray]]:
+        """``width`` alternatives per branch, each consuming one program
+        decision, branch-major.
 
         Trees visit nodes level by level in planning order, so the
         program maps onto tree nodes deterministically — which is what
@@ -563,19 +607,17 @@ class ScheduledDraft:
         so two ``False`` decisions yield two *distinct* wrong siblings;
         duplicate ``True`` decisions dedup to one accepted child.
         """
-        candidates: list[np.ndarray] = []
-        for j in range(width):
-            exact = self.program[self._cursor % len(self.program)]
-            self._cursor += 1
-            candidates.append(
-                host_step_output(
-                    request, cache, x_t, self._exp, self._recip,
-                    drop_to_bits=(
-                        None if exact else self.reduced_bits + j
-                    ),
-                )
-            )
-        return candidates
+        drops: list[list[int | None]] = []
+        for _ in branches:
+            row: list[int | None] = []
+            for j in range(width):
+                exact = self.program[self._cursor % len(self.program)]
+                self._cursor += 1
+                row.append(None if exact else self.reduced_bits + j)
+            drops.append(row)
+        return host_level_outputs(
+            request, branches, drops, self._exp, self._recip
+        )
 
     def observe(
         self, x_t: np.ndarray, output: np.ndarray, position: int
@@ -638,44 +680,51 @@ class VerifyPassResult:
     counters: EventCounters
 
 
-def _draft_candidates(
+def _draft_level(
     draft: DraftModel,
     request: DecodeRequest,
-    cache: KVCacheLike,
-    x_t: np.ndarray,
+    branches: list[DraftBranch],
     position: int,
     width: int,
-) -> list[np.ndarray]:
-    """One tree level's deduplicated draft proposals for one branch.
+) -> list[list[np.ndarray]]:
+    """One tree level's validated, deduplicated proposals, per branch.
 
-    Width-1 levels call :meth:`DraftModel.propose` directly — the exact
-    call the linear chain has always made, which is what keeps the
-    degenerate tree bit-and-accounting-identical to ``spec_k``
-    speculation.  Wider levels use the draft's optional
-    ``propose_candidates(request, cache, x_t, position, width)``
-    extension when it has one (every in-tree draft does), falling back
-    to the single :meth:`~DraftModel.propose` answer otherwise — a
-    plain linear draft still works under any tree, it just never fills
-    the extra width.  Bit-identical siblings collapse to one child:
-    they would verify identically, so planning both buys nothing.
+    The draft answers the whole level in one
+    :meth:`~DraftModel.propose_candidates` call.  A wrong number of
+    branch lists, more than ``width`` alternatives for a branch or a
+    wrong-width embedding raises ``ValueError`` before any of the
+    level's appends (the plan's rollback then restores cache, pool and
+    position).  Bit-identical siblings collapse to one child: they
+    would verify identically, so planning both buys nothing.
     """
-    if width == 1:
-        raw = [draft.propose(request, cache, x_t, position)]
-    else:
-        proposer = getattr(draft, "propose_candidates", None)
-        if proposer is None:
-            raw = [draft.propose(request, cache, x_t, position)]
-        else:
-            raw = list(proposer(request, cache, x_t, position, width))[:width]
-    candidates: list[np.ndarray] = []
-    seen: set[bytes] = set()
-    for proposal in raw:
-        d = np.asarray(proposal, dtype=np.float64).reshape(-1)
-        key = d.tobytes()
-        if key not in seen:
-            seen.add(key)
-            candidates.append(d)
-    return candidates
+    answer = draft.propose_candidates(request, branches, position, width)
+    if len(answer) != len(branches):
+        raise ValueError(
+            f"draft answered {len(answer)} branch lists for a level of "
+            f"{len(branches)} branches"
+        )
+    level: list[list[np.ndarray]] = []
+    for proposals in answer:
+        if len(proposals) > width:
+            raise ValueError(
+                f"draft proposed {len(proposals)} alternatives for a "
+                f"width-{width} level"
+            )
+        candidates: list[np.ndarray] = []
+        seen: set[bytes] = set()
+        for proposal in proposals:
+            d = np.asarray(proposal, dtype=np.float64).reshape(-1)
+            if d.shape[0] != request.hidden:
+                raise ValueError(
+                    f"draft proposed an embedding of width {d.shape[0]}, "
+                    f"expected {request.hidden}"
+                )
+            key = d.tobytes()
+            if key not in seen:
+                seen.add(key)
+                candidates.append(d)
+        level.append(candidates)
+    return level
 
 
 class _TreeNode:
@@ -890,11 +939,12 @@ class SpeculativeDecodeEngine:
         its ancestor chain — the tree-causal mask, structurally
         (:func:`tree_causal_mask`).  All planned tokens form **one**
         job: the engine's packed execute scores the whole tree in a
-        single ``table_gather_mac`` launch per phase.  A width-1 tree
-        takes the historical linear path exactly (same proposal calls,
-        no forks); a pass clipped to no levels (the depth-0 tree, a
-        budget of 1 or ``max_drafts=0``) plans just ``u_0`` with no
-        tree and no draft call.
+        single ``table_gather_mac`` launch per phase.  The draft is
+        asked once per level, for every live branch at once, before any
+        of that level's appends.  A width-1 tree plans no forks; a pass
+        clipped to no levels (the depth-0 tree, a budget of 1 or
+        ``max_drafts=0``) plans just ``u_0`` with no tree and no draft
+        call.
 
         ``budget`` caps the pass at the tokens still owed (a pass never
         commits more than ``budget``, so the tree is clipped to
@@ -902,7 +952,7 @@ class SpeculativeDecodeEngine:
         way — ``0`` plans just ``u_0``).  A branch stops growing at its
         cache's window limit — provisional tokens must never evict,
         because eviction cannot be rolled back.  The plan is
-        **atomic**: any failure (draft shape mismatch,
+        **atomic**: any failure (a malformed draft answer,
         ``BlockPoolExhausted`` on a provisional block or fork, a
         raising draft model) releases every fork and rolls the cache,
         the pool and the position back to their pre-pass state before
@@ -935,30 +985,36 @@ class SpeculativeDecodeEngine:
             nodes.append(root)
             frontier = [root]
             for width in widths:
-                next_frontier: list[_TreeNode] = []
-                for node in frontier:
-                    cache = node.state.cache
-                    if cache.length >= cache.limit:
-                        # Branch at its window limit: one more
-                        # provisional append would evict.
-                        continue
-                    candidates = _draft_candidates(
-                        proposer, request, cache, node.embedding,
-                        node.state.position - 1, width,
-                    )
-                    for d in candidates:
-                        if d.shape[0] != request.hidden:
-                            raise ValueError(
-                                f"draft proposed an embedding of width "
-                                f"{d.shape[0]}, expected {request.hidden}"
-                            )
+                # A branch at its window limit stops growing: one more
+                # provisional append would evict.
+                live = [
+                    node for node in frontier
+                    if node.state.cache.length < node.state.cache.limit
+                ]
+                if not live:
+                    break
+                # Draft every live branch before any of the level's
+                # appends: one proposal call per level.
+                level = _draft_level(
+                    proposer, request,
+                    [
+                        DraftBranch(
+                            node.embedding, node.state.cache,
+                            tokens[node.token_index].shifted,
+                        )
+                        for node in live
+                    ],
+                    tokens[live[0].token_index].position, width,
+                )
+                frontier = []
+                for node, candidates in zip(live, level):
                     if len(candidates) == 1:
                         # An only child extends the branch in place.
                         child_states = [node.state]
                     else:
                         child_states = []
                         for _ in candidates:
-                            fork = cache.fork()
+                            fork = node.state.cache.fork()
                             forks.append(fork)
                             shadow = DecodeState(request, fork)
                             shadow.position = node.state.position
@@ -973,10 +1029,7 @@ class SpeculativeDecodeEngine:
                             in_state += 1
                         nodes.append(child)
                         node.children.append(child)
-                        next_frontier.append(child)
-                frontier = next_frontier
-                if not frontier:
-                    break
+                        frontier.append(child)
         except BaseException:
             # Atomic rollback: forks release their block references,
             # then the in-place appends truncate.  Only u_0's append

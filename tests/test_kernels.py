@@ -43,7 +43,7 @@ from repro.core.kernels import (
     resolve_backend,
 )
 from repro.core.session import NovaSession
-from repro.core.speculative import ScheduledDraft
+from repro.core.speculative import ScheduledDraft, TruncatedTableDraft
 from repro.core.vector_unit import NovaVectorUnit
 
 INSTALLED = available_backends()
@@ -198,21 +198,31 @@ def test_scheduler_steps_bit_exact_across_backends(backend, mode):
     "backend", [name for name in INSTALLED if name != "numpy"]
 )
 def test_speculative_decode_bit_exact_across_backends(backend):
+    """A linear chain and a tree (whose levels draft in one batched
+    call each) stay bit-exact on every backend."""
     request = toy_requests(n=1)[0]
 
-    def run(name):
+    def runs(name):
         cfg = SMALL.replace(kernel_backend=name)
         session = NovaSession(cfg)
-        return session.generate(
-            request,
-            speculative=True,
-            draft=ScheduledDraft(cfg, (True, False, True)),
+        return (
+            session.generate(
+                request,
+                speculative=True,
+                draft=ScheduledDraft(cfg, (True, False, True)),
+            ),
+            session.generate(
+                request,
+                speculative=True,
+                spec_tree="4x1,2x1",
+                draft=TruncatedTableDraft(cfg, fidelity=0.45),
+            ),
         )
 
-    want, got = run("numpy"), run(backend)
-    assert np.array_equal(got.generated, want.generated)
-    assert got.vector_cycles == want.vector_cycles
-    assert got.counters.as_dict() == want.counters.as_dict()
+    for want, got in zip(runs("numpy"), runs(backend)):
+        assert np.array_equal(got.generated, want.generated)
+        assert got.vector_cycles == want.vector_cycles
+        assert got.counters.as_dict() == want.counters.as_dict()
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.core.paging import (
 )
 from repro.core.session import NovaSession
 from repro.core.speculative import (
+    DraftBranch,
     DraftModel,
     NGramDraft,
     ScheduledDraft,
@@ -61,6 +62,15 @@ def toy_request(prompt_len=5, max_new_tokens=6, seed=0, window=None,
         toy_model(**model_kwargs), prompt_len=prompt_len,
         max_new_tokens=max_new_tokens, seed=seed, window=window,
     )
+
+
+def ngram_proposal(draft, x, position):
+    """An n-gram draft's width-1 answer for a one-branch level at ``x``
+    (the n-gram draft reads only the branch's input embedding)."""
+    ((proposal,),) = draft.propose_candidates(
+        None, [DraftBranch(x, None, None)], position, 1
+    )
+    return proposal
 
 
 # ----------------------------------------------------------------------
@@ -221,12 +231,11 @@ class TestDraftModels:
         draft = NGramDraft()
         x = np.array([0.25, -1.5])
         y = np.array([1.0, 2.0])
-        request = None
-        assert np.array_equal(draft.propose(request, None, x, 0), x)
+        assert np.array_equal(ngram_proposal(draft, x, 0), x)
         draft.observe(x, y, 0)
-        assert np.array_equal(draft.propose(request, None, x, 1), y)
+        assert np.array_equal(ngram_proposal(draft, x, 1), y)
         draft.reset()
-        assert np.array_equal(draft.propose(request, None, x, 2), x)
+        assert np.array_equal(ngram_proposal(draft, x, 2), x)
 
     def test_draft_validation(self):
         with pytest.raises(ValueError, match="fidelity"):
@@ -271,18 +280,18 @@ class TestDraftModels:
         draft.observe(keys[3], np.array([-3.0]), 3)
         assert len(draft._history) == 3
         # oldest (keys[0]) evicted: proposal falls back to persistence
-        assert np.array_equal(draft.propose(None, None, keys[0], 4), keys[0])
+        assert np.array_equal(ngram_proposal(draft, keys[0], 4), keys[0])
         # the two younger survivors and the newcomer still replay
         for i in (1, 2, 3):
             assert np.array_equal(
-                draft.propose(None, None, keys[i], 4),
+                ngram_proposal(draft, keys[i], 4),
                 np.array([float(-i)]),
             )
         # re-observing a resident key refreshes, never evicts
         draft.observe(keys[1], np.array([9.0]), 5)
         assert len(draft._history) == 3
         assert np.array_equal(
-            draft.propose(None, None, keys[2], 6), np.array([-2.0])
+            ngram_proposal(draft, keys[2], 6), np.array([-2.0])
         )
 
     def test_ngram_acceptance_survives_crossing_max_history(self):
@@ -304,7 +313,7 @@ class TestDraftModels:
         ):
             # a proposal equal to the true next output is what the
             # verify pass would accept
-            if np.array_equal(draft.propose(None, None, x, position), nxt):
+            if np.array_equal(ngram_proposal(draft, x, position), nxt):
                 hits += 1
             draft.observe(x, nxt, position)
         # after one learning lap, every later lap replays perfectly
@@ -312,10 +321,10 @@ class TestDraftModels:
         assert len(draft._history) == 4
         # the preamble is what got evicted, not the live cycle
         assert np.array_equal(
-            draft.propose(None, None, preamble[0], 99), preamble[0]
+            ngram_proposal(draft, preamble[0], 99), preamble[0]
         )
         assert np.array_equal(
-            draft.propose(None, None, cycle[0], 99), cycle[1]
+            ngram_proposal(draft, cycle[0], 99), cycle[1]
         )
 
 
@@ -426,14 +435,36 @@ class TestSpeculativeEngine:
 
 
 class _WrongShapeDraft:
-    def propose(self, request, cache, x_t, position):
-        return np.zeros(3)
+    def propose_candidates(self, request, branches, position, width):
+        return [[np.zeros(3)] for _ in branches]
 
     def observe(self, x_t, output, position):
         pass
 
     def reset(self):
         pass
+
+
+class _MalformedLevelDraft(TruncatedTableDraft):
+    """Answers the first level well, then breaks the level contract:
+    ``"branches"`` drops a branch list, ``"alternatives"`` proposes one
+    alternative more than the level's width."""
+
+    def __init__(self, fault):
+        # fidelity 0: two distinct wrong siblings, so level 1 forks
+        super().__init__(SMALL, fidelity=0.0)
+        self.fault = fault
+        self.levels = 0
+
+    def propose_candidates(self, request, branches, position, width):
+        answer = super().propose_candidates(request, branches, position, width)
+        self.levels += 1
+        if self.levels == 1:
+            return answer
+        if self.fault == "branches":
+            return answer[:-1]
+        return [alternatives + [alternatives[0] + 1.0]
+                for alternatives in answer]
 
 
 class TestErrorPaths:
@@ -494,6 +525,33 @@ class TestErrorPaths:
                 state, np.zeros(request.hidden), budget=4
             )
         assert (state.cache.length, state.position) == baseline
+
+    @pytest.mark.parametrize("fault, message", [
+        ("branches", "branch lists for a level of 2 branches"),
+        ("alternatives", "3 alternatives for a width-2 level"),
+    ], ids=["branches", "alternatives"])
+    def test_malformed_level_answer_raises_with_no_net_state_change(
+        self, fault, message
+    ):
+        """A second-level answer with a branch list missing, or with
+        more alternatives than the width, is rejected — never silently
+        cut — and the level-1 forks and appends roll back with it."""
+        request = toy_request(prompt_len=2, max_new_tokens=6)
+        spec_engine = SpeculativeDecodeEngine(ENGINE, tree="2x2")
+        state, pool = self._paged_state_after_prefill(
+            spec_engine, request, n_blocks=16
+        )
+        baseline = (state.cache.length, state.position, pool.in_use,
+                    pool.live_tokens)
+        draft = _MalformedLevelDraft(fault)
+        x_t = np.random.default_rng(0).standard_normal(request.hidden)
+        with pytest.raises(ValueError, match=message):
+            spec_engine.plan_verify_pass(
+                state, x_t, budget=6, draft=draft
+            )
+        assert draft.levels == 2
+        assert (state.cache.length, state.position, pool.in_use,
+                pool.live_tokens) == baseline
 
     def test_bad_input_embedding_raises_before_any_state_change(self):
         request = toy_request(prompt_len=3, max_new_tokens=4)

@@ -18,19 +18,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.attention import (
+    assemble_probabilities,
+    shift_scores,
+    softmax_reduction,
+)
 from repro.core.config import NovaConfig, parse_tree_spec, preset
 from repro.core.decode import (
     ContinuousBatchScheduler,
+    DecodeState,
     NovaDecodeEngine,
+    context_for_query,
+    project_token,
+    scores_for_query,
 )
 from repro.core.paging import BlockPool, BlockPoolExhausted
 from repro.core.session import NovaSession
 from repro.core.speculative import (
+    DraftBranch,
     DraftTree,
     NGramDraft,
     ScheduledDraft,
     SpeculativeDecodeEngine,
     TruncatedTableDraft,
+    host_step_output,
     tree_causal_mask,
 )
 from repro.serving.frontdoor import FrontDoor
@@ -330,6 +341,165 @@ class TestTreeCausalMask:
         assert pool.in_use == state.cache.blocks_in_use
         assert pool.live_tokens == state.cache.length
         assert state.cache.length == 4 + pass_result.committed
+
+
+# ----------------------------------------------------------------------
+# Level proposals: one batched draft call per tree level.
+# ----------------------------------------------------------------------
+
+
+def _sibling_level(layout, n_branches, seed):
+    """``n_branches`` sibling branches over one prefilled cache, each
+    planned through the engine exactly as a tree level's nodes are."""
+    window = 4 if layout == "windowed" else None
+    request = toy_request(prompt_len=5, seed=seed, window=window)
+    pool = (
+        BlockPool(request.n_heads, request.head_dim, 2, n_blocks=64)
+        if layout == "paged"
+        else None
+    )
+    state = ENGINE.start(request, pool=pool)
+    ENGINE.prefill(state)
+    rng = np.random.default_rng(seed)
+    branches = []
+    for _ in range(n_branches):
+        shadow = DecodeState(request, state.cache.fork())
+        shadow.position = state.position
+        x_t = rng.standard_normal(request.hidden)
+        plan = ENGINE._plan_token(shadow, x_t)
+        branches.append(DraftBranch(x_t, shadow.cache, plan.shifted))
+    return request, branches, state.position
+
+
+def _reference_step(request, cache, x_t, drop_to_bits):
+    """The per-row host step written out op by op (one branch, one
+    alternative, no batching) — an independent check of the shared
+    helper's numerics."""
+
+    def truncate(x):
+        if drop_to_bits is None:
+            return x
+        return np.ldexp(np.round(np.ldexp(x, drop_to_bits)), -drop_to_bits)
+
+    q, _, _ = project_token(
+        x_t, request.wq, request.wk, request.wv, request.n_heads
+    )
+    scores = scores_for_query(q, cache.keys)
+    raw = truncate(SMALL.table("exp").evaluate(shift_scores(scores)))
+    numer, mantissa, exponent = softmax_reduction(raw)
+    inv = truncate(SMALL.table("reciprocal").evaluate(mantissa))
+    probs = assemble_probabilities(numer, inv, exponent)
+    values = cache.values_snapshot(cache.length)
+    return context_for_query(probs, values) @ request.wo
+
+
+def _coin(seed, position, alternative, fidelity):
+    key = (seed, position) if alternative == 0 else (seed, position,
+                                                     alternative)
+    return bool(np.random.default_rng(key).random() < fidelity)
+
+
+class TestLevelProposals:
+    @given(
+        layout=st.sampled_from(["contiguous", "paged", "windowed"]),
+        n_branches=st.integers(1, 16),
+        width=st.integers(1, 4),
+        fidelity=st.sampled_from([0.0, 0.45, 1.0]),
+        seed=st.integers(0, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_level_batch_is_bit_identical_to_each_branch_alone(
+        self, layout, n_branches, width, fidelity, seed
+    ):
+        """Every (branch, alternative) of one batched level call equals
+        the one-branch host step with the same drop bits, bit for bit."""
+        request, branches, position = _sibling_level(
+            layout, n_branches, seed
+        )
+        draft = TruncatedTableDraft(SMALL, fidelity=fidelity, seed=seed)
+        level = draft.propose_candidates(request, branches, position, width)
+        assert len(level) == n_branches
+        for branch, alternatives in zip(branches, level):
+            assert len(alternatives) == width
+            for j, got in enumerate(alternatives):
+                bits = (
+                    None
+                    if _coin(seed, position, j, fidelity)
+                    else draft.reduced_bits + j
+                )
+                want = host_step_output(
+                    request, branch.cache, branch.x_t,
+                    SMALL.table("exp"), SMALL.table("reciprocal"),
+                    drop_to_bits=bits,
+                )
+                assert got.tobytes() == want.tobytes()
+                reference = _reference_step(
+                    request, branch.cache, branch.x_t, bits
+                )
+                assert want.tobytes() == reference.tobytes()
+
+    def test_memoised_coins_keep_both_key_forms(self):
+        draft = TruncatedTableDraft(SMALL, fidelity=0.45, seed=7)
+        for position in range(48):
+            for alternative in range(4):
+                want = _coin(7, position, alternative, 0.45)
+                assert draft._exact(position, alternative) is want
+                # a memo hit answers the same coin
+                assert draft._exact(position, alternative) is want
+        assert len(draft._coins) == 48 * 4
+        draft.reset()
+        assert draft._coins == {}
+
+    def test_scheduled_draft_cursor_is_branch_major(self):
+        """Across a two-level tree the program is consumed one decision
+        per (branch, alternative), branch-major, one call per level."""
+
+        class Recording(ScheduledDraft):
+            def __init__(self, config, program):
+                super().__init__(config, program)
+                self.calls = []
+
+            def propose_candidates(self, request, branches, position, width):
+                cursor = self._cursor
+                level = super().propose_candidates(
+                    request, branches, position, width
+                )
+                decisions = iter(
+                    self.program[(cursor + i) % len(self.program)]
+                    for i in range(len(branches) * width)
+                )
+                for branch, alternatives in zip(branches, level):
+                    for j, got in enumerate(alternatives):
+                        want = host_step_output(
+                            request, branch.cache, branch.x_t,
+                            SMALL.table("exp"), SMALL.table("reciprocal"),
+                            drop_to_bits=(
+                                None if next(decisions)
+                                else self.reduced_bits + j
+                            ),
+                        )
+                        assert got.tobytes() == want.tobytes()
+                self.calls.append((cursor, len(branches), width))
+                return level
+
+        request = toy_request(prompt_len=4, max_new_tokens=8)
+        spec_engine = SpeculativeDecodeEngine(ENGINE, tree="2x2")
+        state = spec_engine.start(request)
+        pre = ENGINE.prefill(state)
+        # level 1: two distinct wrong siblings; level 2: the first
+        # branch's two decisions, then the second's (alternative-major
+        # order would give each branch one exact and one wrong child)
+        draft = Recording(
+            SMALL, (False, False, True, True, False, False)
+        )
+        spec_pass = spec_engine.plan_verify_pass(
+            state, pre.outputs[-1], budget=8, draft=draft
+        )
+        assert draft.calls == [(0, 1, 2), (2, 2, 2)]
+        assert draft._cursor == 6
+        # the first branch's exact twins dedup to one child
+        first, second = spec_pass.root.children
+        assert (len(first.children), len(second.children)) == (1, 2)
 
 
 # ----------------------------------------------------------------------
