@@ -14,7 +14,7 @@ run's).
 The gate is the **cycle speedup**: the cycles plain decode charges for
 the same tokens (sequential) over the cycles each path actually
 charged.  That is what speculation saves on the overlay — one
-verification pass scores up to ``spec_k + 1`` positions in a single
+verification pass scores up to ``depth + 1`` positions in a single
 traversal — and it is deterministic, so the floors below are the exact
 ratios this workload measures (1560 plain cycles against 1376 solo and
 1237 batched).  Wall-clock tokens/sec and speedup stay in the printed
@@ -27,14 +27,16 @@ Run with
 
 import pytest
 
+from repro.core.config import preset
 from repro.eval.experiments import ExperimentResult, speculative_decode_speedup
 
 #: Jetson Xavier NX-like overlay geometry (Table II preset).
 GEOMETRY = "jetson-nx"
 BATCH_SIZE = 8
 MAX_NEW_TOKENS = 32
-#: Draft depth: one verification pass scores up to SPEC_K + 1 positions.
-SPEC_K = 12
+#: Draft chain of depth 12: one verification pass scores up to 13
+#: positions.
+SPEC_TREE = "1x12"
 #: Target long-run acceptance rate the workload's draft fidelity is
 #: solved for (the measured rate is asserted >= 0.7 below).
 ACCEPTANCE = 0.9
@@ -48,8 +50,7 @@ def run_workload(acceptance: float, warmup: bool) -> ExperimentResult:
     return speculative_decode_speedup(
         batch_size=BATCH_SIZE,
         max_new_tokens=MAX_NEW_TOKENS,
-        config=GEOMETRY,
-        spec_k=SPEC_K,
+        config=preset(GEOMETRY).replace(spec_tree=SPEC_TREE),
         acceptance_rate=acceptance,
         seed=0,
         warmup=warmup,
@@ -84,13 +85,13 @@ def test_speculative_decode_speedup(record_experiment):
     assert acceptance >= 0.7, (
         f"the gate is defined at a >= 0.7 acceptance-rate workload, but "
         f"the draft only reached {acceptance:.2f}; raise the target "
-        "acceptance_rate or spec_k"
+        "acceptance_rate or the chain depth"
     )
     assert_cycle_gate(result)
 
 
 def test_gate_rejects_a_draft_that_never_verifies():
-    """Every draft misses: each pass charges spec_k + 1 positions for
+    """Every draft misses: each pass charges depth + 1 positions for
     one committed token, so the gate must fail."""
     result = run_workload(0.0, warmup=False)
     assert result.rows[1][result.headers.index("Acceptance")] == "0.00"

@@ -37,7 +37,7 @@ GEOMETRY = "jetson-nx"
 BATCH_SIZE = 8
 MAX_NEW_TOKENS = 32
 #: Wide-first draft tree: 4 alternatives at depth 1, 2 at depth 2, 1 at
-#: depth 3 = 20 nodes, so the linear baseline runs at spec_k = 20.
+#: depth 3 = 20 nodes, so the linear baseline is the "1x20" chain.
 SPEC_TREE = "4x1,2x1,1x1"
 #: Per-candidate probability that a draft is exact — low on purpose:
 #: trees pay off when any single draft is usually wrong.

@@ -2,10 +2,11 @@
 """Speculative decode: draft-and-verify generation over paged KV.
 
 Plain decode pays one full overlay pass per output token.  Speculative
-decode (PR 5) lets a cheap draft model propose the next ``spec_k`` token
-embeddings, appends them to the KV cache as *provisional* tokens, and
-scores all of them plus one bonus position in a **single packed
-verification pass** — accepted drafts commit, the rejected suffix rolls
+decode lets a cheap draft model propose the next few token embeddings
+(the config's ``spec_tree`` draft tree; the preset's ``"1x4"`` is a
+linear chain of four drafts), appends them to the KV cache as
+*provisional* tokens, and scores all of them plus one bonus position in
+a **single packed verification pass** — accepted drafts commit, the rejected suffix rolls
 back by truncating the cache (freeing whole blocks when the cache is
 paged).  Because a draft is accepted only when it matches the true
 output bit for bit, the generated tokens are identical to plain
@@ -31,7 +32,7 @@ from repro.workloads import TransformerConfig, decode_request, decode_batch
 
 def main() -> None:
     session = NovaSession("jetson-nx")
-    print(f"session: {session!r} (spec_k={session.config.spec_k}, "
+    print(f"session: {session!r} (spec_tree={session.config.spec_tree!r}, "
           f"draft_kind={session.config.draft_kind!r})")
 
     model = TransformerConfig(
@@ -41,7 +42,7 @@ def main() -> None:
     request = decode_request(model, prompt_len=12, max_new_tokens=16, seed=0)
 
     # 1. Exact-LUT draft: every proposal verifies bit-identically, so a
-    #    pass commits spec_k+1 tokens for one overlay traversal.
+    #    pass commits depth+1 tokens for one overlay traversal.
     plain = session.generate(request)
     spec = session.generate(request, speculative=True)
     assert np.array_equal(spec.generated, plain.generated)

@@ -87,8 +87,7 @@ _FIELD_PARSERS: dict[str, Callable[[str], object]] = {
     "n_segments": int,
     "seed": int,
     "kv_block_size": int,
-    "spec_k": int,
-    "spec_tree": lambda s: None if s.lower() in ("", "none", "null") else s,
+    "spec_tree": str,
     "draft_kind": str,
     "enable_prefix_caching": lambda s: _parse_bool(
         "enable_prefix_caching", s
@@ -109,9 +108,9 @@ def parse_tree_spec(spec: str) -> tuple[int, ...]:
 
     The spec is comma-separated ``WIDTHxCOUNT`` segments (a bare
     ``WIDTH`` means ``WIDTHx1``): ``"2x2"`` branches twice at width 2,
-    ``"1x4"`` is a linear chain of four drafts (the degenerate tree —
-    exactly ``spec_k=4``), ``"3,1x3"`` tries three alternatives for the
-    first draft and extends each survivor linearly for three more.
+    ``"1x4"`` is a linear chain of four drafts (the degenerate tree),
+    ``"3,1x3"`` tries three alternatives for the first draft and extends
+    each survivor linearly for three more.
     Level ``i`` of the returned tuple is how many alternative drafts
     every surviving branch proposes at depth ``i + 1``.  The full tree
     (every level's node count is the product of the widths so far) is
@@ -193,16 +192,15 @@ class NovaConfig:
     block-table overhead with bigger blocks).  It never affects
     numerics, cycles or counters — only where K/V rows live.
 
-    ``spec_k`` / ``spec_tree`` / ``draft_kind`` are the
-    speculative-decode defaults (:mod:`repro.core.speculative`): how
-    many draft tokens one verification pass may carry (``spec_k >= 1``;
-    wider overlays amortise deeper speculation), an optional draft
-    *tree* spec (:func:`parse_tree_spec` syntax, e.g. ``"2x2,1x4"``)
-    that scores several alternative drafts per depth in the same packed
-    pass (``None`` keeps the linear ``spec_k`` chain), and which
-    :data:`DRAFT_KINDS` entry builds the default draft model.  Like
-    ``kv_block_size``, they never change what tokens are generated —
-    speculative decode is bit-exact against plain decode by
+    ``spec_tree`` / ``draft_kind`` are the speculative-decode defaults
+    (:mod:`repro.core.speculative`): the draft tree one verification
+    pass carries (:func:`parse_tree_spec` syntax — ``"1x4"`` is a linear
+    chain of four drafts, ``"2x2,1x4"`` scores two alternative drafts at
+    each of the first two depths in the same packed pass; wider overlays
+    amortise deeper trees, so the presets carry ``"1x4"`` or ``"1x8"``)
+    and which :data:`DRAFT_KINDS` entry builds the default draft model.
+    Like ``kv_block_size``, they never change what tokens are generated
+    — speculative decode is bit-exact against plain decode by
     construction — only how many overlay passes it takes to generate
     them.
 
@@ -229,8 +227,7 @@ class NovaConfig:
     n_segments: int = 16
     seed: int = 0
     kv_block_size: int = 16
-    spec_k: int = 4
-    spec_tree: str | None = None
+    spec_tree: str = "1x4"
     draft_kind: str = "truncated-table"
     enable_prefix_caching: bool = False
     kernel_backend: str = "numpy"
@@ -238,7 +235,7 @@ class NovaConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_routers", "neurons_per_router", "n_segments",
-                     "kv_block_size", "spec_k"):
+                     "kv_block_size"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise TypeError(
@@ -263,8 +260,7 @@ class NovaConfig:
             object.__setattr__(self, name, float(value))
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0, got {value}")
-        if self.spec_tree is not None:
-            parse_tree_spec(self.spec_tree)  # raises on a malformed spec
+        parse_tree_spec(self.spec_tree)  # raises on a malformed spec
         if not isinstance(self.draft_kind, str):
             raise TypeError(
                 "draft_kind must be a draft-model name (str), got "
@@ -444,19 +440,23 @@ class NovaConfig:
 PRESETS: dict[str, NovaConfig] = {
     "jetson-nx": NovaConfig(
         n_routers=2, neurons_per_router=16, pe_frequency_ghz=1.4,
-        hop_mm=0.5, kv_block_size=16, spec_k=4, host="Jetson Xavier NX",
+        hop_mm=0.5, kv_block_size=16,
+        spec_tree="1x4", host="Jetson Xavier NX",
     ),
     "react": NovaConfig(
         n_routers=10, neurons_per_router=256, pe_frequency_ghz=0.24,
-        hop_mm=1.0, kv_block_size=64, spec_k=8, host="REACT",
+        hop_mm=1.0, kv_block_size=64,
+        spec_tree="1x8", host="REACT",
     ),
     "tpu-v3": NovaConfig(
         n_routers=4, neurons_per_router=128, pe_frequency_ghz=1.4,
-        hop_mm=0.5, kv_block_size=32, spec_k=4, host="TPU v3-like",
+        hop_mm=0.5, kv_block_size=32,
+        spec_tree="1x4", host="TPU v3-like",
     ),
     "tpu-v4": NovaConfig(
         n_routers=8, neurons_per_router=128, pe_frequency_ghz=1.4,
-        hop_mm=0.5, kv_block_size=32, spec_k=8, host="TPU v4-like",
+        hop_mm=0.5, kv_block_size=32,
+        spec_tree="1x8", host="TPU v4-like",
     ),
 }
 

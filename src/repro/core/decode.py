@@ -1337,11 +1337,11 @@ class ContinuousBatchScheduler:
     (:class:`~repro.core.speculative.SpeculativeDecodeEngine`), fused
     with the other sequences' passes into the shared lane streams.
     Plain decode runs the depth-0 tree, with no draft model;
-    ``speculative=True`` selects a deeper tree at the engine config's
-    ``spec_k``/``spec_tree``/``draft_kind`` unless overridden, with one
-    draft model per sequence from ``draft_factory``.  A pass that
-    cannot get provisional blocks degrades to draft-free before it
-    defers.  Each result is a :class:`GenerateResult` identical to solo
+    ``speculative=True`` drafts the ``spec_tree`` draft tree (default:
+    the engine config's, e.g. a preset's linear ``"1x4"`` chain), with
+    one draft model per sequence from ``draft_factory`` (default: the
+    config's ``draft_kind``).  A pass that cannot get provisional
+    blocks degrades to draft-free before it defers.  Each result is a :class:`GenerateResult` identical to solo
     generation through the same tree.
 
     Scheduling decisions — which waiting request to admit next, which
@@ -1370,9 +1370,7 @@ class ContinuousBatchScheduler:
         pool_bytes: int | None = None,
         prefix_caching: bool | None = None,
         speculative: bool = False,
-        spec_k: int | None = None,
         spec_tree: str | None = None,
-        draft_kind: str | None = None,
         draft_factory: Callable[[], DraftModel] | None = None,
         policy: SchedulingPolicy | None = None,
     ) -> None:
@@ -1392,14 +1390,11 @@ class ContinuousBatchScheduler:
         if pool_blocks is not None and pool_bytes is not None:
             raise ValueError("pass pool_blocks or pool_bytes, not both")
         if not speculative and (
-            spec_k is not None
-            or spec_tree is not None
-            or draft_kind is not None
-            or draft_factory is not None
+            spec_tree is not None or draft_factory is not None
         ):
             raise ValueError(
-                "spec_k/spec_tree/draft_kind/draft_factory only apply to "
-                "the speculative scheduler (pass speculative=True)"
+                "spec_tree/draft_factory only apply to the speculative "
+                "scheduler (pass speculative=True)"
             )
         from repro.core.speculative import (
             DraftTree,
@@ -1410,16 +1405,14 @@ class ContinuousBatchScheduler:
         self.engine = engine
         #: Every step's pass engine; plain decode is the depth-0 tree.
         self._verifier = SpeculativeDecodeEngine(
-            engine,
-            spec_k=spec_k,
-            tree=spec_tree if speculative else DraftTree(()),
+            engine, tree=spec_tree if speculative else DraftTree(())
         )
-        kind = engine.config.draft_kind if draft_kind is None else draft_kind
+        cfg = engine.config
         #: One draft model per admitted sequence (drafts are stateful;
         #: sharing one across interleaved requests would break the
         #: solo-equivalence contract).  Only called when the tree drafts.
         self.draft_factory: Callable[[], DraftModel] = (
-            (lambda: build_draft(kind, engine.config))
+            (lambda: build_draft(cfg.draft_kind, cfg))
             if draft_factory is None
             else draft_factory
         )
@@ -1736,9 +1729,12 @@ class ContinuousBatchScheduler:
                     # yet — jump the virtual clock to the next arrival.
                     now = min(s.arrival for s in waiting)
                     continue
-                raise BlockPoolExhausted(
-                    "scheduler wedged: no request fits the memory budget "
-                    "even with nothing in flight"
+                # An idle pool is empty and every request fits it alone
+                # (_build_pool), so only the policy can stall here.
+                raise ValueError(
+                    f"policy {policy.name!r} admitted no arrived request "
+                    "while nothing was in flight; admit_next must pick "
+                    "one when no sequence is active"
                 )
 
             scheduler_steps += 1

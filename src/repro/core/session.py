@@ -206,7 +206,7 @@ class NovaSession:
 
         A :class:`~repro.core.speculative.SpeculativeDecodeEngine`
         wrapping :attr:`decoder` (same unit, tables and caches) at the
-        session config's ``spec_k`` / ``draft_kind`` defaults.
+        session config's ``spec_tree`` / ``draft_kind`` defaults.
         """
         if self._speculator is None:
             from repro.core.speculative import SpeculativeDecodeEngine
@@ -220,7 +220,6 @@ class NovaSession:
         max_new_tokens: int | None = None,
         *,
         speculative: bool = False,
-        spec_k: int | None = None,
         spec_tree: str | None = None,
         draft: "DraftModel | None" = None,
     ) -> GenerateResult:
@@ -235,33 +234,32 @@ class NovaSession:
 
         ``speculative=True`` generates the **bit-identical** tokens
         with drafts instead (:mod:`repro.core.speculative`): the
-        config's ``draft_kind`` drafts up to ``spec_k`` tokens per
-        packed verification pass (both defaulting from the session
+        config's ``draft_kind`` drafts a whole ``spec_tree``
+        :class:`~repro.core.speculative.DraftTree` per packed
+        verification pass (a ``"2x2,1x4"``-style spec; ``"1x4"`` is a
+        linear chain of four drafts).  Both default from the session
         config; ``draft`` substitutes any
-        :class:`~repro.core.speculative.DraftModel`).  Either way the
+        :class:`~repro.core.speculative.DraftModel`.  Either way the
         result is a :class:`~repro.core.decode.GenerateResult`, with
-        per-pass acceptance and rollback accounting.  ``spec_tree`` (a
-        ``"2x2,1x4"``-style spec, defaulting from the config) scores a
-        whole :class:`~repro.core.speculative.DraftTree` of alternative
-        drafts per pass instead of one linear chain — still
-        bit-identical, for any tree.
+        per-pass acceptance and rollback accounting — bit-identical
+        for any tree.
         """
         if not speculative:
-            if spec_k is not None or spec_tree is not None or draft is not None:
+            if spec_tree is not None or draft is not None:
                 raise ValueError(
-                    "spec_k/spec_tree/draft only apply to speculative "
+                    "spec_tree/draft only apply to speculative "
                     "generation (pass speculative=True)"
                 )
             return self.decoder.generate(
                 request, max_new_tokens=max_new_tokens
             )
-        if spec_k is None and spec_tree is None and draft is None:
+        if spec_tree is None and draft is None:
             engine = self.speculator
         else:
             from repro.core.speculative import SpeculativeDecodeEngine
 
             engine = SpeculativeDecodeEngine(
-                self.decoder, draft=draft, spec_k=spec_k, tree=spec_tree
+                self.decoder, draft=draft, tree=spec_tree
             )
         return engine.generate(request, max_new_tokens=max_new_tokens)
 
@@ -276,9 +274,7 @@ class NovaSession:
         pool_bytes: int | None = None,
         prefix_caching: bool | None = None,
         speculative: bool = False,
-        spec_k: int | None = None,
         spec_tree: str | None = None,
-        draft_kind: str | None = None,
         draft_factory: "Callable[[], DraftModel] | None" = None,
     ) -> ContinuousBatchResult:
         """Serve decode requests with continuous batching.
@@ -301,18 +297,17 @@ class NovaSession:
         admission only for unshared blocks — a pure residency win, the
         hit/share counters land in the result's ``paging`` dict.
         ``speculative=True`` replaces each in-flight decode row with a
-        draft-and-verify pass (``spec_k`` drafts per pass — or a whole
-        ``spec_tree`` draft tree per pass — one ``draft_kind`` model
-        per sequence, or ``draft_factory()`` models), composing with
-        either memory mode and still bit-identical to solo
-        :meth:`generate` per request.
+        draft-and-verify pass (a whole ``spec_tree`` draft tree per
+        pass, defaulting to the config's; one model per sequence from
+        ``draft_factory()``, defaulting to the config's
+        ``draft_kind``), composing with either memory mode and still
+        bit-identical to solo :meth:`generate` per request.
         """
         scheduler = ContinuousBatchScheduler(
             self.decoder, max_active=max_active, paged=paged,
             block_size=block_size, pool_blocks=pool_blocks,
             pool_bytes=pool_bytes, prefix_caching=prefix_caching,
-            speculative=speculative,
-            spec_k=spec_k, spec_tree=spec_tree, draft_kind=draft_kind,
+            speculative=speculative, spec_tree=spec_tree,
             draft_factory=draft_factory,
         )
         return scheduler.run(requests)
@@ -329,9 +324,7 @@ class NovaSession:
         pool_bytes: int | None = None,
         prefix_caching: bool | None = None,
         speculative: bool = False,
-        spec_k: int | None = None,
         spec_tree: str | None = None,
-        draft_kind: str | None = None,
         draft_factory: "Callable[[], DraftModel] | None" = None,
     ) -> "ServingReport":
         """Serve streaming requests through the async front door.
@@ -364,9 +357,7 @@ class NovaSession:
             pool_bytes=pool_bytes,
             prefix_caching=prefix_caching,
             speculative=speculative,
-            spec_k=spec_k,
             spec_tree=spec_tree,
-            draft_kind=draft_kind,
             draft_factory=draft_factory,
         )
         return door.serve(trace)

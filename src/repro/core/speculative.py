@@ -5,13 +5,13 @@ the overlay — one exp stream, one reciprocal stream, one table retarget
 each — even though a single decode row rarely fills the lane grid.
 Speculative decode amortises that per-step overhead the same way the
 prefill path amortises a whole prompt: a cheap **draft model** proposes
-the next ``k`` token embeddings, the engine appends them to the KV cache
-as *provisional* tokens, and one **packed verification pass** scores all
-``k + 1`` positions in a single overlay traversal (the fold-small-ops-
-into-one-pass idea the ROADMAP names).  Accepted drafts commit; the
-rejected suffix rolls back atomically by truncating the cache — on a
-:class:`~repro.core.paging.PagedKVCache` that frees whole tail blocks
-back to the shared pool.
+the next ``k`` token embeddings (the ``"1xk"`` draft tree), the engine
+appends them to the KV cache as *provisional* tokens, and one **packed
+verification pass** scores all ``k + 1`` positions in a single overlay
+traversal (the fold-small-ops-into-one-pass idea the ROADMAP names).
+Accepted drafts commit; the rejected suffix rolls back atomically by
+truncating the cache — on a :class:`~repro.core.paging.PagedKVCache`
+that frees whole tail blocks back to the shared pool.
 
 Why this is bit-exact by construction
 -------------------------------------
@@ -76,12 +76,13 @@ at once.  The commit step walks the tree accepting, per depth, the
 child drafted bit-identical to its parent's true output, keeps that
 longest-accepted branch, and rolls every other branch back through the
 existing truncate/release path — zero leaked pool blocks for any
-accept pattern (a pinned property).  A width-1 tree plans no forks at
-all and degenerates to exactly the linear ``spec_k`` chain, which pins
-backward compatibility bit-for-bit.  The depth-0 tree ``DraftTree(())``
-plans no drafts: each pass is the one true token ``u_0``, i.e. a plain
-decode step.  Every plain decode path runs it, so there is one decode
-loop; its passes build no tree nodes or forks and never touch a draft.
+accept pattern (a pinned property).  The tree is the only speculation
+shape: a width-1 tree plans no forks and *is* the linear chain (every
+preset's default ``spec_tree`` is one, ``"1x4"`` or ``"1x8"``), and the
+depth-0 tree ``DraftTree(())`` plans no drafts: each pass is the one
+true token ``u_0``, i.e. a plain decode step.  Every plain decode path
+runs it, so there is one decode loop; its passes build no tree nodes or
+forks and never touch a draft.
 
 Accounting
 ----------
@@ -269,8 +270,8 @@ class DraftTree:
 
     ``widths[i]`` is how many alternative drafts every surviving branch
     proposes at depth ``i + 1`` (the root ``u_0`` is depth 0 and always
-    a single true token).  ``DraftTree.linear(k)`` — all widths 1 — is
-    the degenerate tree: it plans the exact linear ``spec_k`` chain,
+    a single true token).  ``DraftTree.linear(k)`` — all widths 1, spec
+    ``"1xk"`` — is the degenerate tree: a linear chain of ``k`` drafts,
     fork-free.  ``DraftTree(())`` has no levels at all: every pass is
     just ``u_0``, which is plain decode.  Identical sibling proposals
     are deduplicated at plan time, so a draft that cannot produce
@@ -392,12 +393,13 @@ class TruncatedTableDraft:
     per-token numerics through the very table objects the engine
     compiled — bit-identical to the verification output, so every draft
     is accepted: the draft pays host arithmetic, the overlay pays one
-    packed pass per ``spec_k + 1`` tokens.  At ``fidelity < 1.0`` a
-    seeded per-position coin drafts the complementary fraction through
-    the same LUTs truncated to ``reduced_bits`` output fraction bits;
-    those proposals miss verification, so ``fidelity`` is the long-run
-    acceptance rate of a uniformly-mixed workload — the knob standing
-    in for draft-model quality in the serving studies.  The coin is
+    packed pass per ``k + 1`` tokens of a ``"1xk"`` chain.  At
+    ``fidelity < 1.0`` a seeded per-position coin drafts the
+    complementary fraction through the same LUTs truncated to
+    ``reduced_bits`` output fraction bits; those proposals miss
+    verification, so ``fidelity`` is the long-run acceptance rate of a
+    uniformly-mixed workload — the knob standing in for draft-model
+    quality in the serving studies.  The coin is
     keyed on ``(seed, absolute position)``, never on pass boundaries,
     so acceptance decisions are identical no matter how steps are
     grouped into passes or scheduler steps.
@@ -821,13 +823,11 @@ class SpeculativeDecodeEngine:
     ``engine`` is an existing decode engine (shared with the plain
     paths — same unit, same tables, same caches) or anything its
     constructor accepts (a :class:`~repro.core.config.NovaConfig`, a
-    preset name, ``None``).  ``spec_k`` / ``draft`` default from the
-    engine's config (``config.spec_k`` drafts through
-    :func:`build_draft`'s ``config.draft_kind``).  ``tree`` switches a
-    pass from the linear chain to a :class:`DraftTree` (a tree object
-    or a ``"2x2,1x4"`` spec string; defaults to ``config.spec_tree``,
-    and to the degenerate ``DraftTree.linear(spec_k)`` chain when that
-    is ``None`` too).  ``DraftTree(())`` is plain decode.
+    preset name, ``None``).  ``tree`` is the :class:`DraftTree` every
+    pass drafts (a tree object or a ``"2x2,1x4"`` spec string; defaults
+    to ``config.spec_tree``, e.g. the preset's linear ``"1x4"`` chain)
+    and ``draft`` defaults to :func:`build_draft`'s
+    ``config.draft_kind``.  ``DraftTree(())`` is plain decode.
 
     The primitive pair :meth:`plan_verify_pass` /
     :meth:`finish_verify_pass` is what the continuous batcher fuses
@@ -839,28 +839,14 @@ class SpeculativeDecodeEngine:
         self,
         engine: NovaDecodeEngine | NovaConfig | str | None = None,
         draft: DraftModel | None = None,
-        spec_k: int | None = None,
         tree: DraftTree | str | None = None,
     ) -> None:
         if not isinstance(engine, NovaDecodeEngine):
             engine = NovaDecodeEngine(engine)
         self.engine = engine
-        cfg = engine.config
-        self.spec_k = cfg.spec_k if spec_k is None else int(spec_k)
-        if self.spec_k < 1:
-            raise ValueError(
-                f"spec_k must be >= 1 (a pass of one draft), got "
-                f"{self.spec_k}; use the plain decode engine for "
-                "non-speculative serving"
-            )
         if tree is None:
-            tree = cfg.spec_tree
-        if tree is None:
-            self.tree = DraftTree.linear(self.spec_k)
-        elif isinstance(tree, str):
-            self.tree = DraftTree.parse(tree)
-        else:
-            self.tree = tree
+            tree = engine.config.spec_tree
+        self.tree = DraftTree.parse(tree) if isinstance(tree, str) else tree
         self._draft = draft
 
     @property

@@ -35,8 +35,9 @@ field with repeatable ``--override FIELD=VALUE`` flags::
 
 Overridable fields: ``n_routers``, ``neurons_per_router``,
 ``pe_frequency_ghz``, ``hop_mm``, ``n_segments``, ``seed``,
-``kv_block_size``, ``spec_k``, ``draft_kind``, ``kernel_backend``,
-``host``.  ``nova-repro geometries`` prints every preset with its
+``kv_block_size``, ``spec_tree``, ``draft_kind``,
+``enable_prefix_caching``, ``kernel_backend``, ``host``.
+``nova-repro geometries`` prints every preset with its
 geometry and host accelerator.  Passing ``--geometry``/``--override``
 to an experiment that has a fixed, paper-defined geometry is an error.
 
@@ -56,7 +57,7 @@ block granularity).  ``serve-decode --speculative`` swaps in the
 draft-and-verify study
 (:func:`repro.eval.experiments.speculative_decode_speedup`): plain vs
 speculative decode, solo and continuously batched, bit-identical tokens
-on every path (``--override spec_k=N`` picks the draft depth).
+on every path (``--override spec_tree=1xN`` picks the draft depth).
 ``serve-decode --prefix-caching`` swaps in the shared-prefix residency
 study (:func:`repro.eval.experiments.prefix_caching_residency`): a
 batch of requests sharing one prompt prefix served with the prefix
@@ -254,8 +255,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="with serve-decode: run the speculative draft-and-verify "
              "study (plain vs speculative decode, solo and continuously "
-             "batched; --override spec_k=N picks the draft depth) "
-             "instead of the throughput harness",
+             "batched; --override spec_tree=1xN picks the draft "
+             "depth) instead of the throughput harness",
     )
     parser.add_argument(
         "--speculative-tree",

@@ -1043,7 +1043,6 @@ def speculative_decode_speedup(
     prompt_len: int = 16,
     max_new_tokens: int = 32,
     config: "NovaConfig | str" = "jetson-nx",
-    spec_k: int | None = None,
     acceptance_rate: float = 0.9,
     seed: int | None = None,
     max_active: int = 8,
@@ -1056,9 +1055,11 @@ def speculative_decode_speedup(
     of causal decode requests is served three ways — plain one-at-a-time
     :meth:`~repro.core.decode.NovaDecodeEngine.generate`, speculative
     one-at-a-time :meth:`~repro.core.speculative.SpeculativeDecodeEngine.
-    generate` (``spec_k`` drafts per packed verification pass, drafted
-    by a :class:`~repro.core.speculative.TruncatedTableDraft` whose
-    fidelity is solved from ``acceptance_rate`` by
+    generate` (the config's ``spec_tree`` chain per packed verification
+    pass — it must be linear, e.g. ``"1x4"``; draft trees have their own
+    study — drafted by a
+    :class:`~repro.core.speculative.TruncatedTableDraft` whose fidelity
+    is solved from ``acceptance_rate`` by
     :func:`repro.workloads.bert.fidelity_for_acceptance`), and
     speculative **continuous batching**
     (:class:`~repro.core.decode.ContinuousBatchScheduler` with
@@ -1075,21 +1076,18 @@ def speculative_decode_speedup(
     deterministic number).
     """
     from repro.core.decode import ContinuousBatchScheduler
-    from repro.core.speculative import SpeculativeDecodeEngine
     from repro.workloads.bert import speculative_decode_batch
 
     cfg, seed, model, session = _setup(
         config, seed, model_name, max_new_tokens
     )
-    if spec_k is None:
-        spec_k = cfg.spec_k
     requests, draft_factory = speculative_decode_batch(
         model, batch_size, acceptance_rate=acceptance_rate,
         prompt_len=prompt_len, max_new_tokens=max_new_tokens, seed=seed,
-        config=cfg, spec_k=spec_k,
+        config=cfg,
     )
     engine = session.decoder
-    speculator = SpeculativeDecodeEngine(engine, spec_k=spec_k)
+    speculator = session.speculator
 
     (plain, t_plain), (solo, t_solo), (batch, t_batched) = _timed(
         warmup,
@@ -1100,7 +1098,7 @@ def speculative_decode_speedup(
         ),
         lambda: ContinuousBatchScheduler(
             engine, max_active=max_active, speculative=True,
-            spec_k=spec_k, draft_factory=draft_factory,
+            draft_factory=draft_factory,
         ).run(requests),
     )
 
@@ -1119,7 +1117,8 @@ def speculative_decode_speedup(
         experiment_id="Speculative decode",
         title=(
             f"Draft-and-verify decode: {batch_size} x {model.name} "
-            f"(prompt {prompt_len} + {max_new_tokens} new, spec_k={spec_k}, "
+            f"(prompt {prompt_len} + {max_new_tokens} new, "
+            f"spec_tree={cfg.spec_tree}, "
             f"target acceptance {acceptance_rate:g}) on "
             f"{cfg.n_routers}x{cfg.neurons_per_router} lanes"
         ),
@@ -1133,7 +1132,7 @@ def speculative_decode_speedup(
             "each speculative result's closed-form sequential-equivalent "
             "cycles equal the plain run's (checked): a rejected draft "
             "costs rolled-back work, never correctness. One verification "
-            f"pass scores up to spec_k+1={spec_k + 1} positions in a "
+            f"pass scores up to {speculator.tree.depth + 1} positions in a "
             "single overlay traversal instead of one traversal per "
             f"token. Solo speculative: {drafted} drafted, {accepted} "
             f"accepted, {rolled_back} rolled back "
@@ -1193,7 +1192,7 @@ def tree_speculation_speedup(
     prompt_len: int = 16,
     max_new_tokens: int = 32,
     config: "NovaConfig | str" = "jetson-nx",
-    spec_tree: str | None = None,
+    spec_tree: str = "4x1,2x1,1x1",
     fidelity: float = 0.45,
     seed: int | None = None,
     max_active: int = 8,
@@ -1206,9 +1205,9 @@ def tree_speculation_speedup(
     one batch of causal decode requests is decoded plain once (the
     bit-exact reference) and then served two ways through the paged
     :class:`~repro.core.decode.ContinuousBatchScheduler` — a
-    **linear** draft chain and a **draft tree** (``spec_tree``, e.g.
-    ``"4x1,2x1,1x1"``) — where the linear
-    chain's depth is pinned to the tree's node count, so both
+    **linear** draft chain and a **draft tree** (``spec_tree``, by
+    default ``"4x1,2x1,1x1"``) — where the linear chain is the
+    ``"1xN"`` tree of the draft tree's node count ``N``, so both
     speculative paths stake the *same number of provisional tokens per
     verification pass* and differ only in how the budget is shaped.
     Every draft candidate flips the same per-position fidelity coin
@@ -1239,12 +1238,10 @@ def tree_speculation_speedup(
     cfg, seed, model, session = _setup(
         config, seed, model_name, max_new_tokens
     )
-    if spec_tree is None:
-        spec_tree = cfg.spec_tree if cfg.spec_tree is not None else "4x1,2x1,1x1"
     tree = DraftTree.parse(spec_tree)
     # the linear baseline stakes exactly as many provisional tokens per
     # pass as the tree has nodes: same budget, different shape
-    spec_k = tree.max_nodes
+    chain = DraftTree.linear(tree.max_nodes).spec
     requests = decode_batch(
         model, batch_size, prompt_len=prompt_len,
         max_new_tokens=max_new_tokens, seed=seed,
@@ -1252,7 +1249,7 @@ def tree_speculation_speedup(
     engine = session.decoder
     plain = [engine.generate(r) for r in requests]
 
-    def serve(shape: str | None):
+    def serve(shape: str):
         # successive drafts draw successive seeds, same rationale as
         # speculative_decode_batch: one coin sequence per request
         draft_seeds = itertools.count(seed)
@@ -1260,14 +1257,14 @@ def tree_speculation_speedup(
         # path: the study measures budget shape, not memory pressure
         return ContinuousBatchScheduler(
             engine, max_active=max_active, paged=True, speculative=True,
-            spec_k=spec_k, spec_tree=shape, pool_blocks=1024,
+            spec_tree=shape, pool_blocks=1024,
             draft_factory=lambda: TruncatedTableDraft(
                 cfg, fidelity=fidelity, seed=next(draft_seeds)
             ),
         ).run(requests)
 
     (linear, t_linear), (treed, t_tree) = _timed(
-        warmup, lambda: serve(None), lambda: serve(spec_tree)
+        warmup, lambda: serve(chain), lambda: serve(spec_tree)
     )
 
     for label, batch in (("linear", linear), ("tree", treed)):
@@ -1282,7 +1279,7 @@ def tree_speculation_speedup(
         title=(
             f"Draft tree vs linear chain: {batch_size} x {model.name} "
             f"(prompt {prompt_len} + {max_new_tokens} new, tree "
-            f"{tree.spec} = {spec_k} nodes, candidate fidelity "
+            f"{tree.spec} = {tree.max_nodes} nodes, candidate fidelity "
             f"{fidelity:g}) on {cfg.n_routers}x{cfg.neurons_per_router} "
             "lanes"
         ),
@@ -1292,8 +1289,8 @@ def tree_speculation_speedup(
         ],
         notes=(
             "Both speculative paths stake the same provisional-token "
-            f"budget per verification pass ({spec_k} drafts) and both "
-            "are bit-identical to plain generate (checked). At low "
+            f"budget per verification pass ({tree.max_nodes} drafts) and "
+            "both are bit-identical to plain generate (checked). At low "
             "candidate fidelity the linear chain dies at its first "
             "rejected draft; the tree's wide first level usually keeps "
             "one branch alive, so the same budget commits more tokens "
@@ -1301,7 +1298,7 @@ def tree_speculation_speedup(
         ),
     )
     for label, batch, dt, base in (
-        ("linear chain (spec_k)", linear, t_linear, None),
+        (f"linear chain ({chain})", linear, t_linear, None),
         (f"draft tree ({tree.spec})", treed, t_tree, t_linear),
     ):
         drafted = sum(r.drafted_tokens for r in batch.results)

@@ -110,9 +110,7 @@ class FrontDoor:
     pool_bytes: int | None = None
     prefix_caching: bool | None = None
     speculative: bool = False
-    spec_k: int | None = None
     spec_tree: str | None = None
-    draft_kind: str | None = None
     draft_factory: "Callable[[], DraftModel] | None" = None
     _pending: list[ServingRequest] = field(default_factory=list, repr=False)
     last_result: ContinuousBatchResult | None = field(
@@ -193,9 +191,7 @@ class FrontDoor:
             pool_bytes=self.pool_bytes,
             prefix_caching=self.prefix_caching,
             speculative=self.speculative,
-            spec_k=self.spec_k,
             spec_tree=self.spec_tree,
-            draft_kind=self.draft_kind,
             draft_factory=self.draft_factory,
             policy=build_policy(self.policy),
         )

@@ -288,29 +288,30 @@ def mixed_decode_batch(
     return requests
 
 
-def fidelity_for_acceptance(acceptance_rate: float, spec_k: int) -> float:
+def fidelity_for_acceptance(acceptance_rate: float, depth: int) -> float:
     """Per-draft fidelity yielding a target long-run acceptance rate.
 
     With the position-wise fidelity coin of
     :class:`repro.core.speculative.TruncatedTableDraft`, a full pass of
-    ``spec_k`` drafts accepts the leading exact prefix only — a draft
-    after the first miss fails regardless of its own coin (its input was
-    already wrong) — so the expected accepted fraction at fidelity ``f``
-    is ``sum(f**i for i in 1..k) / k``.  This inverts that by bisection
-    so workload builders can speak in the quantity the studies sweep
-    (the acceptance rate) instead of the mechanism knob.
+    a linear chain of ``depth`` drafts accepts the leading exact prefix
+    only — a draft after the first miss fails regardless of its own coin
+    (its input was already wrong) — so the expected accepted fraction at
+    fidelity ``f`` is ``sum(f**i for i in 1..depth) / depth``.  This
+    inverts that by bisection so workload builders can speak in the
+    quantity the studies sweep (the acceptance rate) instead of the
+    mechanism knob.
     """
     if not 0.0 <= acceptance_rate <= 1.0:
         raise ValueError(
             f"acceptance_rate must be in [0, 1], got {acceptance_rate}"
         )
-    if spec_k < 1:
-        raise ValueError(f"spec_k must be >= 1, got {spec_k}")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     if acceptance_rate in (0.0, 1.0):
         return acceptance_rate
 
     def expected(f: float) -> float:
-        return sum(f ** i for i in range(1, spec_k + 1)) / spec_k
+        return sum(f ** i for i in range(1, depth + 1)) / depth
 
     lo, hi = 0.0, 1.0
     for _ in range(60):
@@ -330,7 +331,6 @@ def speculative_decode_batch(
     max_new_tokens: int = 16,
     seed: int = 0,
     config=None,
-    spec_k: int | None = None,
 ):
     """A decode batch plus a draft factory tuned to an acceptance rate.
 
@@ -339,7 +339,10 @@ def speculative_decode_batch(
     and the second return value is a zero-argument factory producing one
     :class:`repro.core.speculative.TruncatedTableDraft` per sequence,
     its fidelity solved from ``acceptance_rate`` via
-    :func:`fidelity_for_acceptance` at the geometry's ``spec_k``.
+    :func:`fidelity_for_acceptance` at the depth of the config's
+    ``spec_tree``, which must be a linear ``"1xN"`` chain
+    (``ValueError`` otherwise: the draft trees have their own study,
+    ``--speculative-tree``).
     Successive factory calls draw successive draft seeds (``seed``,
     ``seed + 1``, ...): the fidelity coin is keyed on
     ``(draft seed, position)``, so seeding every request's draft
@@ -352,11 +355,17 @@ def speculative_decode_batch(
     """
     import itertools
 
-    from repro.core.config import as_config
+    from repro.core.config import as_config, parse_tree_spec
 
     cfg = as_config(config)
-    k = cfg.spec_k if spec_k is None else spec_k
-    fidelity = fidelity_for_acceptance(acceptance_rate, k)
+    widths = parse_tree_spec(cfg.spec_tree)
+    if any(w != 1 for w in widths):
+        raise ValueError(
+            "the acceptance model solves a linear draft chain, but "
+            f"spec_tree is {cfg.spec_tree!r}; pass a '1xN' chain, or run "
+            "the draft-tree study (--speculative-tree) instead"
+        )
+    fidelity = fidelity_for_acceptance(acceptance_rate, len(widths))
     requests = decode_batch(
         model_name, batch_size, prompt_len=prompt_len,
         max_new_tokens=max_new_tokens, seed=seed,

@@ -43,7 +43,8 @@ DECODE_WORKLOAD = dict(prompt_len=6, max_new_tokens=4, hidden=16, heads=2,
 #: Fixed accept/reject schedule for the speculative section: draft i of
 #: the run verifies exactly when entry ``i % len`` is 1, so the
 #: acceptance trace — committed tokens per pass, rollbacks, pass count —
-#: is fully pinned per preset (spec_k varies by preset).
+#: is fully pinned per preset (the preset's linear ``spec_tree`` chain
+#: depth varies by preset).
 SPECULATIVE_PROGRAM = (True, True, False)
 
 #: Fixed draft tree for the tree-speculative section: two alternatives
@@ -161,7 +162,7 @@ def golden_trace(preset_name: str) -> dict:
 
     # -- speculative draft-and-verify under a fixed acceptance schedule
     # The same generate run once more through the speculative engine
-    # (preset spec_k, ScheduledDraft accepting per SPECULATIVE_PROGRAM):
+    # (preset chain, ScheduledDraft accepting per SPECULATIVE_PROGRAM):
     # outputs must stay bit-identical and the closed-form sequential
     # equivalent must equal the plain run's cycles, while the pinned
     # acceptance trace (passes, drafted/accepted/rolled-back, actually
@@ -183,7 +184,7 @@ def golden_trace(preset_name: str) -> dict:
     spec_pool = BlockPool(
         request.n_heads, request.head_dim, cfg.kv_block_size,
         n_blocks=worst_case_blocks(
-            request.total_tokens + cfg.spec_k, request.window,
+            request.total_tokens + speculator.tree.depth, request.window,
             cfg.kv_block_size,
         ),
     )
@@ -204,7 +205,7 @@ def golden_trace(preset_name: str) -> dict:
     # the pool exactly (allocated == freed, nothing leaked).
     spec_state.cache.reset()
     decode["speculative"] = {
-        "spec_k": cfg.spec_k,
+        "spec_k": speculator.tree.depth,
         "program": "".join("1" if p else "0" for p in SPECULATIVE_PROGRAM),
         "vector_cycles": spec_gen.vector_cycles,
         "sequential_vector_cycles": spec_gen.sequential_vector_cycles,

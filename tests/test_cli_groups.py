@@ -203,3 +203,20 @@ class TestGeometryFlags:
         assert seen["config"] == preset("jetson-nx").with_overrides(
             ["n_routers=4"]
         )
+
+    def test_retired_spec_k_override_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-decode", "--override", "spec_k=4"])
+        assert exc.value.code == 2
+        assert "unknown NovaConfig field 'spec_k'" in capsys.readouterr().err
+
+
+def test_docstring_lists_exactly_the_overridable_fields():
+    import re
+
+    from repro.core.config import _FIELD_PARSERS
+    from repro.eval import cli
+
+    doc = " ".join(cli.__doc__.split())
+    listing = doc.split("Overridable fields:", 1)[1].split(".", 1)[0]
+    assert re.findall(r"``(\w+)``", listing) == list(_FIELD_PARSERS)

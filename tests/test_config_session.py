@@ -148,6 +148,34 @@ class TestPresets:
             as_config(42)
 
 
+class TestOneSpeculationKnob:
+    """The draft tree is the only speculation-shape setting: the retired
+    ``spec_k`` depth is a ``"1xN"`` tree and nothing else accepts it."""
+
+    def test_from_dict_rejects_spec_k(self):
+        with pytest.raises(ValueError, match="spec_k"):
+            NovaConfig.from_dict({"spec_k": 4})
+
+    def test_overrides_reject_spec_k(self):
+        with pytest.raises(ValueError, match="unknown NovaConfig field"):
+            NovaConfig().with_overrides(["spec_k=4"])
+
+    def test_spec_tree_is_never_none(self):
+        with pytest.raises(TypeError, match="tree spec"):
+            NovaConfig(spec_tree=None)
+        with pytest.raises(ValueError, match="malformed tree-spec"):
+            NovaConfig().with_overrides(["spec_tree=none"])
+
+    def test_presets_carry_their_chain_as_a_tree(self):
+        from repro.core.speculative import DraftTree
+
+        former_depth = {"jetson-nx": 4, "react": 8, "tpu-v3": 4, "tpu-v4": 8}
+        assert set(former_depth) == set(PRESETS)
+        for name, depth in former_depth.items():
+            assert PRESETS[name].spec_tree == DraftTree.linear(depth).spec
+        assert NovaConfig().spec_tree == "1x4"
+
+
 class TestEngineShim:
     """The engine constructors take a NovaConfig or a preset name only
     (the loose geometry kwargs are gone)."""

@@ -282,12 +282,32 @@ class TestOthers:
             config="jetson-nx", spec_tree="2x1,1x1", warmup=False,
         )
         assert result.column("Path") == [
-            "linear chain (spec_k)", "draft tree (2x1,1x1)",
+            "linear chain (1x4)", "draft tree (2x1,1x1)",
         ]
         assert solo_checks == [
             "speculative decode (linear)", "speculative decode (tree)",
         ]
         assert result.column("vs linear")[0] == "1.00x"
+
+    def test_tree_speculation_defaults_to_its_own_tree(self):
+        """The study compares its own default tree with a chain of the
+        same node count, never the config's (always linear) spec_tree."""
+        from repro.core.config import preset
+        from repro.eval.experiments import tree_speculation_speedup
+        from repro.workloads.transformer import TransformerConfig
+
+        model = TransformerConfig(
+            "tree-smoke", layers=1, hidden=8, heads=2, intermediate=32,
+            seq_len=64, causal=True,
+        )
+        result = tree_speculation_speedup(
+            model_name=model, batch_size=1, prompt_len=4, max_new_tokens=2,
+            config=preset("jetson-nx").replace(spec_tree="1x2"),
+            warmup=False,
+        )
+        assert result.column("Path") == [
+            "linear chain (1x20)", "draft tree (4x1,2x1,1x1)",
+        ]
 
     def test_tree_speculation_speedup_validation(self):
         from repro.eval.experiments import tree_speculation_speedup

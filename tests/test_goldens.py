@@ -103,7 +103,12 @@ class TestGoldenTraces:
         decode = golden["decode"]
         spec = decode["speculative"]
         assert spec["sequential_vector_cycles"] == decode["vector_cycles"]
-        assert spec["spec_k"] == golden["config"]["spec_k"]
+        from repro.core.speculative import DraftTree
+
+        assert (
+            DraftTree.linear(spec["spec_k"]).spec
+            == golden["config"]["spec_tree"]
+        )
         generated = decode["max_new_tokens"]
         assert spec["verify_passes"] + spec["accepted"] == generated
         assert (

@@ -28,7 +28,11 @@ from repro.core.config import NovaConfig
 from repro.core.decode import DecodeRequest, KVCache, NovaDecodeEngine
 from repro.core.paging import BlockPool, PagedKVCache, blocks_needed
 from repro.core.session import NovaSession
-from repro.core.speculative import ScheduledDraft, SpeculativeDecodeEngine
+from repro.core.speculative import (
+    DraftTree,
+    ScheduledDraft,
+    SpeculativeDecodeEngine,
+)
 from repro.utils.fixed_point import FixedPointFormat
 
 #: Small geometry shared by the hardware-backed properties (module
@@ -323,7 +327,8 @@ class TestPagedCacheEquivalenceProperties:
 
 @st.composite
 def speculative_scenarios(draw):
-    """A decode request, a draft depth and an accept/reject program."""
+    """A decode request, a linear draft tree and an accept/reject
+    program."""
     n_heads = draw(st.integers(min_value=1, max_value=3))
     head_dim = draw(st.integers(min_value=1, max_value=4))
     prompt_len = draw(st.integers(min_value=1, max_value=5))
@@ -331,7 +336,7 @@ def speculative_scenarios(draw):
     window = draw(
         st.one_of(st.none(), st.integers(min_value=1, max_value=prompt_len))
     )
-    spec_k = draw(st.integers(min_value=1, max_value=4))
+    chain = DraftTree.linear(draw(st.integers(min_value=1, max_value=4)))
     program = draw(
         st.lists(st.booleans(), min_size=1, max_size=16)
     )
@@ -349,7 +354,7 @@ def speculative_scenarios(draw):
         max_new_tokens=new_tokens,
         window=window,
     )
-    return request, spec_k, program
+    return request, chain, program
 
 
 class TestSpeculativeEquivalenceProperties:
@@ -361,15 +366,15 @@ class TestSpeculativeEquivalenceProperties:
         exact closed-form cycle bill, and a drained block pool."""
         from repro.core.paging import worst_case_blocks
 
-        request, spec_k, program = scenario
+        request, chain, program = scenario
         plain_state = DECODER.start(request)
         plain = DECODER.generate(request, state=plain_state)
 
-        speculator = SpeculativeDecodeEngine(DECODER, spec_k=spec_k)
+        speculator = SpeculativeDecodeEngine(DECODER, tree=chain)
         pool = BlockPool(
             request.n_heads, request.head_dim, 3,
             n_blocks=worst_case_blocks(
-                request.total_tokens + spec_k, request.window, 3
+                request.total_tokens + chain.depth, request.window, 3
             ),
         )
         spec_state = speculator.start(request, pool=pool)

@@ -288,7 +288,34 @@ class RetiredStepper(FCFS):
         return list(active)
 
 
+class NoneAdmitter(FCFS):
+    """Admits nothing, even with nothing in flight."""
+
+    name = "none-admitter"
+
+    def __init__(self):
+        self.calls = []
+
+    def admit_next(self, waiting, in_flight, now):
+        self.calls.append((list(waiting), list(in_flight)))
+        return None
+
+
 class TestPolicyValidation:
+    def test_admitting_nothing_while_idle_blames_the_policy(self):
+        """An idle pool is empty and every request fits it alone, so a
+        stall with nothing in flight is the policy's, not memory's."""
+        engine = NovaDecodeEngine(SMALL)
+        policy = NoneAdmitter()
+        with pytest.raises(ValueError, match="none-admitter"):
+            ContinuousBatchScheduler(
+                engine, max_active=2, policy=policy
+            ).run(batch(3))
+        waiting, in_flight = policy.calls[-1]
+        assert [seq.index for seq in waiting] == [0, 1, 2]
+        assert all(seq.admitted_at == -1 for seq in waiting)
+        assert in_flight == []
+
     def test_admitting_non_waiting_sequence_raises(self):
         engine = NovaDecodeEngine(SMALL)
         with pytest.raises(ValueError, match="bad-admitter"):

@@ -34,6 +34,7 @@ from repro.core.session import NovaSession
 from repro.core.speculative import (
     DraftBranch,
     DraftModel,
+    DraftTree,
     NGramDraft,
     ScheduledDraft,
     SpeculativeDecodeEngine,
@@ -351,7 +352,7 @@ class TestSpeculativeEngine:
         request = toy_request(prompt_len=4, max_new_tokens=8)
         plain = ENGINE.generate(request)
         spec = SpeculativeDecodeEngine(
-            ENGINE, draft=TruncatedTableDraft(SMALL), spec_k=4
+            ENGINE, draft=TruncatedTableDraft(SMALL), tree="1x4"
         ).generate(request)
         assert spec.vector_cycles < plain.vector_cycles
         assert spec.cycle_speedup > 1.0
@@ -362,7 +363,7 @@ class TestSpeculativeEngine:
         plain_state = ENGINE.start(request)
         plain = ENGINE.generate(request, state=plain_state)
         spec_engine = SpeculativeDecodeEngine(
-            ENGINE, draft=TruncatedTableDraft(SMALL), spec_k=3
+            ENGINE, draft=TruncatedTableDraft(SMALL), tree="1x3"
         )
         spec_state = spec_engine.start(request)
         spec = spec_engine.generate(request, state=spec_state)
@@ -397,11 +398,11 @@ class TestSpeculativeEngine:
         assert spec.verify_passes == 0
         assert spec.vector_cycles == spec.prefill.vector_cycles
 
-    def test_spec_k_validation(self):
-        with pytest.raises(ValueError, match="spec_k must be >= 1"):
-            SpeculativeDecodeEngine(ENGINE, spec_k=0)
-        with pytest.raises(ValueError, match="spec_k must be >= 1"):
-            NovaConfig(spec_k=0)
+    def test_speculative_config_validation(self):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            SpeculativeDecodeEngine(ENGINE, tree="1x0")
+        with pytest.raises(ValueError, match="must be >= 1"):
+            NovaConfig(spec_tree="0x4")
         with pytest.raises(ValueError, match="unknown draft_kind"):
             NovaConfig(draft_kind="oracle")
         with pytest.raises(TypeError, match="draft_kind"):
@@ -409,12 +410,12 @@ class TestSpeculativeEngine:
 
     def test_config_overrides_reach_the_speculative_fields(self):
         cfg = preset("jetson-nx").with_overrides(
-            ["spec_k=7", "draft_kind=ngram"]
+            ["spec_tree=1x7", "draft_kind=ngram"]
         )
-        assert cfg.spec_k == 7
+        assert cfg.spec_tree == "1x7"
         assert cfg.draft_kind == "ngram"
         engine = SpeculativeDecodeEngine(cfg)
-        assert engine.spec_k == 7
+        assert engine.tree == DraftTree.linear(7)
         assert isinstance(engine.draft, NGramDraft)
 
     def test_budget_overflow_rejected_at_admission(self):
@@ -482,7 +483,7 @@ class TestErrorPaths:
         their pre-pass state before the exception propagates."""
         request = toy_request(prompt_len=2, max_new_tokens=6)
         spec_engine = SpeculativeDecodeEngine(
-            ENGINE, draft=TruncatedTableDraft(SMALL), spec_k=4
+            ENGINE, draft=TruncatedTableDraft(SMALL), tree="1x4"
         )
         # prompt fills 1 block; 1 spare block holds u_0 + one draft,
         # the second draft's block allocation must fail mid-pass
@@ -500,7 +501,7 @@ class TestErrorPaths:
     def test_fallback_degrades_to_a_draft_free_pass(self):
         request = toy_request(prompt_len=2, max_new_tokens=6)
         spec_engine = SpeculativeDecodeEngine(
-            ENGINE, draft=TruncatedTableDraft(SMALL), spec_k=4
+            ENGINE, draft=TruncatedTableDraft(SMALL), tree="1x4"
         )
         state, pool = self._paged_state_after_prefill(
             spec_engine, request, n_blocks=2
@@ -515,7 +516,7 @@ class TestErrorPaths:
     def test_wrong_shape_draft_raises_with_no_net_state_change(self):
         request = toy_request(prompt_len=3, max_new_tokens=4)
         spec_engine = SpeculativeDecodeEngine(
-            ENGINE, draft=_WrongShapeDraft(), spec_k=2
+            ENGINE, draft=_WrongShapeDraft(), tree="1x2"
         )
         state = spec_engine.start(request)
         ENGINE.prefill(state)
@@ -702,9 +703,7 @@ class TestSchedulerSpeculative:
 
     def test_speculative_kwargs_need_speculative_mode(self):
         with pytest.raises(ValueError, match="speculative scheduler"):
-            ContinuousBatchScheduler(ENGINE, spec_k=4)
-        with pytest.raises(ValueError, match="speculative scheduler"):
-            ContinuousBatchScheduler(ENGINE, draft_kind="ngram")
+            ContinuousBatchScheduler(ENGINE, spec_tree="1x4")
         with pytest.raises(ValueError, match="speculative scheduler"):
             ContinuousBatchScheduler(ENGINE, draft_factory=lambda: None)
 
@@ -719,7 +718,7 @@ class TestSessionAndWorkloads:
         session = NovaSession(SMALL)
         request = toy_request()
         with pytest.raises(ValueError, match="speculative=True"):
-            session.generate(request, spec_k=4)
+            session.generate(request, spec_tree="1x4")
         with pytest.raises(ValueError, match="speculative=True"):
             session.generate(request, draft=NGramDraft())
 
@@ -750,13 +749,13 @@ class TestSessionAndWorkloads:
         assert fidelity_for_acceptance(1.0, 4) == 1.0
         with pytest.raises(ValueError, match="acceptance_rate"):
             fidelity_for_acceptance(1.5, 4)
-        with pytest.raises(ValueError, match="spec_k"):
+        with pytest.raises(ValueError, match="depth"):
             fidelity_for_acceptance(0.5, 0)
 
     def test_speculative_decode_batch_builds_tuned_drafts(self):
         requests, factory = speculative_decode_batch(
             toy_model(), 3, acceptance_rate=0.9, prompt_len=4,
-            max_new_tokens=5, seed=1, config=SMALL, spec_k=4,
+            max_new_tokens=5, seed=1, config=SMALL,
         )
         assert len(requests) == 3
         draft = factory()
@@ -772,12 +771,27 @@ class TestSessionAndWorkloads:
         assert draft.seed == 1
         assert second.seed == 2
 
+    def test_acceptance_model_rejects_a_draft_tree(self):
+        """The fidelity solve models a linear chain, so the speculative
+        workload and study name the tree study instead of guessing."""
+        from repro.eval.experiments import speculative_decode_speedup
+
+        tree_cfg = SMALL.replace(spec_tree="2x2")
+        with pytest.raises(ValueError, match="--speculative-tree"):
+            speculative_decode_batch(toy_model(), 1, config=tree_cfg)
+        with pytest.raises(ValueError, match="--speculative-tree"):
+            speculative_decode_speedup(
+                model_name=toy_model(), batch_size=1, config=tree_cfg,
+                warmup=False,
+            )
+
     def test_speculative_experiment_smoke(self):
         from repro.eval.experiments import speculative_decode_speedup
 
         result = speculative_decode_speedup(
             model_name=toy_model(), batch_size=2, prompt_len=3,
-            max_new_tokens=4, config=SMALL, spec_k=3, warmup=False,
+            max_new_tokens=4, config=SMALL.replace(spec_tree="1x3"),
+            warmup=False,
         )
         assert len(result.rows) == 3
         assert result.rows[0][0].startswith("plain")

@@ -133,17 +133,16 @@ class TestDraftTreeSpec:
 
     def test_config_field_validates_and_overrides(self):
         assert NovaConfig(spec_tree="2x2").spec_tree == "2x2"
-        assert NovaConfig().spec_tree is None
+        assert NovaConfig().spec_tree == "1x4"
         with pytest.raises(ValueError):
             NovaConfig(spec_tree="0x2")
         cfg = preset("jetson-nx").with_overrides(["spec_tree=2x2,1x2"])
         assert cfg.spec_tree == "2x2,1x2"
-        assert preset("jetson-nx").with_overrides(
-            ["spec_tree=none"]
-        ).spec_tree is None
+        with pytest.raises(ValueError, match="malformed"):
+            preset("jetson-nx").with_overrides(["spec_tree=none"])
 
     def test_engine_tree_resolution_order(self):
-        # explicit argument > config.spec_tree > linear(spec_k)
+        # explicit argument > config.spec_tree
         cfg = SMALL.replace(spec_tree="2x2")
         assert SpeculativeDecodeEngine(
             NovaDecodeEngine(cfg), tree="3x1,1x1"
@@ -151,9 +150,7 @@ class TestDraftTreeSpec:
         assert SpeculativeDecodeEngine(
             NovaDecodeEngine(cfg)
         ).tree.widths == (2, 2)
-        assert SpeculativeDecodeEngine(ENGINE).tree == DraftTree.linear(
-            SMALL.spec_k
-        )
+        assert SpeculativeDecodeEngine(ENGINE).tree == DraftTree.linear(4)
         assert SpeculativeDecodeEngine(
             ENGINE, tree=DraftTree((2, 1))
         ).tree.widths == (2, 1)
@@ -250,23 +247,6 @@ class TestTreeBitExactness:
         )
         assert np.array_equal(result.generated, plain.generated)
 
-    def test_linear_tree_is_bit_and_accounting_identical_to_spec_k(self):
-        """The degenerate tree pins backward compatibility: same passes,
-        same drafts, same cycles, same counters as the spec_k chain."""
-        request = toy_request(prompt_len=4, max_new_tokens=7)
-        chain = SpeculativeDecodeEngine(ENGINE, spec_k=3).generate(
-            request, draft=TruncatedTableDraft(SMALL, fidelity=0.7, seed=2)
-        )
-        tree = SpeculativeDecodeEngine(ENGINE, tree="1x3").generate(
-            request, draft=TruncatedTableDraft(SMALL, fidelity=0.7, seed=2)
-        )
-        assert np.array_equal(tree.generated, chain.generated)
-        assert tree.vector_cycles == chain.vector_cycles
-        assert tree.verify_passes == chain.verify_passes
-        assert tree.drafted_tokens == chain.drafted_tokens
-        assert tree.accepted_tokens == chain.accepted_tokens
-        assert tree.rolled_back_tokens == chain.rolled_back_tokens
-        assert tree.counters.as_dict() == chain.counters.as_dict()
 
 
 # ----------------------------------------------------------------------
