@@ -18,7 +18,7 @@ storing N copies of the same KV rows.  Four layers:
    skips physical writes into adopted blocks, bit-exact all the way;
 3. copy-on-write — a forked cache diverges and pays for exactly the
    block it touched;
-4. the ``enable_prefix_caching`` config knob through the paged
+4. the per-run ``prefix_caching=True`` choice through the paged
    scheduler and the async front door's hit-rate report — the
    residency win the benchmark gates at 2x.
 
@@ -98,24 +98,18 @@ def main() -> None:
           f"block copy, parent cache untouched")
     del twin, states, shared
 
-    # 4. The config knob, end to end.  A scheduler built from an
-    #    engine whose config enables prefix caching resolves the knob
-    #    itself; siblings arrive one cycle after the leader so they
-    #    adopt its published prefill.
-    flagged = NovaSession(
-        session.config.replace(enable_prefix_caching=True)
-    ).decoder
+    # 4. The per-run choice, end to end.  Prefix caching is a call
+    #    argument of the paged scheduler (the block size stays the
+    #    config's kv_block_size); siblings arrive one cycle after the
+    #    leader so they adopt its published prefill.
     metas = [SequenceMeta(arrival=0.0)] + [
         SequenceMeta(arrival=1.0) for _ in requests[1:]
     ]
-    cached_sched = ContinuousBatchScheduler(
-        flagged, max_active=8, paged=True, block_size=block_size,
-    )
-    assert cached_sched.prefix_caching  # resolved from the config knob
-    cached = cached_sched.run(requests, meta=metas)
+    cached = ContinuousBatchScheduler(
+        engine, max_active=8, paged=True, prefix_caching=True,
+    ).run(requests, meta=metas)
     plain = ContinuousBatchScheduler(
-        engine, max_active=8, paged=True, block_size=block_size,
-        prefix_caching=False,
+        engine, max_active=8, paged=True,
     ).run(requests, meta=metas)
     for ref, got in zip(plain.results, cached.results):
         assert np.array_equal(ref.generated, got.generated)
@@ -125,8 +119,7 @@ def main() -> None:
           f"{cached.paging['prefix_hits']} hits, "
           f"{cached.paging['cow_copies']} CoW copies, tokens identical")
 
-    door = FrontDoor(engine, paged=True, block_size=block_size,
-                     prefix_caching=True)
+    door = FrontDoor(engine, paged=True, prefix_caching=True)
     trace = [
         ServingRequest(request=r, arrival=float(i > 0), request_id=i)
         for i, r in enumerate(requests)

@@ -71,7 +71,6 @@ from repro.core.paging import (
     BlockPoolExhausted,
     BlockTable,
     PagedKVCache,
-    pool_cache_info,
 )
 from repro.core.decode import (
     KVCache,
@@ -139,7 +138,6 @@ __all__ = [
     "BlockPoolExhausted",
     "BlockTable",
     "PagedKVCache",
-    "pool_cache_info",
     "KVCache",
     "KVCacheOverflow",
     "DecodeRequest",

@@ -89,9 +89,6 @@ _FIELD_PARSERS: dict[str, Callable[[str], object]] = {
     "kv_block_size": int,
     "spec_tree": str,
     "draft_kind": str,
-    "enable_prefix_caching": lambda s: _parse_bool(
-        "enable_prefix_caching", s
-    ),
     "kernel_backend": str,
     "host": lambda s: None if s.lower() in ("", "none", "null") else s,
 }
@@ -160,19 +157,6 @@ def parse_tree_spec(spec: str) -> tuple[int, ...]:
     return tuple(widths)
 
 
-def _parse_bool(name: str, text: str) -> bool:
-    """An override-string boolean (``1/true/yes/on`` / ``0/false/no/off``)."""
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(
-        f"{name} must be a boolean (1/true/yes/on or 0/false/no/off), "
-        f"got {text!r}"
-    )
-
-
 @dataclass(frozen=True)
 class NovaConfig:
     """One NOVA overlay configuration (a Table II row, as data).
@@ -189,8 +173,13 @@ class NovaConfig:
     granularity — tokens per :class:`repro.core.paging.BlockPool` block
     (presets size it to their on-chip memory: small hosts get small
     blocks so short requests waste fewer slots, large hosts amortise
-    block-table overhead with bigger blocks).  It never affects
-    numerics, cycles or counters — only where K/V rows live.
+    block-table overhead with bigger blocks).  It is the one home of the
+    block size: every serving run's pool uses it, under either
+    reservation policy, and a run that wants another granularity builds
+    its engine from ``config.replace(kv_block_size=N)``.  It never
+    affects numerics, cycles or counters — only where K/V rows live.
+    Per-run serving choices (paged reservation, prefix caching, pool
+    budgets) are call arguments of the serving surfaces, not fields.
 
     ``spec_tree`` / ``draft_kind`` are the speculative-decode defaults
     (:mod:`repro.core.speculative`): the draft tree one verification
@@ -204,17 +193,10 @@ class NovaConfig:
     construction — only how many overlay passes it takes to generate
     them.
 
-    ``enable_prefix_caching`` is the paged serving stack's default for
-    sharing already-cached prompt blocks between requests
-    (:mod:`repro.core.paging`; schedulers and the front door can
-    override it per run).  Off by default; like the other serving
-    knobs it is purely a memory-residency lever — outputs, cycles and
-    counters are bit-identical either way.
-
     ``kernel_backend`` selects the :data:`KERNEL_BACKENDS` entry that
     executes the whole-batch gather/MAC primitives
     (:mod:`repro.core.kernels`).  Every backend is bit/cycle/counter
-    exact against the beat-level simulation, so like the serving knobs
+    exact against the beat-level simulation, so like ``kv_block_size``
     it is purely an execution-speed lever; ``"numpy"`` is the default
     everywhere and ``"numba"`` is an optional accelerated drop-in that
     falls back to numpy (with a warning) when the package is absent.
@@ -229,7 +211,6 @@ class NovaConfig:
     kv_block_size: int = 16
     spec_tree: str = "1x4"
     draft_kind: str = "truncated-table"
-    enable_prefix_caching: bool = False
     kernel_backend: str = "numpy"
     host: str | None = None
 
@@ -270,11 +251,6 @@ class NovaConfig:
             raise ValueError(
                 f"unknown draft_kind {self.draft_kind!r}; "
                 f"known: {sorted(DRAFT_KINDS)}"
-            )
-        if not isinstance(self.enable_prefix_caching, bool):
-            raise TypeError(
-                "enable_prefix_caching must be a bool, got "
-                f"{type(self.enable_prefix_caching).__name__}"
             )
         if not isinstance(self.kernel_backend, str):
             raise TypeError(

@@ -1294,9 +1294,11 @@ class ContinuousBatchScheduler:
 
     One memory model, two reservation policies.  Every run takes its KV
     storage from one :class:`~repro.core.paging.BlockPool` of
-    fixed-size blocks (``engine.config.kv_block_size`` tokens, or
-    ``block_size`` in paged mode), shared by every request; ``paged``
-    only picks how a sequence reserves it:
+    fixed-size blocks (``engine.config.kv_block_size`` tokens — the one
+    home of the block size; build the engine from
+    ``config.replace(kv_block_size=N)`` for another granularity),
+    shared by every request; ``paged`` only picks how a sequence
+    reserves it:
 
     * **Contiguous (default)** — admission reserves the request's whole
       worst-case page at once: one run of ``blocks_needed(capacity,
@@ -1312,20 +1314,20 @@ class ContinuousBatchScheduler:
       **preempted**: its blocks are freed and it restarts from its
       prompt later (recomputation is deterministic, so its final
       results are still bit-identical; the wasted work shows up only in
-      ``packed_vector_cycles``).  ``prefix_caching=True`` (or the
-      engine config's ``enable_prefix_caching``) additionally shares
-      already-cached prompt blocks between requests: admission charges
-      only *unshared* blocks (a request whose prefix is resident can
-      enter a dry pool), prefills adopt shared blocks instead of
-      re-writing them, and the first divergent append copies on write —
-      N requests sharing a prefix prefill once and pay ~1/N the pool
-      residency, with bit/cycle/counter-exact outputs.
+      ``packed_vector_cycles``).  ``prefix_caching=True`` additionally
+      shares already-cached prompt blocks between requests: admission
+      charges only *unshared* blocks (a request whose prefix is
+      resident can enter a dry pool), prefills adopt shared blocks
+      instead of re-writing them, and the first divergent append copies
+      on write — N requests sharing a prefix prefill once and pay ~1/N
+      the pool residency, with bit/cycle/counter-exact outputs.
 
     Retirement and preemption hand a sequence's memory back the same
     way under both policies (``cache.reset()``).  The pool is sized from
-    ``pool_blocks`` (paged only), ``pool_bytes`` or — by default — the
-    ``max_active`` largest per-request reservations (whole pages, or
-    paged worst cases).  Every request must agree on head geometry.
+    ``pool_blocks`` or ``pool_bytes`` (either policy, not both) or — by
+    default — the ``max_active`` largest per-request reservations (whole
+    pages, or paged worst cases).  Every request must agree on head
+    geometry.
 
     Outputs are bit-identical to running each request alone through
     :meth:`NovaDecodeEngine.generate` in **both** modes (checked by the
@@ -1365,10 +1367,9 @@ class ContinuousBatchScheduler:
         max_active: int = 8,
         *,
         paged: bool = False,
-        block_size: int | None = None,
         pool_blocks: int | None = None,
         pool_bytes: int | None = None,
-        prefix_caching: bool | None = None,
+        prefix_caching: bool = False,
         speculative: bool = False,
         spec_tree: str | None = None,
         draft_factory: Callable[[], DraftModel] | None = None,
@@ -1376,17 +1377,11 @@ class ContinuousBatchScheduler:
     ) -> None:
         if max_active < 1:
             raise ValueError(f"max_active must be >= 1, got {max_active}")
-        if not paged:
-            if block_size is not None or pool_blocks is not None:
-                raise ValueError(
-                    "block_size/pool_blocks only apply to the paged "
-                    "scheduler (pass paged=True)"
-                )
-            if prefix_caching:
-                raise ValueError(
-                    "prefix_caching requires the paged scheduler "
-                    "(pass paged=True)"
-                )
+        if prefix_caching and not paged:
+            raise ValueError(
+                "prefix_caching requires the paged scheduler "
+                "(pass paged=True)"
+            )
         if pool_blocks is not None and pool_bytes is not None:
             raise ValueError("pass pool_blocks or pool_bytes, not both")
         if not speculative and (
@@ -1418,22 +1413,7 @@ class ContinuousBatchScheduler:
         )
         self.max_active = max_active
         self.paged = bool(paged)
-        #: Prefix caching (paged only): ``None`` defers to the engine
-        #: config's ``enable_prefix_caching`` knob; it only ever takes
-        #: effect in paged mode (blocks are the sharing granularity).
-        resolved_prefix = (
-            engine.config.enable_prefix_caching
-            if prefix_caching is None
-            else bool(prefix_caching)
-        )
-        self.prefix_caching = bool(resolved_prefix and self.paged)
-        self.block_size = (
-            engine.config.kv_block_size if block_size is None else block_size
-        )
-        if self.block_size < 1:
-            raise ValueError(
-                f"block_size must be >= 1, got {self.block_size}"
-            )
+        self.prefix_caching = bool(prefix_caching)
         self.pool_blocks = pool_blocks
         self.pool_bytes = pool_bytes
         if policy is None:
@@ -1469,7 +1449,7 @@ class ContinuousBatchScheduler:
                     f"must agree on head geometry; got {n_heads}x{head_dim} "
                     f"and {request.n_heads}x{request.head_dim}"
                 )
-        bs = self.block_size
+        bs = self.engine.config.kv_block_size
         # Per-request reservation: the whole page, or the paged worst case.
         reservations = [
             worst_case_blocks(r.total_tokens, r.window, bs)
@@ -1493,7 +1473,7 @@ class ContinuousBatchScheduler:
                     f"request needs {need} blocks of {bs} tokens even "
                     f"running alone, but the pool only has "
                     f"{pool.n_blocks}; raise pool_blocks/pool_bytes or "
-                    "the block size"
+                    "the config's kv_block_size"
                 )
         return pool
 

@@ -67,19 +67,19 @@ counters (``prefix_hits`` / ``prefix_misses`` / ``prefix_index_size``).
 ``live_tokens`` stays *logical* — an adopted slot counts for every
 cache presenting it — so under sharing ``fragmentation_slots`` can go
 negative: that deficit **is** the deduplication win (tokens served
-minus slots resident).  :meth:`BlockPool.pool_info` reports them all,
-:func:`pool_cache_info` aggregates across every live pool in the
-process (surfaced through
-:meth:`repro.core.session.NovaSession.cache_info`), and the invariants
-``n_blocks == in_use + free`` and
-``blocks_allocated - blocks_freed == in_use`` are pinned by the suite.
+minus slots resident).  Statistics are per pool, and a serving run owns
+its pool: :meth:`BlockPool.pool_info` reports them all, and a
+scheduler run hands that report back as
+:attr:`repro.core.decode.ContinuousBatchResult.paging`.
+:meth:`BlockPool.check_invariants` verifies the pool's structural
+invariants (block conservation, free list vs live blocks, reference
+counts, reserved runs, the prefix index) and names the first one
+broken.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-import weakref
 from collections.abc import Sequence
 
 import numpy as np
@@ -95,18 +95,11 @@ __all__ = [
     "blocks_needed",
     "prefix_block_keys",
     "worst_case_blocks",
-    "pool_cache_info",
 ]
 
 
 class BlockPoolExhausted(RuntimeError):
     """Allocating from a :class:`BlockPool` with no free blocks."""
-
-
-#: Every live pool in the process, for :func:`pool_cache_info`.
-_LIVE_POOLS: "weakref.WeakSet[BlockPool]" = weakref.WeakSet()
-_POOLS_LOCK = threading.Lock()
-_POOLS_CREATED = 0
 
 
 def blocks_needed(tokens: int, block_size: int) -> int:
@@ -245,10 +238,6 @@ class BlockPool:
         self.prefix_misses = 0
         self.peak_in_use = 0
         self.live_tokens = 0
-        global _POOLS_CREATED
-        with _POOLS_LOCK:
-            _POOLS_CREATED += 1
-            _LIVE_POOLS.add(self)
 
     # -- geometry -------------------------------------------------------
 
@@ -504,9 +493,9 @@ class BlockPool:
     def pool_info(self) -> dict[str, int]:
         """Every accounting counter, as one plain dict.
 
-        Invariants (pinned by the suite): ``n_blocks == in_use + free``
-        and ``blocks_allocated - blocks_freed == in_use`` — sharing
-        never disturbs them, because :meth:`share` / shared
+        Invariants (:meth:`check_invariants`): ``n_blocks == in_use +
+        free`` and ``blocks_allocated - blocks_freed == in_use`` —
+        sharing never disturbs them, because :meth:`share` / shared
         :meth:`free` move only the reference count.  ``live_tokens``
         here counts reserved runs' tokens too, so
         ``fragmentation_slots == in_use * block_size - live_tokens``.
@@ -531,42 +520,61 @@ class BlockPool:
             "fragmentation_slots": self.fragmentation_slots,
         }
 
+    def check_invariants(self) -> None:
+        """Raise ``RuntimeError`` naming the first broken invariant.
+
+        The invariants, in the order checked: ``in_use + free ==
+        n_blocks`` (live blocks counted from the live mask),
+        ``blocks_allocated - blocks_freed == in_use``, the free list
+        holds each non-live block exactly once, live blocks carry a
+        reference count of at least 1 and free blocks 0, reserved runs
+        are live and disjoint, and the prefix index and its per-block
+        keys are mutual inverses over live blocks only.  A verification
+        hook for tests; nothing on the serving path calls it.
+        """
+        live, n = self._live, self.n_blocks
+        in_use = int(np.count_nonzero(live))
+        reserved = [
+            b for first, k in self._runs.values()
+            for b in range(first, first + k)
+        ]
+        index, keys = self._prefix_index, self._block_keys
+        checks = {
+            "in_use + free == n_blocks": in_use + len(self._free) == n,
+            "blocks_allocated - blocks_freed == in_use": (
+                self.blocks_allocated - self.blocks_freed == in_use
+            ),
+            "the free list holds each non-live block once": (
+                sorted(self._free) == np.flatnonzero(~live).tolist()
+            ),
+            "live blocks have refcount >= 1, free blocks 0": all(
+                count >= 1 if held else count == 0
+                for count, held in zip(self._refcount, live)
+            ),
+            "reserved runs are live and disjoint": (
+                len(set(reserved)) == len(reserved)
+                and all(0 <= b < n and live[b] for b in reserved)
+            ),
+            "the prefix index and its block keys are mutual inverses": (
+                len(index) == len(keys)
+                and {b: key for key, b in index.items()} == keys
+            ),
+            "the prefix index covers live blocks only": all(
+                0 <= b < n and live[b] for b in keys
+            ),
+        }
+        for invariant, holds in checks.items():
+            if not holds:
+                raise RuntimeError(
+                    f"block pool invariant broken: {invariant}"
+                )
+
     def __repr__(self) -> str:
         return (
             f"BlockPool({self.n_blocks} x {self.block_size} tokens, "
             f"{self.n_heads} heads x {self.head_dim}, "
             f"{self.in_use} in use)"
         )
-
-
-#: The :meth:`BlockPool.pool_info` counters :func:`pool_cache_info` sums.
-_AGGREGATED = (
-    "n_blocks", "in_use", "free", "blocks_allocated", "blocks_freed",
-    "blocks_shared", "shared_frees", "cow_copies", "prefix_hits",
-    "prefix_misses", "prefix_index_size", "shared_block_refs",
-    "peak_in_use", "live_tokens", "fragmentation_slots",
-)
-
-
-def pool_cache_info() -> dict[str, int]:
-    """Process-wide block-pool statistics (every live pool aggregated).
-
-    The paging analogue of
-    :func:`repro.approx.table_cache.table_cache_info`, surfaced through
-    :meth:`repro.core.session.NovaSession.cache_info`.
-    """
-    with _POOLS_LOCK:
-        pools = list(_LIVE_POOLS)
-    infos = [pool.pool_info() for pool in pools]
-    # Cumulative totals.  Every free path — window eviction, speculative
-    # rollback, cache reset and run release — goes through the pool's
-    # own accounting, so ``blocks_freed`` counts them identically (the
-    # suite pins ``blocks_allocated - blocks_freed == in_use``).
-    return {
-        "pools_created": _POOLS_CREATED,
-        "live_pools": len(pools),
-        **{key: sum(info[key] for info in infos) for key in _AGGREGATED},
-    }
 
 
 class BlockTable:

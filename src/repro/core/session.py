@@ -269,10 +269,9 @@ class NovaSession:
         max_active: int = 8,
         *,
         paged: bool = False,
-        block_size: int | None = None,
         pool_blocks: int | None = None,
         pool_bytes: int | None = None,
-        prefix_caching: bool | None = None,
+        prefix_caching: bool = False,
         speculative: bool = False,
         spec_tree: str | None = None,
         draft_factory: "Callable[[], DraftModel] | None" = None,
@@ -283,19 +282,18 @@ class NovaSession:
         are per call) drives the session's decode engine; results are
         bit-identical to per-request :meth:`generate` under either
         reservation policy.  Every run's KV storage is one shared
-        :class:`~repro.core.paging.BlockPool` of fixed-size blocks; by
-        default each request reserves its whole worst-case page there at
-        admission, and ``paged=True`` allocates blocks lazily instead
-        (``block_size`` defaults to the session config's
-        ``kv_block_size``).  ``pool_bytes`` (either policy) or
-        ``pool_blocks`` (paged) cap the pool, enabling deferral (and,
-        paged, preemption) under memory pressure — by default it holds
-        the ``max_active`` largest per-request reservations.
-        ``prefix_caching`` (paged only; ``None`` defers to the config's
-        ``enable_prefix_caching``) shares already-cached prompt blocks
-        between requests under refcounts with copy-on-write, charging
-        admission only for unshared blocks — a pure residency win, the
-        hit/share counters land in the result's ``paging`` dict.
+        :class:`~repro.core.paging.BlockPool` of the session config's
+        ``kv_block_size``-token blocks; by default each request reserves
+        its whole worst-case page there at admission, and ``paged=True``
+        allocates blocks lazily instead.  ``pool_blocks`` or
+        ``pool_bytes`` (either policy, not both) cap the pool, enabling
+        deferral (and preemption) under memory pressure — by default it
+        holds the ``max_active`` largest per-request reservations.
+        ``prefix_caching=True`` (paged only) shares already-cached
+        prompt blocks between requests under refcounts with
+        copy-on-write, charging admission only for unshared blocks — a
+        pure residency win, the hit/share counters land in the result's
+        ``paging`` dict.
         ``speculative=True`` replaces each in-flight decode row with a
         draft-and-verify pass (a whole ``spec_tree`` draft tree per
         pass, defaulting to the config's; one model per sequence from
@@ -305,8 +303,8 @@ class NovaSession:
         """
         scheduler = ContinuousBatchScheduler(
             self.decoder, max_active=max_active, paged=paged,
-            block_size=block_size, pool_blocks=pool_blocks,
-            pool_bytes=pool_bytes, prefix_caching=prefix_caching,
+            pool_blocks=pool_blocks, pool_bytes=pool_bytes,
+            prefix_caching=prefix_caching,
             speculative=speculative, spec_tree=spec_tree,
             draft_factory=draft_factory,
         )
@@ -319,10 +317,9 @@ class NovaSession:
         policy: "str | SchedulingPolicy" = "fcfs",
         max_active: int = 8,
         paged: bool = False,
-        block_size: int | None = None,
         pool_blocks: int | None = None,
         pool_bytes: int | None = None,
-        prefix_caching: bool | None = None,
+        prefix_caching: bool = False,
         speculative: bool = False,
         spec_tree: str | None = None,
         draft_factory: "Callable[[], DraftModel] | None" = None,
@@ -352,7 +349,6 @@ class NovaSession:
             policy=policy,
             max_active=max_active,
             paged=paged,
-            block_size=block_size,
             pool_blocks=pool_blocks,
             pool_bytes=pool_bytes,
             prefix_caching=prefix_caching,
@@ -397,25 +393,19 @@ class NovaSession:
         swaps the table already held by the engine; a test pins the
         miss count flat across steps).  ``schedules`` is the shared
         frozen-:class:`~repro.core.mapper.BroadcastSchedule` count.
-        ``paging`` aggregates every live KV
-        :class:`~repro.core.paging.BlockPool`
-        (:func:`repro.core.paging.pool_cache_info`): block residency,
-        live tokens, the fragmentation metric (allocated-but-unused
-        token slots; negative under prefix sharing) and the
-        prefix-caching counters (``prefix_hits`` / ``prefix_misses`` /
-        ``blocks_shared`` / ``cow_copies`` / ``shared_block_refs``).
         ``kernels`` reports the execution-backend registry
         (:func:`repro.core.kernels.kernel_cache_info`): which backends
         are registered vs actually importable here, and per-backend
-        kernel launch / element tallies.
+        kernel launch / element tallies.  KV pool statistics are not
+        here: each serving run owns its pool and reports it in its
+        result's ``paging`` dict
+        (:meth:`~repro.core.paging.BlockPool.pool_info`).
         """
         from repro.core.kernels import kernel_cache_info
-        from repro.core.paging import pool_cache_info
 
         return {
             "tables": table_cache_info(),
             "schedules": NovaMapper.schedule_cache_size(),
-            "paging": pool_cache_info(),
             "kernels": kernel_cache_info(),
         }
 

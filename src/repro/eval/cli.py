@@ -35,8 +35,8 @@ field with repeatable ``--override FIELD=VALUE`` flags::
 
 Overridable fields: ``n_routers``, ``neurons_per_router``,
 ``pe_frequency_ghz``, ``hop_mm``, ``n_segments``, ``seed``,
-``kv_block_size``, ``spec_tree``, ``draft_kind``,
-``enable_prefix_caching``, ``kernel_backend``, ``host``.
+``kv_block_size``, ``spec_tree``, ``draft_kind``, ``kernel_backend``,
+``host``.
 ``nova-repro geometries`` prints every preset with its
 geometry and host accelerator.  Passing ``--geometry``/``--override``
 to an experiment that has a fixed, paper-defined geometry is an error.

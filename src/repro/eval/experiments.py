@@ -793,7 +793,6 @@ def paged_decode_utilization(
     batch_size: int = 16,
     config: "NovaConfig | str" = "jetson-nx",
     pool_pages: int = 4,
-    block_size: int | None = None,
     prompt_lens=(4, 8, 12, 16),
     new_tokens=(4, 8, 12),
     seed: int | None = None,
@@ -807,20 +806,21 @@ def paged_decode_utilization(
     declares the model's full ``max_seq_len`` worst case but actually
     uses only a short prompt + budget) is served twice through
     :class:`repro.core.decode.ContinuousBatchScheduler` under the same
-    pool byte budget, under the two reservation policies over one
-    shared :class:`repro.core.paging.BlockPool`: contiguous worst-case
-    pages (admission reserves a whole page as one run of consecutive
-    blocks; ``pool_pages`` of them fit) and the paged KV cache (fixed
-    ``block_size``-token blocks allocated lazily; admission needs only
-    the first block).  The table compares **max
-    concurrent requests** (the admission-capacity win), peak reserved
-    KV slots, fragmentation (reserved-but-unused slots) and wall-clock
-    throughput.  Both paths are checked bit-identical to one-at-a-time
+    pool budget, under the two reservation policies over one shared
+    :class:`repro.core.paging.BlockPool` of the config's
+    ``kv_block_size``-token blocks: contiguous worst-case pages
+    (admission reserves a whole page as one run of
+    ``blocks_needed(seq_len, kv_block_size)`` consecutive blocks; the
+    pool holds exactly ``pool_pages`` of them) and the paged KV cache
+    (blocks allocated lazily; admission needs only the first block).
+    The table compares **max concurrent requests** (the
+    admission-capacity win), peak reserved KV slots, fragmentation
+    (reserved-but-unused slots) and wall-clock throughput.  Both paths are checked bit-identical to one-at-a-time
     :meth:`~repro.core.decode.NovaDecodeEngine.generate` before the
-    table is built (``RuntimeError`` on divergence).  ``block_size``
-    defaults to the config's ``kv_block_size``.
+    table is built (``RuntimeError`` on divergence).
     """
     from repro.core.decode import ContinuousBatchScheduler
+    from repro.core.paging import blocks_needed
     from repro.workloads.bert import mixed_decode_batch
 
     if pool_pages < 1:
@@ -831,16 +831,20 @@ def paged_decode_utilization(
         seed=seed,
     )
     engine = session.decoder
-    bs = cfg.kv_block_size if block_size is None else block_size
+    bs = cfg.kv_block_size
 
-    head_dim = model.hidden // model.heads
-    page_bytes = 2 * 8 * model.heads * head_dim * model.seq_len
+    # A whole page is a run of whole blocks, so the pool is sized in
+    # blocks: exactly pool_pages pages fit even when bs does not divide
+    # the context.
+    page_blocks = blocks_needed(model.seq_len, bs)
+    pool_blocks = pool_pages * page_blocks
+    page_bytes = 2 * 8 * model.hidden * page_blocks * bs
     pool_bytes = pool_pages * page_bytes
 
     def serve(paged: bool):
         return ContinuousBatchScheduler(
             engine, max_active=batch_size, paged=paged,
-            block_size=bs if paged else None, pool_bytes=pool_bytes,
+            pool_blocks=pool_blocks,
         ).run(requests)
 
     (solo, _), (contiguous, t_contiguous), (paged, t_paged) = _timed(
@@ -871,7 +875,7 @@ def paged_decode_utilization(
             "and counters bit-identical to one-at-a-time generate on "
             "both paths (checked). Both rows are reservation policies "
             "over one block pool of the same bytes: contiguous reserves "
-            f"a whole {model.seq_len}-slot worst-case page per request at "
+            f"a whole {page_blocks * bs}-slot worst-case page per request at "
             f"admission, one run of consecutive blocks ({page_bytes} B; "
             f"{pool_pages} fit); paged allocates {bs}-token blocks lazily "
             f"({paged.paging['n_blocks']} blocks), admitting any request "
@@ -907,7 +911,6 @@ def prefix_caching_residency(
     suffix_tokens: int = 2,
     max_new_tokens: int = 4,
     config: "NovaConfig | str" = "jetson-nx",
-    block_size: int | None = None,
     seed: int | None = None,
     warmup: bool = True,
 ) -> ExperimentResult:
@@ -929,9 +932,9 @@ def prefix_caching_residency(
     :meth:`~repro.core.decode.NovaDecodeEngine.generate` before the
     table is built (``RuntimeError`` on divergence) — prefix caching is
     a pure residency win with zero numeric or accounting drift.
-    ``block_size`` defaults to the config's ``kv_block_size``; siblings
-    arrive one cycle after the leader so adoption happens against a
-    published prefix rather than racing the leader's prefill.
+    Blocks are the config's ``kv_block_size`` tokens; siblings arrive
+    one cycle after the leader so adoption happens against a published
+    prefix rather than racing the leader's prefill.
     """
     from repro.core.decode import ContinuousBatchScheduler, SequenceMeta
     from repro.workloads.bert import shared_prefix_decode_batch
@@ -942,7 +945,7 @@ def prefix_caching_residency(
             f"got {batch_size}"
         )
     cfg, seed, model, session = _setup(config, seed, model_name)
-    bs = cfg.kv_block_size if block_size is None else block_size
+    bs = cfg.kv_block_size
     if prefix_tokens < bs:
         raise ValueError(
             f"prefix_tokens must span at least one {bs}-token block "
@@ -962,7 +965,7 @@ def prefix_caching_residency(
 
     def serve(prefix: bool):
         return ContinuousBatchScheduler(
-            engine, max_active=batch_size, paged=True, block_size=bs,
+            engine, max_active=batch_size, paged=True,
             prefix_caching=prefix,
         ).run(requests, meta=metas)
 

@@ -105,10 +105,9 @@ class FrontDoor:
     policy: str | SchedulingPolicy = "fcfs"
     max_active: int = 8
     paged: bool = False
-    block_size: int | None = None
     pool_blocks: int | None = None
     pool_bytes: int | None = None
-    prefix_caching: bool | None = None
+    prefix_caching: bool = False
     speculative: bool = False
     spec_tree: str | None = None
     draft_factory: "Callable[[], DraftModel] | None" = None
@@ -186,7 +185,6 @@ class FrontDoor:
             self.engine,
             max_active=self.max_active,
             paged=self.paged,
-            block_size=self.block_size,
             pool_blocks=self.pool_blocks,
             pool_bytes=self.pool_bytes,
             prefix_caching=self.prefix_caching,

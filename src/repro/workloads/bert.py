@@ -203,8 +203,8 @@ def shared_prefix_decode_batch(
     The prefix-caching workload: every request's first ``prefix_len``
     prompt rows are identical (seeded ``seed`` — think a shared system
     prompt or few-shot preamble) while each request appends its own
-    ``suffix_len`` rows (seeded ``seed + i``).  Under
-    ``enable_prefix_caching`` the paged scheduler stores the shared
+    ``suffix_len`` rows (seeded ``seed + i``).  With
+    ``prefix_caching=True`` the paged scheduler stores the shared
     rows once — ``batch_size`` requests pay roughly one prefix's pool
     residency between them — with bit-identical outputs; without it
     every request writes its own copy.  Weights are shared, matching

@@ -210,6 +210,13 @@ class TestGeometryFlags:
         assert exc.value.code == 2
         assert "unknown NovaConfig field 'spec_k'" in capsys.readouterr().err
 
+    def test_retired_prefix_caching_override_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-decode", "--override", "enable_prefix_caching=1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown NovaConfig field 'enable_prefix_caching'" in err
+
 
 def test_docstring_lists_exactly_the_overridable_fields():
     import re

@@ -6,6 +6,7 @@ built from it runs the same engines bit-, cycle- and counter-exactly.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -174,6 +175,64 @@ class TestOneSpeculationKnob:
         for name, depth in former_depth.items():
             assert PRESETS[name].spec_tree == DraftTree.linear(depth).spec
         assert NovaConfig().spec_tree == "1x4"
+
+
+class TestOneHomePerServingSetting:
+    """Geometry (the KV block size) lives in ``NovaConfig``; per-run
+    serving choices are call arguments, the same on every surface."""
+
+    #: Front-door dataclass fields that are run state, not settings.
+    DOOR_STATE = {"engine", "_pending", "last_result", "last_trace"}
+
+    @staticmethod
+    def keywords(fn, *skip):
+        params = inspect.signature(fn).parameters
+        return {
+            name: p.default for name, p in params.items()
+            if name not in ("self",) + skip
+        }
+
+    def test_serving_surfaces_expose_the_same_keywords(self):
+        from repro.core.decode import ContinuousBatchScheduler
+        from repro.serving.frontdoor import FrontDoor
+
+        scheduler = self.keywords(ContinuousBatchScheduler, "engine")
+        decode = self.keywords(NovaSession.serve_decode, "requests")
+        serve_async = self.keywords(NovaSession.serve_async, "trace")
+        door = {
+            f.name: f.default for f in dataclasses.fields(FrontDoor)
+            if f.name not in self.DOOR_STATE
+        }
+        assert set(serve_async) == set(door) == set(scheduler)
+        # serve_decode has no policy: it always serves FCFS
+        assert set(decode) == set(scheduler) - {"policy"}
+        for surface in (decode, serve_async, door):
+            for name, default in surface.items():
+                if name != "policy":
+                    assert default == scheduler[name], name
+        assert "block_size" not in scheduler
+        assert scheduler["prefix_caching"] is False
+
+    def test_block_size_is_not_a_keyword(self):
+        from repro.core.decode import (
+            ContinuousBatchScheduler,
+            NovaDecodeEngine,
+        )
+        from repro.eval.experiments import (
+            paged_decode_utilization,
+            prefix_caching_residency,
+        )
+        from repro.serving.frontdoor import FrontDoor
+
+        engine = NovaDecodeEngine(
+            NovaConfig(n_routers=2, neurons_per_router=8)
+        )
+        with pytest.raises(TypeError, match="block_size"):
+            ContinuousBatchScheduler(engine, paged=True, block_size=4)
+        with pytest.raises(TypeError, match="block_size"):
+            FrontDoor(engine, block_size=4)
+        for study in (paged_decode_utilization, prefix_caching_residency):
+            assert "block_size" not in inspect.signature(study).parameters
 
 
 class TestEngineShim:

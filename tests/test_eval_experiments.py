@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import preset
 from repro.eval import paper_data
 from repro.eval.experiments import (
     ExperimentResult,
@@ -216,8 +217,9 @@ class TestOthers:
             seq_len=32, causal=True,
         )
         result = paged_decode_utilization(
-            model_name=model, batch_size=4, config="jetson-nx",
-            pool_pages=2, block_size=4, prompt_lens=(2, 3),
+            model_name=model, batch_size=4,
+            config=preset("jetson-nx").replace(kv_block_size=4),
+            pool_pages=2, prompt_lens=(2, 3),
             new_tokens=(1, 2), warmup=False,
         )
         assert result.column("Memory model") == [
@@ -229,6 +231,27 @@ class TestOthers:
         assert contiguous == 2
         assert paged > contiguous
         assert result.column("Admission gain")[0] == "1.00x"
+
+    def test_paged_decode_utilization_pool_holds_whole_pages(self):
+        """A block size that does not divide the context rounds each
+        page up to whole blocks; the pool is sized in those blocks, so
+        the contiguous row still admits exactly ``pool_pages``."""
+        from repro.eval.experiments import paged_decode_utilization
+        from repro.workloads.transformer import TransformerConfig
+
+        model = TransformerConfig(
+            "paged-smoke", layers=1, hidden=16, heads=2, intermediate=64,
+            seq_len=32, causal=True,
+        )
+        result = paged_decode_utilization(
+            model_name=model, batch_size=4,
+            config=preset("jetson-nx").replace(kv_block_size=24),
+            pool_pages=3, prompt_lens=(2, 3),
+            new_tokens=(1, 2), warmup=False,
+        )
+        contiguous, paged = result.column("Peak concurrent")
+        assert contiguous == 3
+        assert paged == 4
 
     def test_paged_decode_utilization_validation(self):
         from repro.eval.experiments import paged_decode_utilization
@@ -246,8 +269,9 @@ class TestOthers:
         )
         result = prefix_caching_residency(
             model_name=model, batch_size=4, prefix_tokens=8,
-            suffix_tokens=1, max_new_tokens=2, config="jetson-nx",
-            block_size=4, warmup=False,
+            suffix_tokens=1, max_new_tokens=2,
+            config=preset("jetson-nx").replace(kv_block_size=4),
+            warmup=False,
         )
         assert result.column("Memory model") == [
             "paged, no sharing", "paged + prefix cache",
@@ -267,7 +291,10 @@ class TestOthers:
         with pytest.raises(ValueError, match="batch_size"):
             prefix_caching_residency(batch_size=1)
         with pytest.raises(ValueError, match="full block"):
-            prefix_caching_residency(prefix_tokens=4, block_size=8)
+            prefix_caching_residency(
+                prefix_tokens=4,
+                config=preset("jetson-nx").replace(kv_block_size=8),
+            )
 
     def test_tree_speculation_speedup_rows(self, solo_checks):
         from repro.eval.experiments import tree_speculation_speedup

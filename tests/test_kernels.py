@@ -164,15 +164,15 @@ class TestStreamEquivalence:
 
 
 def _run_mode(cfg: NovaConfig, mode: str):
-    engine = NovaDecodeEngine(cfg)
+    engine = NovaDecodeEngine(cfg.replace(kv_block_size=4))
     requests = toy_requests()
     if mode == "contiguous":
         sched = ContinuousBatchScheduler(engine)
     elif mode == "paged":
-        sched = ContinuousBatchScheduler(engine, paged=True, block_size=4)
+        sched = ContinuousBatchScheduler(engine, paged=True)
     elif mode == "prefix-cached":
         sched = ContinuousBatchScheduler(
-            engine, paged=True, block_size=4, prefix_caching=True
+            engine, paged=True, prefix_caching=True
         )
     else:
         raise AssertionError(mode)

@@ -13,8 +13,10 @@ The headline contracts:
   mid-step, preempts (by deterministic recomputation) when nothing can
   progress, and still returns bit-identical per-request results;
 * pool accounting obeys ``n_blocks == in_use + free`` and
-  ``blocks_allocated - blocks_freed == in_use`` at every point, and
-  double-frees fail loudly.
+  ``blocks_allocated - blocks_freed == in_use`` at every point
+  (:meth:`BlockPool.check_invariants`), and double-frees fail loudly;
+* the block size has one home, ``NovaConfig.kv_block_size``, and pool
+  statistics are per run (no process-wide registry).
 """
 
 import numpy as np
@@ -35,7 +37,6 @@ from repro.core.paging import (
     PagedKVCache,
     ReservedKVCache,
     blocks_needed,
-    pool_cache_info,
     worst_case_blocks,
 )
 from repro.core.session import NovaSession
@@ -45,6 +46,8 @@ from repro.workloads.transformer import TransformerConfig, decode_request
 
 #: Small geometry for fast unit-level checks.
 SMALL = NovaConfig(n_routers=2, neurons_per_router=8)
+#: The same geometry with 4-token KV blocks, for pool-pressure tests.
+SMALL_BS4 = SMALL.replace(kv_block_size=4)
 
 
 def toy_model(hidden=16, heads=2, seq_len=64):
@@ -148,14 +151,76 @@ class TestBlockPool:
         with pytest.raises(ValueError, match="smaller than one"):
             BlockPool.from_bytes(2, 3, block_size=4, pool_bytes=100)
 
-    def test_pool_cache_info_aggregates_live_pools(self):
-        before = pool_cache_info()
-        pool = BlockPool(1, 2, block_size=4, n_blocks=5)
+    def test_check_invariants_holds_through_every_operation(self):
+        pool = BlockPool(1, 2, block_size=2, n_blocks=8)
+        pool.check_invariants()
+        a = pool.allocate()
+        pool.share(a)
+        pool.register_prefix(b"k", a)
+        holder = KVCache(1, 2, capacity=4)
+        pool.reserve_run(holder, 3)
+        pool.check_invariants()
+        pool.free(a)  # shared: one reference left, key still published
+        pool.check_invariants()
+        pool.free(a)
+        pool.release_run(holder)
+        pool.check_invariants()
+        assert pool.in_use == 0 and pool.prefix_index_size == 0
+
+    @pytest.mark.parametrize(
+        "invariant, corrupt",
+        [
+            pytest.param(
+                "in_use \\+ free", lambda p: p._free.pop(),
+                id="lost-free-block",
+            ),
+            pytest.param(
+                "blocks_allocated",
+                lambda p: setattr(p, "blocks_freed", p.blocks_freed + 1),
+                id="miscounted-free",
+            ),
+            pytest.param(
+                "free list", lambda p: p._free.__setitem__(0, 0),
+                id="live-block-on-free-list",
+            ),
+            pytest.param(
+                "refcount", lambda p: p._refcount.__setitem__(7, 1),
+                id="referenced-free-block",
+            ),
+            pytest.param(
+                "reserved runs",
+                lambda p: p._runs.__setitem__(
+                    KVCache(1, 2, capacity=4), (6, 2)
+                ),
+                id="run-over-free-blocks",
+            ),
+            pytest.param(
+                "mutual inverses", lambda p: p._block_keys.pop(0),
+                id="orphaned-prefix-key",
+            ),
+            pytest.param(
+                "live blocks only",
+                lambda p: (
+                    p._prefix_index.__setitem__(b"dead", 7),
+                    p._block_keys.__setitem__(7, b"dead"),
+                ),
+                id="prefix-on-free-block",
+            ),
+        ],
+    )
+    def test_check_invariants_names_the_broken_invariant(
+        self, invariant, corrupt
+    ):
+        """A hand-corrupted pool raises ``RuntimeError`` (not an assert)
+        naming the invariant it broke."""
+        pool = BlockPool(1, 2, block_size=2, n_blocks=8)
+        # blocks 0 (published) and 1 live, 2-7 free
+        pool.register_prefix(b"k", pool.allocate())
         pool.allocate()
-        after = pool_cache_info()
-        assert after["pools_created"] == before["pools_created"] + 1
-        assert after["n_blocks"] >= before["n_blocks"] + 5
-        assert after["n_blocks"] == after["in_use"] + after["free"]
+        pool.check_invariants()
+        corrupt(pool)
+        with pytest.raises(RuntimeError, match=invariant):
+            pool.check_invariants()
 
     def test_blocks_needed_and_worst_case(self):
         assert blocks_needed(1, 16) == 1
@@ -402,10 +467,10 @@ class TestPagedScheduler:
         model = toy_model()
         requests = decode_batch(model, 5, prompt_len=3, max_new_tokens=4,
                                 seed=0)
-        engine = NovaDecodeEngine(SMALL)
+        engine = NovaDecodeEngine(SMALL_BS4)
         solo = [engine.generate(r) for r in requests]
         batch = ContinuousBatchScheduler(
-            engine, max_active=3, paged=True, block_size=4
+            engine, max_active=3, paged=True
         ).run(requests)
         for ref, got in zip(solo, batch.results):
             assert np.array_equal(ref.generated, got.generated)
@@ -421,16 +486,17 @@ class TestPagedScheduler:
         model = toy_model()
         requests = decode_batch(model, 5, prompt_len=3, max_new_tokens=4,
                                 seed=0)
-        engine = NovaDecodeEngine(SMALL)
+        engine = NovaDecodeEngine(SMALL_BS4)
         solo = [engine.generate(r) for r in requests]
         scheduler = ContinuousBatchScheduler(
-            engine, max_active=5, paged=True, block_size=4, pool_blocks=4
+            engine, max_active=5, paged=True, pool_blocks=4
         )
         batch = scheduler.run(requests)
         assert batch.deferrals > 0
         for ref, got in zip(solo, batch.results):
             assert np.array_equal(ref.generated, got.generated)
             assert ref.counters.as_dict() == got.counters.as_dict()
+        scheduler.block_pool.check_invariants()
 
     def test_preemption_recomputes_bit_exact(self):
         """With only enough blocks for one sequence's worst case at a
@@ -439,10 +505,10 @@ class TestPagedScheduler:
         model = toy_model()
         requests = decode_batch(model, 4, prompt_len=3, max_new_tokens=4,
                                 seed=0)
-        engine = NovaDecodeEngine(SMALL)
+        engine = NovaDecodeEngine(SMALL_BS4)
         solo = [engine.generate(r) for r in requests]
         scheduler = ContinuousBatchScheduler(
-            engine, max_active=4, paged=True, block_size=4, pool_blocks=2
+            engine, max_active=4, paged=True, pool_blocks=2
         )
         batch = scheduler.run(requests)
         assert batch.preemptions > 0
@@ -450,6 +516,7 @@ class TestPagedScheduler:
             assert np.array_equal(ref.generated, got.generated)
             assert ref.vector_cycles == got.vector_cycles
             assert ref.counters.as_dict() == got.counters.as_dict()
+        scheduler.block_pool.check_invariants()
         # preempted work was recomputed: the overlay spent more than the
         # per-request sequential-equivalent total
         assert batch.counters.as_dict() != ContinuousBatchScheduler(
@@ -460,9 +527,9 @@ class TestPagedScheduler:
         model = toy_model()
         requests = decode_batch(model, 2, prompt_len=6, max_new_tokens=4,
                                 seed=0)
-        engine = NovaDecodeEngine(SMALL)
+        engine = NovaDecodeEngine(SMALL_BS4)
         scheduler = ContinuousBatchScheduler(
-            engine, max_active=2, paged=True, block_size=4, pool_blocks=1
+            engine, max_active=2, paged=True, pool_blocks=1
         )
         before = engine.unit._lifetime_counters()
         with pytest.raises(BlockPoolExhausted, match="running alone"):
@@ -478,23 +545,24 @@ class TestPagedScheduler:
             with pytest.raises(ValueError, match="head geometry"):
                 scheduler.run([a, b])
 
-    def test_paged_only_knobs_rejected_in_contiguous_mode(self):
+    @pytest.mark.parametrize("paged", [False, True])
+    def test_pool_blocks_or_pool_bytes_not_both(self, paged):
         engine = NovaDecodeEngine(SMALL)
-        with pytest.raises(ValueError, match="paged"):
-            ContinuousBatchScheduler(engine, block_size=8)
-        with pytest.raises(ValueError, match="paged"):
-            ContinuousBatchScheduler(engine, pool_blocks=8)
         with pytest.raises(ValueError, match="not both"):
             ContinuousBatchScheduler(
-                engine, paged=True, pool_blocks=4, pool_bytes=1024
+                engine, paged=paged, pool_blocks=4, pool_bytes=1024
             )
-        with pytest.raises(ValueError, match="block_size"):
-            ContinuousBatchScheduler(engine, paged=True, block_size=0)
 
     def test_block_size_defaults_to_config(self):
-        engine = NovaDecodeEngine(SMALL)
-        scheduler = ContinuousBatchScheduler(engine, paged=True)
-        assert scheduler.block_size == SMALL.kv_block_size
+        requests = decode_batch(toy_model(), 2, prompt_len=3,
+                                max_new_tokens=2, seed=0)
+        for cfg in (SMALL, SMALL_BS4):
+            engine = NovaDecodeEngine(cfg)
+            for paged in (False, True):
+                batch = ContinuousBatchScheduler(
+                    engine, paged=paged
+                ).run(requests)
+                assert batch.paging["block_size"] == cfg.kv_block_size
 
     def test_admits_more_than_contiguous_at_same_bytes(self):
         """The tentpole claim, in miniature: mixed-length requests at a
@@ -503,15 +571,14 @@ class TestPagedScheduler:
         requests = mixed_decode_batch(
             model, 8, prompt_lens=(2, 3, 4), new_tokens=(2, 3), seed=0
         )
-        engine = NovaDecodeEngine(SMALL)
+        engine = NovaDecodeEngine(SMALL_BS4)
         page_bytes = 2 * 8 * model.hidden * model.seq_len
         budget = 2 * page_bytes
         contiguous = ContinuousBatchScheduler(
             engine, max_active=8, pool_bytes=budget
         ).run(requests)
         paged = ContinuousBatchScheduler(
-            engine, max_active=8, paged=True, block_size=4,
-            pool_bytes=budget,
+            engine, max_active=8, paged=True, pool_bytes=budget,
         ).run(requests)
         assert contiguous.peak_active == 2
         assert paged.peak_active >= 1.5 * contiguous.peak_active
@@ -563,13 +630,10 @@ class TestPagedScheduler:
             batch.paging["in_use"] + batch.paging["free"]
         )
 
-    def test_cache_info_reports_paging(self):
-        info = NovaSession.cache_info()
-        paging = info["paging"]
-        assert paging["n_blocks"] == paging["in_use"] + paging["free"]
-        assert {"pools_created", "live_pools", "fragmentation_slots"} <= set(
-            paging
-        )
+    def test_cache_info_has_no_pool_registry(self):
+        """Pool statistics are per run (the result's ``paging``); the
+        process-wide cache report carries no pool aggregate."""
+        assert "paging" not in NovaSession.cache_info()
 
 
 # ----------------------------------------------------------------------
@@ -683,6 +747,7 @@ class TestOnePool:
         batch = scheduler.run(requests, meta=meta)
         assert batch.preemptions >= 1
         assert spy.checks > 0
+        scheduler.block_pool.check_invariants()
         assert batch.pages_allocated == len(requests) + batch.preemptions
         assert_every_block_returned(batch)
         assert_solo_exact(engine, requests, batch)
@@ -699,16 +764,40 @@ class TestOnePool:
             for i, (seq_len, prompt, new) in enumerate(shapes)
         ]
         block_bytes = BlockPool(2, 8, SMALL.kv_block_size, 1).block_bytes
-        batch = ContinuousBatchScheduler(
+        scheduler = ContinuousBatchScheduler(
             engine, max_active=4, pool_bytes=5 * block_bytes
-        ).run(requests)
+        )
+        batch = scheduler.run(requests)
         assert batch.paging["n_blocks"] == 5
+        scheduler.block_pool.check_invariants()
         short_a, long_b, short_c, wide_d = range(4)
         # A and C retire long before B, leaving 3 free blocks split
         # around B's run; D (3 blocks) only gets in once B retires.
         assert batch.finish_steps[short_a] < batch.finish_steps[long_b]
         assert batch.finish_steps[short_c] < batch.finish_steps[long_b]
         assert batch.first_token_steps[wide_d] > batch.finish_steps[long_b]
+        assert_every_block_returned(batch)
+        assert_solo_exact(engine, requests, batch)
+
+    def test_contiguous_pool_blocks_below_max_active_pages_defers(self):
+        """``pool_blocks`` sizes the pool under either policy: a
+        contiguous run with room for fewer whole pages than
+        ``max_active`` defers admission and still finishes solo-exact."""
+        engine = NovaDecodeEngine(SMALL)
+        requests = [
+            decode_request(toy_model(seq_len=64), prompt_len=3,
+                           max_new_tokens=4 + i, seed=i)
+            for i in range(3)
+        ]
+        page = blocks_needed(64, SMALL.kv_block_size)
+        scheduler = ContinuousBatchScheduler(
+            engine, max_active=3, pool_blocks=2 * page
+        )
+        batch = scheduler.run(requests)
+        assert batch.paging["n_blocks"] == 2 * page
+        assert batch.peak_active == 2
+        assert batch.first_token_steps[2] > batch.finish_steps[0]
+        scheduler.block_pool.check_invariants()
         assert_every_block_returned(batch)
         assert_solo_exact(engine, requests, batch)
 

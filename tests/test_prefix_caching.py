@@ -25,9 +25,9 @@ and reset.  Five test families pin that contract:
   :meth:`~repro.core.decode.NovaDecodeEngine.start`, relaxed paged
   admission charging only unshared blocks, and bit/cycle/counter-exact
   results against uncached runs at strictly lower peak residency,
-* the knobs and the report: ``enable_prefix_caching`` config parsing,
-  scheduler resolution, and the prefix-hit statistics surfaced through
-  :class:`~repro.serving.metrics.ServingReport`.
+* the per-run ``prefix_caching`` choice and the report: off unless a
+  paged run asks for it, no config field, and the prefix-hit statistics
+  surfaced through :class:`~repro.serving.metrics.ServingReport`.
 """
 
 import numpy as np
@@ -55,6 +55,9 @@ from repro.core.paging import (
 #: tables/schedules compile once, each test only runs data).
 SMALL = NovaConfig(n_routers=2, neurons_per_router=8)
 ENGINE = NovaDecodeEngine(SMALL)
+#: The same geometry with 4-token KV blocks (the block size lives in the
+#: config, so a finer granularity is a second engine).
+ENGINE_BS4 = NovaDecodeEngine(SMALL.replace(kv_block_size=4))
 
 
 def shared_prefix_pair(
@@ -289,7 +292,7 @@ class TestSharingMirrorsPrivatePool:
                 assert np.array_equal(shared_c.keys, private_c.keys)
                 assert np.array_equal(shared_c.values, private_c.values)
             for p in (shared_pool, private_pool):
-                assert p.blocks_allocated - p.blocks_freed == p.in_use
+                p.check_invariants()
 
         publisher.reset()
         for shared_c, private_c in lanes:
@@ -499,10 +502,10 @@ class TestPrefixCachedDecode:
             SequenceMeta(arrival=1.0),
         ]
         plain = ContinuousBatchScheduler(
-            ENGINE, paged=True, block_size=4
+            ENGINE_BS4, paged=True
         ).run(requests, meta=meta)
         cached = ContinuousBatchScheduler(
-            ENGINE, paged=True, block_size=4, prefix_caching=True
+            ENGINE_BS4, paged=True, prefix_caching=True
         ).run(requests, meta=meta)
         for got, want in zip(cached.results, plain.results):
             assert np.array_equal(got.generated, want.generated)
@@ -529,10 +532,10 @@ class TestPrefixCachedDecode:
         # prefix when caching — 6 blocks covers the cached overlap only.
         pool_blocks = 6
         plain = ContinuousBatchScheduler(
-            ENGINE, paged=True, block_size=4, pool_blocks=pool_blocks
+            ENGINE_BS4, paged=True, pool_blocks=pool_blocks
         ).run(requests, meta=meta)
         cached = ContinuousBatchScheduler(
-            ENGINE, paged=True, block_size=4, pool_blocks=pool_blocks,
+            ENGINE_BS4, paged=True, pool_blocks=pool_blocks,
             prefix_caching=True,
         ).run(requests, meta=meta)
         for got, want in zip(cached.results, plain.results):
@@ -558,16 +561,16 @@ class TestPrefixCachedDecode:
             max_seq_len=second.max_seq_len,
         )
         solo = ContinuousBatchScheduler(
-            ENGINE, paged=True, block_size=4, pool_blocks=4
+            ENGINE_BS4, paged=True, pool_blocks=4
         ).run([first])
         mid = (solo.first_token_times[0] + solo.finish_times[0]) / 2.0
         meta = [SequenceMeta(arrival=0.0), SequenceMeta(arrival=mid)]
         cached = ContinuousBatchScheduler(
-            ENGINE, paged=True, block_size=4, pool_blocks=4,
+            ENGINE_BS4, paged=True, pool_blocks=4,
             prefix_caching=True,
         ).run([first, fully_shared], meta=meta)
         plain = ContinuousBatchScheduler(
-            ENGINE, paged=True, block_size=4, pool_blocks=4
+            ENGINE_BS4, paged=True, pool_blocks=4
         ).run([first, fully_shared], meta=meta)
         assert cached.paging["prefix_hits"] == 2
         # Dry-pool admission let the fully shared request overlap the
@@ -580,49 +583,30 @@ class TestPrefixCachedDecode:
 
 
 # ----------------------------------------------------------------------
-# Knobs: the config field, scheduler resolution, the serving report.
+# The per-run choice and the serving report.
 # ----------------------------------------------------------------------
 
 
 class TestPrefixCachingKnobs:
-    def test_config_default_and_type_check(self):
-        assert SMALL.enable_prefix_caching is False
+    def test_config_has_no_prefix_caching_field(self):
+        with pytest.raises(ValueError, match="unknown NovaConfig field"):
+            NovaConfig.from_dict({"enable_prefix_caching": True})
         with pytest.raises(TypeError):
-            NovaConfig(
-                n_routers=2, neurons_per_router=8, enable_prefix_caching=1
-            )
+            NovaConfig(enable_prefix_caching=True)
 
-    @pytest.mark.parametrize(
-        "text, value",
-        [
-            ("1", True), ("true", True), ("yes", True), ("on", True),
-            ("0", False), ("false", False), ("no", False), ("off", False),
-            ("TRUE", True), ("Off", False),
-        ],
-    )
-    def test_override_string_parsing(self, text, value):
-        cfg = SMALL.with_overrides([f"enable_prefix_caching={text}"])
-        assert cfg.enable_prefix_caching is value
-
-    def test_override_rejects_non_boolean_text(self):
-        with pytest.raises(ValueError, match="enable_prefix_caching"):
-            SMALL.with_overrides(["enable_prefix_caching=maybe"])
+    def test_override_rejects_the_retired_field(self):
+        with pytest.raises(ValueError, match="unknown NovaConfig field"):
+            SMALL.with_overrides(["enable_prefix_caching=1"])
 
     def test_non_paged_scheduler_rejects_the_flag(self):
         with pytest.raises(ValueError, match="requires the paged"):
             ContinuousBatchScheduler(ENGINE, prefix_caching=True)
 
-    def test_scheduler_resolves_the_config_knob(self):
-        flagged = NovaDecodeEngine(SMALL.replace(enable_prefix_caching=True))
-        assert ContinuousBatchScheduler(
-            flagged, paged=True
-        ).prefix_caching is True
-        # The config knob never forces caching onto a contiguous run.
-        assert ContinuousBatchScheduler(flagged).prefix_caching is False
-        # An explicit False wins over the config.
-        assert ContinuousBatchScheduler(
-            flagged, paged=True, prefix_caching=False
-        ).prefix_caching is False
+    def test_prefix_caching_is_off_unless_the_run_asks(self):
+        for paged in (False, True):
+            assert ContinuousBatchScheduler(
+                ENGINE, paged=paged
+            ).prefix_caching is False
         assert ContinuousBatchScheduler(
             ENGINE, paged=True, prefix_caching=True
         ).prefix_caching is True
@@ -631,9 +615,7 @@ class TestPrefixCachingKnobs:
         from repro.serving.frontdoor import FrontDoor, ServingRequest
 
         first, second = shared_prefix_pair(8, 2, 3, seed=13)
-        door = FrontDoor(
-            ENGINE, paged=True, block_size=4, prefix_caching=True
-        )
+        door = FrontDoor(ENGINE_BS4, paged=True, prefix_caching=True)
         trace = [
             ServingRequest(request=first, arrival=0.0, request_id=0),
             ServingRequest(request=second, arrival=1.0, request_id=1),

@@ -315,9 +315,7 @@ class TestPagedCacheEquivalenceProperties:
                 )
             assert paged.blocks_in_use <= pool.n_blocks
             assert pool.in_use == paged.blocks_in_use
-            assert (
-                pool.blocks_allocated - pool.blocks_freed == pool.in_use
-            )
+            pool.check_invariants()
 
 
 # ----------------------------------------------------------------------

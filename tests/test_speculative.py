@@ -27,7 +27,6 @@ from repro.core.paging import (
     BlockPool,
     BlockPoolExhausted,
     PagedKVCache,
-    pool_cache_info,
     worst_case_blocks,
 )
 from repro.core.session import NovaSession
@@ -48,6 +47,8 @@ from repro.workloads.transformer import TransformerConfig, decode_request
 #: Small shared geometry: tables/schedules compile once per module.
 SMALL = NovaConfig(n_routers=2, neurons_per_router=8)
 ENGINE = NovaDecodeEngine(SMALL)
+#: The same geometry with 2-token KV blocks, for pool-pressure tests.
+ENGINE_BS2 = NovaDecodeEngine(SMALL.replace(kv_block_size=2))
 
 
 def toy_model(hidden=16, heads=2, seq_len=64):
@@ -156,18 +157,15 @@ class TestTruncate:
         for info in (evicted, truncated):
             assert info["live_tokens"] <= info["in_use"] * info["block_size"]
 
-    def test_pool_cache_info_reports_cumulative_totals(self):
-        before = pool_cache_info()
-        for key in ("blocks_allocated", "blocks_freed", "peak_in_use"):
-            assert key in before
+    def test_truncate_frees_through_pool_accounting(self):
         pool = BlockPool(1, 1, 2, 2)
         cache = PagedKVCache(pool, capacity=4)
         cache.append(np.ones((1, 1)), np.ones((1, 1)))
         cache.truncate(1)
-        after = pool_cache_info()
-        assert after["blocks_allocated"] >= before["blocks_allocated"] + 1
-        assert after["blocks_freed"] >= before["blocks_freed"] + 1
-        assert after["blocks_allocated"] - after["blocks_freed"] == after["in_use"]
+        pool.check_invariants()
+        info = pool.pool_info()
+        assert (info["blocks_allocated"], info["blocks_freed"]) == (1, 1)
+        assert info["peak_in_use"] == 1 and info["in_use"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -650,8 +648,8 @@ class TestSchedulerSpeculative:
         factory = self._factory()
         solo = self._solo(requests, factory)
         scheduler = ContinuousBatchScheduler(
-            ENGINE, max_active=3, speculative=True, paged=True,
-            block_size=4, draft_factory=factory,
+            NovaDecodeEngine(SMALL.replace(kv_block_size=4)), max_active=3,
+            speculative=True, paged=True, draft_factory=factory,
         )
         batch = scheduler.run(requests)
         self.assert_solo_equivalent(solo, batch)
@@ -670,8 +668,8 @@ class TestSchedulerSpeculative:
         factory = self._factory(fidelity=1.0)
         solo = self._solo(requests, factory)
         scheduler = ContinuousBatchScheduler(
-            ENGINE, max_active=2, speculative=True, paged=True,
-            block_size=2, pool_blocks=6, draft_factory=factory,
+            ENGINE_BS2, max_active=2, speculative=True, paged=True,
+            pool_blocks=6, draft_factory=factory,
         )
         batch = scheduler.run(requests)
         for ref, got in zip(solo, batch.results):
@@ -679,6 +677,7 @@ class TestSchedulerSpeculative:
             assert (
                 got.sequential_vector_cycles == ref.sequential_vector_cycles
             )
+        scheduler.block_pool.check_invariants()
 
     def test_preemption_under_speculation_recomputes_exactly(self):
         """A pool that cannot hold two speculating sequences forces
@@ -689,8 +688,8 @@ class TestSchedulerSpeculative:
         factory = self._factory(fidelity=1.0)
         solo = self._solo(requests, factory)
         scheduler = ContinuousBatchScheduler(
-            ENGINE, max_active=2, speculative=True, paged=True,
-            block_size=2, pool_blocks=5, draft_factory=factory,
+            ENGINE_BS2, max_active=2, speculative=True, paged=True,
+            pool_blocks=5, draft_factory=factory,
         )
         batch = scheduler.run(requests)
         assert batch.deferrals > 0
@@ -700,6 +699,7 @@ class TestSchedulerSpeculative:
             assert (
                 got.sequential_vector_cycles == ref.sequential_vector_cycles
             )
+        scheduler.block_pool.check_invariants()
 
     def test_speculative_kwargs_need_speculative_mode(self):
         with pytest.raises(ValueError, match="speculative scheduler"):

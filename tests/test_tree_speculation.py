@@ -555,15 +555,15 @@ class TestTreeWiring:
 
         return factory
 
-    def _scheduler(self, spec, **kwargs):
+    def _scheduler(self, spec, engine=ENGINE, **kwargs):
         """The scheduler serving ``spec``; the depth-0 tree is the plain
         scheduler, given a factory that fails the test if called."""
         if spec is None:
-            scheduler = ContinuousBatchScheduler(ENGINE, **kwargs)
+            scheduler = ContinuousBatchScheduler(engine, **kwargs)
             scheduler.draft_factory = _never_called
             return scheduler
         return ContinuousBatchScheduler(
-            ENGINE, speculative=True, spec_tree=spec,
+            engine, speculative=True, spec_tree=spec,
             draft_factory=self._factory(), **kwargs,
         )
 
@@ -589,9 +589,10 @@ class TestTreeWiring:
     def test_paged_scheduler_tree_frees_every_block(self):
         requests = self._requests()
         plain = [ENGINE.generate(r) for r in requests]
+        engine = NovaDecodeEngine(SMALL.replace(kv_block_size=4))
         for spec in ("2x1,1x2", None):
             batch = self._scheduler(
-                spec, max_active=3, paged=True, block_size=4
+                spec, engine, max_active=3, paged=True
             ).run(requests)
             assert batch.paging is not None
             assert batch.paging["in_use"] == 0
@@ -606,11 +607,13 @@ class TestTreeWiring:
         """The depth-0 tree drafts nothing, so admission never calls the
         draft factory, even under a pool tight enough to defer."""
         requests = self._requests()
-        for kwargs in ({}, {"paged": True, "block_size": 2,
-                            "pool_blocks": 8}):
-            batch = self._scheduler(None, max_active=3, **kwargs).run(
-                requests
-            )
+        tight = NovaDecodeEngine(SMALL.replace(kv_block_size=2))
+        for engine, kwargs in (
+            (ENGINE, {}), (tight, {"paged": True, "pool_blocks": 8}),
+        ):
+            batch = self._scheduler(
+                None, engine, max_active=3, **kwargs
+            ).run(requests)
             assert all(r.drafted_tokens == 0 for r in batch.results)
 
     def test_spec_tree_kwarg_needs_speculative_mode(self):
