@@ -12,10 +12,10 @@ paged).  Because a draft is accepted only when it matches the true
 output bit for bit, the generated tokens are identical to plain
 ``generate`` for *any* draft model.  Three layers:
 
-1. ``session.generate(request, speculative=True)`` — the exact-LUT
-   draft accepts everything: same tokens, a fraction of the overlay
+1. ``session.generate(request, speculative=True)`` — the default
+   exact-LUT draft accepts everything: same tokens, a fraction of the overlay
    passes;
-2. a lower-fidelity draft — rollbacks appear, tokens stay identical;
+2. a lower-fidelity draft, passed per call — rollbacks appear, tokens stay identical;
 3. speculative continuous batching over a shared block pool —
    verification passes of different requests fused per scheduler step,
    rollback returning blocks to the pool.
@@ -32,8 +32,7 @@ from repro.workloads import TransformerConfig, decode_request, decode_batch
 
 def main() -> None:
     session = NovaSession("jetson-nx")
-    print(f"session: {session!r} (spec_tree={session.config.spec_tree!r}, "
-          f"draft_kind={session.config.draft_kind!r})")
+    print(f"session: {session!r} (spec_tree={session.config.spec_tree!r})")
 
     model = TransformerConfig(
         "gpt-toy", layers=1, hidden=64, heads=4, intermediate=256,
@@ -86,9 +85,9 @@ def main() -> None:
     # eviction uses.
     pool = BlockPool(request.n_heads, request.head_dim,
                      session.config.kv_block_size, n_blocks=4)
-    engine = SpeculativeDecodeEngine(session.decoder, draft=noisy)
+    engine = SpeculativeDecodeEngine(session.decoder)
     result = engine.generate(
-        request, state=engine.start(request, pool=pool)
+        request, state=engine.start(request, pool=pool), draft=noisy
     )
     assert np.array_equal(result.generated, plain.generated)
     print(f"explicit pool: {result.rolled_back_tokens} tokens rolled back, "

@@ -70,7 +70,6 @@ from repro.core import (
     SpeculativeDecodeEngine,
     NGramDraft,
     TruncatedTableDraft,
-    build_draft,
     NovaMapper,
     NovaNoc,
     NovaRouter,
@@ -118,7 +117,6 @@ __all__ = [
     "SpeculativeDecodeEngine",
     "NGramDraft",
     "TruncatedTableDraft",
-    "build_draft",
     "NovaMapper",
     "NovaNoc",
     "NovaRouter",

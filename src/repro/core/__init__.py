@@ -91,7 +91,6 @@ from repro.core.speculative import (
     NGramDraft,
     TruncatedTableDraft,
     ScheduledDraft,
-    build_draft,
     SpeculativeDecodeEngine,
 )
 from repro.core.session import NovaSession
@@ -154,7 +153,6 @@ __all__ = [
     "NGramDraft",
     "TruncatedTableDraft",
     "ScheduledDraft",
-    "build_draft",
     "SpeculativeDecodeEngine",
     "StreamingLine",
     "ObservationLog",

@@ -49,21 +49,14 @@ __all__ = [
     "as_config",
     "GEOMETRY_FIELDS",
     "ENGINE_FIELDS",
-    "DRAFT_KINDS",
     "KERNEL_BACKENDS",
     "parse_tree_spec",
 ]
 
-#: The draft models :func:`repro.core.speculative.build_draft` knows how
-#: to construct from a configuration (``NovaConfig.draft_kind``).  The
-#: canonical tuple lives here rather than in :mod:`repro.core.speculative`
-#: so config validation needs no import of the engine stack.
-DRAFT_KINDS = ("truncated-table", "ngram")
-
 #: The execution backends :func:`repro.core.kernels.resolve_backend`
-#: knows how to build (``NovaConfig.kernel_backend``).  As with
-#: :data:`DRAFT_KINDS`, the canonical tuple lives here so config
-#: validation needs no import of the kernel stack; a test pins it equal
+#: knows how to build (``NovaConfig.kernel_backend``).  The canonical
+#: tuple lives here so config validation needs no import of the kernel
+#: stack; a test pins it equal
 #: to :data:`repro.core.kernels.BACKENDS`.  ``numba`` is an optional
 #: dependency — naming it where it is not installed warns and runs on
 #: ``numpy`` instead.
@@ -88,7 +81,6 @@ _FIELD_PARSERS: dict[str, Callable[[str], object]] = {
     "seed": int,
     "kv_block_size": int,
     "spec_tree": str,
-    "draft_kind": str,
     "kernel_backend": str,
     "host": lambda s: None if s.lower() in ("", "none", "null") else s,
 }
@@ -181,17 +173,17 @@ class NovaConfig:
     Per-run serving choices (paged reservation, prefix caching, pool
     budgets) are call arguments of the serving surfaces, not fields.
 
-    ``spec_tree`` / ``draft_kind`` are the speculative-decode defaults
+    ``spec_tree`` is the speculative-decode default
     (:mod:`repro.core.speculative`): the draft tree one verification
     pass carries (:func:`parse_tree_spec` syntax — ``"1x4"`` is a linear
     chain of four drafts, ``"2x2,1x4"`` scores two alternative drafts at
     each of the first two depths in the same packed pass; wider overlays
-    amortise deeper trees, so the presets carry ``"1x4"`` or ``"1x8"``)
-    and which :data:`DRAFT_KINDS` entry builds the default draft model.
-    Like ``kv_block_size``, they never change what tokens are generated
-    — speculative decode is bit-exact against plain decode by
-    construction — only how many overlay passes it takes to generate
-    them.
+    amortise deeper trees, so the presets carry ``"1x4"`` or ``"1x8"``).
+    The draft model is not a field: it is a per-call argument, and the
+    default is the exact-LUT draft.  Like ``kv_block_size``, the tree
+    never changes what tokens are generated — speculative decode is
+    bit-exact against plain decode by construction — only how many
+    overlay passes it takes to generate them.
 
     ``kernel_backend`` selects the :data:`KERNEL_BACKENDS` entry that
     executes the whole-batch gather/MAC primitives
@@ -210,7 +202,6 @@ class NovaConfig:
     seed: int = 0
     kv_block_size: int = 16
     spec_tree: str = "1x4"
-    draft_kind: str = "truncated-table"
     kernel_backend: str = "numpy"
     host: str | None = None
 
@@ -242,16 +233,6 @@ class NovaConfig:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0, got {value}")
         parse_tree_spec(self.spec_tree)  # raises on a malformed spec
-        if not isinstance(self.draft_kind, str):
-            raise TypeError(
-                "draft_kind must be a draft-model name (str), got "
-                f"{type(self.draft_kind).__name__}"
-            )
-        if self.draft_kind not in DRAFT_KINDS:
-            raise ValueError(
-                f"unknown draft_kind {self.draft_kind!r}; "
-                f"known: {sorted(DRAFT_KINDS)}"
-            )
         if not isinstance(self.kernel_backend, str):
             raise TypeError(
                 "kernel_backend must be a backend name (str), got "

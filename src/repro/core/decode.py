@@ -1281,6 +1281,25 @@ class _Sequence:
             self.draft.reset()
 
 
+def _policy_answer(
+    policy: SchedulingPolicy,
+    answer: Iterable[_Sequence],
+    members: list[_Sequence],
+    violation: str,
+) -> list[_Sequence]:
+    """A policy's sequence list, validated as a whole before the
+    scheduler acts on any of it: every entry must be one of
+    ``members`` and none may appear twice, else the policy-contract
+    ``ValueError`` (``violation`` says what the policy did)."""
+    chosen = list(answer)
+    seen: set[int] = set()
+    for seq in chosen:
+        if seq not in members or id(seq) in seen:
+            raise ValueError(f"policy {policy.name!r} {violation}")
+        seen.add(id(seq))
+    return chosen
+
+
 class ContinuousBatchScheduler:
     """Orca-style continuous batching over one :class:`NovaDecodeEngine`.
 
@@ -1342,9 +1361,10 @@ class ContinuousBatchScheduler:
     ``speculative=True`` drafts the ``spec_tree`` draft tree (default:
     the engine config's, e.g. a preset's linear ``"1x4"`` chain), with
     one draft model per sequence from ``draft_factory`` (default: the
-    config's ``draft_kind``).  A pass that cannot get provisional
-    blocks degrades to draft-free before it defers.  Each result is a :class:`GenerateResult` identical to solo
-    generation through the same tree.
+    exact-LUT ``TruncatedTableDraft(config)``).  A pass that cannot get
+    provisional blocks degrades to draft-free before it defers.  Each
+    result is a :class:`GenerateResult` identical to solo generation
+    through the same tree.
 
     Scheduling decisions — which waiting request to admit next, which
     active sequences run a step, and who is preempted — are delegated
@@ -1394,7 +1414,7 @@ class ContinuousBatchScheduler:
         from repro.core.speculative import (
             DraftTree,
             SpeculativeDecodeEngine,
-            build_draft,
+            TruncatedTableDraft,
         )
 
         self.engine = engine
@@ -1407,7 +1427,7 @@ class ContinuousBatchScheduler:
         #: sharing one across interleaved requests would break the
         #: solo-equivalence contract).  Only called when the tree drafts.
         self.draft_factory: Callable[[], DraftModel] = (
-            (lambda: build_draft(cfg.draft_kind, cfg))
+            (lambda: TruncatedTableDraft(cfg))
             if draft_factory is None
             else draft_factory
         )
@@ -1580,15 +1600,14 @@ class ContinuousBatchScheduler:
             # frees immediately; it rejoins the front of the queue.
             if active and arrived:
                 free_slots = self.max_active - len(active)
-                victims = list(
-                    policy.preemptions(arrived, active, now, free_slots)
+                victims = _policy_answer(
+                    policy,
+                    policy.preemptions(arrived, active, now, free_slots),
+                    active,
+                    "named a preemption victim that is not an active "
+                    "sequence, or one twice",
                 )
                 for victim in victims:
-                    if victim not in active:
-                        raise ValueError(
-                            f"policy {policy.name!r} named a preemption "
-                            "victim that is not an active sequence"
-                        )
                     active.remove(victim)
                     self._preempt(victim)
                     waiting.appendleft(victim)
@@ -1606,13 +1625,10 @@ class ContinuousBatchScheduler:
             # atomically); a pass with drafts degrades to a draft-free
             # one before it defers.  The policy picks which active
             # sequences run this step (normally all).
-            scheduled = list(policy.step_order(active, now))
-            for seq in scheduled:
-                if seq not in active:
-                    raise ValueError(
-                        f"policy {policy.name!r} scheduled a sequence "
-                        "that is not active"
-                    )
+            scheduled = _policy_answer(
+                policy, policy.step_order(active, now), active,
+                "scheduled a sequence that is not active, or one twice",
+            )
             for seq in scheduled:
                 try:
                     pending = verifier.plan_with_fallback(

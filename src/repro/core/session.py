@@ -67,7 +67,7 @@ from repro.core.vector_unit import NovaVectorUnit
 
 if TYPE_CHECKING:
     from repro.accelerators import HostAccelerator
-    from repro.core.speculative import DraftModel, SpeculativeDecodeEngine
+    from repro.core.speculative import DraftModel
     from repro.serving.frontdoor import ServingRequest
     from repro.serving.metrics import ServingReport
     from repro.serving.policies import SchedulingPolicy
@@ -90,7 +90,6 @@ class NovaSession:
         self._reference: NovaAttentionEngine | None = None
         self._server: BatchedNovaAttentionEngine | None = None
         self._decoder: NovaDecodeEngine | None = None
-        self._speculator: SpeculativeDecodeEngine | None = None
         self._units: dict[str, NovaVectorUnit] = {}
 
     # ------------------------------------------------------------------
@@ -200,20 +199,6 @@ class NovaSession:
         """
         return self.decoder.decode(request)
 
-    @property
-    def speculator(self) -> "SpeculativeDecodeEngine":
-        """The speculative draft-and-verify engine (built lazily).
-
-        A :class:`~repro.core.speculative.SpeculativeDecodeEngine`
-        wrapping :attr:`decoder` (same unit, tables and caches) at the
-        session config's ``spec_tree`` / ``draft_kind`` defaults.
-        """
-        if self._speculator is None:
-            from repro.core.speculative import SpeculativeDecodeEngine
-
-            self._speculator = SpeculativeDecodeEngine(self.decoder)
-        return self._speculator
-
     def generate(
         self,
         request: DecodeRequest,
@@ -233,13 +218,17 @@ class NovaSession:
         the draft-free pass, one token each.
 
         ``speculative=True`` generates the **bit-identical** tokens
-        with drafts instead (:mod:`repro.core.speculative`): the
-        config's ``draft_kind`` drafts a whole ``spec_tree``
+        with drafts instead (:mod:`repro.core.speculative`): ``draft``
+        drafts a whole ``spec_tree``
         :class:`~repro.core.speculative.DraftTree` per packed
-        verification pass (a ``"2x2,1x4"``-style spec; ``"1x4"`` is a
-        linear chain of four drafts).  Both default from the session
-        config; ``draft`` substitutes any
-        :class:`~repro.core.speculative.DraftModel`.  Either way the
+        verification pass (a ``"2x2,1x4"``-style spec, defaulting to
+        the session config's; ``"1x4"`` is a linear chain of four
+        drafts).  ``draft`` is any
+        :class:`~repro.core.speculative.DraftModel`, passed per call;
+        the default is the exact-LUT
+        :class:`~repro.core.speculative.TruncatedTableDraft`.  The
+        speculative engine is built per call around :attr:`decoder`
+        (same unit, tables and caches).  Either way the
         result is a :class:`~repro.core.decode.GenerateResult`, with
         per-pass acceptance and rollback accounting — bit-identical
         for any tree.
@@ -253,15 +242,11 @@ class NovaSession:
             return self.decoder.generate(
                 request, max_new_tokens=max_new_tokens
             )
-        if spec_tree is None and draft is None:
-            engine = self.speculator
-        else:
-            from repro.core.speculative import SpeculativeDecodeEngine
+        from repro.core.speculative import SpeculativeDecodeEngine
 
-            engine = SpeculativeDecodeEngine(
-                self.decoder, draft=draft, tree=spec_tree
-            )
-        return engine.generate(request, max_new_tokens=max_new_tokens)
+        return SpeculativeDecodeEngine(self.decoder, tree=spec_tree).generate(
+            request, max_new_tokens=max_new_tokens, draft=draft
+        )
 
     def serve_decode(
         self,
@@ -297,9 +282,10 @@ class NovaSession:
         ``speculative=True`` replaces each in-flight decode row with a
         draft-and-verify pass (a whole ``spec_tree`` draft tree per
         pass, defaulting to the config's; one model per sequence from
-        ``draft_factory()``, defaulting to the config's
-        ``draft_kind``), composing with either memory mode and still
-        bit-identical to solo :meth:`generate` per request.
+        ``draft_factory()``, defaulting to the exact-LUT
+        ``TruncatedTableDraft(config)``), composing with either memory
+        mode and still bit-identical to solo :meth:`generate` per
+        request.
         """
         scheduler = ContinuousBatchScheduler(
             self.decoder, max_active=max_active, paged=paged,
@@ -336,11 +322,12 @@ class NovaSession:
         (:data:`repro.serving.policies.POLICIES`: ``"fcfs"``,
         ``"priority-preemptive"``, ``"slo-aware"``, ``"tenant-fair"``)
         or takes a policy object; the remaining knobs mirror
-        :meth:`serve_decode`.  Returns the JSON-serializable
-        :class:`~repro.serving.metrics.ServingReport` (TTFT/latency
-        percentiles, goodput, deferral/preemption rates).  Whatever
-        the policy decides, per-request outputs stay bit-identical to
-        solo :meth:`generate`.
+        :meth:`serve_decode` (drafts come per sequence from
+        ``draft_factory``, default the exact-LUT draft).  Returns the
+        JSON-serializable :class:`~repro.serving.metrics.ServingReport`
+        (TTFT/latency percentiles, goodput, deferral/preemption rates).
+        Whatever the policy decides, per-request outputs stay
+        bit-identical to solo :meth:`generate`.
         """
         from repro.serving.frontdoor import FrontDoor
 

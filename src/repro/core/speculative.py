@@ -39,23 +39,26 @@ live frontier node of the level as a :class:`DraftBranch` (its input
 embedding, its branch cache and the verify plan's already-computed
 max-subtracted scores) and returns up to ``width`` alternative proposals
 per branch; a linear chain is the width-1 case of the same call.
-:class:`TruncatedTableDraft` re-runs the per-token host numerics through
-the *same compiled LUT objects* the engine holds (``QuantizedPwl.
-evaluate`` is the golden model the hardware is bit-exact against), so at
-``fidelity=1.0`` every proposal verifies bit-identically with zero
-overlay cost.  It reuses the plan's scores instead of re-projecting, and
-streams a whole level through one exp and one reciprocal evaluation
-(:func:`host_level_outputs`) — the long-vector batching the overlay
-itself relies on.  ``fidelity < 1.0`` drafts a seeded, per-position
-fraction of tokens through the same LUTs at *reduced output precision*
-instead — those proposals disagree and are rejected, making
-``fidelity`` the long-run acceptance-rate knob the serving studies sweep
-(the simulator stand-in for draft-model quality).  :class:`NGramDraft`
-is the model-free alternative: it replays the output last seen after a
-matching (reduced-precision-keyed) input, which starts paying off once
-a self-fed trajectory revisits states.  :class:`ScheduledDraft` follows
-an explicit accept/reject program — the test and golden-trace
-instrument.
+The draft is a per-call argument of every pass-level method, never a
+setting: any :class:`DraftModel` may be passed, and the default is the
+exact-LUT draft.  :class:`TruncatedTableDraft` re-runs the per-token
+host numerics through the *same compiled LUT objects* the engine holds
+(``QuantizedPwl.evaluate`` is the golden model the hardware is bit-exact
+against), so at ``fidelity=1.0`` every proposal verifies bit-identically
+with zero overlay cost.  It reuses the plan's scores instead of
+re-projecting, and streams a whole level through one exp and one
+reciprocal evaluation (:func:`host_level_outputs`) — the long-vector
+batching the overlay itself relies on.  ``fidelity < 1.0`` drafts a
+seeded, per-position fraction of tokens through the same LUTs at
+*reduced output precision* instead — those proposals disagree and are
+rejected, making ``fidelity`` the long-run acceptance-rate knob the
+serving studies sweep (the simulator stand-in for draft-model quality).
+:class:`NGramDraft` is the model-free alternative: it replays the output
+last seen after a matching (reduced-precision-keyed) input, which starts
+paying off once a self-fed trajectory revisits states.
+:class:`ScheduledDraft` follows an explicit accept/reject program — the
+test and golden-trace instrument.  Only :class:`NGramDraft` learns from
+``observe``.
 
 Tree speculation
 ----------------
@@ -99,7 +102,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -108,12 +111,7 @@ from repro.core.attention import (
     shift_scores,
     softmax_reduction,
 )
-from repro.core.config import (
-    DRAFT_KINDS,
-    NovaConfig,
-    as_config,
-    parse_tree_spec,
-)
+from repro.core.config import NovaConfig, as_config, parse_tree_spec
 from repro.core.decode import (
     DecodeRequest,
     DecodeState,
@@ -133,7 +131,6 @@ if TYPE_CHECKING:
     from repro.approx.quantize import QuantizedPwl
     from repro.core.decode import KVCacheLike, _JobResult, _TokenPlan
     from repro.core.paging import BlockPool
-    from repro.core.vector_unit import NovaVectorUnit
 
 __all__ = [
     "DraftBranch",
@@ -142,7 +139,6 @@ __all__ = [
     "NGramDraft",
     "TruncatedTableDraft",
     "ScheduledDraft",
-    "build_draft",
     "host_level_outputs",
     "host_step_output",
     "tree_causal_mask",
@@ -634,26 +630,6 @@ class ScheduledDraft:
         return f"ScheduledDraft(program={bits}, cursor={self._cursor})"
 
 
-def build_draft(
-    kind: str,
-    config: NovaConfig | str | None = None,
-    **kwargs: Any,
-) -> DraftModel:
-    """Construct one of the named :data:`~repro.core.config.DRAFT_KINDS`.
-
-    ``"truncated-table"`` forwards ``config`` plus any
-    :class:`TruncatedTableDraft` kwargs (``fidelity`` / ``seed`` /
-    ``reduced_bits``); ``"ngram"`` takes :class:`NGramDraft` kwargs.
-    """
-    if kind == "truncated-table":
-        return TruncatedTableDraft(config, **kwargs)
-    if kind == "ngram":
-        return NGramDraft(**kwargs)
-    raise ValueError(
-        f"unknown draft kind {kind!r}; known: {sorted(DRAFT_KINDS)}"
-    )
-
-
 # ----------------------------------------------------------------------
 # Results.
 # ----------------------------------------------------------------------
@@ -825,9 +801,10 @@ class SpeculativeDecodeEngine:
     constructor accepts (a :class:`~repro.core.config.NovaConfig`, a
     preset name, ``None``).  ``tree`` is the :class:`DraftTree` every
     pass drafts (a tree object or a ``"2x2,1x4"`` spec string; defaults
-    to ``config.spec_tree``, e.g. the preset's linear ``"1x4"`` chain)
-    and ``draft`` defaults to :func:`build_draft`'s
-    ``config.draft_kind``.  ``DraftTree(())`` is plain decode.
+    to ``config.spec_tree``, e.g. the preset's linear ``"1x4"`` chain);
+    ``DraftTree(())`` is plain decode.  The engine holds no draft: every
+    pass-level method takes ``draft=`` per call, and on a drafting tree
+    ``None`` means a fresh exact-LUT ``TruncatedTableDraft(config)``.
 
     The primitive pair :meth:`plan_verify_pass` /
     :meth:`finish_verify_pass` is what the continuous batcher fuses
@@ -838,7 +815,6 @@ class SpeculativeDecodeEngine:
     def __init__(
         self,
         engine: NovaDecodeEngine | NovaConfig | str | None = None,
-        draft: DraftModel | None = None,
         tree: DraftTree | str | None = None,
     ) -> None:
         if not isinstance(engine, NovaDecodeEngine):
@@ -847,38 +823,6 @@ class SpeculativeDecodeEngine:
         if tree is None:
             tree = engine.config.spec_tree
         self.tree = DraftTree.parse(tree) if isinstance(tree, str) else tree
-        self._draft = draft
-
-    @property
-    def draft(self) -> DraftModel:
-        """The engine's default draft model.
-
-        Built lazily from ``config.draft_kind`` when none was passed:
-        callers that supply their own draft on every call (the
-        continuous batcher holds one per sequence) never construct the
-        default.
-        """
-        if self._draft is None:
-            cfg = self.engine.config
-            self._draft = build_draft(cfg.draft_kind, cfg)
-        return self._draft
-
-    def _draft_for(self, draft: DraftModel | None) -> DraftModel | None:
-        """``draft``, else the default draft — unless the tree never
-        drafts, in which case no draft model is built at all."""
-        if draft is not None or not self.tree.depth:
-            return draft
-        return self.draft
-
-    @property
-    def config(self) -> NovaConfig:
-        """The wrapped engine's geometry."""
-        return self.engine.config
-
-    @property
-    def unit(self) -> NovaVectorUnit:
-        """The wrapped engine's shared vector unit."""
-        return self.engine.unit
 
     def start(
         self,
@@ -958,8 +902,8 @@ class SpeculativeDecodeEngine:
             return _SpecPass(_Job(state, [token]), x_t)
         request = state.request
         x_t = np.asarray(x_t, dtype=np.float64).reshape(-1)
-        proposer = self._draft_for(draft)
-        assert proposer is not None  # the tree drafts
+        if draft is None:
+            draft = TruncatedTableDraft(engine.config)
         tokens: list[_TokenPlan] = []
         nodes: list[_TreeNode] = []
         forks: list[KVCacheLike] = []
@@ -982,7 +926,7 @@ class SpeculativeDecodeEngine:
                 # Draft every live branch before any of the level's
                 # appends: one proposal call per level.
                 level = _draft_level(
-                    proposer, request,
+                    draft, request,
                     [
                         DraftBranch(
                             node.embedding, node.state.cache,
@@ -1054,9 +998,10 @@ class SpeculativeDecodeEngine:
         is deterministic, hence bit-identical to the rows the released
         fork held) — zero pool blocks leak for any accept pattern.  A
         draft-free pass commits its one token as is: nothing to walk,
-        release or roll back.
+        release or roll back.  ``draft`` observes every committed step;
+        ``None`` (the exact-LUT default, whose ``observe`` is a no-op)
+        observes nothing.
         """
-        draft = self._draft_for(draft)
         tokens = spec_pass.job.tokens
         outputs = result.outputs
         if spec_pass.root is None:
@@ -1190,8 +1135,11 @@ class SpeculativeDecodeEngine:
 
         ``max_new_tokens`` defaults to the request's budget (an override
         beyond the request's capacity fails before any work); ``state``
-        optionally supplies a pre-opened state.  Outputs are
-        bit-identical to plain decode for any tree and any draft.
+        optionally supplies a pre-opened state; ``draft`` drafts every
+        pass (``None``: each drafting pass plans with a fresh exact-LUT
+        :class:`TruncatedTableDraft`, which keeps no state between
+        calls).  Outputs are bit-identical to plain decode for any tree
+        and any draft.
         """
         engine = self.engine
         new_tokens = (
@@ -1211,7 +1159,6 @@ class SpeculativeDecodeEngine:
                 "max_new_tokens, raise max_seq_len, or set a sliding "
                 "window"
             )
-        draft = self._draft_for(draft)
         if draft is not None:
             draft.reset()
         if state is None:

@@ -14,7 +14,7 @@ Installed as ``nova-repro``::
     nova-repro serve-decode --paged  # paged-KV admission capacity study
     nova-repro serve-decode --speculative  # draft-and-verify speedup study
     nova-repro serve-decode --prefix-caching  # shared-prefix residency study
-    nova-repro serve-decode --backend numba   # pick the kernel backend
+    nova-repro serve-decode --override kernel_backend=numba  # kernel backend
     nova-repro serve-async       # async front door: policies vs SLOs
     nova-repro serve-async --paged  # same trace, paged-KV memory mode
 
@@ -35,18 +35,16 @@ field with repeatable ``--override FIELD=VALUE`` flags::
 
 Overridable fields: ``n_routers``, ``neurons_per_router``,
 ``pe_frequency_ghz``, ``hop_mm``, ``n_segments``, ``seed``,
-``kv_block_size``, ``spec_tree``, ``draft_kind``, ``kernel_backend``,
-``host``.
+``kv_block_size``, ``spec_tree``, ``kernel_backend``, ``host``.
 ``nova-repro geometries`` prints every preset with its
 geometry and host accelerator.  Passing ``--geometry``/``--override``
 to an experiment that has a fixed, paper-defined geometry is an error.
 
-``serve-decode``/``serve-async`` also take ``--backend`` — shorthand
-for ``--override kernel_backend=NAME``, validated against the
-:data:`repro.core.config.KERNEL_BACKENDS` registry (a typo exits 2
-listing the known backends).  Every backend is bit/cycle/counter
-exact; ``numba`` falls back to numpy (with a warning) when the
-package is not installed.
+``--override kernel_backend=NAME`` picks the kernel backend, validated
+against the :data:`repro.core.config.KERNEL_BACKENDS` registry (a typo
+exits 2 listing the known backends).  Every backend is
+bit/cycle/counter exact; ``numba`` falls back to numpy (with a warning)
+when the package is not installed.
 
 ``serve-decode --paged`` swaps the throughput harness for the paged-KV
 memory-utilization study
@@ -82,7 +80,7 @@ import functools
 import sys
 from collections.abc import Callable
 
-from repro.core.config import KERNEL_BACKENDS, NovaConfig, PRESETS, preset
+from repro.core.config import NovaConfig, PRESETS, preset
 from repro.eval import ablations, experiments, sweeps
 from repro.eval.report import render_experiment
 
@@ -274,22 +272,10 @@ def main(argv: list[str] | None = None) -> int:
              "bit-identical outputs, the win measured in peak pool "
              "residency) instead of the throughput harness",
     )
-    parser.add_argument(
-        "--backend",
-        choices=sorted(KERNEL_BACKENDS),
-        help="kernel backend for serve-decode/serve-async (shorthand for "
-             "--override kernel_backend=NAME); every backend is "
-             "bit/cycle/counter-exact — numba falls back to numpy "
-             "when not installed",
-    )
     args = parser.parse_args(argv)
 
     if args.paged and args.experiment not in ("serve-decode", "serve-async"):
         parser.error("--paged only applies to serve-decode/serve-async")
-    if args.backend is not None and args.experiment not in (
-        "serve-decode", "serve-async"
-    ):
-        parser.error("--backend only applies to serve-decode/serve-async")
     if args.speculative and args.experiment != "serve-decode":
         parser.error("--speculative only applies to serve-decode")
     if args.speculative_tree is not None and args.experiment != "serve-decode":
@@ -324,10 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         names = [args.experiment]
 
-    overrides = list(args.override)
-    if args.backend is not None:
-        overrides.append(f"kernel_backend={args.backend}")
-    config = _resolve_config(names, args.geometry, overrides, parser)
+    config = _resolve_config(names, args.geometry, args.override, parser)
 
     for name in names:
         runner = EXPERIMENTS[name]

@@ -1079,6 +1079,7 @@ def speculative_decode_speedup(
     deterministic number).
     """
     from repro.core.decode import ContinuousBatchScheduler
+    from repro.core.speculative import SpeculativeDecodeEngine
     from repro.workloads.bert import speculative_decode_batch
 
     cfg, seed, model, session = _setup(
@@ -1090,7 +1091,7 @@ def speculative_decode_speedup(
         config=cfg,
     )
     engine = session.decoder
-    speculator = session.speculator
+    speculator = SpeculativeDecodeEngine(engine)
 
     (plain, t_plain), (solo, t_solo), (batch, t_batched) = _timed(
         warmup,

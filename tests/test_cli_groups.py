@@ -217,6 +217,21 @@ class TestGeometryFlags:
         err = capsys.readouterr().err
         assert "unknown NovaConfig field 'enable_prefix_caching'" in err
 
+    def test_retired_draft_kind_override_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-decode", "--override", "draft_kind=ngram"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown NovaConfig field 'draft_kind'" in err
+
+    def test_retired_backend_flag_exits_2(self, capsys):
+        """``--override kernel_backend=NAME`` is the one kernel-backend
+        flag; the old ``--backend`` shorthand is an unknown argument."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-decode", "--backend", "numpy"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
 
 def test_docstring_lists_exactly_the_overridable_fields():
     import re

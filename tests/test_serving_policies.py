@@ -288,6 +288,24 @@ class RetiredStepper(FCFS):
         return list(active)
 
 
+class DoubleStepper(FCFS):
+    """Schedules the first active sequence twice in one step."""
+
+    name = "double-stepper"
+
+    def step_order(self, active, now):
+        return [*active, active[0]] if active else []
+
+
+class DoublePreemptor(FCFS):
+    """Names the same active sequence as a preemption victim twice."""
+
+    name = "double-preemptor"
+
+    def preemptions(self, waiting, active, now, free_slots):
+        return [active[0], active[0]] if waiting and active else []
+
+
 class NoneAdmitter(FCFS):
     """Admits nothing, even with nothing in flight."""
 
@@ -337,6 +355,25 @@ class TestPolicyValidation:
             ContinuousBatchScheduler(
                 engine, max_active=1, policy=RetiredStepper()
             ).run(batch(2))
+
+    def test_stepping_a_sequence_twice_raises(self):
+        """A duplicate in ``step_order`` would plan two passes on one
+        cache; the answer is rejected whole, before any plan."""
+        engine = NovaDecodeEngine(SMALL)
+        with pytest.raises(ValueError, match="double-stepper"):
+            ContinuousBatchScheduler(
+                engine, max_active=2, policy=DoubleStepper()
+            ).run(batch(2))
+
+    def test_preempting_a_sequence_twice_raises_before_any_preemption(self):
+        engine = NovaDecodeEngine(SMALL)
+        meta = [SequenceMeta(arrival=0.0), SequenceMeta(arrival=0.0)]
+        scheduler = ContinuousBatchScheduler(
+            engine, max_active=1, policy=DoublePreemptor()
+        )
+        with pytest.raises(ValueError, match="double-preemptor"):
+            scheduler.run(batch(2), meta=meta)
+        assert scheduler.preemptions == 0
 
     def test_meta_length_mismatch_raises(self):
         engine = NovaDecodeEngine(SMALL)

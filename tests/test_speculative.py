@@ -15,7 +15,7 @@ and the config/session/workload/experiment wiring.
 import numpy as np
 import pytest
 
-from repro.core.config import DRAFT_KINDS, NovaConfig, PRESETS, preset
+from repro.core.config import NovaConfig, PRESETS, preset
 from repro.core.decode import (
     ContinuousBatchScheduler,
     DecodeRequest,
@@ -38,7 +38,6 @@ from repro.core.speculative import (
     ScheduledDraft,
     SpeculativeDecodeEngine,
     TruncatedTableDraft,
-    build_draft,
     host_step_output,
 )
 from repro.workloads.bert import fidelity_for_acceptance, speculative_decode_batch
@@ -186,9 +185,9 @@ class TestDraftModels:
         """fidelity=1.0 proposals are bit-identical to the verification
         outputs, so every draft is accepted."""
         request = toy_request()
-        spec = SpeculativeDecodeEngine(
-            ENGINE, draft=TruncatedTableDraft(SMALL, fidelity=1.0)
-        ).generate(request)
+        spec = SpeculativeDecodeEngine(ENGINE).generate(
+            request, draft=TruncatedTableDraft(SMALL, fidelity=1.0)
+        )
         assert spec.acceptance_rate == 1.0
         assert spec.rolled_back_tokens == 0
         assert spec.verify_passes < request.max_new_tokens
@@ -196,9 +195,9 @@ class TestDraftModels:
     def test_zero_fidelity_draft_rejects_everything_but_stays_exact(self):
         request = toy_request()
         plain = ENGINE.generate(request)
-        spec = SpeculativeDecodeEngine(
-            ENGINE, draft=TruncatedTableDraft(SMALL, fidelity=0.0)
-        ).generate(request)
+        spec = SpeculativeDecodeEngine(ENGINE).generate(
+            request, draft=TruncatedTableDraft(SMALL, fidelity=0.0)
+        )
         assert spec.accepted_tokens == 0
         assert spec.rolled_back_tokens == spec.drafted_tokens
         assert spec.verify_passes == request.max_new_tokens
@@ -247,12 +246,6 @@ class TestDraftModels:
             NGramDraft(max_history=0)
         with pytest.raises(ValueError, match="at least one decision"):
             ScheduledDraft(SMALL, [])
-        with pytest.raises(ValueError, match="unknown draft kind"):
-            build_draft("oracle", SMALL)
-
-    def test_build_draft_constructs_every_registered_kind(self):
-        for kind in DRAFT_KINDS:
-            assert isinstance(build_draft(kind, SMALL), DraftModel)
 
     def test_draft_reprs_are_informative(self):
         assert "fidelity=0.5" in repr(TruncatedTableDraft(SMALL, fidelity=0.5))
@@ -349,9 +342,9 @@ class TestSpeculativeEngine:
     def test_exact_draft_saves_overlay_cycles(self):
         request = toy_request(prompt_len=4, max_new_tokens=8)
         plain = ENGINE.generate(request)
-        spec = SpeculativeDecodeEngine(
-            ENGINE, draft=TruncatedTableDraft(SMALL), tree="1x4"
-        ).generate(request)
+        spec = SpeculativeDecodeEngine(ENGINE, tree="1x4").generate(
+            request, draft=TruncatedTableDraft(SMALL)
+        )
         assert spec.vector_cycles < plain.vector_cycles
         assert spec.cycle_speedup > 1.0
         assert spec.tokens_per_pass > 1.0
@@ -360,11 +353,11 @@ class TestSpeculativeEngine:
         request = toy_request(prompt_len=5, max_new_tokens=6, window=4)
         plain_state = ENGINE.start(request)
         plain = ENGINE.generate(request, state=plain_state)
-        spec_engine = SpeculativeDecodeEngine(
-            ENGINE, draft=TruncatedTableDraft(SMALL), tree="1x3"
-        )
+        spec_engine = SpeculativeDecodeEngine(ENGINE, tree="1x3")
         spec_state = spec_engine.start(request)
-        spec = spec_engine.generate(request, state=spec_state)
+        spec = spec_engine.generate(
+            request, state=spec_state, draft=TruncatedTableDraft(SMALL)
+        )
         assert np.array_equal(spec.generated, plain.generated)
         assert spec.sequential_vector_cycles == plain.vector_cycles
         assert spec_state.cache.start_position == plain_state.cache.start_position
@@ -376,9 +369,9 @@ class TestSpeculativeEngine:
     def test_committed_steps_mirror_plain_step_accounting(self):
         request = toy_request(prompt_len=3, max_new_tokens=4)
         plain = ENGINE.generate(request)
-        spec = SpeculativeDecodeEngine(
-            ENGINE, draft=TruncatedTableDraft(SMALL)
-        ).generate(request)
+        spec = SpeculativeDecodeEngine(ENGINE).generate(
+            request, draft=TruncatedTableDraft(SMALL)
+        )
         for plain_step, spec_step in zip(plain.steps, spec.steps):
             assert spec_step.position == plain_step.position
             assert spec_step.kv_length == plain_step.kv_length
@@ -401,20 +394,12 @@ class TestSpeculativeEngine:
             SpeculativeDecodeEngine(ENGINE, tree="1x0")
         with pytest.raises(ValueError, match="must be >= 1"):
             NovaConfig(spec_tree="0x4")
-        with pytest.raises(ValueError, match="unknown draft_kind"):
-            NovaConfig(draft_kind="oracle")
-        with pytest.raises(TypeError, match="draft_kind"):
-            NovaConfig(draft_kind=3)
 
     def test_config_overrides_reach_the_speculative_fields(self):
-        cfg = preset("jetson-nx").with_overrides(
-            ["spec_tree=1x7", "draft_kind=ngram"]
-        )
+        cfg = preset("jetson-nx").with_overrides(["spec_tree=1x7"])
         assert cfg.spec_tree == "1x7"
-        assert cfg.draft_kind == "ngram"
         engine = SpeculativeDecodeEngine(cfg)
         assert engine.tree == DraftTree.linear(7)
-        assert isinstance(engine.draft, NGramDraft)
 
     def test_budget_overflow_rejected_at_admission(self):
         request = toy_request(prompt_len=4, max_new_tokens=2)
@@ -426,6 +411,72 @@ class TestSpeculativeEngine:
             SpeculativeDecodeEngine(ENGINE).generate(
                 request, max_new_tokens=-1
             )
+
+
+# ----------------------------------------------------------------------
+# One home for the draft: a per-call argument, default exact-LUT.
+# ----------------------------------------------------------------------
+
+
+def pass_records(result):
+    return [
+        (p.tokens, p.drafted, p.accepted, p.committed, p.rolled_back,
+         p.vector_cycles, p.counters.as_dict())
+        for p in result.passes
+    ]
+
+
+class TestPerCallDraft:
+    def test_draft_kind_is_not_a_config_field(self):
+        with pytest.raises(ValueError, match="draft_kind"):
+            NovaConfig.from_dict({"draft_kind": "ngram"})
+        with pytest.raises(ValueError, match="draft_kind"):
+            SMALL.with_overrides(["draft_kind=ngram"])
+
+    def test_engine_takes_no_draft(self):
+        with pytest.raises(TypeError, match="draft"):
+            SpeculativeDecodeEngine(ENGINE, draft=NGramDraft())
+
+    def test_default_draft_is_a_fresh_exact_lut_draft(self):
+        """``draft=None`` on a drafting tree runs exactly the passes an
+        explicit ``TruncatedTableDraft(config)`` does."""
+        session = NovaSession(SMALL)
+        request = toy_request(prompt_len=4, max_new_tokens=9)
+        default = session.generate(request, speculative=True, spec_tree="2x2")
+        explicit = session.generate(
+            request, speculative=True, spec_tree="2x2",
+            draft=TruncatedTableDraft(SMALL),
+        )
+        assert np.array_equal(default.generated, explicit.generated)
+        assert default.verify_passes == explicit.verify_passes
+        assert pass_records(default) == pass_records(explicit)
+        assert default.vector_cycles == explicit.vector_cycles
+        assert (
+            default.sequential_vector_cycles
+            == explicit.sequential_vector_cycles
+        )
+        assert default.counters.as_dict() == explicit.counters.as_dict()
+
+    def test_serve_decode_with_ngram_drafts_matches_solo(self):
+        """A learning draft passed per sequence stays solo-exact: the
+        batched run's pass records equal solo generation's."""
+        session = NovaSession(SMALL)
+        requests = [
+            toy_request(prompt_len=3 + i, max_new_tokens=6, seed=i)
+            for i in range(3)
+        ]
+        batch = session.serve_decode(
+            requests, max_active=2, speculative=True,
+            draft_factory=NGramDraft,
+        )
+        for request, got in zip(requests, batch.results):
+            solo = session.generate(
+                request, speculative=True, draft=NGramDraft()
+            )
+            assert np.array_equal(got.generated, solo.generated)
+            assert pass_records(got) == pass_records(solo)
+            assert got.vector_cycles == solo.vector_cycles
+            assert got.counters.as_dict() == solo.counters.as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -480,9 +531,7 @@ class TestErrorPaths:
         rolls the whole pass back: cache, position and pool return to
         their pre-pass state before the exception propagates."""
         request = toy_request(prompt_len=2, max_new_tokens=6)
-        spec_engine = SpeculativeDecodeEngine(
-            ENGINE, draft=TruncatedTableDraft(SMALL), tree="1x4"
-        )
+        spec_engine = SpeculativeDecodeEngine(ENGINE, tree="1x4")
         # prompt fills 1 block; 1 spare block holds u_0 + one draft,
         # the second draft's block allocation must fail mid-pass
         state, pool = self._paged_state_after_prefill(
@@ -492,20 +541,21 @@ class TestErrorPaths:
         baseline = (state.cache.length, state.position, pool.in_use,
                     pool.live_tokens)
         with pytest.raises(BlockPoolExhausted):
-            spec_engine.plan_verify_pass(state, x_t, budget=6)
+            spec_engine.plan_verify_pass(
+                state, x_t, budget=6, draft=TruncatedTableDraft(SMALL)
+            )
         assert (state.cache.length, state.position, pool.in_use,
                 pool.live_tokens) == baseline
 
     def test_fallback_degrades_to_a_draft_free_pass(self):
         request = toy_request(prompt_len=2, max_new_tokens=6)
-        spec_engine = SpeculativeDecodeEngine(
-            ENGINE, draft=TruncatedTableDraft(SMALL), tree="1x4"
-        )
+        spec_engine = SpeculativeDecodeEngine(ENGINE, tree="1x4")
         state, pool = self._paged_state_after_prefill(
             spec_engine, request, n_blocks=2
         )
         spec_pass = spec_engine.plan_with_fallback(
-            state, np.zeros(request.hidden), budget=6
+            state, np.zeros(request.hidden), budget=6,
+            draft=TruncatedTableDraft(SMALL),
         )
         assert len(spec_pass.job.tokens) >= 1
         # could not fit the full depth: fewer than 4 drafts after u_0
@@ -513,15 +563,14 @@ class TestErrorPaths:
 
     def test_wrong_shape_draft_raises_with_no_net_state_change(self):
         request = toy_request(prompt_len=3, max_new_tokens=4)
-        spec_engine = SpeculativeDecodeEngine(
-            ENGINE, draft=_WrongShapeDraft(), tree="1x2"
-        )
+        spec_engine = SpeculativeDecodeEngine(ENGINE, tree="1x2")
         state = spec_engine.start(request)
         ENGINE.prefill(state)
         baseline = (state.cache.length, state.position)
         with pytest.raises(ValueError, match="draft proposed"):
             spec_engine.plan_verify_pass(
-                state, np.zeros(request.hidden), budget=4
+                state, np.zeros(request.hidden), budget=4,
+                draft=_WrongShapeDraft(),
             )
         assert (state.cache.length, state.position) == baseline
 
@@ -577,9 +626,7 @@ class TestErrorPaths:
         draft-free fallback fails too and the exhaustion propagates
         with cache and pool untouched — the scheduler's defer signal."""
         request = toy_request(prompt_len=2, max_new_tokens=4)
-        spec_engine = SpeculativeDecodeEngine(
-            ENGINE, draft=TruncatedTableDraft(SMALL)
-        )
+        spec_engine = SpeculativeDecodeEngine(ENGINE)
         state, pool = self._paged_state_after_prefill(
             spec_engine, request, n_blocks=1
         )
@@ -587,7 +634,8 @@ class TestErrorPaths:
         baseline = (state.cache.length, state.position, pool.in_use)
         with pytest.raises(BlockPoolExhausted):
             spec_engine.plan_with_fallback(
-                state, np.zeros(request.hidden), budget=4
+                state, np.zeros(request.hidden), budget=4,
+                draft=TruncatedTableDraft(SMALL),
             )
         assert (state.cache.length, state.position, pool.in_use) == baseline
 
@@ -722,11 +770,12 @@ class TestSessionAndWorkloads:
         with pytest.raises(ValueError, match="speculative=True"):
             session.generate(request, draft=NGramDraft())
 
-    def test_session_speculator_is_cached_and_shares_the_decoder(self):
+    def test_session_holds_no_speculative_engine(self):
+        """The draft's one home is the per-call argument: the session
+        keeps no second engine with a resident default draft."""
         session = NovaSession(SMALL)
-        speculator = session.speculator
-        assert speculator is session.speculator
-        assert speculator.engine is session.decoder
+        assert not hasattr(session, "speculator")
+        assert not hasattr(session, "_speculator")
 
     def test_session_serve_decode_speculative(self):
         session = NovaSession(SMALL)
