@@ -73,7 +73,7 @@ steps by the test suite).
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, TypeAlias
@@ -89,6 +89,7 @@ from repro.core.batched_attention import (
     AttentionRequest,
     BatchedNovaAttentionEngine,
 )
+from repro.core.waiting import WaitingQueue
 from repro.noc.stats import OVERLAY_EVENTS, EventCounters
 
 if TYPE_CHECKING:
@@ -142,6 +143,9 @@ class SequenceMeta:
     * ``tenant`` — fairness/rate-limit bucket,
     * ``deadline`` — absolute virtual-cycle deadline for the *finish*
       of the request (policy- and metrics-interpreted), or ``None``.
+
+    Both times must be finite: the waiting queue orders sequences by
+    arrival and deadline, which needs totally ordered values.
     """
 
     arrival: float = 0.0
@@ -150,9 +154,15 @@ class SequenceMeta:
     deadline: float | None = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.arrival):
+            raise ValueError(f"arrival must be finite, got {self.arrival}")
         if self.arrival < 0.0:
             raise ValueError(f"arrival must be >= 0, got {self.arrival}")
-        if self.deadline is not None and self.deadline <= self.arrival:
+        if self.deadline is None:
+            return
+        if not math.isfinite(self.deadline):
+            raise ValueError(f"deadline must be finite, got {self.deadline}")
+        if self.deadline <= self.arrival:
             raise ValueError(
                 f"deadline ({self.deadline}) must fall after arrival "
                 f"({self.arrival})"
@@ -1378,7 +1388,10 @@ class ContinuousBatchScheduler:
     Whatever the policy decides, each request's outputs, per-step
     sequential-equivalent cycles and event counters stay bit-identical
     to solo :meth:`NovaDecodeEngine.generate` — policies reorder *when*
-    work happens, never what it computes.
+    work happens, never what it computes.  The waiting requests live in
+    one :class:`~repro.core.waiting.WaitingQueue` per run, so under the
+    built-in policies a step's admission work grows as O(log n) in the
+    backlog, not O(n).
     """
 
     def __init__(
@@ -1575,7 +1588,7 @@ class ContinuousBatchScheduler:
             _Sequence(i, request, meta=m)
             for i, (request, m) in enumerate(zip(request_list, metas))
         )
-        waiting = deque(sequences)
+        waiting = WaitingQueue(sequences)
         active: list[_Sequence] = []
         slots: list[GenerateResult | None] = [None] * len(request_list)
         policy = self.policy
@@ -1592,17 +1605,17 @@ class ContinuousBatchScheduler:
         now = 0.0
         step_cycles: list[int] = []
 
-        while waiting or active:
-            arrived = [s for s in waiting if s.arrival <= now]
+        while waiting or waiting.upcoming or active:
+            waiting.advance(now)
             # Policy-initiated (voluntary) preemption, e.g. a
             # higher-priority arrival displacing a low-priority
             # sequence when every slot is taken.  The victim's memory
             # frees immediately; it rejoins the front of the queue.
-            if active and arrived:
+            if active and waiting:
                 free_slots = self.max_active - len(active)
                 victims = _policy_answer(
                     policy,
-                    policy.preemptions(arrived, active, now, free_slots),
+                    policy.preemptions(waiting, active, now, free_slots),
                     active,
                     "named a preemption victim that is not an active "
                     "sequence, or one twice",
@@ -1610,7 +1623,7 @@ class ContinuousBatchScheduler:
                 for victim in victims:
                     active.remove(victim)
                     self._preempt(victim)
-                    waiting.appendleft(victim)
+                    waiting.rejoin(victim)
 
             jobs: list[_Job] = []
             joining: list[_Sequence] = []
@@ -1651,13 +1664,10 @@ class ContinuousBatchScheduler:
             # and rolls the prefill back — deferring the request — if
             # the pool runs dry mid-prompt.
             while waiting and len(active) + len(joining) < self.max_active:
-                arrived = [s for s in waiting if s.arrival <= now]
-                if not arrived:
-                    break
-                seq = policy.admit_next(arrived, active + joining, now)
+                seq = policy.admit_next(waiting, active + joining, now)
                 if seq is None:
                     break
-                if seq not in arrived:
+                if seq not in waiting:
                     raise ValueError(
                         f"policy {policy.name!r} admitted a sequence that "
                         "is not waiting-and-arrived"
@@ -1699,7 +1709,7 @@ class ContinuousBatchScheduler:
                     state.cache.reset()
                     seq.reset_progress()
                     self.deferrals += 1
-                    waiting.appendleft(seq)
+                    waiting.rejoin(seq)
                     break
                 jobs.append(job)
                 joining.append(seq)
@@ -1718,12 +1728,12 @@ class ContinuousBatchScheduler:
                         )
                     active.remove(victim)
                     self._preempt(victim)
-                    waiting.appendleft(victim)
+                    waiting.rejoin(victim)
                     continue
-                if all(s.arrival > now for s in waiting):
+                if not waiting:
                     # Idle: nothing in flight and nothing has arrived
                     # yet — jump the virtual clock to the next arrival.
-                    now = min(s.arrival for s in waiting)
+                    now = waiting.next_arrival()
                     continue
                 # An idle pool is empty and every request fits it alone
                 # (_build_pool), so only the policy can stall here.

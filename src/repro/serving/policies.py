@@ -42,6 +42,7 @@ from collections.abc import Sequence
 from typing import Protocol, TypeVar, runtime_checkable
 
 from repro.core.decode import DecodeRequest
+from repro.core.waiting import WaitingQueue
 
 __all__ = [
     "SequenceView",
@@ -99,6 +100,17 @@ class SchedulingPolicy(Protocol):
     functions of their arguments (ties broken on stable keys such as
     ``index`` or ``admitted_at``) — scheduler reproducibility rests on
     it.
+
+    ``waiting`` is the run's :class:`~repro.core.waiting.WaitingQueue`,
+    a view of the arrived-and-waiting sequences in queue order
+    (submission order; preempted and deferred sequences rejoin at the
+    front).  The built-in policies answer from its heaps —
+    :meth:`~repro.core.waiting.WaitingQueue.first`,
+    :meth:`~repro.core.waiting.WaitingQueue.first_by` and
+    :meth:`~repro.core.waiting.WaitingQueue.heads_by` — in O(log n) per
+    decision.  It also supports ``len``, ``in``, ``[0]`` and iteration
+    in queue order, so a custom policy that scans it like a list still
+    works, at a scan's O(n) per call (plus a sort by rank to iterate).
     """
 
     name: str
@@ -111,15 +123,13 @@ class SchedulingPolicy(Protocol):
 
     def admit_next(
         self,
-        waiting: Sequence[S],
+        waiting: WaitingQueue[S],
         in_flight: Sequence[S],
         now: float,
     ) -> S | None:
         """The next waiting (already arrived) request to admit.
 
-        ``waiting`` preserves queue order (submission order; preempted
-        sequences rejoin at the front).  ``None`` ends admission for
-        this step.
+        ``None`` ends admission for this step.
         """
         ...
 
@@ -129,7 +139,7 @@ class SchedulingPolicy(Protocol):
 
     def preemptions(
         self,
-        waiting: Sequence[S],
+        waiting: WaitingQueue[S],
         active: Sequence[S],
         now: float,
         free_slots: int,
@@ -158,18 +168,18 @@ class FCFS:
 
     def admit_next(
         self,
-        waiting: Sequence[S],
+        waiting: WaitingQueue[S],
         in_flight: Sequence[S],
         now: float,
     ) -> S | None:
-        return waiting[0] if waiting else None
+        return waiting.first()
 
     def select_victim(self, active: Sequence[S], now: float) -> S:
         return max(active, key=lambda s: s.admitted_at)
 
     def preemptions(
         self,
-        waiting: Sequence[S],
+        waiting: WaitingQueue[S],
         active: Sequence[S],
         now: float,
         free_slots: int,
@@ -195,17 +205,17 @@ class PriorityPreemptive(FCFS):
 
     name = "priority-preemptive"
 
+    @staticmethod
+    def _urgency(seq: SequenceView) -> int:
+        return -seq.priority
+
     def admit_next(
         self,
-        waiting: Sequence[S],
+        waiting: WaitingQueue[S],
         in_flight: Sequence[S],
         now: float,
     ) -> S | None:
-        if not waiting:
-            return None
-        best = max(range(len(waiting)), key=lambda i: waiting[i].priority)
-        # max() keeps the first (queue-order) index on priority ties.
-        return waiting[best]
+        return waiting.first_by(self._urgency)
 
     def select_victim(self, active: Sequence[S], now: float) -> S:
         return min(
@@ -214,14 +224,14 @@ class PriorityPreemptive(FCFS):
 
     def preemptions(
         self,
-        waiting: Sequence[S],
+        waiting: WaitingQueue[S],
         active: Sequence[S],
         now: float,
         free_slots: int,
     ) -> Sequence[S]:
-        if free_slots > 0 or not waiting or not active:
+        challenger = waiting.first_by(self._urgency)
+        if free_slots > 0 or challenger is None or not active:
             return []
-        challenger = max(waiting, key=lambda s: s.priority)
         victim = min(active, key=lambda s: (s.priority, -s.admitted_at))
         if challenger.priority > victim.priority:
             return [victim]
@@ -252,17 +262,11 @@ class SLOAware(FCFS):
 
     def admit_next(
         self,
-        waiting: Sequence[S],
+        waiting: WaitingQueue[S],
         in_flight: Sequence[S],
         now: float,
     ) -> S | None:
-        if not waiting:
-            return None
-        best = min(
-            range(len(waiting)), key=lambda i: self._deadline(waiting[i])
-        )
-        # min() keeps the first (queue-order) index on deadline ties.
-        return waiting[best]
+        return waiting.first_by(self._deadline)
 
     def select_victim(self, active: Sequence[S], now: float) -> S:
         return max(
@@ -299,24 +303,28 @@ class TenantFair(FCFS):
             counts[seq.tenant] = counts.get(seq.tenant, 0) + 1
         return counts
 
+    @staticmethod
+    def _tenant(seq: SequenceView) -> str:
+        return seq.tenant
+
     def admit_next(
         self,
-        waiting: Sequence[S],
+        waiting: WaitingQueue[S],
         in_flight: Sequence[S],
         now: float,
     ) -> S | None:
+        # Each tenant's head is its first sequence in queue order; min()
+        # keeps the first head (queue order) on in-flight-count ties.
         counts = self._load(in_flight)
         cap = self.max_active_per_tenant
-        eligible = [
-            i for i, seq in enumerate(waiting)
-            if cap is None or counts.get(seq.tenant, 0) < cap
-        ]
-        if not eligible:
-            return None
-        best = min(
-            eligible, key=lambda i: (counts.get(waiting[i].tenant, 0), i)
+        return min(
+            (
+                seq for seq in waiting.heads_by(self._tenant)
+                if cap is None or counts.get(seq.tenant, 0) < cap
+            ),
+            key=lambda seq: counts.get(seq.tenant, 0),
+            default=None,
         )
-        return waiting[best]
 
     def select_victim(self, active: Sequence[S], now: float) -> S:
         counts = self._load(active)

@@ -40,9 +40,10 @@ from repro.core.paging import (
     worst_case_blocks,
 )
 from repro.core.session import NovaSession
-from repro.serving.policies import PriorityPreemptive
+from repro.serving.policies import FCFS, PriorityPreemptive
 from repro.workloads.bert import decode_batch, mixed_decode_batch
 from repro.workloads.transformer import TransformerConfig, decode_request
+from tests.queue_checks import QueueChecked
 
 #: Small geometry for fast unit-level checks.
 SMALL = NovaConfig(n_routers=2, neurons_per_router=8)
@@ -488,11 +489,13 @@ class TestPagedScheduler:
                                 seed=0)
         engine = NovaDecodeEngine(SMALL_BS4)
         solo = [engine.generate(r) for r in requests]
+        policy = QueueChecked(FCFS())
         scheduler = ContinuousBatchScheduler(
-            engine, max_active=5, paged=True, pool_blocks=4
+            engine, max_active=5, paged=True, pool_blocks=4, policy=policy
         )
         batch = scheduler.run(requests)
         assert batch.deferrals > 0
+        assert policy.checks > 0
         for ref, got in zip(solo, batch.results):
             assert np.array_equal(ref.generated, got.generated)
             assert ref.counters.as_dict() == got.counters.as_dict()
@@ -507,11 +510,13 @@ class TestPagedScheduler:
                                 seed=0)
         engine = NovaDecodeEngine(SMALL_BS4)
         solo = [engine.generate(r) for r in requests]
+        policy = QueueChecked(FCFS())
         scheduler = ContinuousBatchScheduler(
-            engine, max_active=4, paged=True, pool_blocks=2
+            engine, max_active=4, paged=True, pool_blocks=2, policy=policy
         )
         batch = scheduler.run(requests)
         assert batch.preemptions > 0
+        assert policy.checks > 0
         for ref, got in zip(solo, batch.results):
             assert np.array_equal(ref.generated, got.generated)
             assert ref.vector_cycles == got.vector_cycles
@@ -664,7 +669,9 @@ class _PoolSpy(PriorityPreemptive):
 
 def spied_scheduler(engine, **kwargs):
     spy = _PoolSpy()
-    scheduler = ContinuousBatchScheduler(engine, policy=spy, **kwargs)
+    scheduler = ContinuousBatchScheduler(
+        engine, policy=QueueChecked(spy), **kwargs
+    )
     spy.scheduler = scheduler
     return scheduler, spy
 
@@ -764,10 +771,12 @@ class TestOnePool:
             for i, (seq_len, prompt, new) in enumerate(shapes)
         ]
         block_bytes = BlockPool(2, 8, SMALL.kv_block_size, 1).block_bytes
+        policy = QueueChecked(FCFS())
         scheduler = ContinuousBatchScheduler(
-            engine, max_active=4, pool_bytes=5 * block_bytes
+            engine, max_active=4, pool_bytes=5 * block_bytes, policy=policy
         )
         batch = scheduler.run(requests)
+        assert policy.checks > 0
         assert batch.paging["n_blocks"] == 5
         scheduler.block_pool.check_invariants()
         short_a, long_b, short_c, wide_d = range(4)

@@ -186,6 +186,14 @@ class TestFrontDoor:
         with pytest.raises(ValueError, match="deadline"):
             ServingRequest(request=toy_request(), arrival=5.0, deadline=5.0)
 
+    def test_serving_request_rejects_non_finite_times(self):
+        with pytest.raises(ValueError, match="arrival must be finite"):
+            ServingRequest(request=toy_request(), arrival=float("nan"))
+        with pytest.raises(ValueError, match="deadline must be finite"):
+            ServingRequest(
+                request=toy_request(), arrival=1.0, deadline=float("nan")
+            )
+
     def test_unknown_policy_name_raises_at_construction(self):
         with pytest.raises(KeyError, match="available"):
             FrontDoor(NovaDecodeEngine(SMALL), policy="lifo")

@@ -32,6 +32,7 @@ from repro.serving.policies import (
     build_policy,
 )
 from repro.workloads.transformer import TransformerConfig, decode_request
+from tests.queue_checks import QueueChecked
 
 #: Small geometry for fast unit-level checks.
 SMALL = NovaConfig(n_routers=2, neurons_per_router=8)
@@ -123,11 +124,13 @@ class TestPriorityPreemptive:
             SequenceMeta(arrival=0.0, priority=0),
             SequenceMeta(arrival=20.0, priority=5),
         ]
+        policy = QueueChecked(PriorityPreemptive())
         result = ContinuousBatchScheduler(
-            engine, max_active=1, policy=PriorityPreemptive()
+            engine, max_active=1, policy=policy
         ).run([long_job, urgent], meta=meta)
         # The urgent arrival displaced the long job mid-flight...
         assert result.preemptions == 1
+        assert policy.checks > 0
         assert result.finish_steps[1] < result.finish_steps[0]
         # ...and recomputation kept both requests solo-exact.
         for request, got in zip([long_job, urgent], result.results):
@@ -406,3 +409,13 @@ class TestBuildPolicy:
             SequenceMeta(arrival=-1.0)
         with pytest.raises(ValueError, match="deadline"):
             SequenceMeta(arrival=10.0, deadline=10.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_sequence_meta_rejects_non_finite_times(self, value):
+        """The waiting queue orders by arrival and deadline, so both
+        must be totally ordered: NaN used to be accepted (and then
+        blamed on the policy), infinity sent the clock to infinity."""
+        with pytest.raises(ValueError, match="arrival must be finite"):
+            SequenceMeta(arrival=value)
+        with pytest.raises(ValueError, match="deadline must be finite"):
+            SequenceMeta(arrival=1.0, deadline=value)

@@ -40,8 +40,10 @@ from repro.core.speculative import (
     TruncatedTableDraft,
     host_step_output,
 )
+from repro.serving.policies import FCFS
 from repro.workloads.bert import fidelity_for_acceptance, speculative_decode_batch
 from repro.workloads.transformer import TransformerConfig, decode_request
+from tests.queue_checks import QueueChecked
 
 #: Small shared geometry: tables/schedules compile once per module.
 SMALL = NovaConfig(n_routers=2, neurons_per_router=8)
@@ -715,11 +717,13 @@ class TestSchedulerSpeculative:
         requests = self._requests(budgets=(6, 6), prompts=(3, 3))
         factory = self._factory(fidelity=1.0)
         solo = self._solo(requests, factory)
+        policy = QueueChecked(FCFS())
         scheduler = ContinuousBatchScheduler(
             ENGINE_BS2, max_active=2, speculative=True, paged=True,
-            pool_blocks=6, draft_factory=factory,
+            pool_blocks=6, draft_factory=factory, policy=policy,
         )
         batch = scheduler.run(requests)
+        assert policy.checks > 0
         for ref, got in zip(solo, batch.results):
             assert np.array_equal(got.generated, ref.generated)
             assert (
@@ -735,13 +739,15 @@ class TestSchedulerSpeculative:
         requests = self._requests(budgets=(6, 6), prompts=(3, 3))
         factory = self._factory(fidelity=1.0)
         solo = self._solo(requests, factory)
+        policy = QueueChecked(FCFS())
         scheduler = ContinuousBatchScheduler(
             ENGINE_BS2, max_active=2, speculative=True, paged=True,
-            pool_blocks=5, draft_factory=factory,
+            pool_blocks=5, draft_factory=factory, policy=policy,
         )
         batch = scheduler.run(requests)
         assert batch.deferrals > 0
         assert batch.preemptions > 0
+        assert policy.checks > 0
         for ref, got in zip(solo, batch.results):
             assert np.array_equal(got.generated, ref.generated)
             assert (
