@@ -22,7 +22,7 @@ hardware model the prefill engines use:
   every scheduler step packs the prefill rows of newly admitted requests
   *and* the decode rows of in-flight requests into a single lane stream
   through the shared overlay; requests join and leave the batch between
-  steps.  Every run's KV storage is one
+  steps.  Every run's KV memory is accounted in one
   :class:`~repro.core.paging.BlockPool` of fixed-size blocks; ``paged``
   only picks the reservation policy: a whole page (one run of
   consecutive blocks) per request at admission, or — with
@@ -76,7 +76,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, TypeAlias
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -93,7 +93,7 @@ from repro.core.waiting import WaitingQueue
 from repro.noc.stats import OVERLAY_EVENTS, EventCounters
 
 if TYPE_CHECKING:
-    from repro.core.paging import BlockPool, PagedKVCache
+    from repro.core.paging import BlockPool
     from repro.core.speculative import (
         DraftModel,
         SpeculativeDecodeEngine,
@@ -101,11 +101,6 @@ if TYPE_CHECKING:
         _SpecPass,
     )
     from repro.serving.policies import SchedulingPolicy
-
-    #: The cache duck type every decode path accepts: the contiguous
-    #: per-request page or the block-pool-backed paged cache.  Both
-    #: expose the same append/evict/truncate/snapshot surface.
-    KVCacheLike: TypeAlias = "KVCache | PagedKVCache"
 
 __all__ = [
     "KVCache",
@@ -176,20 +171,21 @@ class KVCacheOverflow(RuntimeError):
 class KVCache:
     """Per-request key/value cache for autoregressive decode.
 
-    Storage is preallocated at ``(n_heads, capacity, head_dim)`` so an
-    append is a row write, never a reallocation — the software analogue
-    of a fixed cache page.  ``window=None`` (the default) makes the
-    capacity hard: appending to a full cache raises
-    :class:`KVCacheOverflow`.  ``window=w`` caps the cache at the last
-    ``w`` tokens instead (sliding-window attention): the oldest entry is
-    evicted to make room and ``start_position`` advances, so the cache
-    always holds positions ``[start_position, start_position + length)``.
+    The cache owns one contiguous row store per tensor, ``(n_heads,
+    rows, head_dim)``, and presents its live span through views
+    (:attr:`keys` / :attr:`values`).  The store grows by amortised
+    doubling up to ``limit`` rows, so an append is a row write almost
+    always and a reallocation ``O(log limit)`` times per fill.
+    ``window=None`` (the default) makes the capacity hard: appending to
+    a full cache raises :class:`KVCacheOverflow`.  ``window=w`` caps the
+    cache at the last ``w`` tokens instead (sliding-window attention):
+    the oldest entry is evicted to make room and ``start_position``
+    advances, so the cache always holds positions ``[start_position,
+    start_position + length)``.
 
-    ``storage`` optionally supplies the ``(keys, values)`` arrays, each
-    ``(n_heads, >= capacity, head_dim)`` — the scheduler's caches keep
-    their rows in a reserved run of block-pool slots
-    (:class:`~repro.core.paging.ReservedKVCache`); by default the cache
-    allocates its own.
+    The block-pool caches (:class:`~repro.core.paging.PagedKVCache`,
+    :class:`~repro.core.paging.ReservedKVCache`) are this class plus
+    their pool accounting: they keep their rows here, never in the pool.
     """
 
     def __init__(
@@ -198,7 +194,6 @@ class KVCache:
         head_dim: int,
         capacity: int,
         window: int | None = None,
-        storage: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         if n_heads < 1:
             raise ValueError(f"n_heads must be >= 1, got {n_heads}")
@@ -217,12 +212,7 @@ class KVCache:
         self.head_dim = head_dim
         self.capacity = capacity
         self.window = window
-        if storage is None:
-            storage = (
-                np.zeros((n_heads, capacity, head_dim)),
-                np.zeros((n_heads, capacity, head_dim)),
-            )
-        self._k, self._v = storage
+        self._k = self._v = np.empty((n_heads, 0, head_dim))
         self.length = 0
         self.start_position = 0
         self.evictions = 0
@@ -241,6 +231,28 @@ class KVCache:
     def values(self) -> np.ndarray:
         """View of the valid cached values, ``(n_heads, length, head_dim)``."""
         return self._v[:, : self.length]
+
+    def _reserve(self, rows: int) -> None:
+        """Grow the row store to hold at least ``rows`` rows, keeping
+        the live rows: the store doubles, with at least 16 rows spare,
+        capped at ``limit`` (a fork's fresh store is its live rows plus
+        that spare)."""
+        held = self._k.shape[1]
+        if rows <= held:
+            return
+        size = min(self.limit, max(rows + 16, 2 * held))
+        # One allocation holds both tensors: half the heap blocks, which
+        # keeps many short-lived fork stores from fragmenting the heap.
+        k, v = np.empty((2, self.n_heads, size, self.head_dim))
+        k[:, : self.length] = self._k[:, : self.length]
+        v[:, : self.length] = self._v[:, : self.length]
+        self._k, self._v = k, v
+
+    def _claim_slot(self) -> None:
+        """Reservation hook, called once per append just before its row
+        is written (after any window eviction).  A plain cache has no
+        pool to charge; the block-pool caches account the slot here,
+        raising before any cache state changes."""
 
     def append(self, k_t: np.ndarray, v_t: np.ndarray) -> None:
         """Append one token's per-head key/value rows.
@@ -268,6 +280,9 @@ class KVCache:
                     "max_seq_len"
                 )
             self.evict(1)
+        self._claim_slot()
+        if self.length == self._k.shape[1]:
+            self._reserve(self.length + 1)
         self._k[:, self.length] = k_t
         self._v[:, self.length] = v_t
         self.length += 1
@@ -275,7 +290,8 @@ class KVCache:
     def evict(self, n: int) -> None:
         """Drop the ``n`` oldest cached tokens (advances ``start_position``).
 
-        Atomic: an out-of-range ``n`` raises before any state changes.
+        The live rows shift to the front of the store.  Atomic: an
+        out-of-range ``n`` raises before any state changes.
         """
         if not 0 <= n <= self.length:
             raise ValueError(
@@ -308,25 +324,20 @@ class KVCache:
     def values_snapshot(self, kv_len: int) -> np.ndarray:
         """Contiguous copy of the first ``kv_len`` cached values.
 
-        The deferred-snapshot hook shared with
-        :class:`~repro.core.paging.PagedKVCache` (which gathers through
-        its block table): both return byte-identical
-        ``(n_heads, kv_len, head_dim)`` arrays for the same appended
-        tokens, which is what keeps the paged and contiguous decode
-        paths bit-exact.
+        The decode engines' deferred-snapshot hook: one copy out of the
+        row store, the same for every cache class, so every decode path
+        runs its context GEMV over byte-identical ``(n_heads, kv_len,
+        head_dim)`` arrays.
         """
         return self._v[:, :kv_len].copy()
 
     def fork(self) -> "KVCache":
         """An independent private copy of this cache's live state.
 
-        The contiguous counterpart of
-        :meth:`~repro.core.paging.PagedKVCache.fork`: the twin presents
-        the same live span and history but owns its own storage, so
-        appends on either side never show through.  (No blocks to
-        share here — the contiguous layout pays a real copy where the
-        paged layout pays refcounts; tree speculation forks at most a
-        handful of branch caches per pass.)
+        The twin presents the same live span and history in its own row
+        store, so appends on either side never show through.  Only the
+        live rows are copied, into a store with the usual growth
+        headroom.
         """
         twin = KVCache(
             self.n_heads, self.head_dim, self.capacity, window=self.window
@@ -336,16 +347,17 @@ class KVCache:
 
     def _adopt_span(self, source: "KVCache") -> None:
         """Copy ``source``'s live rows, span and eviction history into
-        this cache — :meth:`fork`'s accounting step, on the owner so
-        the eviction counter is only ever written by its own object."""
-        self._k[:, : source.length] = source._k[:, : source.length]
-        self._v[:, : source.length] = source._v[:, : source.length]
+        this fresh cache — :meth:`fork`'s accounting step, on the owner
+        so the eviction counter is only ever written by its own object."""
+        self._reserve(source.length)
+        self._k[:, : source.length] = source.keys
+        self._v[:, : source.length] = source.values
         self.length = source.length
         self.start_position = source.start_position
         self.evictions = source.evictions
 
     def reset(self) -> None:
-        """Empty the cache in place (allocation kept)."""
+        """Empty the cache in place (row store kept)."""
         self.length = 0
         self.start_position = 0
         self.evictions = 0
@@ -459,7 +471,9 @@ def scores_for_query(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
     ``(n_heads, kv_len, head_dim)``; returns ``(n_heads, kv_len)``.
     """
     head_dim = q.shape[-1]
-    return (keys @ q[:, :, None])[:, :, 0] / np.sqrt(head_dim)
+    # math.sqrt: the same correctly rounded float64 as np.sqrt, without
+    # a numpy scalar round trip on every decode token
+    return (keys @ q[:, :, None])[:, :, 0] / math.sqrt(head_dim)
 
 
 def context_for_query(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -641,7 +655,7 @@ class GenerateResult:
 class DecodeState:
     """In-flight decode of one request: its cache and position."""
 
-    def __init__(self, request: DecodeRequest, cache: KVCacheLike) -> None:
+    def __init__(self, request: DecodeRequest, cache: KVCache) -> None:
         self.request = request
         self.cache = cache
         self.position = 0          # absolute index of the next token
@@ -680,7 +694,7 @@ class _TokenPlan:
         shifted: np.ndarray,
         *,
         values: np.ndarray | None = None,
-        cache: KVCacheLike | None = None,
+        cache: KVCache | None = None,
         kv_len: int | None = None,
     ) -> None:
         self.position = position
@@ -814,7 +828,7 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
     def start(
         self,
         request: DecodeRequest,
-        cache: KVCacheLike | None = None,
+        cache: KVCache | None = None,
         pool: BlockPool | None = None,
         prefix: bool = False,
     ) -> DecodeState:
@@ -1321,8 +1335,8 @@ class ContinuousBatchScheduler:
     join as slots free up (``max_active``) and leave the moment their
     budget is exhausted.
 
-    One memory model, two reservation policies.  Every run takes its KV
-    storage from one :class:`~repro.core.paging.BlockPool` of
+    One memory model, two reservation policies.  Every run accounts its
+    KV memory in one :class:`~repro.core.paging.BlockPool` of
     fixed-size blocks (``engine.config.kv_block_size`` tokens — the one
     home of the block size; build the engine from
     ``config.replace(kv_block_size=N)`` for another granularity),
@@ -1331,10 +1345,10 @@ class ContinuousBatchScheduler:
 
     * **Contiguous (default)** — admission reserves the request's whole
       worst-case page at once: one run of ``blocks_needed(capacity,
-      block_size)`` consecutive blocks, which the request's
-      :class:`KVCache` (a :class:`~repro.core.paging.ReservedKVCache`)
-      keeps its rows in.  When no free run is long enough, admission
-      defers until an in-flight request retires.
+      block_size)`` consecutive blocks, held by the request's
+      :class:`KVCache` (a :class:`~repro.core.paging.ReservedKVCache`).
+      When no free run is long enough, admission defers until an
+      in-flight request retires.
     * **Paged** (``paged=True``) — admission needs only the request's
       *first* block to fit; later blocks allocate lazily on append.
       When the pool runs dry mid-step, the starved sequences **defer**

@@ -1,58 +1,60 @@
 """One KV pool: a global block pool and its two reservation policies.
 
-All decode KV storage lives in one :class:`BlockPool` of fixed-size
-blocks (``block_size`` token slots each; ``NovaConfig.kv_block_size``
-sets the default).  Storage is slot-major, so a block is a slice of
-slots and a run of consecutive blocks is a plain view.  A serving run
-chooses how its sequences reserve that storage:
+Every decode sequence keeps its K/V rows in its own contiguous row
+store (:class:`~repro.core.decode.KVCache`), read through views.  The
+:class:`BlockPool` holds no rows: it is the *accounting* of KV memory
+in fixed-size blocks (``block_size`` token slots each;
+``NovaConfig.kv_block_size`` sets the default) — block ids, reference
+counts, reserved runs, the prefix index and every counter.  A serving
+run chooses how its sequences reserve that memory:
 
 * **Whole-page (contiguous)** — :class:`ReservedKVCache` reserves one
   run of ``blocks_needed(capacity, block_size)`` consecutive blocks at
-  admission (:meth:`BlockPool.reserve_run`) and keeps its rows in the
-  run's slots, so it *is* a :class:`~repro.core.decode.KVCache`: append,
-  views, window shifts and forks are that class's own code.  ``reset``
-  releases the run (:meth:`BlockPool.release_run`).
-* **Paged** — :class:`PagedKVCache` allocates blocks lazily, one at a
-  time, through a :class:`BlockTable` (the ordered physical block ids
-  holding the request's logical token positions, plus the offset of the
-  first live token inside the first block; sliding-window eviction
-  advances the offset and frees whole head blocks).  It presents the
-  exact ``KVCache`` API (``append`` / ``evict`` / ``truncate`` /
-  ``keys`` / ``values`` / ``values_snapshot`` / ``reset``) on top of
-  the block-table indirection, so the decode engines run unchanged on
-  either cache.  ``truncate`` is the speculative-decode rollback path:
-  rejected draft tokens free whole tail blocks back to the pool.
+  admission (:meth:`BlockPool.reserve_run`); otherwise it *is* a
+  :class:`~repro.core.decode.KVCache`: append, views, window shifts
+  and forks are that class's own code.  ``reset`` releases the run
+  (:meth:`BlockPool.release_run`).
+* **Paged** — :class:`PagedKVCache` charges blocks lazily, one at a
+  time, to a :class:`BlockTable` (the ordered physical block ids
+  covering the request's logical token positions, plus the offset of
+  the first live token inside the first block; sliding-window eviction
+  advances the offset and frees whole head blocks).  It is a
+  ``KVCache`` (``append`` / ``evict`` / ``truncate`` / ``keys`` /
+  ``values`` / ``values_snapshot`` / ``reset``) plus that block
+  accounting, so the decode engines run unchanged on either cache.
+  ``truncate`` is the speculative-decode rollback path: rejected draft
+  tokens free whole tail blocks back to the pool.
 
 Prefix caching
 --------------
 Blocks are reference counted, so block tables of different requests may
 point at the **same** physical block.  A cached K/V row is a pure
 function of the prompt rows and the key/value projections — never of
-``wq``/``wo`` — so requests sharing a prompt prefix hold bit-identical
-storage in their leading full blocks.  :func:`prefix_block_keys` turns
-that into content keys (one chained digest per full prompt block); the
-pool keeps a key → block index (:meth:`BlockPool.register_prefix` /
-:meth:`BlockPool.lookup_prefix` / :meth:`BlockPool.probe_prefix`), and
-:meth:`PagedKVCache.adopt_prefix` lets a fresh cache take shared
-references on the longest cached run before prefill.  Adopted slots
-skip the storage write on append (the rows are already there,
-bit-identical by key construction) while every cycle/counter stays
-exactly what uncached prefill produces.  The first write into a block
-someone else references copies it first (:meth:`PagedKVCache.fork`
-creates whole copy-on-write twins), so sharing is never observable in
-the numerics — only in pool residency.
+``wq``/``wo`` — so requests sharing a prompt prefix would store
+bit-identical rows in their leading full blocks.  :func:`prefix_block_keys`
+turns that into content keys (one chained digest per full prompt
+block); the pool keeps a key → block index
+(:meth:`BlockPool.register_prefix` / :meth:`BlockPool.lookup_prefix` /
+:meth:`BlockPool.probe_prefix`), and :meth:`PagedKVCache.adopt_prefix`
+lets a fresh cache take shared references on the longest cached run
+before prefill.  Prefill still appends every prompt row to the
+request's own row store, so every cycle/counter and every row stays
+exactly what uncached prefill produces; appends into adopted slots
+just charge no block.  The first write into a block someone else
+references moves the writer onto a private block
+(:meth:`PagedKVCache.fork` creates whole copy-on-write twins), so
+sharing is a residency effect only.
 
 Numerics contract
 -----------------
-The reservation policy changes **where** K/V rows live, never their
-values.  A paged cache's ``keys`` / ``values`` / ``values_snapshot``
-gather the live span into a fresh contiguous array holding
-bit-identical floats in the same order a contiguous
-:class:`~repro.core.decode.KVCache` would present, so every downstream
-GEMV (scores, context) is bit-exact between the two layouts.
-The equivalence gate in ``tests/test_paging.py`` pins this per Table II
-preset, and the golden traces prove the cycle/counter accounting is
-untouched.
+The reservation policy changes only **what the pool charges**, never
+where rows live or their values.  Every cache keeps its live span in
+its own contiguous store, so ``keys`` / ``values`` are views and
+``values_snapshot`` is one copy, on the same code path for every
+policy; every downstream GEMV (scores, context) is bit-exact between
+the two policies.  The equivalence gate in ``tests/test_paging.py``
+pins this per Table II preset, and the golden traces prove the
+cycle/counter accounting is untouched.
 
 Accounting
 ----------
@@ -84,7 +86,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.decode import KVCache, KVCacheOverflow
+from repro.core.decode import KVCache
 
 __all__ = [
     "BlockPool",
@@ -137,7 +139,7 @@ def prefix_block_keys(
     A cached K/V row is ``x @ wk`` / ``x @ wv`` split into ``n_heads``
     heads — ``wq`` and ``wo`` shape queries and outputs, never cached
     rows — so two requests agreeing on the projections and their first
-    ``i * block_size`` prompt rows hold bit-identical storage in their
+    ``i * block_size`` prompt rows cache bit-identical rows in their
     first ``i`` blocks.  Key ``i`` chains the digest of block ``i``'s
     prompt rows onto key ``i - 1`` (seeded with the geometry and the
     projection bytes), so equal keys certify equal *whole prefixes*,
@@ -174,18 +176,16 @@ def prefix_block_keys(
 
 
 class BlockPool:
-    """All KV storage for one geometry, as fixed-size blocks.
+    """The KV memory of one geometry, accounted in fixed-size blocks.
 
-    Storage is two preallocated slot-major ``(n_heads, n_blocks *
-    block_size, head_dim)`` float64 arrays (keys and values): block
-    ``b`` is slots ``[b * block_size, (b + 1) * block_size)``, and a run
-    of consecutive blocks is one plain view (:meth:`keys_of`).  The
-    arrays themselves are :attr:`key_slots` / :attr:`value_slots`.
+    The pool holds no rows (each cache keeps its own): it tracks
+    ``n_blocks`` block ids of ``block_size`` token slots each.
     :meth:`allocate` pops a free id (raising :class:`BlockPoolExhausted`
     when the pool is dry — the caller's deferral/preemption policy
     decides what happens next), :meth:`free` returns it (double-free
     raises ``ValueError``).  :meth:`reserve_run` / :meth:`release_run`
-    take and return a whole run at once, for the contiguous policy.
+    take and return a run of consecutive blocks at once, for the
+    contiguous policy.
 
     Blocks carry a reference count: :meth:`allocate` hands out count 1,
     :meth:`share` takes one more reference on a live block, and
@@ -219,9 +219,6 @@ class BlockPool:
         self.head_dim = head_dim
         self.block_size = block_size
         self.n_blocks = n_blocks
-        slots = (n_heads, n_blocks * block_size, head_dim)
-        self.key_slots = np.zeros(slots)
-        self.value_slots = np.zeros(slots)
         self._free: list[int] = list(range(n_blocks - 1, -1, -1))
         self._live = np.zeros(n_blocks, dtype=bool)
         self._refcount: list[int] = [0] * n_blocks
@@ -243,7 +240,8 @@ class BlockPool:
 
     @property
     def block_bytes(self) -> int:
-        """Bytes one block occupies (keys plus values, float64)."""
+        """Bytes of K/V rows one block accounts for (keys plus values,
+        float64), held in the caches' own row stores."""
         return 2 * 8 * self.n_heads * self.block_size * self.head_dim
 
     @classmethod
@@ -322,7 +320,7 @@ class BlockPool:
         Freeing an already-free block raises ``ValueError`` (the
         classic double free); a shared block just decrements and counts
         a ``shared_free``.  The physical free also retires the block's
-        prefix-index entry, so the index never points at free storage.
+        prefix-index entry, so the index never points at a free block.
         """
         if not 0 <= block < self.n_blocks:
             raise ValueError(
@@ -448,19 +446,6 @@ class BlockPool:
             count += 1
         return count
 
-    # -- storage views --------------------------------------------------
-
-    def keys_of(self, block: int, n_blocks: int = 1) -> np.ndarray:
-        """Key storage of ``n_blocks`` consecutive blocks from ``block``,
-        a ``(n_heads, n_blocks * block_size, head_dim)`` view."""
-        bs = self.block_size
-        return self.key_slots[:, block * bs : (block + n_blocks) * bs]
-
-    def values_of(self, block: int, n_blocks: int = 1) -> np.ndarray:
-        """Value storage, same slots and shape as :meth:`keys_of`."""
-        bs = self.block_size
-        return self.value_slots[:, block * bs : (block + n_blocks) * bs]
-
     # -- accounting -----------------------------------------------------
 
     def _cached_tokens(self) -> int:
@@ -578,12 +563,13 @@ class BlockPool:
 
 
 class BlockTable:
-    """Logical-to-physical mapping of one request's cached tokens.
+    """Logical-to-physical block accounting of one request's cached
+    tokens.
 
-    ``blocks[i]`` is the physical block holding logical slots
+    ``blocks[i]`` is the physical block charged for logical slots
     ``[i * block_size, (i + 1) * block_size)`` of the table's own slot
     space; ``first_offset`` is the slot index of the oldest live token
-    (sliding-window eviction advances it instead of shifting rows).
+    (eviction advances it, and frees a head block once it is whole).
     """
 
     __slots__ = ("blocks", "first_offset")
@@ -608,31 +594,31 @@ class BlockTable:
         )
 
 
-class PagedKVCache:
-    """The :class:`~repro.core.decode.KVCache` API over a block table.
+class PagedKVCache(KVCache):
+    """A :class:`~repro.core.decode.KVCache` whose residency is charged
+    to a block table.
 
-    Drop-in for the contiguous cache: same constructor-equivalent fields
-    (``n_heads`` / ``head_dim`` come from the pool), same ``append`` /
-    ``evict`` / ``reset`` semantics, same ``keys`` / ``values`` /
-    ``values_snapshot`` shapes and values.  The differences are all on
-    the memory side:
+    The rows live in the cache's own row store, exactly as in the
+    contiguous cache (same ``keys`` / ``values`` views, same
+    ``values_snapshot`` copy, same eviction shift); ``n_heads`` /
+    ``head_dim`` come from the pool.  What the class adds is the
+    pool accounting, all of it on the memory side:
 
-    * storage is borrowed from the shared :class:`BlockPool`, one block
-      at a time, **lazily on append** — an idle request holds zero
-      blocks, a short request holds ``ceil(tokens / block_size)``, never
-      a worst-case page;
+    * blocks are charged **lazily on append** — an idle request holds
+      zero blocks, a short request holds ``ceil(tokens / block_size)``,
+      never a worst-case page;
     * a full pool makes ``append`` raise
       :class:`BlockPoolExhausted` *before any state changes*, so the
       scheduler can defer the token and retry the same step later;
     * sliding-window eviction advances ``first_offset`` and frees whole
-      head blocks back to the pool instead of shifting arrays;
+      head blocks back to the pool;
     * ``reset`` frees every block;
     * blocks may be *shared* with other tables: :meth:`adopt_prefix`
-      takes references on already-cached prompt blocks before prefill
-      (appends below ``prefix_len`` then skip the redundant storage
-      write), :meth:`fork` twins the whole table, and the first write
-      into any block someone else still references copies it first
-      (copy-on-write), so sharing never changes a single gathered row.
+      takes references on already-cached prompt blocks before prefill,
+      :meth:`fork` twins the whole table, and the first write into any
+      block someone else still references moves this table onto a
+      private block (copy-on-write accounting), so sharing shows in
+      pool residency only.
     """
 
     def __init__(
@@ -641,42 +627,17 @@ class PagedKVCache:
         capacity: int,
         window: int | None = None,
     ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if window is not None:
-            if window < 1:
-                raise ValueError(f"window must be >= 1, got {window}")
-            if window > capacity:
-                raise ValueError(
-                    f"window ({window}) cannot exceed capacity ({capacity})"
-                )
+        super().__init__(pool.n_heads, pool.head_dim, capacity, window)
         self.pool = pool
-        self.capacity = capacity
-        self.window = window
         self.table = BlockTable()
-        self.length = 0
-        self.start_position = 0
-        self.evictions = 0
         #: Slots below this index are adopted shared-prefix slots: the
-        #: block already holds their exact rows, so ``append`` skips
-        #: the storage write.
+        #: table already holds (shared) blocks for them, so ``append``
+        #: charges no block work for them.
         self.prefix_len = 0
         #: Content keys of prompt blocks this cache is still filling,
         #: by block ordinal — published to the pool's prefix index as
         #: each block completes.
         self._pending_keys: dict[int, bytes] = {}
-
-    # -- KVCache-compatible geometry -----------------------------------
-
-    @property
-    def n_heads(self) -> int:
-        """Per-token head count (the pool's)."""
-        return self.pool.n_heads
-
-    @property
-    def head_dim(self) -> int:
-        """Per-head width (the pool's)."""
-        return self.pool.head_dim
 
     @property
     def block_size(self) -> int:
@@ -684,50 +645,9 @@ class PagedKVCache:
         return self.pool.block_size
 
     @property
-    def limit(self) -> int:
-        """Maximum entries held at once (``window`` if set, else capacity)."""
-        return self.capacity if self.window is None else self.window
-
-    @property
     def blocks_in_use(self) -> int:
         """Physical blocks this cache currently holds."""
         return self.table.n_blocks
-
-    # -- gathered views -------------------------------------------------
-
-    def _gather(self, slots: np.ndarray, kv_len: int) -> np.ndarray:
-        """First ``kv_len`` live rows of the pool's slot-major ``slots``
-        as one fresh contiguous array."""
-        out = np.empty((self.n_heads, kv_len, self.head_dim))
-        bs = self.block_size
-        start = self.table.first_offset
-        stop = start + kv_len
-        for i, block in enumerate(self.table.blocks):
-            lo = max(start, i * bs)
-            hi = min(stop, (i + 1) * bs)
-            if lo >= hi:
-                continue
-            # table slots [i * bs, (i + 1) * bs) are pool slots of block
-            base = (block - i) * bs
-            out[:, lo - start : hi - start] = slots[:, base + lo : base + hi]
-        return out
-
-    @property
-    def keys(self) -> np.ndarray:
-        """The live cached keys, ``(n_heads, length, head_dim)``
-        (gathered copy — bit-identical to the contiguous layout's view)."""
-        return self._gather(self.pool.key_slots, self.length)
-
-    @property
-    def values(self) -> np.ndarray:
-        """The live cached values, ``(n_heads, length, head_dim)``."""
-        return self._gather(self.pool.value_slots, self.length)
-
-    def values_snapshot(self, kv_len: int) -> np.ndarray:
-        """Contiguous copy of the first ``kv_len`` live values (the
-        decode engines' deferred-snapshot hook; see
-        ``KVCache.values_snapshot``)."""
-        return self._gather(self.pool.value_slots, kv_len)
 
     # -- prefix sharing -------------------------------------------------
 
@@ -736,17 +656,17 @@ class PagedKVCache:
 
         ``keys`` are the prompt's :func:`prefix_block_keys`.  Leading
         keys found in the pool's index are taken as shared references
-        (no storage moves, no rows copied) and ``prefix_len`` rises to
-        cover their slots; the remaining keys are remembered so the
-        blocks this request's prefill fills get published for the next
-        request.  Returns the adopted token count.
+        and ``prefix_len`` rises to cover their slots; the remaining
+        keys are remembered so the blocks this request's prefill fills
+        get published for the next request.  Returns the adopted token
+        count.
 
         Prefill then still computes and appends every prompt row — the
         cycle and counter accounting of an uncached prefill, exactly —
-        but appends below ``prefix_len`` skip the storage write: the
-        adopted block already holds bit-identical rows, by key
-        construction.  Only a fresh, windowless cache can adopt
-        (a sliding window evicts the prefix the keys certify).
+        into the cache's own row store, but appends below
+        ``prefix_len`` allocate nothing: the adopted blocks already
+        account for those slots.  Only a fresh, windowless cache can
+        adopt (a sliding window evicts the prefix the keys certify).
         """
         if self.length != 0 or self.table.n_blocks != 0:
             raise ValueError(
@@ -774,13 +694,14 @@ class PagedKVCache:
         return adopted
 
     def fork(self) -> "PagedKVCache":
-        """A copy-on-write twin sharing every block of this cache.
+        """A twin sharing every block of this cache.
 
         The twin presents the same live span (same ``length`` /
-        ``start_position`` / eviction history) through references to
-        the *same* physical blocks; the first append either side makes
-        into a still-shared block copies it first, so neither twin ever
-        observes the other's writes.  The twin adopts nothing
+        ``start_position`` / eviction history): its block table takes
+        references on the *same* physical blocks, and its row store is
+        a copy of the live rows only.  The first append either side
+        makes into a still-shared block moves that side onto a private
+        block (:meth:`_copy_on_write`).  The twin adopts nothing
         (``prefix_len`` 0): every one of its writes goes through the
         copy-on-write check.
         """
@@ -789,26 +710,22 @@ class PagedKVCache:
             self.pool.share(block)
             twin.table.blocks.append(block)
         twin.table.first_offset = self.table.first_offset
-        twin.length = self.length
-        twin.start_position = self.start_position
-        twin.evictions = self.evictions
+        twin._adopt_span(self)
         self.pool.live_tokens += self.length
         return twin
 
     def _copy_on_write(self, index: int) -> int:
-        """Replace a shared block with a private copy before a write.
+        """Move this table off a shared block before a write.
 
         The allocation comes first, so a dry pool raises
         :class:`BlockPoolExhausted` with the table untouched (the
         enclosing append stays atomic); the shared original only loses
-        this table's reference.
+        this table's reference.  No rows move — they live in the row
+        store — so this is the accounting of a block copy.
         """
-        old = self.table.blocks[index]
         new = self.pool.allocate()
-        self.pool.keys_of(new)[...] = self.pool.keys_of(old)
-        self.pool.values_of(new)[...] = self.pool.values_of(old)
+        self.pool.free(self.table.blocks[index])
         self.table.blocks[index] = new
-        self.pool.free(old)
         self.pool.cow_copies += 1
         return new
 
@@ -817,125 +734,89 @@ class PagedKVCache:
     def append(self, k_t: np.ndarray, v_t: np.ndarray) -> None:
         """Append one token's per-head key/value rows.
 
-        Identical contract to ``KVCache.append`` plus the pool
-        dimension: a new block is allocated lazily when the tail slot
-        crosses a block boundary, and :class:`BlockPoolExhausted`
-        propagates *before any cache state changes* (no partial evict,
-        no length change) — the append is atomic — so a scheduler can
-        treat it as "defer this token and retry after blocks free up".
+        ``KVCache.append`` plus the pool dimension: a new block is
+        allocated lazily when the tail slot crosses a block boundary,
+        and :class:`BlockPoolExhausted` propagates *before any cache
+        state changes* (no partial evict, no length change) — the
+        append is atomic — so a scheduler can treat it as "defer this
+        token and retry after blocks free up".
 
-        Sharing adds three refinements, none visible to the engines:
-        a slot below ``prefix_len`` (an adopted prompt slot) skips the
-        storage write but still counts in ``length`` / ``live_tokens``;
-        a write targeting a block other tables still reference copies
-        it first (:meth:`_copy_on_write`); and filling the last slot of
-        a block whose content key is pending publishes the block in the
-        pool's prefix index.
+        Sharing adds three refinements to the block work, none visible
+        to the engines: a slot below ``prefix_len`` (an adopted prompt
+        slot) allocates nothing but still counts in ``length`` /
+        ``live_tokens``; a write targeting a block other tables still
+        reference moves onto a private block first
+        (:meth:`_copy_on_write`); and filling the last slot of a block
+        whose content key is pending publishes the block in the pool's
+        prefix index.
         """
-        expected = (self.n_heads, self.head_dim)
-        k_t = np.asarray(k_t, dtype=np.float64)
-        v_t = np.asarray(v_t, dtype=np.float64)
-        if k_t.shape != expected or v_t.shape != expected:
-            raise ValueError(
-                f"expected per-token k/v of shape {expected}, got "
-                f"{k_t.shape} / {v_t.shape}"
-            )
+        if self.length == self.limit and self.window is not None:
+            self._check_room_to_slide()
+        super().append(k_t, v_t)
+
+    def _check_room_to_slide(self) -> None:
+        """Raise :class:`BlockPoolExhausted` if a full windowed cache's
+        evict-then-append would find the pool dry, before anything moves.
+
+        Sharing-aware: eviction only frees a *physical* block when this
+        table holds its last reference (a shared free just decrements),
+        and the evicting append needs an allocation when the tail sits
+        on the block grid, when eviction empties the table, or when the
+        target block is shared (copy-on-write).
+        """
         bs = self.block_size
-        if self.length == self.limit:
-            if self.window is None:
-                raise KVCacheOverflow(
-                    f"KV cache full at capacity {self.capacity} "
-                    f"(position {self.start_position + self.length}); "
-                    "set a window for sliding eviction or raise "
-                    "max_seq_len"
-                )
-            # Atomicity pre-check, sharing-aware: eviction only frees a
-            # *physical* block when this table holds its last reference
-            # (a shared free just decrements), and the evicting append
-            # needs an allocation when the tail sits on the block grid,
-            # when eviction empties the table, or when the target block
-            # is shared (copy-on-write).  Check the pool before
-            # mutating so exhaustion leaves the cache untouched.
-            tail = self.table.first_offset + self.length
-            needs_block = tail == self.table.n_blocks * bs
-            if self.length == 1:
-                freed = sum(
-                    1
-                    for b in self.table.blocks
-                    if self.pool.refcount(b) == 1
-                )
-                need_alloc = True  # the emptied table re-fills slot 0
-            elif needs_block:
-                head = self.table.blocks[0]
-                freed = (
-                    1
-                    if (
-                        self.table.first_offset + 1 == bs
-                        and self.pool.refcount(head) == 1
-                    )
-                    else 0
-                )
-                need_alloc = True
-            else:
-                head = self.table.blocks[0]
-                freed = (
-                    1
-                    if (
-                        self.table.first_offset + 1 == bs
-                        and self.pool.refcount(head) == 1
-                    )
-                    else 0
-                )
-                need_alloc = (
-                    self.pool.refcount(self.table.blocks[tail // bs]) > 1
-                )
-            if need_alloc and self.pool.free_blocks + freed < 1:
-                raise BlockPoolExhausted(
-                    f"block pool dry: windowed append needs a block but "
-                    f"all {self.pool.n_blocks} blocks are in use"
-                )
-            self.evict(1)
+        refcount = self.pool.refcount
+        tail = self.table.first_offset + self.length
+        if self.length == 1:
+            freed = sum(1 for b in self.table.blocks if refcount(b) == 1)
+            need_alloc = True  # the emptied table re-fills slot 0
+        else:
+            head_freed = (
+                self.table.first_offset + 1 == bs
+                and refcount(self.table.blocks[0]) == 1
+            )
+            freed = 1 if head_freed else 0
+            need_alloc = (
+                tail == self.table.n_blocks * bs
+                or refcount(self.table.blocks[tail // bs]) > 1
+            )
+        if need_alloc and self.pool.free_blocks + freed < 1:
+            raise BlockPoolExhausted(
+                f"block pool dry: windowed append needs a block but "
+                f"all {self.pool.n_blocks} blocks are in use"
+            )
+
+    def _claim_slot(self) -> None:
+        """Charge the next row's slot to the block table (see
+        :meth:`append`); raises before any state changes."""
         slot = self.table.first_offset + self.length
-        if slot < self.prefix_len:
-            # Adopted prompt slot: the shared block already holds these
-            # exact rows (equal content keys), so only the logical
-            # accounting moves — bit-for-bit what an uncached append
-            # would have stored.
-            self.length += 1
-            self.pool.live_tokens += 1
-            return
-        if slot == self.table.n_blocks * bs:
-            self.table.blocks.append(self.pool.allocate())
-        block, offset = self.table.physical(slot, bs)
-        if self.pool.refcount(block) > 1:
-            block = self._copy_on_write(slot // bs)
-        self.pool.forget_prefix(block)
-        self.pool.key_slots[:, block * bs + offset] = k_t
-        self.pool.value_slots[:, block * bs + offset] = v_t
-        self.length += 1
+        if slot >= self.prefix_len:
+            bs = self.pool.block_size
+            blocks = self.table.blocks
+            if slot == len(blocks) * bs:
+                blocks.append(self.pool.allocate())
+            index = slot // bs
+            block = blocks[index]
+            if self.pool.refcount(block) > 1:
+                block = self._copy_on_write(index)
+            self.pool.forget_prefix(block)
+            if self._pending_keys and (slot + 1) % bs == 0:
+                key = self._pending_keys.pop(index, None)
+                if key is not None:
+                    self.pool.register_prefix(key, block)
         self.pool.live_tokens += 1
-        if self._pending_keys and (slot + 1) % bs == 0:
-            key = self._pending_keys.pop(slot // bs, None)
-            if key is not None:
-                self.pool.register_prefix(key, block)
 
     def evict(self, n: int) -> None:
         """Drop the ``n`` oldest cached tokens, freeing whole head
-        blocks back to the pool (``start_position`` advances exactly as
-        in the contiguous cache; no rows are shifted).  A shared head
+        blocks back to the pool (rows shift and ``start_position``
+        advances exactly as in the contiguous cache).  A shared head
         block only loses this table's reference.  Atomic: an
         out-of-range ``n`` raises before any state changes."""
-        if not 0 <= n <= self.length:
-            raise ValueError(
-                f"cannot evict {n} of {self.length} cached tokens"
-            )
+        super().evict(n)
         if n == 0:
             return
         bs = self.block_size
         self.table.first_offset += n
-        self.length -= n
-        self.start_position += n
-        self.evictions += n
         self.pool.live_tokens -= n
         while self.table.first_offset >= bs and self.table.blocks:
             self.pool.free(self.table.blocks.pop(0))
@@ -943,11 +824,7 @@ class PagedKVCache:
             self.prefix_len = max(0, self.prefix_len - bs)
         if self.length == 0:
             # nothing live: release the (dead-slot-only) tail block too
-            for block in self.table.blocks:
-                self.pool.free(block)
-            self.table.blocks.clear()
-            self.table.first_offset = 0
-            self.prefix_len = 0
+            self._free_blocks()
         # Eviction moves the slot grid under the pending ordinals;
         # publishing is best-effort, so drop them rather than remap.
         self._pending_keys.clear()
@@ -960,51 +837,48 @@ class PagedKVCache:
         whole tail blocks — through the same :meth:`BlockPool.free`
         path window eviction uses, so ``blocks_freed`` / ``live_tokens``
         accounting cannot drift between the two.  A shared tail block
-        only loses this table's reference (the other holder keeps its
-        rows).  ``start_position`` (the head side) is untouched; an
-        append after a truncate writes over the rolled-back slots
-        exactly as the contiguous cache does — copying first if the
+        only loses this table's reference (the other holder keeps it).
+        ``start_position`` (the head side) is untouched; an append after
+        a truncate writes over the rolled-back rows exactly as the
+        contiguous cache does — moving to a private block first if the
         target block is still shared, and retiring the block's
         published prefix key since its content diverges.  Atomic: an
         out-of-range ``n`` raises before any state changes.
         """
-        if not 0 <= n <= self.length:
-            raise ValueError(
-                f"cannot truncate {n} of {self.length} cached tokens"
-            )
+        super().truncate(n)
         if n == 0:
             return
-        bs = self.block_size
-        self.length -= n
         self.pool.live_tokens -= n
         self._pending_keys.clear()
         if self.length == 0:
             # nothing live: release every block (as evict-to-empty does)
-            for block in self.table.blocks:
-                self.pool.free(block)
-            self.table.blocks.clear()
-            self.table.first_offset = 0
-            self.prefix_len = 0
+            self._free_blocks()
             return
-        keep = blocks_needed(self.table.first_offset + self.length, bs)
+        keep = blocks_needed(
+            self.table.first_offset + self.length, self.block_size
+        )
         while self.table.n_blocks > keep:
             self.pool.free(self.table.blocks.pop())
         self.prefix_len = min(
             self.prefix_len, self.table.first_offset + self.length
         )
 
-    def reset(self) -> None:
-        """Empty the cache and return every block (reference) to the pool."""
+    def _free_blocks(self) -> None:
+        """Return every block (reference) and rewind the table."""
         for block in self.table.blocks:
             self.pool.free(block)
         self.table.blocks.clear()
         self.table.first_offset = 0
-        self.pool.live_tokens -= self.length
-        self.length = 0
-        self.start_position = 0
-        self.evictions = 0
         self.prefix_len = 0
+
+    def reset(self) -> None:
+        """Empty the cache, drop its row store and return every block
+        (reference) to the pool."""
+        self._free_blocks()
+        self.pool.live_tokens -= self.length
         self._pending_keys.clear()
+        super().reset()
+        self._k = self._v = np.empty((self.n_heads, 0, self.head_dim))
 
     def __repr__(self) -> str:
         return (
@@ -1017,36 +891,27 @@ class PagedKVCache:
 
 
 class ReservedKVCache(KVCache):
-    """A contiguous :class:`~repro.core.decode.KVCache` over one
-    reserved run of pool blocks (the whole-page reservation policy).
+    """A :class:`~repro.core.decode.KVCache` holding one reserved run
+    of pool blocks (the whole-page reservation policy).
 
     Construction reserves ``blocks_needed(capacity, block_size)``
     consecutive blocks at once — raising :class:`BlockPoolExhausted`,
-    with nothing reserved, when no free run is that long — and the
-    cache keeps its rows in the run's slots, a plain view of the pool's
-    slot-major storage.  Everything else is ``KVCache``'s own code:
-    appends, ``keys`` views, window shifts and :meth:`fork` (a private
-    copy outside the pool).  :meth:`reset` empties the cache *and*
-    releases the run: the cache is finished afterwards.
+    with nothing reserved, when no free run is that long.  The run is
+    accounting only: the cache keeps its rows in its own row store,
+    sized for the whole page up front as the run is, and everything
+    else is ``KVCache``'s own code (appends, views, window shifts, and
+    :meth:`fork`, a private copy outside the pool).
+    :meth:`reset` empties the cache *and* releases the run: the cache
+    is finished afterwards.
     """
 
     def __init__(
         self, pool: BlockPool, capacity: int, window: int | None = None
     ) -> None:
-        n_blocks = blocks_needed(capacity, pool.block_size)
-        first = pool.reserve_run(self, n_blocks)
-        try:
-            super().__init__(
-                pool.n_heads, pool.head_dim, capacity, window=window,
-                storage=(
-                    pool.keys_of(first, n_blocks),
-                    pool.values_of(first, n_blocks),
-                ),
-            )
-        except ValueError:
-            pool.release_run(self)
-            raise
+        super().__init__(pool.n_heads, pool.head_dim, capacity, window)
         self.pool = pool
+        pool.reserve_run(self, blocks_needed(capacity, pool.block_size))
+        self._reserve(self.limit)
 
     def reset(self) -> None:
         """Empty the cache and release its run back to the pool."""

@@ -68,12 +68,12 @@ specs, :func:`repro.core.config.parse_tree_spec`) proposes several
 *alternative* drafts per depth instead and scores the whole tree in the
 same single packed pass.  Every tree node appends as a provisional
 token under its own branch cache — an only child extends its parent's
-branch in place, siblings each get a ``fork()`` of the parent cache (on
-the paged layer a copy-on-write :class:`~repro.core.paging.BlockTable`
-fork: shared prefixes stay at refcount, not copy) — so each node's
-gathered KV span is exactly its ancestor chain.  That *is* the
-tree-causal attention mask, realised structurally rather than
-arithmetically (:func:`tree_causal_mask` materialises it); one
+branch in place, siblings each get a ``fork()`` of the parent cache (a
+copy of the live rows; on the paged layer the
+:class:`~repro.core.paging.BlockTable` blocks are shared at refcount,
+copy-on-write) — so each node's KV span is exactly its ancestor chain.
+That *is* the tree-causal attention mask, realised structurally rather
+than arithmetically (:func:`tree_causal_mask` materialises it); one
 whole-batch ``table_gather_mac`` launch per phase scores every branch
 at once.  The commit step walks the tree accepting, per depth, the
 child drafted bit-identical to its parent's true output, keeps that
@@ -117,6 +117,7 @@ from repro.core.decode import (
     DecodeState,
     DecodeStepResult,
     GenerateResult,
+    KVCache,
     KVCacheOverflow,
     NovaDecodeEngine,
     _Job,
@@ -129,7 +130,7 @@ from repro.noc.stats import EventCounters
 
 if TYPE_CHECKING:
     from repro.approx.quantize import QuantizedPwl
-    from repro.core.decode import KVCacheLike, _JobResult, _TokenPlan
+    from repro.core.decode import _JobResult, _TokenPlan
     from repro.core.paging import BlockPool
 
 __all__ = [
@@ -160,12 +161,12 @@ class DraftBranch:
     (already holding ``x_t``'s k/v row) and ``shifted`` the verify
     plan's max-subtracted scores of ``x_t`` against that cache,
     ``(heads, kv_len)`` — computed once at plan time, so drafting never
-    re-projects the token or re-gathers its keys.  Every branch of one
+    re-projects the token or re-reads its keys.  Every branch of one
     level sits at the same position over the same KV span length.
     """
 
     x_t: np.ndarray
-    cache: KVCacheLike
+    cache: KVCache
     shifted: np.ndarray
 
 
@@ -227,7 +228,7 @@ def host_level_outputs(
 
 def host_step_output(
     request: DecodeRequest,
-    cache: KVCacheLike,
+    cache: KVCache,
     x_t: np.ndarray,
     exp_table: QuantizedPwl,
     recip_table: QuantizedPwl,
@@ -711,7 +712,10 @@ class _TreeNode:
     ``state`` is the branch this node's k/v row was appended through —
     the request's live :class:`~repro.core.decode.DecodeState` for the
     root and every only-child below it (``in_state``), a shadow state
-    over a cache fork for every sibling branch.
+    over a cache fork for every sibling branch.  ``parent`` is the
+    parent's token index (``None`` for the root), not the node itself:
+    links run only parent-to-children, so a finished pass is freed by
+    reference counting rather than left to the cyclic collector.
     """
 
     __slots__ = (
@@ -721,7 +725,7 @@ class _TreeNode:
 
     def __init__(
         self,
-        parent: _TreeNode | None,
+        parent: int | None,
         embedding: np.ndarray,
         token_index: int,
         state: DecodeState,
@@ -742,20 +746,20 @@ def tree_causal_mask(spec_pass: _SpecPass) -> np.ndarray:
     pass token ``j`` — i.e. when ``j`` is ``i`` or one of its tree
     ancestors (every token also attends to the whole committed prefix,
     which is shared by construction).  The packed verification launch
-    realises this mask *structurally*: each branch's forked block table
-    gathers only that branch's ancestor rows, so the single
-    whole-batch ``table_gather_mac`` call per phase scores every branch
-    with no masking arithmetic.  Exposed for tests and docs; the
-    engine never materialises it.  A draft-free pass's mask is the
-    one-token identity.
+    realises this mask *structurally*: each branch's forked cache holds
+    only that branch's ancestor rows, so the single whole-batch
+    ``table_gather_mac`` call per phase scores every branch with no
+    masking arithmetic.  Exposed for tests and docs; the engine never
+    materialises it.  A draft-free pass's mask is the one-token
+    identity.
     """
     n = len(spec_pass.job.tokens)
     mask = np.eye(n, dtype=bool)
     for node in spec_pass.nodes:
-        cursor: _TreeNode | None = node
-        while cursor is not None:
-            mask[node.token_index, cursor.token_index] = True
-            cursor = cursor.parent
+        ancestor: int | None = node.token_index
+        while ancestor is not None:
+            mask[node.token_index, ancestor] = True
+            ancestor = spec_pass.nodes[ancestor].parent
     return mask
 
 
@@ -777,7 +781,7 @@ class _SpecPass:
         x0: np.ndarray,
         root: _TreeNode | None = None,
         nodes: Sequence[_TreeNode] = (),
-        forks: Sequence[KVCacheLike] = (),
+        forks: Sequence[KVCache] = (),
         in_state_tokens: int = 1,
     ) -> None:
         self.job = job
@@ -827,7 +831,7 @@ class SpeculativeDecodeEngine:
     def start(
         self,
         request: DecodeRequest,
-        cache: KVCacheLike | None = None,
+        cache: KVCache | None = None,
         pool: BlockPool | None = None,
         prefix: bool = False,
     ) -> DecodeState:
@@ -865,8 +869,8 @@ class SpeculativeDecodeEngine:
         The tree grows level by level.  An only child extends its
         parent's branch cache in place; siblings each append under a
         ``fork()`` of the parent cache (copy-on-write block sharing on
-        the paged layer), so every node's gathered KV span is exactly
-        its ancestor chain — the tree-causal mask, structurally
+        the paged layer), so every node's KV span is exactly its
+        ancestor chain — the tree-causal mask, structurally
         (:func:`tree_causal_mask`).  All planned tokens form **one**
         job: the engine's packed execute scores the whole tree in a
         single ``table_gather_mac`` launch per phase.  The draft is
@@ -906,7 +910,7 @@ class SpeculativeDecodeEngine:
             draft = TruncatedTableDraft(engine.config)
         tokens: list[_TokenPlan] = []
         nodes: list[_TreeNode] = []
-        forks: list[KVCacheLike] = []
+        forks: list[KVCache] = []
         in_state = 0
         try:
             tokens.append(engine._plan_token(state, x_t))
@@ -952,7 +956,8 @@ class SpeculativeDecodeEngine:
                     for d, child_state in zip(candidates, child_states):
                         tokens.append(engine._plan_token(child_state, d))
                         child = _TreeNode(
-                            node, d, len(tokens) - 1, child_state,
+                            node.token_index, d, len(tokens) - 1,
+                            child_state,
                             child_state is state,
                         )
                         if child.in_state:

@@ -108,11 +108,11 @@ class TestBlockPool:
         b = ReservedKVCache(pool, capacity=2)      # 1 block: 2
         c = ReservedKVCache(pool, capacity=4)      # 2 blocks: 3-4
         assert pool.in_use == 5 and pool.free_blocks == 0
-        # a run is one plain view of the pool's slot-major storage
+        # the run is accounting only: the row lands in the cache itself
         k, v = token(0)
         b.append(k, v)
-        assert np.array_equal(pool.keys_of(2)[:, 0], k)
-        assert np.array_equal(pool.values_of(2)[:, 0], v)
+        assert np.array_equal(b.keys[:, 0], k)
+        assert np.array_equal(b.values[:, 0], v)
         assert pool.fragmentation_slots == 5 * 2 - 1
         assert pool.pool_info()["live_tokens"] == 1
         a.reset()
@@ -647,8 +647,9 @@ class TestPagedScheduler:
 
 
 class _PoolSpy(PriorityPreemptive):
-    """Checks, at every step, that each in-flight contiguous cache keeps
-    its rows in the run's block pool."""
+    """Checks, at every step, that each in-flight contiguous cache holds
+    exactly one reserved run of its whole page in the run's block
+    pool."""
 
     def __init__(self) -> None:
         self.scheduler: ContinuousBatchScheduler | None = None
@@ -656,14 +657,17 @@ class _PoolSpy(PriorityPreemptive):
 
     def step_order(self, active, now):
         pool = self.scheduler.block_pool
-        keys = pool.keys_of(0, pool.n_blocks)
-        values = pool.values_of(0, pool.n_blocks)
         for seq in active:
             cache = seq.live_state.cache
-            assert isinstance(cache, KVCache)
-            assert np.shares_memory(cache.keys, keys)
-            assert np.shares_memory(cache.values, values)
+            assert isinstance(cache, ReservedKVCache)
+            first, n_blocks = pool._runs[cache]
+            assert n_blocks == blocks_needed(cache.capacity, pool.block_size)
+            assert all(
+                pool.refcount(b) == 1
+                for b in range(first, first + n_blocks)
+            )
             self.checks += 1
+        assert len(pool._runs) == len(active)
         return super().step_order(active, now)
 
 

@@ -222,8 +222,9 @@ def random_decode_requests(draw):
 
 @st.composite
 def cache_scenarios(draw):
-    """A cache geometry plus a random append/evict/truncate/reset
-    program (truncate is the speculative rollback path)."""
+    """A cache geometry plus a random append/evict/truncate/reset/fork
+    program (truncate is the speculative rollback path).  Every op but
+    ``fork`` names the twin it acts on by index."""
     n_heads = draw(st.integers(min_value=1, max_value=3))
     head_dim = draw(st.integers(min_value=1, max_value=4))
     capacity = draw(st.integers(min_value=1, max_value=12))
@@ -236,10 +237,16 @@ def cache_scenarios(draw):
     ops = draw(
         st.lists(
             st.one_of(
-                st.just(("append",)),
-                st.tuples(st.just("evict"), st.integers(0, 4)),
-                st.tuples(st.just("truncate"), st.integers(0, 4)),
-                st.just(("reset",)),
+                st.tuples(st.just("append"), st.integers(0, 2)),
+                st.tuples(
+                    st.just("evict"), st.integers(0, 2), st.integers(0, 4)
+                ),
+                st.tuples(
+                    st.just("truncate"), st.integers(0, 2),
+                    st.integers(0, 4),
+                ),
+                st.tuples(st.just("reset"), st.integers(0, 2)),
+                st.tuples(st.just("fork"), st.integers(0, 2)),
             ),
             min_size=1, max_size=30,
         )
@@ -249,35 +256,60 @@ def cache_scenarios(draw):
 
 
 class TestPagedCacheEquivalenceProperties:
+    #: Forks allowed per program: at most this many twins plus the
+    #: original are live at once.
+    MAX_FORKS = 2
+
     @given(scenario=cache_scenarios())
     # A windowless cache whose explicit evict leaves the span straddling
     # one block more than its capacity needs.
     @example(
         scenario=(
             1, 1, 2, None, 2,
-            [("append",), ("append",), ("evict", 1), ("append",)], 0,
+            [("append", 0), ("append", 0), ("evict", 0, 1), ("append", 0)],
+            0,
+        )
+    )
+    # A fork whose twins then diverge inside their shared tail block.
+    @example(
+        scenario=(
+            1, 2, 6, None, 4,
+            [("append", 0), ("append", 0), ("fork", 0), ("append", 1),
+             ("append", 0), ("truncate", 1, 2), ("append", 1),
+             ("evict", 0, 1)],
+            0,
         )
     )
     @settings(max_examples=80, deadline=None)
     def test_paged_cache_mirrors_contiguous_cache(self, scenario):
-        """Any program of appends, evictions and resets leaves the paged
-        and contiguous caches with identical observable state, and the
-        paged cache never holds more than its worst-case block count."""
+        """Any program of appends, evictions, truncations, resets and
+        forks leaves every paged twin with the observable state of its
+        contiguous ``KVCache.fork()`` twin, row for row; block
+        references match the tables, and resetting every twin returns
+        every block."""
         n_heads, head_dim, capacity, window, block_size, ops, seed = scenario
         rng = np.random.default_rng(seed)
-        ref = KVCache(n_heads, head_dim, capacity, window=window)
-        # Size the pool for the true worst case: the live span tops out
-        # at the limit (window, else capacity), and it can straddle one
-        # extra block whenever the head offset sits inside its first
-        # block — after a window slides, and equally after an explicit
-        # evict on a windowless cache.
+        # Size the pool for the true worst case of every twin: the live
+        # span tops out at the limit (window, else capacity), and it can
+        # straddle one extra block whenever the head offset sits inside
+        # its first block — after a window slides, and equally after an
+        # explicit evict on a windowless cache.
         limit = capacity if window is None else window
-        n_blocks = blocks_needed(limit, block_size) + 1
-        pool = BlockPool(n_heads, head_dim, block_size, n_blocks=n_blocks)
-        paged = PagedKVCache(pool, capacity, window=window)
+        per_twin = blocks_needed(limit, block_size) + 1
+        pool = BlockPool(
+            n_heads, head_dim, block_size,
+            n_blocks=(self.MAX_FORKS + 1) * per_twin,
+        )
+        twins = [
+            (
+                KVCache(n_heads, head_dim, capacity, window=window),
+                PagedKVCache(pool, capacity, window=window),
+            )
+        ]
         from repro.core.decode import KVCacheOverflow
 
         for op in ops:
+            ref, paged = twins[op[1] % len(twins)]
             if op[0] == "append":
                 k = rng.normal(size=(n_heads, head_dim))
                 v = rng.normal(size=(n_heads, head_dim))
@@ -293,29 +325,47 @@ class TestPagedCacheEquivalenceProperties:
                     paged_overflow = True
                 assert ref_overflow == paged_overflow
             elif op[0] == "evict":
-                n = min(op[1], ref.length)
+                n = min(op[2], ref.length)
                 ref.evict(n)
                 paged.evict(n)
             elif op[0] == "truncate":
-                n = min(op[1], ref.length)
+                n = min(op[2], ref.length)
                 ref.truncate(n)
                 paged.truncate(n)
+            elif op[0] == "fork":
+                if len(twins) <= self.MAX_FORKS:
+                    twins.append((ref.fork(), paged.fork()))
+                    # the twin shares every block rather than copying
+                    assert twins[-1][1].table.blocks == paged.table.blocks
             else:
                 ref.reset()
                 paged.reset()
-            assert ref.length == paged.length
-            assert ref.start_position == paged.start_position
-            assert ref.evictions == paged.evictions
-            assert np.array_equal(ref.keys, paged.keys)
-            assert np.array_equal(ref.values, paged.values)
-            if ref.length:
-                assert np.array_equal(
-                    ref.values_snapshot(ref.length),
-                    paged.values_snapshot(paged.length),
-                )
-            assert paged.blocks_in_use <= pool.n_blocks
-            assert pool.in_use == paged.blocks_in_use
+            held: dict[int, int] = {}
+            for ref, paged in twins:
+                assert ref.length == paged.length
+                assert ref.start_position == paged.start_position
+                assert ref.evictions == paged.evictions
+                assert np.array_equal(ref.keys, paged.keys)
+                assert np.array_equal(ref.values, paged.values)
+                if ref.length:
+                    assert np.array_equal(
+                        ref.values_snapshot(ref.length),
+                        paged.values_snapshot(paged.length),
+                    )
+                assert paged.blocks_in_use <= per_twin
+                for block in paged.table.blocks:
+                    held[block] = held.get(block, 0) + 1
+            # every reference the pool counts is held by exactly one
+            # table slot, and nothing else is in use
+            assert pool.in_use == len(held)
+            assert all(pool.refcount(b) == c for b, c in held.items())
             pool.check_invariants()
+        for _, paged in twins:
+            paged.reset()
+        assert pool.in_use == 0
+        assert pool.blocks_allocated == pool.blocks_freed
+        assert pool.live_tokens == 0
+        pool.check_invariants()
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,8 @@ other branch through the existing rollback path.  Around that sit the
 structural tree-causal mask.
 """
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +34,7 @@ from repro.core.decode import (
     project_token,
     scores_for_query,
 )
-from repro.core.paging import BlockPool, BlockPoolExhausted
+from repro.core.paging import BlockPool, BlockPoolExhausted, PagedKVCache
 from repro.core.session import NovaSession
 from repro.core.speculative import (
     DraftBranch,
@@ -41,6 +43,7 @@ from repro.core.speculative import (
     ScheduledDraft,
     SpeculativeDecodeEngine,
     TruncatedTableDraft,
+    _TreeNode,
     host_step_output,
     tree_causal_mask,
 )
@@ -284,13 +287,15 @@ class TestTreeCausalMask:
         assert mask[:, 0].all()
         # planning is level-ordered, so the mask is lower-triangular
         assert not np.triu(mask, k=1).any()
-        # each row's ancestor chain matches the node's parent links
-        for node in spec_pass.nodes:
+        # each row's ancestor chain matches the node's parent links,
+        # which are token indices into the job-ordered node list
+        for i, node in enumerate(spec_pass.nodes):
+            assert node.token_index == i
             expected = np.zeros(n, dtype=bool)
-            cursor = node
-            while cursor is not None:
-                expected[cursor.token_index] = True
-                cursor = cursor.parent
+            ancestor = node.token_index
+            while ancestor is not None:
+                expected[ancestor] = True
+                ancestor = spec_pass.nodes[ancestor].parent
             assert np.array_equal(mask[node.token_index], expected)
         # siblings never attend to each other
         first_level = spec_pass.root.children
@@ -602,6 +607,35 @@ class TestTreeWiring:
             )
             for ref, got in zip(plain, batch.results):
                 assert_plain_exact(got, ref)
+
+    def test_paged_tree_run_leaves_no_cyclic_garbage(self):
+        """A paged tree-speculative run frees its tree nodes, caches and
+        pool by reference counting: nothing reaches the cyclic
+        collector."""
+        session = NovaSession(SMALL.replace(kv_block_size=4))
+        requests = self._requests()
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            batch = session.serve_decode(
+                requests, max_active=3, paged=True, speculative=True,
+                spec_tree="2x1,1x2", draft_factory=self._factory(),
+            )
+            assert batch.paging["blocks_allocated"] > 0
+            del batch
+            gc.collect()
+            leaked = {
+                type(obj).__name__ for obj in gc.garbage
+                if isinstance(obj, (_TreeNode, PagedKVCache, BlockPool))
+            }
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert not leaked
 
     def test_plain_scheduler_never_builds_a_draft(self):
         """The depth-0 tree drafts nothing, so admission never calls the
