@@ -38,6 +38,16 @@ __all__ = [
 #: Pairs broadcast per NoC beat — fixed by the 257-bit link width.
 PAIRS_PER_BEAT = 8
 
+#: Largest input-code range a table tabulates: every 16-bit input word.
+MAX_TABULATED_CODES = 1 << 16
+
+#: Codes tabulated per slice at construction.  Each slice's temporaries
+#: (8 bytes per code) stay under glibc's default 128 KiB mmap threshold,
+#: so building a table frees no mmapped block; freeing one would raise
+#: the allocator's dynamic mmap and trim thresholds for the rest of the
+#: process.
+_BUILD_SLICE = 1 << 13
+
 
 @dataclass(frozen=True)
 class QuantizedPwl:
@@ -48,6 +58,18 @@ class QuantizedPwl:
     LSB) so functional evaluation stays in plain numpy while matching the
     bit-level behaviour; raw integer codes are available via the format's
     ``to_raw``.
+
+    The table's output and lookup address depend on the input code
+    alone, so construction tabulates both over every code a clamped
+    input can quantise to (``to_raw(domain low)`` .. ``to_raw(domain
+    high)``): 16,385 codes, about 256 KB, for a serving table at Q5.10.
+    :meth:`gather_mac` then answers any input with one code computation
+    and two gathers.  Only code ranges of at most
+    :data:`MAX_TABULATED_CODES` (every 16-bit input word) are tabulated;
+    wider formats answer through the direct quantise, search and MAC
+    that also builds the table.  :meth:`lookup`, :meth:`segment_index`
+    and the hardware models stay direct, so they remain an independent
+    check of the table.
     """
 
     pwl: PiecewiseLinear
@@ -82,6 +104,21 @@ class QuantizedPwl:
                 "increase fraction bits or reduce the segment count"
             ) from err
         object.__setattr__(self, "_quantized", quantized)
+        low, high = (int(code) for code in fmt.to_raw(quantized.domain))
+        codes = None
+        if high - low < MAX_TABULATED_CODES:
+            n_codes = high - low + 1
+            outputs = np.empty(n_codes)
+            addresses = np.empty(n_codes, dtype=np.int64)
+            for start in range(0, n_codes, _BUILD_SLICE):
+                stop = min(start + _BUILD_SLICE, n_codes)
+                outputs[start:stop], addresses[start:stop] = self._direct(
+                    fmt.from_raw(np.arange(low + start, low + stop))
+                )
+            outputs.flags.writeable = False
+            addresses.flags.writeable = False
+            codes = (float(low), float(high), outputs, addresses)
+        object.__setattr__(self, "_codes", codes)
 
     @property
     def quantized_pwl(self) -> PiecewiseLinear:
@@ -106,25 +143,51 @@ class QuantizedPwl:
         """Quantise and address the whole input in one vectorised pass.
 
         Returns ``(xq, idx)``: the quantised (clamped, representable)
-        inputs and their segment indices, for any input shape.  This is
-        the hot path of the batched serving engine — one ``searchsorted``
-        gather over an entire request batch replaces per-PE-cycle Python
-        iteration — and it is shared with :meth:`evaluate` so the fast
-        path cannot drift from the golden model.
+        inputs and their segment indices, for any input shape — clamp,
+        round to the input format, then one ``searchsorted`` over the
+        cuts.  Together with ``output_format.mac`` this *defines* the
+        code table :meth:`gather_mac` reads, and it stays direct so the
+        table can be checked against it.
         """
         xq = self.input_format.quantize(self._quantized.clamp(x))
         return xq, self._quantized.segment_index(xq)
+
+    def _direct(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Quantise, look up and MAC: the definition of :meth:`gather_mac`."""
+        xq, idx = self.lookup(x)
+        outputs = self.output_format.mac(
+            self._quantized.slopes[idx], xq, self._quantized.biases[idx]
+        )
+        return outputs, idx
+
+    def gather_mac(self, x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+        """``(outputs, addresses)`` for any input shape, from the code table.
+
+        Bit-identical to :meth:`lookup` + ``output_format.mac`` (the
+        table holds exactly what they compute per input code): one
+        quantise to the input code, then two gathers.  NaN has no input
+        code and raises ``ValueError``.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if np.isnan(x).any():
+            raise ValueError(
+                f"table {self.pwl.name!r}: NaN input has no input code"
+            )
+        if self._codes is None:
+            return self._direct(x)
+        low, high, outputs, addresses = self._codes
+        codes = np.clip(np.rint(x / self.input_format.scale), low, high)
+        index = (codes - low).astype(np.intp)
+        return outputs[index], addresses[index]
 
     def evaluate(self, x: np.ndarray | float) -> np.ndarray:
         """Bit-accurate functional evaluation: quantise, look up, MAC.
 
         This is the golden model that both the cycle-accurate NOVA pipeline
-        and the LUT baselines must match exactly.
+        and the LUT baselines must match exactly; it reads the code table
+        (:meth:`gather_mac`).
         """
-        xq, idx = self.lookup(x)
-        return self.output_format.mac(
-            self._quantized.slopes[idx], xq, self._quantized.biases[idx]
-        )
+        return self.gather_mac(x)[0]
 
     __call__ = evaluate
 

@@ -7,26 +7,32 @@ bottoms out in exactly two whole-batch operations:
 * :meth:`KernelBackend.table_gather_mac` — quantise a stream of PE
   outputs, address the PWL table (segment-index gather) and apply the
   fused fixed-point ``slope * x + bias`` MAC, returning the outputs and
-  the lookup addresses in one launch.
+  the lookup addresses in one launch.  Every result depends on the
+  16-bit input code alone, so the numpy path reads both from the
+  table's precomputed code table
+  (:meth:`~repro.approx.quantize.QuantizedPwl.gather_mac`).
 * :meth:`KernelBackend.tag_match_totals` — the closed-form per-router
   ``tag_match`` accounting for those addresses: a lane whose address
   selects beat ``b`` performs one tag comparison on each of beats
   ``0..b``, so its exact contribution is ``(address & (n_beats - 1)) + 1``.
 
-:class:`NumpyBackend` is the default vectorised path, one whole-stream
-gather per launch.  :class:`NumbaBackend` is an optional drop-in behind
-a lazy import: when numba is missing, :func:`resolve_backend` warns and
-falls back to numpy rather than failing, so a config that names it
-stays runnable everywhere.  The numerics reference for both is the
+:class:`NumpyBackend` is the default vectorised path: per launch, one
+code computation and two gathers from the table's code table.
+:class:`NumbaBackend` is an optional drop-in behind a lazy import: when
+numba is missing, :func:`resolve_backend` warns and falls back to numpy
+rather than failing, so a config that names it stays runnable
+everywhere.  The numerics reference for both is the
 beat-level NoC simulation (``run_stream(..., simulate=True)``).
 
 Exactness is the contract, not a goal: every backend must be
 bit-identical to :meth:`~repro.approx.quantize.QuantizedPwl.lookup` +
 :meth:`~repro.utils.fixed_point.FixedPointFormat.mac` (and therefore to
-the beat-level NoC simulation) on all inputs.  The backend-equivalence
-suite in ``tests/test_kernels.py`` enforces this per installed backend
-per preset; the per-preset goldens enforce it transitively for whatever
-backend the config selects.
+the beat-level NoC simulation) on all inputs.  That direct pair is the
+definition the code table is built from; neither is on the fast path.
+The backend-equivalence suite in ``tests/test_kernels.py`` enforces
+this per installed backend per preset, and exhaustively over every
+input code of every compiled table; the per-preset goldens enforce it
+transitively for whatever backend the config selects.
 
 Kernel code is *pure* by construction (novalint rule NV009): backends
 never touch :class:`~repro.noc.stats.EventCounters`, the NoC, or any
@@ -65,9 +71,10 @@ class KernelBackend(Protocol):
     Implementations are stateless value transformers: arrays in, arrays
     out, no counter or engine mutation (NV009).  ``table_gather_mac``
     must be bit-identical to
-    ``table.lookup(xs)`` + ``table.output_format.mac`` for every input;
-    ``tag_match_totals`` must equal what per-beat simulation
-    accumulates.
+    ``table.lookup(xs)`` + ``table.output_format.mac`` for every
+    non-NaN input (NaN has no input code; the numpy path raises
+    ``ValueError``); ``tag_match_totals`` must equal what per-beat
+    simulation accumulates.
     """
 
     #: Registry name (``config.kernel_backend`` value).
@@ -81,7 +88,10 @@ class KernelBackend(Protocol):
         ``xs`` has shape ``(n_batches, n_routers, n_neurons)`` (any
         float shape is accepted — the primitive is elementwise).
         Returns ``(outputs, addresses)`` of the same shape, ``outputs``
-        float64 and ``addresses`` int64 segment indices.
+        float64 and ``addresses`` int64 segment indices — by definition
+        ``table.lookup`` + ``output_format.mac``, which the numpy
+        backend reads as one gather from ``table.gather_mac``'s code
+        table.
         """
         ...
 
@@ -150,25 +160,20 @@ def kernel_cache_info() -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# numpy: the default whole-stream gather (PR 1's fast path, extracted)
+# numpy: the default path, one gather from the code table
 # ----------------------------------------------------------------------
 
 
 class NumpyBackend:
-    """One whole-stream ``searchsorted`` gather + fused MAC in numpy."""
+    """One gather per launch from the table's code table, in numpy."""
 
     name = "numpy"
 
     def table_gather_mac(
         self, table: "QuantizedPwl", xs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        xs = np.asarray(xs, dtype=np.float64)
-        xq, idx = table.lookup(xs)
-        quantized = table.quantized_pwl
-        outputs = table.output_format.mac(
-            quantized.slopes[idx], xq, quantized.biases[idx]
-        )
-        _record_launch(self.name, xs.size)
+        outputs, idx = table.gather_mac(xs)
+        _record_launch(self.name, idx.size)
         return outputs, idx
 
     def tag_match_totals(

@@ -191,18 +191,21 @@ def host_level_outputs(
     **bit for bit** (the helpers are the single shared copies the engine
     executes — :func:`~repro.core.attention.softmax_reduction`, ... —
     and ``QuantizedPwl.evaluate`` is the golden model the overlay is
-    bit-exact against); an integer ``n`` rounds both non-linear results
-    to ``n`` fraction bits — the same LUTs at reduced precision, which
+    bit-exact against, read from the same code table as the overlay
+    kernel); an integer ``n`` rounds both non-linear results to ``n``
+    fraction bits — the same LUTs at reduced precision, which
     is how the in-tree drafts model a lower-fidelity draft.
 
     The level streams like the overlay does: **one** exp evaluation over
     every branch's stacked scores, the per-alternative truncation, one
     row-wise softmax reduction, and **one** reciprocal evaluation over
-    every (branch, alternative) mantissa.  All of these are element-wise
-    or reduce along the last axis only, so each row is bit-identical to
-    evaluating it alone.  The context GEMV and output projection run
-    per row; each branch's value snapshot is taken once and dropped
-    after its alternatives.
+    every (branch, alternative) mantissa.  Each evaluation is one
+    gather from the table's code table (quantise to the 16-bit input
+    code, then read the tabulated output), not a search and a MAC.
+    All of these are element-wise or reduce along the last axis only,
+    so each row is bit-identical to evaluating it alone.  The context
+    GEMV and output projection run per row; each branch's value
+    snapshot is taken once and dropped after its alternatives.
     """
     raw = exp_table.evaluate(np.stack([b.shifted for b in branches]))
     rows = [

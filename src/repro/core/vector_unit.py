@@ -14,9 +14,9 @@ Two APIs:
 * :meth:`NovaVectorUnit.run_stream` — a pipelined stream of lookups (one
   batch of PE outputs per PE cycle), reporting total PE cycles, per-batch
   latency and the event counters the energy model consumes.  Fault-free
-  streams are evaluated by a whole-stream vectorised gather whose outputs
-  and counter totals are exact against the beat-level simulation
-  (``simulate=True`` forces the cycle-by-cycle path).
+  streams are evaluated by one gather from the table's code table, whose
+  outputs and counter totals are exact against the beat-level
+  simulation (``simulate=True`` forces the cycle-by-cycle path).
 
 Throughput: one approximation per neuron per PE cycle once the 2-stage
 pipeline (fetch, MAC) is full — identical to the LUT baseline, which is
@@ -309,9 +309,9 @@ class NovaVectorUnit:
         of batch ``t + 1`` overlaps the MAC of batch ``t``, so total time
         is ``n_batches - 1 + total_latency_pe_cycles`` PE cycles.
 
-        By default the stream takes the vectorised path: one whole-stream
-        segment-index gather through the golden table computes every
-        output at once, and event counters are charged in closed form.
+        By default the stream takes the vectorised path: one gather from
+        the table's code table computes every output and address at
+        once, and event counters are charged in closed form.
         Both are exact — the outputs are bit-identical to the beat-level
         simulation (the property the functional-verification tests pin
         down) and the counter totals equal what per-cycle simulation

@@ -17,6 +17,12 @@ mode.  Four test families pin that contract:
   and the config/registry name sets never drift apart,
 * the surface — ``NovaConfig`` validation, ``--override`` parsing, and
   the launch tallies in ``NovaSession.cache_info()["kernels"]``.
+
+A fifth family pins the code tables the numpy path reads: on every
+reachable input code, every rounding tie, every cut edge and the
+non-finite extremes, the tabulated ``evaluate`` and each backend's
+``table_gather_mac`` equal direct ``lookup`` + MAC bit for bit, and a
+NaN input raises a typed error naming the table.
 """
 
 import warnings
@@ -30,6 +36,7 @@ import repro.core.kernels as kernels
 from repro.approx.functions import get_function
 from repro.approx.pwl import PiecewiseLinear
 from repro.approx.quantize import QuantizedPwl
+from repro.core.attention import ATTENTION_FUNCTIONS
 from repro.core.config import KERNEL_BACKENDS, PRESETS, NovaConfig
 from repro.core.decode import (
     ContinuousBatchScheduler,
@@ -45,6 +52,7 @@ from repro.core.kernels import (
 from repro.core.session import NovaSession
 from repro.core.speculative import ScheduledDraft, TruncatedTableDraft
 from repro.core.vector_unit import NovaVectorUnit
+from repro.utils.fixed_point import FixedPointFormat, Q5_10, Q7_8
 
 INSTALLED = available_backends()
 
@@ -156,6 +164,125 @@ class TestStreamEquivalence:
         sim = unit.run_stream(xs, simulate=True)
         assert sim.addresses is not None
         assert np.array_equal(sim.addresses, unit.table.segment_index(xs))
+
+
+# ----------------------------------------------------------------------
+# Code tables: the tabulated fast path vs direct lookup + MAC.
+# ----------------------------------------------------------------------
+
+
+def _preset_tables() -> dict[str, QuantizedPwl]:
+    """Every table the presets compile, keyed like the table cache."""
+    return {
+        f"{name}-n{cfg.n_segments}-s{cfg.seed}": cfg.table(name)
+        for cfg in PRESETS.values()
+        for name in ATTENTION_FUNCTIONS
+    }
+
+
+def _gelu_table(fmt: FixedPointFormat, input_format=None) -> QuantizedPwl:
+    spec = get_function("gelu")
+    return QuantizedPwl(
+        PiecewiseLinear.fit(spec.fn, spec.domain, 16),
+        input_format=input_format or fmt,
+        coeff_format=fmt,
+        output_format=fmt,
+    )
+
+
+#: name -> (table, tabulated?).  The four ablation formats span 4,097
+#: to 65,536 reachable codes; a 20-bit input word (262,145 codes) is
+#: past the size test and must stay direct.
+CODE_TABLES = {
+    **{name: (table, True) for name, table in _preset_tables().items()},
+    "gelu-Q7.8": (_gelu_table(Q7_8), True),
+    "gelu-Q5.10": (_gelu_table(Q5_10), True),
+    "gelu-Q4.11": (_gelu_table(FixedPointFormat(4, 11)), True),
+    "gelu-Q3.12": (_gelu_table(FixedPointFormat(3, 12)), True),
+    "gelu-Q5.14-input": (
+        _gelu_table(Q5_10, input_format=FixedPointFormat(5, 14)), False
+    ),
+}
+
+
+def _probe_inputs(table: QuantizedPwl) -> np.ndarray:
+    """Every reachable code, every half-LSB tie, cut edges, extremes."""
+    fmt = table.input_format
+    low, high = fmt.to_raw(table.quantized_pwl.domain)
+    codes = np.arange(low, high + 1)
+    lsb = fmt.scale
+    cuts = table.quantized_pwl.cuts
+    return np.concatenate([
+        codes * lsb,
+        (np.arange(low - 1, high + 1) + 0.5) * lsb,
+        cuts, cuts - lsb, cuts + lsb, table.pwl.cuts,
+        [np.inf, -np.inf, 1e300, -1e300, -0.0],
+    ])
+
+
+def _direct(table: QuantizedPwl, x) -> tuple[np.ndarray, np.ndarray]:
+    xq, idx = table.lookup(x)
+    quantized = table.quantized_pwl
+    return (
+        table.output_format.mac(
+            quantized.slopes[idx], xq, quantized.biases[idx]
+        ),
+        idx,
+    )
+
+
+def _assert_bit_identical(got, want) -> None:
+    assert np.shape(got) == np.shape(want)
+    assert got.dtype == want.dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestCodeTables:
+    @pytest.mark.parametrize("name", sorted(CODE_TABLES))
+    def test_size_test_picks_the_tabulated_path(self, name):
+        table, tabulated = CODE_TABLES[name]
+        assert (table._codes is not None) == tabulated
+        if tabulated:
+            _, _, outputs, addresses = table._codes
+            low, high = table.input_format.to_raw(
+                table.quantized_pwl.domain
+            )
+            assert len(outputs) == len(addresses) == high - low + 1
+            # shared by every engine through the process-wide cache
+            assert not outputs.flags.writeable
+            assert not addresses.flags.writeable
+
+    @pytest.mark.parametrize("name", sorted(CODE_TABLES))
+    @pytest.mark.parametrize("backend", INSTALLED)
+    def test_exhaustive_equivalence_with_direct_lookup_mac(
+        self, backend, name
+    ):
+        table, _ = CODE_TABLES[name]
+        kernel = resolve_backend(backend)
+        xs = _probe_inputs(table)
+        for x in (xs, xs.reshape(1, 1, -1), np.float64(-0.0),
+                  np.array(0.5), np.empty(0), np.empty((2, 0, 3))):
+            outputs, addresses = _direct(table, x)
+            _assert_bit_identical(table.evaluate(x), outputs)
+            got, got_addresses = kernel.table_gather_mac(table, x)
+            if backend != "numpy":
+                # the numba kernel rounds in float, so a zero output
+                # may carry a sign bit the fixed-point path never sets
+                got = got + 0.0
+            _assert_bit_identical(got, outputs)
+            _assert_bit_identical(got_addresses, addresses)
+
+    @pytest.mark.parametrize("name", sorted(CODE_TABLES))
+    def test_nan_input_raises_a_typed_error(self, name):
+        table, _ = CODE_TABLES[name]
+        kernel = resolve_backend("numpy")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (np.array([0.0, np.nan]), np.nan):
+                with pytest.raises(ValueError, match=table.pwl.name):
+                    table.evaluate(x)
+                with pytest.raises(ValueError, match="NaN"):
+                    kernel.table_gather_mac(table, np.asarray(x))
 
 
 # ----------------------------------------------------------------------
