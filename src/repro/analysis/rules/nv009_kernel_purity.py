@@ -1,13 +1,14 @@
-"""NV009 — kernel purity: backends compute, engines account.
+"""NV009 — kernel purity: kernels compute, engines account.
 
-The kernel backends (:mod:`repro.core.kernels`) are pure whole-batch
+The kernel primitives (:mod:`repro.core.kernels`) are pure whole-batch
 array transformers: quantise/gather/MAC in, outputs and addresses out.
 The bit/cycle/counter-exactness contract of the serving stack rests on
-the engines owning *all* hardware-state accounting — a backend that
-charged :class:`~repro.noc.stats.EventCounters` itself, poked the NoC,
-or reached into pool/engine state would be double-counting under one
-backend and under-counting under another, silently skewing the golden
-traces the moment the registry entry changes.
+the engines owning *all* hardware-state accounting, and on the kernels
+being free to run, be traced or be called directly without side
+effects — a kernel that charged :class:`~repro.noc.stats.EventCounters`
+itself, poked the NoC, or reached into pool/engine state would
+double-count every event its engine already charges, silently skewing
+the golden traces.
 
 Flagged, inside ``repro.core.kernels`` only:
 
@@ -17,10 +18,6 @@ Flagged, inside ``repro.core.kernels`` only:
   ``engine``, ``scheduler``, ``comparators``, ``macs``, ``routers``)
   or a call to an accounting method (``charge_broadcasts``,
   ``charge``, ``add``-on-``counters``).
-
-The launch/element tallies the module keeps for
-``NovaSession.cache_info()`` are plain dict entries, not
-``EventCounters``, and pass.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from repro.analysis.rules._common import dotted_name
 
 __all__ = ["KernelPurityRule"]
 
-#: Attribute names that are engine/hardware state a kernel backend has
+#: Attribute names that are engine/hardware state a kernel has
 #: no business touching (reads included: holding the handle at all
 #: invites charging through it).
 _STATE_ATTRS = frozenset(
@@ -55,7 +52,7 @@ _ACCOUNTING_CALLS = frozenset({"charge_broadcasts", "charge", "merge"})
 
 class KernelPurityRule(Rule):
     rule_id = "NV009"
-    title = "kernel backends stay pure (no counter/engine state)"
+    title = "kernels stay pure (no counter/engine state)"
     severity = "error"
 
     def applies_to(self, ctx: ModuleContext) -> bool:
@@ -70,7 +67,7 @@ class KernelPurityRule(Rule):
                 yield ctx.finding(
                     self,
                     node,
-                    f"kernel code touches engine state {shown}; backends "
+                    f"kernel code touches engine state {shown}; kernels "
                     "are pure array transformers — counter charging and "
                     "NoC/pool accounting belong to the owning engine "
                     "(NV006)",
@@ -87,7 +84,7 @@ class KernelPurityRule(Rule):
                         node,
                         f"kernel code calls accounting method {shown}(); "
                         "hardware-state mutation belongs to the owning "
-                        "engine, not a backend",
+                        "engine, not a kernel",
                     )
                 elif (
                     isinstance(func, ast.Name)

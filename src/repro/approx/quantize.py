@@ -160,19 +160,28 @@ class QuantizedPwl:
         )
         return outputs, idx
 
-    def gather_mac(self, x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-        """``(outputs, addresses)`` for any input shape, from the code table.
+    def reject_nan(self, x: np.ndarray | float) -> np.ndarray:
+        """``x`` as float64; ``ValueError`` naming the table on any NaN.
 
-        Bit-identical to :meth:`lookup` + ``output_format.mac`` (the
-        table holds exactly what they compute per input code): one
-        quantise to the input code, then two gathers.  NaN has no input
-        code and raises ``ValueError``.
+        NaN has no input code, so no path through the table — code
+        table, comparators or MAC lanes — has an output for it.
         """
         x = np.asarray(x, dtype=np.float64)
         if np.isnan(x).any():
             raise ValueError(
                 f"table {self.pwl.name!r}: NaN input has no input code"
             )
+        return x
+
+    def gather_mac(self, x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+        """``(outputs, addresses)`` for any input shape, from the code table.
+
+        Bit-identical to :meth:`lookup` + ``output_format.mac`` (the
+        table holds exactly what they compute per input code): one
+        quantise to the input code, then two gathers.  NaN has no input
+        code and raises ``ValueError`` (:meth:`reject_nan`).
+        """
+        x = self.reject_nan(x)
         if self._codes is None:
             return self._direct(x)
         low, high, outputs, addresses = self._codes

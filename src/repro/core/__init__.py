@@ -25,20 +25,10 @@ cycle-accurate streaming API used by the energy evaluation.
 from repro.core.config import (
     NovaConfig,
     PRESETS,
-    KERNEL_BACKENDS,
     preset,
     as_config,
 )
 from repro.core.comparator import ComparatorBank
-from repro.core.kernels import (
-    KernelBackend,
-    NumpyBackend,
-    NumbaBackend,
-    BACKENDS,
-    resolve_backend,
-    available_backends,
-    kernel_cache_info,
-)
 from repro.core.mac import MacLane
 from repro.core.router import NovaRouter
 from repro.core.noc import NovaNoc, BroadcastResult
@@ -99,17 +89,9 @@ from repro.core.streaming import StreamingLine, ObservationLog
 __all__ = [
     "NovaConfig",
     "PRESETS",
-    "KERNEL_BACKENDS",
     "preset",
     "as_config",
     "NovaSession",
-    "KernelBackend",
-    "NumpyBackend",
-    "NumbaBackend",
-    "BACKENDS",
-    "resolve_backend",
-    "available_backends",
-    "kernel_cache_info",
     "ComparatorBank",
     "MacLane",
     "NovaRouter",

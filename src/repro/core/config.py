@@ -49,18 +49,8 @@ __all__ = [
     "as_config",
     "GEOMETRY_FIELDS",
     "ENGINE_FIELDS",
-    "KERNEL_BACKENDS",
     "parse_tree_spec",
 ]
-
-#: The execution backends :func:`repro.core.kernels.resolve_backend`
-#: knows how to build (``NovaConfig.kernel_backend``).  The canonical
-#: tuple lives here so config validation needs no import of the kernel
-#: stack; a test pins it equal
-#: to :data:`repro.core.kernels.BACKENDS`.  ``numba`` is an optional
-#: dependency — naming it where it is not installed warns and runs on
-#: ``numpy`` instead.
-KERNEL_BACKENDS = ("numpy", "numba")
 
 #: The overlay-geometry fields (what a :class:`NovaVectorUnit` needs).
 GEOMETRY_FIELDS = (
@@ -185,13 +175,10 @@ class NovaConfig:
     bit-exact against plain decode by construction — only how many
     overlay passes it takes to generate them.
 
-    ``kernel_backend`` selects the :data:`KERNEL_BACKENDS` entry that
-    executes the whole-batch gather/MAC primitives
-    (:mod:`repro.core.kernels`).  Every backend is bit/cycle/counter
-    exact against the beat-level simulation, so like ``kv_block_size``
-    it is purely an execution-speed lever; ``"numpy"`` is the default
-    everywhere and ``"numba"`` is an optional accelerated drop-in that
-    falls back to numpy (with a warning) when the package is absent.
+    ``kernel_backend`` names the kernel path, and ``"numpy"`` is its
+    only legal value: :mod:`repro.core.kernels` is one pure numpy path.
+    The field remains so configs and override strings that pin it keep
+    parsing; any other name raises ``ValueError``.
     """
 
     n_routers: int = 8
@@ -238,10 +225,10 @@ class NovaConfig:
                 "kernel_backend must be a backend name (str), got "
                 f"{type(self.kernel_backend).__name__}"
             )
-        if self.kernel_backend not in KERNEL_BACKENDS:
+        if self.kernel_backend != "numpy":
             raise ValueError(
                 f"unknown kernel_backend {self.kernel_backend!r}; "
-                f"known: {sorted(KERNEL_BACKENDS)}"
+                "the only kernel path is 'numpy'"
             )
         if self.host is not None and not isinstance(self.host, str):
             raise TypeError(

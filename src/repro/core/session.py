@@ -380,20 +380,14 @@ class NovaSession:
         swaps the table already held by the engine; a test pins the
         miss count flat across steps).  ``schedules`` is the shared
         frozen-:class:`~repro.core.mapper.BroadcastSchedule` count.
-        ``kernels`` reports the execution-backend registry
-        (:func:`repro.core.kernels.kernel_cache_info`): which backends
-        are registered vs actually importable here, and per-backend
-        kernel launch / element tallies.  KV pool statistics are not
-        here: each serving run owns its pool and reports it in its
-        result's ``paging`` dict
+        Neither kernel launches nor KV pool statistics are here: the
+        kernels hold no state, and each serving run owns its pool and
+        reports it in its result's ``paging`` dict
         (:meth:`~repro.core.paging.BlockPool.pool_info`).
         """
-        from repro.core.kernels import kernel_cache_info
-
         return {
             "tables": table_cache_info(),
             "schedules": NovaMapper.schedule_cache_size(),
-            "kernels": kernel_cache_info(),
         }
 
     def __repr__(self) -> str:

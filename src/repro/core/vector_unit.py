@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from types import ModuleType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,7 +41,7 @@ from repro.approx.quantize import (
 )
 from repro.core.comparator import ComparatorBank
 from repro.core.config import NovaConfig, preset
-from repro.core.kernels import KernelBackend, resolve_backend
+from repro.core import kernels
 from repro.core.mac import MacLane
 from repro.core.mapper import BroadcastSchedule, NovaMapper
 from repro.core.noc import NovaNoc
@@ -105,7 +106,7 @@ class StreamResult:
     #: them as a free by-product of the whole-stream gather, and the
     #: cycle-simulated path re-derives them through the pure golden
     #: table (bit-identical, no extra counter charges) so consumers and
-    #: the backend-equivalence tests never have to branch on the path.
+    #: the stream-equivalence tests never have to branch on the path.
     addresses: np.ndarray | None = None
 
 
@@ -190,7 +191,9 @@ class NovaVectorUnit:
             )
             for _ in range(config.n_routers)
         ]
-        self.backend: KernelBackend = resolve_backend(config.kernel_backend)
+        #: The module both primitives launch through, held as one
+        #: attribute so a tracer can wrap every launch of every unit.
+        self.backend: ModuleType = kernels
 
     @property
     def n_routers(self) -> int:
@@ -265,7 +268,7 @@ class NovaVectorUnit:
         expected = (self.n_routers, self.neurons_per_router)
         if x.shape != expected:
             raise ValueError(f"expected input shape {expected}, got {x.shape}")
-        return x
+        return self.table.reject_nan(x)
 
     def approximate(self, x: np.ndarray) -> ApproximationResult:
         """Run one batch of PE outputs through the full pipeline."""
@@ -334,6 +337,9 @@ class NovaVectorUnit:
                 f"expected batch shape {expected}, got {xs.shape[1:]}"
             )
         if simulate:
+            # before any batch charges a counter (the vectorised path
+            # raises from the gather itself)
+            self.table.reject_nan(xs)
             before = self._lifetime_counters()
             outputs = np.zeros_like(xs)
             for t in range(n_batches):
@@ -366,10 +372,9 @@ class NovaVectorUnit:
         ``tag_match`` contribution is ``(address & (n_beats - 1)) + 1``.
         Everything else is address-independent per broadcast.
 
-        The gather/MAC itself and the tag-match reduction run on the
-        configured :class:`~repro.core.kernels.KernelBackend`; counter
-        charging stays here with the unit that owns the counters
-        (NV006/NV009) — backends are pure array transformers.  Returns
+        The gather/MAC itself and the tag-match reduction are the pure
+        primitives of :mod:`repro.core.kernels`; counter charging stays
+        here with the unit that owns the counters (NV006/NV009).  Returns
         the stream's events alongside the outputs and addresses: the
         same closed form that charges the components, so the stream
         never has to diff two lifetime snapshots.
@@ -381,9 +386,7 @@ class NovaVectorUnit:
             bank.counters.add("comparator_eval", per_router)
         for mac in self.macs:
             mac.counters.add("mac_op", per_router)
-        tag_matches = np.asarray(
-            self.backend.tag_match_totals(idx, self.schedule.n_beats)
-        )
+        tag_matches = self.backend.tag_match_totals(idx, self.schedule.n_beats)
         pair_captures = np.full(n_routers, per_router, dtype=np.int64)
         self.noc.charge_broadcasts(n_batches, tag_matches, pair_captures)
         lanes = per_router * n_routers

@@ -14,7 +14,6 @@ Installed as ``nova-repro``::
     nova-repro serve-decode --paged  # paged-KV admission capacity study
     nova-repro serve-decode --speculative  # draft-and-verify speedup study
     nova-repro serve-decode --prefix-caching  # shared-prefix residency study
-    nova-repro serve-decode --override kernel_backend=numba  # kernel backend
     nova-repro serve-async       # async front door: policies vs SLOs
     nova-repro serve-async --paged  # same trace, paged-KV memory mode
 
@@ -40,11 +39,8 @@ Overridable fields: ``n_routers``, ``neurons_per_router``,
 geometry and host accelerator.  Passing ``--geometry``/``--override``
 to an experiment that has a fixed, paper-defined geometry is an error.
 
-``--override kernel_backend=NAME`` picks the kernel backend, validated
-against the :data:`repro.core.config.KERNEL_BACKENDS` registry (a typo
-exits 2 listing the known backends).  Every backend is
-bit/cycle/counter exact; ``numba`` falls back to numpy (with a warning)
-when the package is not installed.
+``kernel_backend`` has one legal value, ``numpy``: the kernels are one
+pure numpy path (:mod:`repro.core.kernels`), and any other name exits 2.
 
 ``serve-decode --paged`` swaps the throughput harness for the paged-KV
 memory-utilization study

@@ -389,10 +389,9 @@ def golden_trace(preset_name: str) -> dict:
         "end_live_tokens": shared_pool.live_tokens,
     }
 
-    # The golden pins the preset *geometry*.  Execution-strategy knobs
-    # that are bit/cycle/counter-neutral by contract (and tested so)
-    # are excluded: the same fixture must pass under every kernel
-    # backend without regeneration.
+    # The golden pins the preset *geometry*.  ``kernel_backend`` names
+    # the execution path, which is bit/cycle/counter-neutral by
+    # contract (and tested so), so it stays out of the fixture.
     pinned_config = cfg.to_dict()
     del pinned_config["kernel_backend"]
 

@@ -225,8 +225,8 @@ class TestGeometryFlags:
         assert "unknown NovaConfig field 'draft_kind'" in err
 
     def test_retired_backend_flag_exits_2(self, capsys):
-        """``--override kernel_backend=NAME`` is the one kernel-backend
-        flag; the old ``--backend`` shorthand is an unknown argument."""
+        """``kernel_backend`` is set only through ``--override``; the
+        old ``--backend`` shorthand is an unknown argument."""
         with pytest.raises(SystemExit) as exc:
             main(["serve-decode", "--backend", "numpy"])
         assert exc.value.code == 2

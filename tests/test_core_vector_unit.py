@@ -1,5 +1,8 @@
 """Unit + equivalence tests for the NOVA vector unit."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from repro.approx.pwl import PiecewiseLinear
 from repro.approx.quantize import QuantizedPwl
 from repro.core.config import NovaConfig
 from repro.core.vector_unit import NovaVectorUnit
+from repro.noc.faults import LinkFault
 
 
 def make_unit(n_routers=4, neurons=8, n_segments=16, pe_ghz=1.0, name="gelu",
@@ -127,6 +131,36 @@ class TestValidation:
         unit = make_unit()
         with pytest.raises(ValueError):
             unit.run_stream(np.zeros((2, 3, 8)))
+
+    @pytest.mark.parametrize("entry", [
+        "approximate", "approximate_with_fault", "golden_reference",
+        "run_stream", "run_stream_simulated",
+    ])
+    def test_nan_is_a_typed_error_on_every_path(self, entry):
+        # NaN has no input code: every path raises the table's error
+        # before any counter moves, with no cast warning on the way
+        unit = make_unit(n_routers=2)
+        run = {
+            "approximate": lambda x: unit.approximate(x[1]),
+            "approximate_with_fault": lambda x: unit.approximate_with_fault(
+                x[1], LinkFault(beat_index=0, bit=0)
+            ),
+            "golden_reference": lambda x: unit.golden_reference(x[1]),
+            "run_stream": unit.run_stream,
+            "run_stream_simulated": lambda x: unit.run_stream(
+                x, simulate=True
+            ),
+        }[entry]
+        xs = np.zeros((2, 2, 8))
+        xs[1, 1, 3] = np.nan
+        before = unit._lifetime_counters().as_dict()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                f"table {unit.table.pwl.name!r}: NaN input"
+            )):
+                run(xs)
+        assert unit._lifetime_counters().as_dict() == before
 
 
 class TestVectorizedStream:

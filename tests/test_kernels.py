@@ -1,28 +1,24 @@
-"""Kernel backends: registry, equivalence, and the serving surface.
+"""The kernel path: stream equivalence, code tables, the surface.
 
-The pluggable backends (:mod:`repro.core.kernels`) are an execution
-strategy, never a numerics choice: every backend must produce
-bit-identical outputs, addresses and event-counter totals to the
-beat-level simulation, on every preset geometry, under every serving
-mode.  Four test families pin that contract:
+:mod:`repro.core.kernels` is two pure numpy functions — the whole-batch
+gather/MAC and the closed-form tag-match totals — and the fast path of
+every vector unit.  It is an execution strategy, never a numerics
+choice: its outputs, addresses and event-counter totals must be
+bit-identical to the beat-level simulation on every preset geometry.
+Three test families pin that contract:
 
-* whole-stream equivalence — ``run_stream`` through each installed
-  backend vs ``simulate=True`` on every preset, exact in outputs,
-  addresses and counters, plus a hypothesis property sweeping random
-  stream shapes and out-of-domain values,
-* scheduler-step equivalence — contiguous, paged, prefix-cached and
-  speculative decode runs bit/cycle/counter-identical across backends,
-* the registry — unknown names fail fast with the known list, missing
-  optional dependencies degrade to numpy with a ``RuntimeWarning``,
-  and the config/registry name sets never drift apart,
-* the surface — ``NovaConfig`` validation, ``--override`` parsing, and
-  the launch tallies in ``NovaSession.cache_info()["kernels"]``.
-
-A fifth family pins the code tables the numpy path reads: on every
-reachable input code, every rounding tie, every cut edge and the
-non-finite extremes, the tabulated ``evaluate`` and each backend's
-``table_gather_mac`` equal direct ``lookup`` + MAC bit for bit, and a
-NaN input raises a typed error naming the table.
+* whole-stream equivalence — vectorised ``run_stream`` vs
+  ``simulate=True`` on every preset, byte-exact in outputs and
+  addresses (so a zero's sign bit counts) and exact in counters, plus a
+  hypothesis property sweeping random stream shapes and out-of-domain
+  values,
+* the code tables the gather reads — on every reachable input code,
+  every rounding tie, every cut edge and the non-finite extremes, the
+  tabulated ``evaluate`` and ``table_gather_mac`` equal direct
+  ``lookup`` + MAC bit for bit, and a NaN input raises a typed error
+  naming the table,
+* the surface — ``NovaConfig.kernel_backend`` accepts only ``"numpy"``,
+  and every unit launches both primitives through the one module.
 """
 
 import warnings
@@ -37,24 +33,9 @@ from repro.approx.functions import get_function
 from repro.approx.pwl import PiecewiseLinear
 from repro.approx.quantize import QuantizedPwl
 from repro.core.attention import ATTENTION_FUNCTIONS
-from repro.core.config import KERNEL_BACKENDS, PRESETS, NovaConfig
-from repro.core.decode import (
-    ContinuousBatchScheduler,
-    DecodeRequest,
-    NovaDecodeEngine,
-)
-from repro.core.kernels import (
-    BACKENDS,
-    available_backends,
-    kernel_cache_info,
-    resolve_backend,
-)
-from repro.core.session import NovaSession
-from repro.core.speculative import ScheduledDraft, TruncatedTableDraft
+from repro.core.config import PRESETS, NovaConfig
 from repro.core.vector_unit import NovaVectorUnit
 from repro.utils.fixed_point import FixedPointFormat, Q5_10, Q7_8
-
-INSTALLED = available_backends()
 
 #: Small geometry for the data-heavy tests (tables compile once).
 SMALL = NovaConfig(n_routers=2, neurons_per_router=8)
@@ -64,7 +45,7 @@ _UNIT_CACHE: dict = {}
 
 def make_unit(cfg: NovaConfig, n_segments: int = 16) -> NovaVectorUnit:
     key = (cfg.n_routers, cfg.neurons_per_router, cfg.pe_frequency_ghz,
-           cfg.hop_mm, cfg.kernel_backend, n_segments)
+           cfg.hop_mm, n_segments)
     if key not in _UNIT_CACHE:
         spec = get_function("gelu")
         table = QuantizedPwl(
@@ -74,70 +55,46 @@ def make_unit(cfg: NovaConfig, n_segments: int = 16) -> NovaVectorUnit:
     return _UNIT_CACHE[key]
 
 
-def toy_requests(
-    n: int = 2,
-    prompt_len: int = 6,
-    new_tokens: int = 4,
-    hidden: int = 4,
-    n_heads: int = 2,
-    seed: int = 0,
-) -> list[DecodeRequest]:
-    """Small causal decode requests sharing one set of weights."""
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(hidden)
-    weights = {
-        name: rng.normal(0.0, scale, size=(hidden, hidden))
-        for name in ("wq", "wk", "wv", "wo")
-    }
-    return [
-        DecodeRequest(
-            x=rng.normal(0.0, 1.0, size=(prompt_len, hidden)),
-            n_heads=n_heads,
-            max_new_tokens=new_tokens,
-            max_seq_len=prompt_len + new_tokens + 2,
-            **weights,
-        )
-        for _ in range(n)
-    ]
+def _assert_bit_identical(got, want) -> None:
+    assert np.shape(got) == np.shape(want)
+    assert got.dtype == want.dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # ----------------------------------------------------------------------
-# Whole-stream equivalence: every backend vs the beat-level simulation.
+# Whole-stream equivalence: the vectorised path vs the beat-level
+# simulation, byte for byte.
 # ----------------------------------------------------------------------
 
 
 class TestStreamEquivalence:
     @pytest.mark.parametrize("preset_name", sorted(PRESETS))
-    @pytest.mark.parametrize("backend", INSTALLED)
-    def test_run_stream_matches_simulation(self, backend, preset_name):
-        cfg = PRESETS[preset_name].replace(kernel_backend=backend)
+    def test_run_stream_matches_simulation(self, preset_name):
+        cfg = PRESETS[preset_name]
         unit = make_unit(cfg)
         xs = np.random.default_rng(7).normal(
             0.0, 3.0, size=(4, cfg.n_routers, cfg.neurons_per_router)
         )
         vec = unit.run_stream(xs)
         sim = unit.run_stream(xs, simulate=True)
-        assert np.array_equal(vec.outputs, sim.outputs)
-        assert vec.addresses is not None and sim.addresses is not None
-        assert np.array_equal(vec.addresses, sim.addresses)
+        _assert_bit_identical(vec.outputs, sim.outputs)
+        _assert_bit_identical(vec.addresses, sim.addresses)
         assert vec.counters.as_dict() == sim.counters.as_dict()
         assert vec.total_pe_cycles == sim.total_pe_cycles
 
-    @pytest.mark.parametrize("backend", INSTALLED)
-    def test_out_of_domain_values_clamp_identically(self, backend):
-        unit = make_unit(SMALL.replace(kernel_backend=backend))
+    def test_out_of_domain_values_clamp_identically(self):
+        unit = make_unit(SMALL)
         xs = np.array(
             [[[1e9, -1e9, 0.0, 1e-300, -1e-300, 2.5, -2.5, 0.1]] * 2]
         )
         vec = unit.run_stream(xs)
         sim = unit.run_stream(xs, simulate=True)
-        assert np.array_equal(vec.outputs, sim.outputs)
-        assert np.array_equal(vec.addresses, sim.addresses)
+        _assert_bit_identical(vec.outputs, sim.outputs)
+        _assert_bit_identical(vec.addresses, sim.addresses)
 
-    @pytest.mark.parametrize("backend", INSTALLED)
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_property_vectorised_equals_simulated(self, backend, data):
+    def test_property_vectorised_equals_simulated(self, data):
         n_batches = data.draw(st.integers(1, 4), label="n_batches")
         xs = data.draw(
             hnp.arrays(
@@ -149,11 +106,11 @@ class TestStreamEquivalence:
             ),
             label="xs",
         )
-        unit = make_unit(SMALL.replace(kernel_backend=backend))
+        unit = make_unit(SMALL)
         vec = unit.run_stream(xs)
         sim = unit.run_stream(xs, simulate=True)
-        assert np.array_equal(vec.outputs, sim.outputs)
-        assert np.array_equal(vec.addresses, sim.addresses)
+        _assert_bit_identical(vec.outputs, sim.outputs)
+        _assert_bit_identical(vec.addresses, sim.addresses)
         assert vec.counters.as_dict() == sim.counters.as_dict()
 
     def test_simulate_path_populates_addresses(self):
@@ -231,12 +188,6 @@ def _direct(table: QuantizedPwl, x) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _assert_bit_identical(got, want) -> None:
-    assert np.shape(got) == np.shape(want)
-    assert got.dtype == want.dtype
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
 class TestCodeTables:
     @pytest.mark.parametrize("name", sorted(CODE_TABLES))
     def test_size_test_picks_the_tabulated_path(self, name):
@@ -253,150 +204,31 @@ class TestCodeTables:
             assert not addresses.flags.writeable
 
     @pytest.mark.parametrize("name", sorted(CODE_TABLES))
-    @pytest.mark.parametrize("backend", INSTALLED)
-    def test_exhaustive_equivalence_with_direct_lookup_mac(
-        self, backend, name
-    ):
+    def test_exhaustive_equivalence_with_direct_lookup_mac(self, name):
         table, _ = CODE_TABLES[name]
-        kernel = resolve_backend(backend)
         xs = _probe_inputs(table)
         for x in (xs, xs.reshape(1, 1, -1), np.float64(-0.0),
                   np.array(0.5), np.empty(0), np.empty((2, 0, 3))):
             outputs, addresses = _direct(table, x)
             _assert_bit_identical(table.evaluate(x), outputs)
-            got, got_addresses = kernel.table_gather_mac(table, x)
-            if backend != "numpy":
-                # the numba kernel rounds in float, so a zero output
-                # may carry a sign bit the fixed-point path never sets
-                got = got + 0.0
+            got, got_addresses = kernels.table_gather_mac(table, x)
             _assert_bit_identical(got, outputs)
             _assert_bit_identical(got_addresses, addresses)
 
     @pytest.mark.parametrize("name", sorted(CODE_TABLES))
     def test_nan_input_raises_a_typed_error(self, name):
         table, _ = CODE_TABLES[name]
-        kernel = resolve_backend("numpy")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for x in (np.array([0.0, np.nan]), np.nan):
                 with pytest.raises(ValueError, match=table.pwl.name):
                     table.evaluate(x)
                 with pytest.raises(ValueError, match="NaN"):
-                    kernel.table_gather_mac(table, np.asarray(x))
+                    kernels.table_gather_mac(table, np.asarray(x))
 
 
 # ----------------------------------------------------------------------
-# Scheduler-step equivalence across backends, under every serving mode.
-# ----------------------------------------------------------------------
-
-
-def _run_mode(cfg: NovaConfig, mode: str):
-    engine = NovaDecodeEngine(cfg.replace(kv_block_size=4))
-    requests = toy_requests()
-    if mode == "contiguous":
-        sched = ContinuousBatchScheduler(engine)
-    elif mode == "paged":
-        sched = ContinuousBatchScheduler(engine, paged=True)
-    elif mode == "prefix-cached":
-        sched = ContinuousBatchScheduler(
-            engine, paged=True, prefix_caching=True
-        )
-    else:
-        raise AssertionError(mode)
-    return sched.run(requests)
-
-
-@pytest.mark.parametrize("mode", ["contiguous", "paged", "prefix-cached"])
-@pytest.mark.parametrize(
-    "backend", [name for name in INSTALLED if name != "numpy"]
-)
-def test_scheduler_steps_bit_exact_across_backends(backend, mode):
-    want = _run_mode(SMALL.replace(kernel_backend="numpy"), mode)
-    got = _run_mode(SMALL.replace(kernel_backend=backend), mode)
-    for ref, out in zip(want.results, got.results):
-        assert np.array_equal(out.generated, ref.generated)
-        assert np.array_equal(out.prefill.outputs, ref.prefill.outputs)
-        assert out.vector_cycles == ref.vector_cycles
-        assert out.counters.as_dict() == ref.counters.as_dict()
-    assert got.packed_vector_cycles == want.packed_vector_cycles
-
-
-@pytest.mark.parametrize(
-    "backend", [name for name in INSTALLED if name != "numpy"]
-)
-def test_speculative_decode_bit_exact_across_backends(backend):
-    """A linear chain and a tree (whose levels draft in one batched
-    call each) stay bit-exact on every backend."""
-    request = toy_requests(n=1)[0]
-
-    def runs(name):
-        cfg = SMALL.replace(kernel_backend=name)
-        session = NovaSession(cfg)
-        return (
-            session.generate(
-                request,
-                speculative=True,
-                draft=ScheduledDraft(cfg, (True, False, True)),
-            ),
-            session.generate(
-                request,
-                speculative=True,
-                spec_tree="4x1,2x1",
-                draft=TruncatedTableDraft(cfg, fidelity=0.45),
-            ),
-        )
-
-    for want, got in zip(runs("numpy"), runs(backend)):
-        assert np.array_equal(got.generated, want.generated)
-        assert got.vector_cycles == want.vector_cycles
-        assert got.counters.as_dict() == want.counters.as_dict()
-
-
-# ----------------------------------------------------------------------
-# The registry: names, fallback, and the config pin.
-# ----------------------------------------------------------------------
-
-
-class TestRegistry:
-    def test_registry_and_config_names_never_drift(self):
-        assert set(BACKENDS) == set(KERNEL_BACKENDS)
-
-    def test_unknown_backend_lists_the_registry(self):
-        with pytest.raises(ValueError, match="numba.*numpy"):
-            resolve_backend("bogus")
-
-    def test_numpy_always_available(self):
-        assert "numpy" in INSTALLED
-
-    def test_available_backends_is_a_registry_subset(self):
-        assert set(INSTALLED) <= set(BACKENDS)
-
-    def test_resolved_instances_are_memoised(self):
-        assert resolve_backend("numpy") is resolve_backend("numpy")
-
-    @pytest.mark.parametrize("missing", ["numba"])
-    def test_missing_optional_dep_degrades_to_numpy(self, missing):
-        if missing in INSTALLED:
-            pytest.skip(f"{missing} is installed in this process")
-        kernels._INSTANCES.pop(missing, None)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            backend = resolve_backend(missing)
-        assert backend.name == "numpy"
-        # the fallback is memoised too: the warning fires once
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_backend(missing).name == "numpy"
-        kernels._INSTANCES.pop(missing, None)
-
-    def test_fallback_instances_do_not_count_as_available(self):
-        for name in BACKENDS:
-            cached = kernels._INSTANCES.get(name)
-            if cached is not None and cached.name != name:
-                assert name not in available_backends()
-
-
-# ----------------------------------------------------------------------
-# The surface: config validation, overrides, session cache_info.
+# The surface: config validation, overrides, the one launch point.
 # ----------------------------------------------------------------------
 
 
@@ -411,42 +243,15 @@ class TestSurface:
             NovaConfig(n_routers=2, neurons_per_router=8, kernel_backend=3)
 
     def test_override_parses_the_knob(self):
-        cfg = SMALL.with_overrides(["kernel_backend=numba"])
-        assert cfg.kernel_backend == "numba"
-        with pytest.raises(ValueError):
-            SMALL.with_overrides(["kernel_backend=bogus"])
+        cfg = SMALL.with_overrides(["kernel_backend=numpy"])
+        assert cfg.kernel_backend == "numpy"
+        assert NovaConfig.from_dict(cfg.to_dict()) == cfg
+        for name in ("numba", "bogus"):
+            with pytest.raises(ValueError, match="kernel_backend"):
+                SMALL.with_overrides([f"kernel_backend={name}"])
 
-    def test_unit_resolves_the_configured_backend(self):
-        for name in INSTALLED:
-            unit = make_unit(SMALL.replace(kernel_backend=name))
-            assert unit.backend.name == name
-
-    def test_unavailable_backend_resolves_to_numpy_on_the_unit(self):
-        if "numba" in INSTALLED:
-            pytest.skip("numba is installed in this process")
-        kernels._INSTANCES.pop("numba", None)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            unit = make_unit(SMALL.replace(kernel_backend="numba"))
-        assert unit.backend.name == "numpy"
-        kernels._INSTANCES.pop("numba", None)
-
-    def test_session_cache_info_surfaces_kernel_stats(self):
-        session = NovaSession(SMALL)
-        info = session.cache_info()["kernels"]
-        assert info["registered"] == sorted(BACKENDS)
-        assert set(info["available"]) == set(INSTALLED)
-        before = info["backends"].get("numpy", {}).get("launches", 0)
-        session.generate(toy_requests(n=1)[0])
-        after = session.cache_info()["kernels"]["backends"]["numpy"]
-        assert after["launches"] > before
-        assert after["elements"] > 0
-
-    def test_kernel_cache_info_stats_are_copies(self):
-        resolve_backend("numpy")
-        info = kernel_cache_info()
-        for stats in info["backends"].values():
-            stats["launches"] = -1
-        fresh = kernel_cache_info()
-        assert all(
-            stats["launches"] >= 0 for stats in fresh["backends"].values()
-        )
+    def test_units_launch_through_the_kernels_module(self):
+        # one attribute every launch goes through, so tracing can wrap
+        # both primitives; the module itself is stateless
+        assert make_unit(SMALL).backend is kernels
+        assert kernels.__all__ == ["table_gather_mac", "tag_match_totals"]

@@ -146,14 +146,13 @@ FIXTURES = [
     (
         "NV009",
         "repro/core/kernels.py",
-        "def table_gather_mac(self, unit, xs):\n"
+        "def table_gather_mac(unit, xs):\n"
         "    out = unit.table.lookup(xs)\n"
         "    unit.counters.add('mac_op', out.size)\n"
         "    unit.noc.charge_broadcasts(1, [out.size])\n"
         "    return out\n",
-        "def table_gather_mac(self, table, xs):\n"
-        "    slopes, biases, idx = table.gather(xs)\n"
-        "    return table.output_format.mac(slopes, xs, biases), idx\n",
+        "def table_gather_mac(table, xs):\n"
+        "    return table.gather_mac(xs)\n",
     ),
 ]
 
