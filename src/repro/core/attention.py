@@ -57,6 +57,7 @@ decode loop of any length adds zero table-cache misses (pinned by
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,22 +97,25 @@ class AttentionLayerResult:
 
 
 def pack_lane_stream(
-    flat: np.ndarray, shape: tuple[int, int]
+    parts: Sequence[np.ndarray], shape: tuple[int, int]
 ) -> tuple[np.ndarray, int]:
-    """Pack a flat query stream into whole lane batches, zero-padding
-    the tail.
+    """Pack a query stream into whole lane batches, zero-padding the
+    tail.
 
-    ``shape`` is the lane grid ``(n_routers, n_neurons)``; returns
-    ``(batches, n_batches)`` with ``batches`` shaped
-    ``(n_batches, n_routers, n_neurons)``.  The pad value (0.0) is part
-    of the accounting contract: padded lanes look up the table's
-    zero-address, which the serving engine's per-request closed form
-    reproduces.
+    The stream is ``parts`` back to back, each flattened in C order;
+    they are written once, straight into the padded lane buffer, with
+    no intermediate flat copy.  ``shape`` is the lane grid
+    ``(n_routers, n_neurons)``; returns ``(batches, n_batches)`` with
+    ``batches`` shaped ``(n_batches, n_routers, n_neurons)``.  The pad
+    value (0.0) is part of the accounting contract: padded lanes look
+    up the table's zero-address, which the serving engine's
+    per-request closed form reproduces.
     """
     lanes = shape[0] * shape[1]
-    n_batches = -(-len(flat) // lanes)
+    n = sum(part.size for part in parts)
+    n_batches = -(-n // lanes)
     padded = np.zeros(n_batches * lanes)
-    padded[: len(flat)] = flat
+    np.concatenate(parts, axis=None, out=padded[:n])
     return padded.reshape(n_batches, *shape), n_batches
 
 
@@ -226,14 +230,14 @@ class NovaAttentionEngine:
         Returns (results, vector_cycles).
         """
         unit = self.units[function]
-        flat = np.asarray(values, dtype=np.float64).reshape(-1)
-        batches, n_batches = pack_lane_stream(flat, self._shape)
+        values = np.asarray(values, dtype=np.float64)
+        batches, n_batches = pack_lane_stream([values], self._shape)
         # simulate=True: this engine is the cycle-accurate reference the
         # batched serving engine is validated against, so its queries go
         # through the beat-level NoC model rather than the vectorised path.
         stream = unit.run_stream(batches, simulate=True)
-        out = stream.outputs.reshape(-1)[: len(flat)]
-        return out.reshape(np.asarray(values).shape), n_batches
+        out = stream.outputs.reshape(-1)[: values.size]
+        return out.reshape(values.shape), n_batches
 
     def softmax(self, scores: np.ndarray) -> tuple[np.ndarray, int]:
         """Hardware softmax over the last axis.

@@ -241,15 +241,17 @@ class BatchedNovaAttentionEngine:
 
         Each group is a sequence of same-shaped member arrays (requests
         or tokens): a list, or an array whose first axis indexes the
-        members.  Every group is stacked straight into its slice of one
-        flat stream, back to back, and only the stream's final batch is
-        padded.  Returns ``(outputs, sizes, tag_sums,
-        packed_vector_cycles)``: ``outputs[g]`` is a view of the stream
-        shaped ``(len(groups[g]), *member_shape)``; ``sizes`` and
-        ``tag_sums`` hold, per member in packed order, its query count
-        and the sum of ``address & (n_beats - 1)`` over its queries
-        (the addresses are a free by-product of the vectorised stream)
-        — the inputs of :meth:`_sequential_counters`.
+        members.  The groups are written back to back into the lane
+        buffer in one copy (:func:`~repro.core.attention.
+        pack_lane_stream`): an array group as one part, a list group
+        member by member, so no group is stacked first.  Only the
+        stream's final batch is padded.  Returns ``(outputs, sizes,
+        tag_sums, packed_vector_cycles)``: ``outputs[g]`` is a view of
+        the stream shaped ``(len(groups[g]), *member_shape)``;
+        ``sizes`` and ``tag_sums`` hold, per member in packed order, its
+        query count and the sum of ``address & (n_beats - 1)`` over its
+        queries (the addresses are a free by-product of the vectorised
+        stream) — the inputs of :meth:`_sequential_counters`.
         """
         shapes = [(len(group), *np.shape(group[0])) for group in groups]
         sizes = np.repeat(
@@ -257,16 +259,17 @@ class BatchedNovaAttentionEngine:
             [shape[0] for shape in shapes],
         )
         bounds = np.cumsum([0, *(math.prod(shape) for shape in shapes)])
-        flat = np.empty(int(bounds[-1]))
-        for group, shape, start, stop in zip(
-            groups, shapes, bounds, bounds[1:]
-        ):
-            np.stack(group, out=flat[start:stop].reshape(shape))
+        parts: list[np.ndarray] = []
+        for group in groups:
+            if isinstance(group, np.ndarray):
+                parts.append(group)
+            else:
+                parts.extend(group)
         self.unit.retarget(self.tables[function])
-        batches, n_batches = pack_lane_stream(flat, self._shape)
+        batches, n_batches = pack_lane_stream(parts, self._shape)
         stream = self.unit.run_stream(batches)
         out = stream.outputs.reshape(-1)
-        addresses = stream.addresses.reshape(-1)[: len(flat)]
+        addresses = stream.addresses.reshape(-1)[: bounds[-1]]
         starts = np.cumsum(sizes) - sizes
         tag_sums = np.add.reduceat(
             beat_of_address(addresses, self.unit.schedule.n_beats), starts

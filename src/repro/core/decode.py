@@ -53,8 +53,8 @@ of every numerically sensitive step.  Per token, both paths run
 4. :func:`~repro.core.attention.softmax_reduction` /
    :func:`~repro.core.attention.assemble_probabilities` on the token's
    own ``(heads, kv_len)`` row, and
-5. :func:`context_for_query` — the context GEMV over a contiguous
-   snapshot of the cached values.
+5. :func:`context_for_query` — the context GEMV over the cached
+   values (a view of the row store, or a copy under a sliding window).
 
 Cycle/counter accounting mirrors the batched engine: each
 prefill/decode *job* reports the sequential-equivalent cost a dedicated
@@ -322,13 +322,19 @@ class KVCache:
         self.length -= n
 
     def values_snapshot(self, kv_len: int) -> np.ndarray:
-        """Contiguous copy of the first ``kv_len`` cached values.
+        """Contiguous copy of the first ``kv_len`` cached values,
+        ``(n_heads, kv_len, head_dim)``.
 
-        The decode engines' deferred-snapshot hook: one copy out of the
-        row store, the same for every cache class, so every decode path
-        runs its context GEMV over byte-identical ``(n_heads, kv_len,
-        head_dim)`` arrays.
+        A copy outlives later evictions, which shift rows in place:
+        decode plans a windowed cache's context this way.  Append-only
+        caches are read through :attr:`values` instead.  Raises
+        ``ValueError`` unless ``0 <= kv_len <= length``: rows past the
+        live span were never written or were rolled back.
         """
+        if not 0 <= kv_len <= self.length:
+            raise ValueError(
+                f"cannot snapshot {kv_len} of {self.length} cached values"
+            )
         return self._v[:, :kv_len].copy()
 
     def fork(self) -> "KVCache":
@@ -449,18 +455,26 @@ def project_token(
     wv: np.ndarray,
     n_heads: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One token's q/k/v projections, split by head.
+    """q/k/v projections of one token or of a run of rows, split by head.
 
-    ``x_t`` is ``(hidden,)``; returns ``(q, k, v)`` each of shape
-    ``(n_heads, head_dim)``.  This vector-matrix form is the decode
-    granularity; the causal prefill uses it too so that every path
-    produces bit-identical projections.
+    ``x_t`` is one token, ``(hidden,)``, or rows of tokens, ``(rows,
+    hidden)``; returns ``(q, k, v)`` each of shape ``(n_heads,
+    head_dim)`` or ``(rows, n_heads, head_dim)``.  Every row is
+    projected as its own vector-matrix product (the decode
+    granularity): ``x_t[..., None, :] @ w`` is a stack of ``(1,
+    hidden)`` rows, and numpy's stacked matmul runs one gemv per row,
+    the kernel a lone token runs.  So row ``i`` of a prompt projected
+    in one call is byte-identical to projecting that row alone, which
+    is what lets the causal prefill project its whole prompt at once.
+    A 2-D ``x @ w`` would run gemm instead, whose blocking can differ
+    from gemv in the last bit.
     """
-    hidden = x_t.shape[0]
-    head_dim = hidden // n_heads
-    q = (x_t @ wq).reshape(n_heads, head_dim)
-    k = (x_t @ wk).reshape(n_heads, head_dim)
-    v = (x_t @ wv).reshape(n_heads, head_dim)
+    lead = x_t.shape[:-1]
+    head_dim = x_t.shape[-1] // n_heads
+    rows = x_t[..., None, :]
+    q = (rows @ wq).reshape(*lead, n_heads, head_dim)
+    k = (rows @ wk).reshape(*lead, n_heads, head_dim)
+    v = (rows @ wv).reshape(*lead, n_heads, head_dim)
     return q, k, v
 
 
@@ -479,9 +493,13 @@ def scores_for_query(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
 def context_for_query(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Merged per-token attention context.
 
-    ``probs`` is ``(n_heads, kv_len)``, ``values`` a *contiguous*
-    ``(n_heads, kv_len, head_dim)`` snapshot; returns the head-merged
-    ``(n_heads * head_dim,)`` context row.
+    ``probs`` is ``(n_heads, kv_len)`` and ``values`` ``(n_heads,
+    kv_len, head_dim)``; returns the head-merged ``(n_heads *
+    head_dim,)`` context row.  ``values`` may be a view of a row store
+    with spare rows: the matmul runs one gemv per head, and each head's
+    slice is row-major with unit column stride whether or not the store
+    has rows past ``kv_len``, so the view and a contiguous copy give
+    byte-identical contexts.
     """
     context = (probs[:, None, :] @ values)[:, 0, :]
     return context.reshape(-1)
@@ -700,28 +718,26 @@ class _TokenPlan:
         self.position = position
         self.span_start = span_start
         self.shifted = shifted      # (heads, kv_len), max-subtracted scores
-        self._values = values       # eager contiguous snapshot (windowed)
-        self._cache = cache         # deferred snapshot source (append-only)
+        self._values = values       # eager copy (windowed caches)
+        self._cache = cache         # row store read at use (append-only)
         self._kv_len = kv_len
 
     def take_values(self) -> np.ndarray:
-        """The contiguous ``(heads, kv_len, head_dim)`` value snapshot
-        this token attends to.
+        """The ``(heads, kv_len, head_dim)`` values this token attends to.
 
-        Windowed caches evict between appends, so their snapshot is
-        copied eagerly at plan time.  Append-only caches
-        (``window=None``) never mutate rows ``< kv_len`` between
-        planning and execution (jobs always execute in the same step
-        they were planned), so the copy is deferred to use — one
-        ``O(kv_len)`` allocation live at a time instead of
-        ``O(prompt_len^2)`` held across a whole prefill job.  Both
-        forms produce byte-identical arrays — via
-        ``values_snapshot`` on either the contiguous or the paged
-        cache — so the bit-exactness contract is unaffected.
+        Windowed caches evict between appends, and eviction shifts
+        rows, so their values are copied at plan time.  Append-only
+        caches (``window=None``) never change rows ``< kv_len`` between
+        planning and execution (a job executes in the step that planned
+        it), so they are read at use as a view of the row store, with
+        no copy.  The store may have grown (moved) since planning,
+        which is why the view is taken here and not at plan time.  A
+        view and a copy give byte-identical contexts (see
+        :func:`context_for_query`).
         """
         if self._values is not None:
             return self._values
-        return self._cache.values_snapshot(self._kv_len)
+        return self._cache.values[:, : self._kv_len]
 
     def release(self) -> None:
         self.shifted = self._values = self._cache = None
@@ -910,36 +926,46 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
                 f"got {x_t.shape[0]}"
             )
         q, k, v = project_token(x_t, req.wq, req.wk, req.wv, req.n_heads)
-        state.cache.append(k, v)
-        scores = scores_for_query(q, state.cache.keys)
-        # The context GEMV runs on a contiguous snapshot of the cached
-        # values (copying pins both the values and the exact memory
-        # layout every path sees); see _TokenPlan.take_values for when
-        # that copy is eager vs deferred.
-        if state.cache.window is None:
-            snapshot = dict(cache=state.cache, kv_len=state.cache.length)
+        return self._stage_row(state, q, k, v)
+
+    def _stage_row(
+        self, state: DecodeState, q: np.ndarray, k: np.ndarray, v: np.ndarray
+    ) -> _TokenPlan:
+        """Append one projected row to the cache, stage its softmax row."""
+        cache = state.cache
+        cache.append(k, v)
+        scores = scores_for_query(q, cache.keys)
+        # See _TokenPlan.take_values: a windowed cache's values are
+        # copied now, an append-only cache's are read at use.
+        if cache.window is None:
+            values = dict(cache=cache, kv_len=cache.length)
         else:
-            snapshot = dict(
-                values=state.cache.values_snapshot(state.cache.length)
-            )
+            values = dict(values=cache.values_snapshot(cache.length))
         plan = _TokenPlan(
             position=state.position,
-            span_start=state.cache.start_position,
+            span_start=cache.start_position,
             shifted=shift_scores(scores),
-            **snapshot,
+            **values,
         )
         state.position += 1
         return plan
 
     def _plan_prefill(self, state: DecodeState) -> _Job:
-        """Stage the whole prompt as one job (packed hardware streams)."""
+        """Stage the whole prompt as one job (packed hardware streams).
+
+        The prompt is projected in one :func:`project_token` call (one
+        gemv per row, byte-identical to projecting each row alone),
+        then appended and staged row by row.
+        """
         if state.position != 0 or state.cache.length != 0:
             raise RuntimeError(
                 "prefill must run on a fresh DecodeState (position "
                 f"{state.position}, {state.cache.length} cached tokens)"
             )
+        req = state.request
+        q, k, v = project_token(req.x, req.wq, req.wk, req.wv, req.n_heads)
         tokens = [
-            self._plan_token(state, row) for row in state.request.x
+            self._stage_row(state, *row) for row in zip(q, k, v)
         ]
         return _Job(state, tokens)
 
@@ -1022,7 +1048,7 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
         job_queries = (job_exp_sizes + job_recip_sizes).tolist()
 
         # Host assembly: the context GEMVs stay per token (each attends
-        # to its own value snapshot), as does result wrapping.
+        # to its own span of the values), as does result wrapping.
         results: list[_JobResult] = []
         token_index = 0
         for jnum, job in enumerate(jobs):

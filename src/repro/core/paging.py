@@ -49,10 +49,11 @@ Numerics contract
 -----------------
 The reservation policy changes only **what the pool charges**, never
 where rows live or their values.  Every cache keeps its live span in
-its own contiguous store, so ``keys`` / ``values`` are views and
-``values_snapshot`` is one copy, on the same code path for every
-policy; every downstream GEMV (scores, context) is bit-exact between
-the two policies.  The equivalence gate in ``tests/test_paging.py``
+its own contiguous store, and the decode engines read it through the
+``keys`` / ``values`` views (``values_snapshot`` copies, for windowed
+caches only), on the same code path for every policy; every
+downstream GEMV (scores, context) is bit-exact between the two
+policies.  The equivalence gate in ``tests/test_paging.py``
 pins this per Table II preset, and the golden traces prove the
 cycle/counter accounting is untouched.
 
@@ -600,7 +601,7 @@ class PagedKVCache(KVCache):
 
     The rows live in the cache's own row store, exactly as in the
     contiguous cache (same ``keys`` / ``values`` views, same
-    ``values_snapshot`` copy, same eviction shift); ``n_heads`` /
+    ``values_snapshot``, same eviction shift); ``n_heads`` /
     ``head_dim`` come from the pool.  What the class adds is the
     pool accounting, all of it on the memory side:
 

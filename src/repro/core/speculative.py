@@ -204,8 +204,9 @@ def host_level_outputs(
     code, then read the tabulated output), not a search and a MAC.
     All of these are element-wise or reduce along the last axis only,
     so each row is bit-identical to evaluating it alone.  The context
-    GEMV and output projection run per row; each branch's value
-    snapshot is taken once and dropped after its alternatives.
+    GEMV and output projection run per row, over a view of the
+    branch's cached values (no copy; see
+    :func:`~repro.core.decode.context_for_query`).
     """
     raw = exp_table.evaluate(np.stack([b.shifted for b in branches]))
     rows = [
@@ -221,7 +222,7 @@ def host_level_outputs(
     probs = iter(assemble_probabilities(numer, inv, exponent))
     outputs: list[list[np.ndarray]] = []
     for branch, alternatives in zip(branches, drop_bits):
-        values = branch.cache.values_snapshot(branch.cache.length)
+        values = branch.cache.values
         outputs.append([
             context_for_query(next(probs), values) @ request.wo
             for _ in alternatives

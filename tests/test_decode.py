@@ -233,8 +233,7 @@ def simulated_job_counters(engine, config, shifted_rows):
     """
     unit = NovaVectorUnit(engine.tables["exp"], config)
     before = unit._lifetime_counters()
-    flat = np.concatenate([s.reshape(-1) for s in shifted_rows])
-    batches, _ = pack_lane_stream(flat, config.lane_shape)
+    batches, _ = pack_lane_stream(shifted_rows, config.lane_shape)
     raw = unit.run_stream(batches, simulate=True).outputs.reshape(-1)
     mantissas, offset = [], 0
     for shifted in shifted_rows:
@@ -244,9 +243,7 @@ def simulated_job_counters(engine, config, shifted_rows):
         mantissas.append(mantissa.reshape(-1))
         offset += shifted.size
     unit.retarget(engine.tables["reciprocal"])
-    batches, _ = pack_lane_stream(
-        np.concatenate(mantissas), config.lane_shape
-    )
+    batches, _ = pack_lane_stream(mantissas, config.lane_shape)
     unit.run_stream(batches, simulate=True)
     return unit._lifetime_counters().diff(before)
 

@@ -7,17 +7,34 @@ switching are pinned next to the engines they belong to, in
 * counter bags convert from int64 vectors over the fixed
   ``OVERLAY_EVENTS`` index without losing or inventing an event;
 * FCFS admits arrived requests in submission order, even when they
-  arrive out of that order.
+  arrive out of that order;
+* the copies the decode step no longer makes are bit-identity
+  properties, probed byte for byte (dtype, shape and ``tobytes()``):
+  a prompt projected in one call against one call per row, a context
+  GEMV over a view of a row store with spare rows against the same
+  values copied, and a lane stream packed in one copy against
+  concatenate-then-pad;
+* ``values_snapshot`` reads only the live span, on every cache class.
 """
 
-import numpy as np
+import math
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core import decode
+from repro.core.attention import pack_lane_stream
 from repro.core.config import NovaConfig
 from repro.core.decode import (
     ContinuousBatchScheduler,
+    KVCache,
     NovaDecodeEngine,
     SequenceMeta,
+    context_for_query,
+    project_token,
 )
+from repro.core.paging import BlockPool, PagedKVCache, ReservedKVCache
 from repro.noc.stats import OVERLAY_EVENTS, EventCounters
 from repro.serving.policies import FCFS
 from repro.workloads.transformer import TransformerConfig, decode_request
@@ -25,14 +42,14 @@ from repro.workloads.transformer import TransformerConfig, decode_request
 SMALL = NovaConfig(n_routers=2, neurons_per_router=8)
 
 
-def toy_request(prompt_len=4, max_new_tokens=3, seed=0):
+def toy_request(prompt_len=4, max_new_tokens=3, seed=0, window=None):
     model = TransformerConfig(
         "toy", layers=1, hidden=16, heads=2, intermediate=64, seq_len=64,
         causal=True,
     )
     return decode_request(
         model, prompt_len=prompt_len, max_new_tokens=max_new_tokens,
-        seed=seed,
+        seed=seed, window=window,
     )
 
 
@@ -65,3 +82,156 @@ class TestAdmissionOrder:
         # arrived, so submission order (0 before 2) decides.
         steps = result.first_token_steps
         assert steps[1] < steps[0] < steps[2]
+
+
+def assert_same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+#: (hidden, heads) of the probed projections: the toy model, two small
+#: ones and GPT-2's width.
+PROJECTION_SHAPES = [(16, 2), (64, 4), (128, 4), (768, 12)]
+
+
+class TestBitIdentityProbes:
+    @given(
+        shape=st.sampled_from(PROJECTION_SHAPES),
+        n=st.integers(min_value=1, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @example(shape=(16, 2), n=2, seed=0)
+    @example(shape=(768, 12), n=64, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_projecting_rows_matches_one_call_per_row(self, shape, n, seed):
+        """A prompt projected in one call gives, row for row, the bytes
+        of projecting each row alone: a stack of gemvs, not a gemm."""
+        hidden, heads = shape
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, hidden))
+        w = rng.standard_normal((3, hidden, hidden)) / math.sqrt(hidden)
+        rows = project_token(x, *w, heads)
+        for i in range(n):
+            for got, want in zip(rows, project_token(x[i], *w, heads)):
+                assert_same_bytes(got[i], want)
+
+    @given(
+        heads=st.integers(min_value=1, max_value=12),
+        head_dim=st.integers(min_value=8, max_value=64),
+        kv_len=st.integers(min_value=1, max_value=257),
+        spare=st.integers(min_value=0, max_value=39),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_context_over_a_store_view_matches_a_copy(
+        self, heads, head_dim, kv_len, spare, seed
+    ):
+        """The context GEMV reads the row store's live span as a view
+        (strided past spare rows) and gives the bytes of a copy."""
+        rng = np.random.default_rng(seed)
+        store = rng.standard_normal((heads, kv_len + spare, head_dim))
+        view = store[:, :kv_len]
+        probs = rng.random((heads, kv_len))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        assert_same_bytes(
+            context_for_query(probs, view),
+            context_for_query(probs, view.copy()),
+        )
+
+    @given(
+        groups=st.lists(
+            st.tuples(
+                st.booleans(),                           # array group?
+                st.integers(min_value=1, max_value=5),   # members
+                st.lists(
+                    st.integers(min_value=1, max_value=7),
+                    min_size=0, max_size=2,
+                ),                                       # member shape
+            ),
+            min_size=1, max_size=5,
+        ),
+        lane_shape=st.sampled_from([(1, 1), (2, 8), (3, 5), (4, 16)]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_packing_matches_concatenate_then_pad(
+        self, groups, lane_shape, seed
+    ):
+        """Mixed groups (arrays passed whole, lists member by member, as
+        ``_run_packed`` passes them) pack to the bytes of the old
+        concatenate-then-pad stream, zero tail included."""
+        rng = np.random.default_rng(seed)
+        parts, flat = [], []
+        for is_array, members, member_shape in groups:
+            group = rng.standard_normal((members, *member_shape))
+            if is_array:
+                parts.append(group)
+            else:
+                parts.extend(list(group))
+            flat.append(np.stack(list(group)).reshape(-1))
+        flat = np.concatenate(flat)
+        lanes = lane_shape[0] * lane_shape[1]
+        n_batches = -(-len(flat) // lanes)
+        expected = np.zeros(n_batches * lanes)
+        expected[: len(flat)] = flat
+        batches, got_batches = pack_lane_stream(parts, lane_shape)
+        assert got_batches == n_batches
+        assert_same_bytes(batches, expected.reshape(n_batches, *lane_shape))
+        assert not batches.reshape(-1)[len(flat):].any()
+
+
+def _pool():
+    return BlockPool(n_heads=2, head_dim=4, block_size=4, n_blocks=8)
+
+
+CACHES = {
+    "KVCache": lambda: KVCache(2, 4, capacity=10),
+    "PagedKVCache": lambda: PagedKVCache(_pool(), capacity=10),
+    "ReservedKVCache": lambda: ReservedKVCache(_pool(), capacity=10),
+}
+
+
+class TestValuesSnapshotBounds:
+    @pytest.mark.parametrize("kind", CACHES)
+    def test_only_the_live_span_is_readable(self, kind):
+        """A 3-row cache in a 10-row store: rows never written, negative
+        lengths and rolled-back rows are all rejected."""
+        cache = CACHES[kind]()
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            cache.append(rng.standard_normal((2, 4)), rng.standard_normal((2, 4)))
+        for kv_len in (cache.length + 1, -1, 10):
+            with pytest.raises(ValueError, match="cannot snapshot"):
+                cache.values_snapshot(kv_len)
+        assert cache.values_snapshot(0).shape == (2, 0, 4)
+        assert_same_bytes(cache.values_snapshot(3), cache.values.copy())
+        cache.truncate(1)
+        with pytest.raises(ValueError, match="cannot snapshot 3 of 2"):
+            cache.values_snapshot(3)
+        assert_same_bytes(cache.values_snapshot(2), cache.values.copy())
+
+
+class TestNoCopyPlanning:
+    @pytest.mark.parametrize("window", [None, 3])
+    def test_prefill_projects_once_and_reads_values_by_view(
+        self, window, monkeypatch
+    ):
+        """One projection call per prompt; an append-only cache's values
+        are read in place, a windowed cache's are copied at plan time."""
+        engine = NovaDecodeEngine(SMALL)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return project_token(*args)
+
+        monkeypatch.setattr(decode, "project_token", counting)
+        state = engine.start(toy_request(prompt_len=5, window=window))
+        job = engine._plan_prefill(state)
+        assert calls == [(5, 16)]
+        for token in job.tokens:
+            values = token.take_values()
+            assert np.shares_memory(values, state.cache.values) == (
+                window is None
+            )
