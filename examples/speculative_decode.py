@@ -20,13 +20,17 @@ output bit for bit, the generated tokens are identical to plain
    verification passes of different requests fused per scheduler step,
    rollback returning blocks to the pool.
 
+Below the session there is one decode engine, and the draft tree is a
+per-call argument: ``session.decoder.generate(request, tree="1x4")``
+is what ``speculative=True`` runs, and ``tree=None`` is plain decode.
+
 Run:  python examples/speculative_decode.py
 """
 
 import numpy as np
 
 from repro import BlockPool, NovaSession
-from repro.core.speculative import SpeculativeDecodeEngine, TruncatedTableDraft
+from repro.core.speculative import TruncatedTableDraft
 from repro.workloads import TransformerConfig, decode_request, decode_batch
 
 
@@ -82,12 +86,13 @@ def main() -> None:
 
     # Rollback accounting detail: a speculative run over an explicit
     # pool frees rejected drafts' blocks through the same path window
-    # eviction uses.
+    # eviction uses.  The engine takes the draft tree per call.
     pool = BlockPool(request.n_heads, request.head_dim,
                      session.config.kv_block_size, n_blocks=4)
-    engine = SpeculativeDecodeEngine(session.decoder)
+    engine = session.decoder
     result = engine.generate(
-        request, state=engine.start(request, pool=pool), draft=noisy
+        request, state=engine.start(request, pool=pool), draft=noisy,
+        tree=session.config.spec_tree,
     )
     assert np.array_equal(result.generated, plain.generated)
     print(f"explicit pool: {result.rolled_back_tokens} tokens rolled back, "

@@ -67,7 +67,6 @@ from repro.core import (
     BlockPool,
     PagedKVCache,
     ContinuousBatchScheduler,
-    SpeculativeDecodeEngine,
     NGramDraft,
     TruncatedTableDraft,
     NovaMapper,
@@ -114,7 +113,6 @@ __all__ = [
     "BlockPool",
     "PagedKVCache",
     "ContinuousBatchScheduler",
-    "SpeculativeDecodeEngine",
     "NGramDraft",
     "TruncatedTableDraft",
     "NovaMapper",

@@ -57,14 +57,14 @@ from repro.core.batched_attention import (
     BatchedNovaAttentionEngine,
 )
 from repro.core.paging import (
+    KVCache,
+    KVCacheOverflow,
     BlockPool,
     BlockPoolExhausted,
     BlockTable,
     PagedKVCache,
 )
 from repro.core.decode import (
-    KVCache,
-    KVCacheOverflow,
     DecodeRequest,
     DecodeState,
     DecodeStepResult,
@@ -81,7 +81,6 @@ from repro.core.speculative import (
     NGramDraft,
     TruncatedTableDraft,
     ScheduledDraft,
-    SpeculativeDecodeEngine,
 )
 from repro.core.session import NovaSession
 from repro.core.streaming import StreamingLine, ObservationLog
@@ -135,7 +134,6 @@ __all__ = [
     "NGramDraft",
     "TruncatedTableDraft",
     "ScheduledDraft",
-    "SpeculativeDecodeEngine",
     "StreamingLine",
     "ObservationLog",
 ]

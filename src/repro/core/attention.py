@@ -57,12 +57,14 @@ decode loop of any length adds zero table-cache misses (pinned by
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.approx.quantize import QuantizedPwl
+from repro.approx.softmax import exact_softmax
 from repro.approx.table_cache import compiled_table
 from repro.core.config import NovaConfig, as_config
 from repro.core.table_scheduler import TableScheduler
@@ -87,12 +89,12 @@ class AttentionLayerResult:
 
 
 # ----------------------------------------------------------------------
-# Host-side numerics shared by the sequential and batched engines.
+# Host-side numerics shared by every engine and the draft models.
 #
 # These are the numerically sensitive steps between the hardware calls;
-# both engines MUST use these exact helpers — the batched engine's
-# bit-exactness contract against this engine holds by construction only
-# because there is a single copy of each step.
+# every engine MUST use these exact helpers — the bit-exactness
+# contracts (batched vs sequential, decode vs causal prefill) hold by
+# construction only because there is a single copy of each step.
 # ----------------------------------------------------------------------
 
 
@@ -173,6 +175,63 @@ def assemble_probabilities(
     """
     probs = numer * inv * np.ldexp(1.0, -exponent)
     return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def project_token(
+    x_t: np.ndarray,
+    wq: np.ndarray,
+    wk: np.ndarray,
+    wv: np.ndarray,
+    n_heads: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q/k/v projections of one token or of a run of rows, split by head.
+
+    ``x_t`` is one token, ``(hidden,)``, or rows of tokens, ``(rows,
+    hidden)``; returns ``(q, k, v)`` each of shape ``(n_heads,
+    head_dim)`` or ``(rows, n_heads, head_dim)``.  Every row is
+    projected as its own vector-matrix product (the decode
+    granularity): ``x_t[..., None, :] @ w`` is a stack of ``(1,
+    hidden)`` rows, and numpy's stacked matmul runs one gemv per row,
+    the kernel a lone token runs.  So row ``i`` of a prompt projected
+    in one call is byte-identical to projecting that row alone, which
+    is what lets the causal prefill project its whole prompt at once.
+    A 2-D ``x @ w`` would run gemm instead, whose blocking can differ
+    from gemv in the last bit.
+    """
+    lead = x_t.shape[:-1]
+    head_dim = x_t.shape[-1] // n_heads
+    rows = x_t[..., None, :]
+    q = (rows @ wq).reshape(*lead, n_heads, head_dim)
+    k = (rows @ wk).reshape(*lead, n_heads, head_dim)
+    v = (rows @ wv).reshape(*lead, n_heads, head_dim)
+    return q, k, v
+
+
+def scores_for_query(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Scaled attention scores of one query against the cached keys.
+
+    ``q`` is ``(n_heads, head_dim)``, ``keys`` is
+    ``(n_heads, kv_len, head_dim)``; returns ``(n_heads, kv_len)``.
+    """
+    head_dim = q.shape[-1]
+    # math.sqrt: the same correctly rounded float64 as np.sqrt, without
+    # a numpy scalar round trip on every decode token
+    return (keys @ q[:, :, None])[:, :, 0] / math.sqrt(head_dim)
+
+
+def context_for_query(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Merged per-token attention context.
+
+    ``probs`` is ``(n_heads, kv_len)`` and ``values`` ``(n_heads,
+    kv_len, head_dim)``; returns the head-merged ``(n_heads *
+    head_dim,)`` context row.  ``values`` may be a view of a row store
+    with spare rows: the matmul runs one gemv per head, and each head's
+    slice is row-major with unit column stride whether or not the store
+    has rows past ``kv_len``, so the view and a contiguous copy give
+    byte-identical contexts.
+    """
+    context = (probs[:, None, :] @ values)[:, 0, :]
+    return context.reshape(-1)
 
 
 def finish_attention_layer(
@@ -315,8 +374,6 @@ class NovaAttentionEngine:
         n_heads: int,
     ) -> np.ndarray:
         """The float reference of :meth:`attention_layer`."""
-        from repro.approx.softmax import exact_softmax
-
         x = np.asarray(x, dtype=np.float64)
         seq, hidden = x.shape
         head_dim = hidden // n_heads

@@ -1,4 +1,4 @@
-"""Autoregressive decode on the NOVA overlay: KV cache + continuous batching.
+"""Autoregressive decode on the NOVA overlay: the engine and the batcher.
 
 The paper motivates NOVA with attention-heavy inference, and the serving
 regime that dominates such traffic is not full-prefill attention but
@@ -7,8 +7,6 @@ cached key/value pair, so the softmax runs over exactly one row per head
 per step.  This module opens that workload on the same cycle/event-exact
 hardware model the prefill engines use:
 
-* :class:`KVCache` — a per-request key/value cache with append and
-  optional sliding-window eviction.
 * :class:`NovaDecodeEngine` — incremental single-token attention
   (``decode_step``) plus a causal packed prefill (``prefill``) and a
   self-feeding ``generate`` loop, built directly on top of
@@ -30,10 +28,14 @@ hardware model the prefill engines use:
   first-block-fit admission and a deferral/preemption policy under
   memory pressure.
 
-Every generated token comes out of one draft-and-verify pass
-(:mod:`repro.core.speculative`); plain decode is the pass of the
-depth-0 :class:`~repro.core.speculative.DraftTree` (one true token, no
-drafts), and ``speculative=True`` selects a deeper tree.
+Every generated token comes out of one draft-and-verify pass of the
+engine.  The :class:`~repro.core.speculative.DraftTree` is a per-call
+argument (``tree=``; the scheduler's ``spec_tree=``), and ``None`` is
+the depth-0 tree — one true token, no drafts — which *is* plain decode.
+
+The decode stack imports one way: :mod:`repro.core.paging` (the caches
+and the pool), then :mod:`repro.core.speculative` (drafts and trees),
+then this module.
 
 Bit-exactness contract
 ----------------------
@@ -41,20 +43,24 @@ Token-by-token decode, the packed causal prefill and the continuous
 batcher all produce **bit-identical** probabilities and outputs for the
 same causal sequence.  This holds by construction, for the same reason
 the batched engine matches the sequential engine: there is a single copy
-of every numerically sensitive step.  Per token, both paths run
+of every numerically sensitive step (:mod:`repro.core.attention`; the
+engine looks each up in this module's namespace).  Per token, both
+paths run
 
-1. :func:`project_token` — the token's q/k/v projections (vector-matrix,
-   the decode-granularity GEMM),
-2. :func:`scores_for_query` — scaled dot-products against the cached
-   keys (same cache layout, hence same strides, in every path),
+1. :func:`~repro.core.attention.project_token` — the token's q/k/v
+   projections (vector-matrix, the decode-granularity GEMM),
+2. :func:`~repro.core.attention.scores_for_query` — scaled
+   dot-products against the cached keys (same cache layout, hence same
+   strides, in every path),
 3. the hardware exponential (elementwise through the shared table — the
    output of each query is independent of how queries are packed into
    lane batches),
 4. :func:`~repro.core.attention.softmax_reduction` /
    :func:`~repro.core.attention.assemble_probabilities` on the token's
    own ``(heads, kv_len)`` row, and
-5. :func:`context_for_query` — the context GEMV over the cached
-   values (a view of the row store, or a copy under a sliding window).
+5. :func:`~repro.core.attention.context_for_query` — the context GEMV
+   over the cached values (a view of the row store, or a copy under a
+   sliding window).
 
 Cycle/counter accounting mirrors the batched engine: each
 prefill/decode *job* reports the sequential-equivalent cost a dedicated
@@ -76,12 +82,15 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from repro.core.attention import (
     assemble_probabilities,
+    context_for_query,
+    project_token,
+    scores_for_query,
     shift_scores,
     softmax_reduction,
 )
@@ -89,22 +98,29 @@ from repro.core.batched_attention import (
     AttentionRequest,
     BatchedNovaAttentionEngine,
 )
-from repro.core.waiting import WaitingQueue
+from repro.core.paging import (
+    BlockPool,
+    BlockPoolExhausted,
+    KVCache,
+    KVCacheOverflow,
+    PagedKVCache,
+    ReservedKVCache,
+    blocks_needed,
+    prefix_block_keys,
+    worst_case_blocks,
+)
+from repro.core.speculative import (
+    DraftBranch,
+    DraftModel,
+    DraftTree,
+    TruncatedTableDraft,
+    VerifyPassResult,
+    _draft_level,
+)
+from repro.core.waiting import FCFS, SchedulingPolicy, WaitingQueue
 from repro.noc.stats import OVERLAY_EVENTS, EventCounters
 
-if TYPE_CHECKING:
-    from repro.core.paging import BlockPool
-    from repro.core.speculative import (
-        DraftModel,
-        SpeculativeDecodeEngine,
-        VerifyPassResult,
-        _SpecPass,
-    )
-    from repro.serving.policies import SchedulingPolicy
-
 __all__ = [
-    "KVCache",
-    "KVCacheOverflow",
     "DecodeRequest",
     "DecodeState",
     "DecodeStepResult",
@@ -115,9 +131,6 @@ __all__ = [
     "ContinuousBatchScheduler",
     "ContinuousBatchResult",
     "SequenceMeta",
-    "project_token",
-    "scores_for_query",
-    "context_for_query",
 ]
 
 
@@ -162,219 +175,6 @@ class SequenceMeta:
                 f"deadline ({self.deadline}) must fall after arrival "
                 f"({self.arrival})"
             )
-
-
-class KVCacheOverflow(RuntimeError):
-    """Appending to a full :class:`KVCache` that has no eviction window."""
-
-
-class KVCache:
-    """Per-request key/value cache for autoregressive decode.
-
-    The cache owns one contiguous row store per tensor, ``(n_heads,
-    rows, head_dim)``, and presents its live span through views
-    (:attr:`keys` / :attr:`values`).  The store grows by amortised
-    doubling up to ``limit`` rows, so an append is a row write almost
-    always and a reallocation ``O(log limit)`` times per fill.
-    ``window=None`` (the default) makes the capacity hard: appending to
-    a full cache raises :class:`KVCacheOverflow`.  ``window=w`` caps the
-    cache at the last ``w`` tokens instead (sliding-window attention):
-    the oldest entry is evicted to make room and ``start_position``
-    advances, so the cache always holds positions ``[start_position,
-    start_position + length)``.
-
-    The block-pool caches (:class:`~repro.core.paging.PagedKVCache`,
-    :class:`~repro.core.paging.ReservedKVCache`) are this class plus
-    their pool accounting: they keep their rows here, never in the pool.
-    """
-
-    def __init__(
-        self,
-        n_heads: int,
-        head_dim: int,
-        capacity: int,
-        window: int | None = None,
-    ) -> None:
-        if n_heads < 1:
-            raise ValueError(f"n_heads must be >= 1, got {n_heads}")
-        if head_dim < 1:
-            raise ValueError(f"head_dim must be >= 1, got {head_dim}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if window is not None:
-            if window < 1:
-                raise ValueError(f"window must be >= 1, got {window}")
-            if window > capacity:
-                raise ValueError(
-                    f"window ({window}) cannot exceed capacity ({capacity})"
-                )
-        self.n_heads = n_heads
-        self.head_dim = head_dim
-        self.capacity = capacity
-        self.window = window
-        self._k = self._v = np.empty((n_heads, 0, head_dim))
-        self.length = 0
-        self.start_position = 0
-        self.evictions = 0
-
-    @property
-    def limit(self) -> int:
-        """Maximum entries held at once (``window`` if set, else capacity)."""
-        return self.capacity if self.window is None else self.window
-
-    @property
-    def keys(self) -> np.ndarray:
-        """View of the valid cached keys, ``(n_heads, length, head_dim)``."""
-        return self._k[:, : self.length]
-
-    @property
-    def values(self) -> np.ndarray:
-        """View of the valid cached values, ``(n_heads, length, head_dim)``."""
-        return self._v[:, : self.length]
-
-    def _reserve(self, rows: int) -> None:
-        """Grow the row store to hold at least ``rows`` rows, keeping
-        the live rows: the store doubles, with at least 16 rows spare,
-        capped at ``limit`` (a fork's fresh store is its live rows plus
-        that spare)."""
-        held = self._k.shape[1]
-        if rows <= held:
-            return
-        size = min(self.limit, max(rows + 16, 2 * held))
-        # One allocation holds both tensors: half the heap blocks, which
-        # keeps many short-lived fork stores from fragmenting the heap.
-        k, v = np.empty((2, self.n_heads, size, self.head_dim))
-        k[:, : self.length] = self._k[:, : self.length]
-        v[:, : self.length] = self._v[:, : self.length]
-        self._k, self._v = k, v
-
-    def _claim_slot(self) -> None:
-        """Reservation hook, called once per append just before its row
-        is written (after any window eviction).  A plain cache has no
-        pool to charge; the block-pool caches account the slot here,
-        raising before any cache state changes."""
-
-    def append(self, k_t: np.ndarray, v_t: np.ndarray) -> None:
-        """Append one token's per-head key/value rows.
-
-        ``k_t``/``v_t`` have shape ``(n_heads, head_dim)``.  A full
-        windowed cache evicts its oldest entry first; a full hard-capacity
-        cache raises :class:`KVCacheOverflow`.  Atomic: a raising
-        append leaves the cache byte-identical (no partial evict, no
-        length change), so callers can defer the token and retry.
-        """
-        expected = (self.n_heads, self.head_dim)
-        k_t = np.asarray(k_t, dtype=np.float64)
-        v_t = np.asarray(v_t, dtype=np.float64)
-        if k_t.shape != expected or v_t.shape != expected:
-            raise ValueError(
-                f"expected per-token k/v of shape {expected}, got "
-                f"{k_t.shape} / {v_t.shape}"
-            )
-        if self.length == self.limit:
-            if self.window is None:
-                raise KVCacheOverflow(
-                    f"KV cache full at capacity {self.capacity} "
-                    f"(position {self.start_position + self.length}); "
-                    "set a window for sliding eviction or raise "
-                    "max_seq_len"
-                )
-            self.evict(1)
-        self._claim_slot()
-        if self.length == self._k.shape[1]:
-            self._reserve(self.length + 1)
-        self._k[:, self.length] = k_t
-        self._v[:, self.length] = v_t
-        self.length += 1
-
-    def evict(self, n: int) -> None:
-        """Drop the ``n`` oldest cached tokens (advances ``start_position``).
-
-        The live rows shift to the front of the store.  Atomic: an
-        out-of-range ``n`` raises before any state changes.
-        """
-        if not 0 <= n <= self.length:
-            raise ValueError(
-                f"cannot evict {n} of {self.length} cached tokens"
-            )
-        if n == 0:
-            return
-        keep = self.length - n
-        self._k[:, :keep] = self._k[:, n : self.length]
-        self._v[:, :keep] = self._v[:, n : self.length]
-        self.length = keep
-        self.start_position += n
-        self.evictions += n
-
-    def truncate(self, n: int) -> None:
-        """Drop the ``n`` *newest* cached tokens (speculative rollback).
-
-        The tail-side complement of :meth:`evict`: rolling back
-        rejected draft tokens just shortens the live span
-        (``start_position`` is untouched) — the next append overwrites
-        the rolled-back rows.  Atomic: an out-of-range ``n`` raises
-        before the length changes.
-        """
-        if not 0 <= n <= self.length:
-            raise ValueError(
-                f"cannot truncate {n} of {self.length} cached tokens"
-            )
-        self.length -= n
-
-    def values_snapshot(self, kv_len: int) -> np.ndarray:
-        """Contiguous copy of the first ``kv_len`` cached values,
-        ``(n_heads, kv_len, head_dim)``.
-
-        A copy outlives later evictions, which shift rows in place:
-        decode plans a windowed cache's context this way.  Append-only
-        caches are read through :attr:`values` instead.  Raises
-        ``ValueError`` unless ``0 <= kv_len <= length``: rows past the
-        live span were never written or were rolled back.
-        """
-        if not 0 <= kv_len <= self.length:
-            raise ValueError(
-                f"cannot snapshot {kv_len} of {self.length} cached values"
-            )
-        return self._v[:, :kv_len].copy()
-
-    def fork(self) -> "KVCache":
-        """An independent private copy of this cache's live state.
-
-        The twin presents the same live span and history in its own row
-        store, so appends on either side never show through.  Only the
-        live rows are copied, into a store with the usual growth
-        headroom.
-        """
-        twin = KVCache(
-            self.n_heads, self.head_dim, self.capacity, window=self.window
-        )
-        twin._adopt_span(self)
-        return twin
-
-    def _adopt_span(self, source: "KVCache") -> None:
-        """Copy ``source``'s live rows, span and eviction history into
-        this fresh cache — :meth:`fork`'s accounting step, on the owner
-        so the eviction counter is only ever written by its own object."""
-        self._reserve(source.length)
-        self._k[:, : source.length] = source.keys
-        self._v[:, : source.length] = source.values
-        self.length = source.length
-        self.start_position = source.start_position
-        self.evictions = source.evictions
-
-    def reset(self) -> None:
-        """Empty the cache in place (row store kept)."""
-        self.length = 0
-        self.start_position = 0
-        self.evictions = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"KVCache({self.n_heads} heads x {self.capacity} x "
-            f"{self.head_dim}, length={self.length}"
-            + (f", window={self.window}" if self.window is not None else "")
-            + ")"
-        )
 
 
 @dataclass(frozen=True)
@@ -436,73 +236,6 @@ class DecodeRequest(AttentionRequest):
         if self.max_seq_len is not None:
             return self.max_seq_len
         return self.total_tokens
-
-
-# ----------------------------------------------------------------------
-# Per-token host numerics shared by every decode path.
-#
-# As in repro.core.attention: the decode-vs-prefill (and one-at-a-time
-# vs continuously-batched) bit-exactness contract holds by construction
-# only because there is a single copy of each step, operating on the
-# same shapes in every path.
-# ----------------------------------------------------------------------
-
-
-def project_token(
-    x_t: np.ndarray,
-    wq: np.ndarray,
-    wk: np.ndarray,
-    wv: np.ndarray,
-    n_heads: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """q/k/v projections of one token or of a run of rows, split by head.
-
-    ``x_t`` is one token, ``(hidden,)``, or rows of tokens, ``(rows,
-    hidden)``; returns ``(q, k, v)`` each of shape ``(n_heads,
-    head_dim)`` or ``(rows, n_heads, head_dim)``.  Every row is
-    projected as its own vector-matrix product (the decode
-    granularity): ``x_t[..., None, :] @ w`` is a stack of ``(1,
-    hidden)`` rows, and numpy's stacked matmul runs one gemv per row,
-    the kernel a lone token runs.  So row ``i`` of a prompt projected
-    in one call is byte-identical to projecting that row alone, which
-    is what lets the causal prefill project its whole prompt at once.
-    A 2-D ``x @ w`` would run gemm instead, whose blocking can differ
-    from gemv in the last bit.
-    """
-    lead = x_t.shape[:-1]
-    head_dim = x_t.shape[-1] // n_heads
-    rows = x_t[..., None, :]
-    q = (rows @ wq).reshape(*lead, n_heads, head_dim)
-    k = (rows @ wk).reshape(*lead, n_heads, head_dim)
-    v = (rows @ wv).reshape(*lead, n_heads, head_dim)
-    return q, k, v
-
-
-def scores_for_query(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Scaled attention scores of one query against the cached keys.
-
-    ``q`` is ``(n_heads, head_dim)``, ``keys`` is
-    ``(n_heads, kv_len, head_dim)``; returns ``(n_heads, kv_len)``.
-    """
-    head_dim = q.shape[-1]
-    # math.sqrt: the same correctly rounded float64 as np.sqrt, without
-    # a numpy scalar round trip on every decode token
-    return (keys @ q[:, :, None])[:, :, 0] / math.sqrt(head_dim)
-
-
-def context_for_query(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Merged per-token attention context.
-
-    ``probs`` is ``(n_heads, kv_len)`` and ``values`` ``(n_heads,
-    kv_len, head_dim)``; returns the head-merged ``(n_heads *
-    head_dim,)`` context row.  ``values`` may be a view of a row store
-    with spare rows: the matmul runs one gemv per head, and each head's
-    slice is row-major with unit column stride whether or not the store
-    has rows past ``kv_len``, so the view and a contiguous copy give
-    byte-identical contexts.
-    """
-    context = (probs[:, None, :] @ values)[:, 0, :]
-    return context.reshape(-1)
 
 
 # ----------------------------------------------------------------------
@@ -785,6 +518,68 @@ class _JobResult:
         return EventCounters.from_vector(self.counter_row)
 
 
+class _TreeNode:
+    """One planned pass token: the root ``u_0`` or a provisional draft.
+
+    ``state`` is the branch this node's k/v row was appended through —
+    the request's live :class:`DecodeState` for the
+    root and every only-child below it (``in_state``), a shadow state
+    over a cache fork for every sibling branch.  ``parent`` is the
+    parent's token index (``None`` for the root), not the node itself:
+    links run only parent-to-children, so a finished pass is freed by
+    reference counting rather than left to the cyclic collector.
+    """
+
+    __slots__ = (
+        "parent", "embedding", "token_index", "state", "in_state",
+        "children",
+    )
+
+    def __init__(
+        self,
+        parent: int | None,
+        embedding: np.ndarray,
+        token_index: int,
+        state: DecodeState,
+        in_state: bool,
+    ) -> None:
+        self.parent = parent
+        self.embedding = embedding
+        self.token_index = token_index
+        self.state = state
+        self.in_state = in_state
+        self.children: list[_TreeNode] = []
+
+
+class _SpecPass:
+    """One planned verification pass (a draft tree) awaiting execution.
+
+    ``nodes`` is every planned token in job order (the root first,
+    then level by level); ``forks`` the branch caches to release at
+    finish; ``in_state_tokens`` how many pass tokens were appended to
+    the live state's own cache.  A draft-free pass has no tree
+    (``root`` is None): its one token is ``x0``, as the caller passed it.
+    """
+
+    __slots__ = ("job", "x0", "root", "nodes", "forks", "in_state_tokens")
+
+    def __init__(
+        self,
+        job: _Job,
+        x0: np.ndarray,
+        root: _TreeNode | None = None,
+        nodes: Sequence[_TreeNode] = (),
+        forks: Sequence[KVCache] = (),
+        in_state_tokens: int = 1,
+    ) -> None:
+        self.job = job
+        self.x0 = x0
+        self.root = root
+        self.nodes = nodes
+        self.forks = forks
+        self.in_state_tokens = in_state_tokens
+
+
 class NovaDecodeEngine(BatchedNovaAttentionEngine):
     """KV-cached autoregressive decode on one shared NOVA overlay.
 
@@ -806,6 +601,13 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
       attention output of the last position is the next token's
       embedding; with a single attention layer and no vocabulary this is
       the serving-shaped closed loop the benchmarks measure).
+
+    Every decoded token comes out of one draft-and-verify pass
+    (:meth:`plan_verify_pass` / :meth:`finish_verify_pass`, fused
+    across requests by :class:`ContinuousBatchScheduler`;
+    :meth:`run_pass` runs one alone).  The engine holds no tree and no
+    draft: ``tree=`` and ``draft=`` are per-call arguments, and
+    ``tree=None`` is the depth-0 tree, i.e. plain decode.
     """
 
     # ------------------------------------------------------------------
@@ -886,8 +688,6 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
                     f"{pool.head_dim}) does not match the request "
                     f"({request.n_heads} heads x {request.head_dim})"
                 )
-            from repro.core.paging import PagedKVCache, prefix_block_keys
-
             cache = PagedKVCache(
                 pool, request.capacity, window=request.window
             )
@@ -1104,17 +904,11 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
         (result,), _ = self._execute([self._plan_prefill(state)])
         return self._wrap_prefill(result)
 
-    def _draft_free(self) -> SpeculativeDecodeEngine:
-        """This engine's plain decode: passes of the depth-0 draft tree."""
-        from repro.core.speculative import DraftTree, SpeculativeDecodeEngine
-
-        return SpeculativeDecodeEngine(self, tree=DraftTree(()))
-
     def decode_step(
         self, state: DecodeState, x_t: np.ndarray
     ) -> DecodeStepResult:
         """Decode one token: append to the cache, attend, project out."""
-        (step,), _ = self._draft_free().run_pass(state, x_t, 1)
+        (step,), _ = self.run_pass(state, x_t, 1)
         return step
 
     def decode(self, request: DecodeRequest) -> DecodeResult:
@@ -1124,12 +918,11 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
         equivalence test compares bit-for-bit against :meth:`prefill`.
         """
         state = self.start(request)
-        plain = self._draft_free()
         before = self.unit._lifetime_counters()
         steps: list[DecodeStepResult] = []
         passes: list[VerifyPassResult] = []
         for row in request.x:
-            (step,), pass_result = plain.run_pass(state, row, 1)
+            (step,), pass_result = self.run_pass(state, row, 1)
             steps.append(step)
             passes.append(pass_result)
         return DecodeResult(
@@ -1140,22 +933,356 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
             counters=self.unit._lifetime_counters().diff(before),
         )
 
+    # ------------------------------------------------------------------
+    # Draft-and-verify passes: every decoded token comes out of one.
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _rollback(state: DecodeState, n: int) -> None:
+        if n:
+            state.cache.truncate(n)
+            state.position -= n
+
+    def plan_verify_pass(
+        self,
+        state: DecodeState,
+        x_t: np.ndarray,
+        budget: int,
+        draft: DraftModel | None = None,
+        tree: DraftTree | str | None = None,
+    ) -> _SpecPass:
+        """Stage one verification pass: ``x_t`` plus the draft tree's
+        provisional tokens, all appended as cached k/v rows.
+
+        ``tree`` is the pass's :class:`~repro.core.speculative.DraftTree`
+        (or its spec string); ``None``, the depth-0 tree, plans just
+        ``u_0`` — a plain decode step, with no tree and no draft call.
+        On a drafting tree ``draft=None`` means a fresh exact-LUT
+        ``TruncatedTableDraft(config)``.
+
+        The tree grows level by level.  An only child extends its
+        parent's branch cache in place; siblings each append under a
+        ``fork()`` of the parent cache (copy-on-write block sharing on
+        the paged layer), so every node's KV span is exactly its
+        ancestor chain — the tree-causal mask, structurally
+        (:func:`~repro.core.speculative.tree_causal_mask`).  All
+        planned tokens form **one** job: the packed execute scores the
+        whole tree in a single ``table_gather_mac`` launch per phase.
+        The draft is asked once per level, for every live branch at
+        once, before any of that level's appends.  A width-1 tree plans
+        no forks.
+
+        ``budget`` caps the pass at the tokens still owed (a pass never
+        commits more than ``budget``, so the tree is clipped to
+        ``budget - 1`` levels).  A branch stops growing at its cache's
+        window limit — provisional tokens must never evict, because
+        eviction cannot be rolled back.  The plan is **atomic**: any
+        failure (a malformed draft answer, ``BlockPoolExhausted`` on a
+        provisional block or fork, a raising draft model) releases
+        every fork and rolls the cache, the pool and the position back
+        to their pre-pass state before the exception propagates.
+        """
+        if budget < 1:
+            raise ValueError(f"pass budget must be >= 1, got {budget}")
+        widths = DraftTree.of(tree).widths[: budget - 1]
+        if not widths:
+            # Draft-free: the one true token is a plain decode step
+            # (shape-checked, then appended atomically).
+            token = self._plan_token(state, x_t)
+            return _SpecPass(_Job(state, [token]), x_t)
+        request = state.request
+        x_t = np.asarray(x_t, dtype=np.float64).reshape(-1)
+        if draft is None:
+            draft = TruncatedTableDraft(self.config)
+        tokens: list[_TokenPlan] = []
+        nodes: list[_TreeNode] = []
+        forks: list[KVCache] = []
+        in_state = 0
+        try:
+            tokens.append(self._plan_token(state, x_t))
+            in_state = 1
+            root = _TreeNode(None, x_t, 0, state, True)
+            nodes.append(root)
+            frontier = [root]
+            for width in widths:
+                # A branch at its window limit stops growing: one more
+                # provisional append would evict.
+                live = [
+                    node for node in frontier
+                    if node.state.cache.length < node.state.cache.limit
+                ]
+                if not live:
+                    break
+                # Draft every live branch before any of the level's
+                # appends: one proposal call per level.
+                level = _draft_level(
+                    draft, request,
+                    [
+                        DraftBranch(
+                            node.embedding, node.state.cache,
+                            tokens[node.token_index].shifted,
+                        )
+                        for node in live
+                    ],
+                    tokens[live[0].token_index].position, width,
+                )
+                frontier = []
+                for node, candidates in zip(live, level):
+                    if len(candidates) == 1:
+                        # An only child extends the branch in place.
+                        child_states = [node.state]
+                    else:
+                        child_states = []
+                        for _ in candidates:
+                            fork = node.state.cache.fork()
+                            forks.append(fork)
+                            shadow = DecodeState(request, fork)
+                            shadow.position = node.state.position
+                            child_states.append(shadow)
+                    for d, child_state in zip(candidates, child_states):
+                        tokens.append(self._plan_token(child_state, d))
+                        child = _TreeNode(
+                            node.token_index, d, len(tokens) - 1,
+                            child_state,
+                            child_state is state,
+                        )
+                        if child.in_state:
+                            in_state += 1
+                        nodes.append(child)
+                        node.children.append(child)
+                        frontier.append(child)
+        except BaseException:
+            # Atomic rollback: forks release their block references,
+            # then the in-place appends truncate.  Only u_0's append
+            # can have evicted (and only when the cache sat exactly at
+            # its window limit, in which case no level ever grew, so
+            # nothing can raise after it), so this restores cache, pool
+            # and position exactly.
+            for fork in forks:
+                fork.reset()
+            self._rollback(state, in_state)
+            raise
+        return _SpecPass(
+            _Job(state, tokens), x_t, root, nodes, forks, in_state
+        )
+
+    def finish_verify_pass(
+        self,
+        spec_pass: _SpecPass,
+        result: _JobResult,
+        draft: DraftModel | None = None,
+    ) -> tuple[list[DecodeStepResult], VerifyPassResult]:
+        """Commit the longest-accepted branch, roll back every other.
+
+        ``result`` is the pass's ``_JobResult`` from :meth:`_execute`.
+        The walk starts at the root and, at each depth, descends into
+        the child whose drafted embedding equals the parent's true
+        output bit for bit (siblings are deduplicated at plan time, so
+        at most one can match); the walked path is the longest accepted
+        branch.  Returns its committed steps (at least one — ``u_0``'s
+        input is the true previous output by construction) and the
+        pass accounting.  Before returning, every branch fork releases
+        its block references, the live cache truncates the in-place
+        tokens the path does not cover, and the path's fork-resident
+        rows are re-appended to the live cache (recomputing the k/v
+        projection is deterministic, hence bit-identical to the rows
+        the released fork held) — zero pool blocks leak for any accept
+        pattern.  A draft-free pass commits its one token as is:
+        nothing to walk, release or roll back.  ``draft`` observes
+        every committed step; ``None`` (the exact-LUT default, whose
+        ``observe`` is a no-op) observes nothing.
+        """
+        tokens = spec_pass.job.tokens
+        outputs = result.outputs
+        if spec_pass.root is None:
+            path = [(0, spec_pass.x0)]  # draft-free: u_0 commits as is
+        else:
+            path = self._commit_longest_branch(spec_pass, outputs)
+        lanes = self.n_lanes
+        heads = spec_pass.job.state.request.n_heads
+        steps: list[DecodeStepResult] = []
+        for i, (index, embedding) in enumerate(path):
+            probs = result.probabilities[index]
+            kv_len = probs.shape[-1]
+            n_exp = heads * kv_len
+            position = tokens[index].position
+            steps.append(
+                DecodeStepResult(
+                    output=outputs[index],
+                    probabilities=probs,
+                    position=position,
+                    kv_length=kv_len,
+                    vector_cycles=-(-n_exp // lanes) + -(-heads // lanes),
+                    nonlinear_queries=n_exp + heads,
+                    drafted=i > 0,
+                )
+            )
+            if draft is not None:
+                draft.observe(embedding, outputs[index], position)
+        committed = len(path)
+        return steps, VerifyPassResult(
+            tokens=len(tokens),
+            drafted=len(tokens) - 1,
+            accepted=committed - 1,
+            committed=committed,
+            rolled_back=len(tokens) - committed,
+            vector_cycles=result.vector_cycles,
+            nonlinear_queries=result.nonlinear_queries,
+            counters=result.counters,
+        )
+
+    def _commit_longest_branch(
+        self, spec_pass: _SpecPass, outputs: list[np.ndarray]
+    ) -> list[tuple[int, np.ndarray]]:
+        """Walk the tree's accepted path, leave only it in the live
+        cache, and return it as ``(token index, input embedding)``."""
+        node = spec_pass.root
+        assert node is not None  # a tree pass
+        path = [node]
+        while True:
+            out = outputs[node.token_index]
+            match = None
+            for child in node.children:
+                if np.array_equal(child.embedding, out):
+                    match = child
+                    break
+            if match is None:
+                break
+            path.append(match)
+            node = match
+        # Forks first (shared tail blocks drop to their surviving
+        # refcounts), then the in-place suffix beyond the accepted
+        # in-place prefix truncates — the accepted path can only leave
+        # the live cache for a fork, never come back, so the in-place
+        # tokens it covers are exactly a prefix.
+        for fork in spec_pass.forks:
+            fork.reset()
+        state = spec_pass.job.state
+        kept_in_state = sum(1 for n in path if n.in_state)
+        self._rollback(state, spec_pass.in_state_tokens - kept_in_state)
+        request = state.request
+        for n in path:
+            if not n.in_state:
+                _, k_t, v_t = project_token(
+                    n.embedding, request.wq, request.wk, request.wv,
+                    request.n_heads,
+                )
+                state.cache.append(k_t, v_t)
+                state.position += 1
+        return [(n.token_index, n.embedding) for n in path]
+
+    def plan_with_fallback(
+        self,
+        state: DecodeState,
+        x_t: np.ndarray,
+        budget: int,
+        draft: DraftModel | None = None,
+        tree: DraftTree | str | None = None,
+    ) -> _SpecPass:
+        """Plan a pass, degrading to draft-free on pool exhaustion.
+
+        Speculation is opportunistic: when the block pool cannot hold
+        the provisional tokens, a pass of just ``u_0`` (one plain decode
+        step's worth of memory) still makes progress.  Only when even
+        that cannot allocate does :class:`~repro.core.paging.
+        BlockPoolExhausted` propagate (with cache and pool untouched) —
+        the scheduler's cue to defer or preempt.  A plan that had no
+        drafts to shed (the depth-0 tree or a budget of 1) is not
+        retried.
+        """
+        tree = DraftTree.of(tree)
+        try:
+            return self.plan_verify_pass(
+                state, x_t, budget, draft=draft, tree=tree
+            )
+        except BlockPoolExhausted:
+            if not tree.depth or budget < 2:
+                raise
+            return self.plan_verify_pass(state, x_t, budget)
+
+    def run_pass(
+        self,
+        state: DecodeState,
+        x_t: np.ndarray,
+        budget: int,
+        draft: DraftModel | None = None,
+        tree: DraftTree | str | None = None,
+    ) -> tuple[list[DecodeStepResult], VerifyPassResult]:
+        """Plan, execute and commit one pass on its own streams."""
+        spec_pass = self.plan_with_fallback(
+            state, x_t, budget, draft=draft, tree=tree
+        )
+        (result,), _ = self._execute([spec_pass.job])
+        return self.finish_verify_pass(spec_pass, result, draft=draft)
+
     def generate(
         self,
         request: DecodeRequest,
         max_new_tokens: int | None = None,
         state: DecodeState | None = None,
+        draft: DraftModel | None = None,
+        tree: DraftTree | str | None = None,
     ) -> GenerateResult:
-        """Prefill the prompt, then generate autoregressively.
+        """Prefill the prompt, then run passes until the budget is met.
 
         The attention output at the last position feeds back as the next
         token's embedding (deterministic closed loop — there is no
         vocabulary at the attention-layer level).  ``max_new_tokens``
-        defaults to the request's budget; ``state`` optionally supplies
-        a pre-opened state (e.g. over a block pool).  Runs one
-        draft-free pass per token.
+        defaults to the request's budget (an override beyond the
+        request's capacity fails before any work); ``state`` optionally
+        supplies a pre-opened state (e.g. over a block pool).  ``tree``
+        is the draft tree every pass plans (``None``: the depth-0 tree,
+        one draft-free pass per token) and ``draft`` drafts it
+        (``None``: each drafting pass plans with a fresh exact-LUT
+        :class:`~repro.core.speculative.TruncatedTableDraft`, which
+        keeps no state between calls).  Outputs are bit-identical to
+        plain decode for any tree and any draft.
         """
-        return self._draft_free().generate(request, max_new_tokens, state)
+        tree = DraftTree.of(tree)
+        new_tokens = (
+            request.max_new_tokens
+            if max_new_tokens is None
+            else max_new_tokens
+        )
+        if new_tokens < 0:
+            raise ValueError(
+                f"max_new_tokens must be >= 0, got {new_tokens}"
+            )
+        if request.window is None and request.seq + new_tokens > request.capacity:
+            raise KVCacheOverflow(
+                f"generate needs {request.seq + new_tokens} cache slots "
+                f"({request.seq} prompt + {new_tokens} new) but the "
+                f"request's capacity is {request.capacity}; shorten "
+                "max_new_tokens, raise max_seq_len, or set a sliding "
+                "window"
+            )
+        if draft is not None:
+            draft.reset()
+        if state is None:
+            state = self.start(request)
+        before = self.unit._lifetime_counters()
+        pre = self.prefill(state)
+        if draft is not None:
+            # Seed stateful drafts with the prompt's own (input, output)
+            # trajectory, exactly as the committed steps will extend it.
+            for position, (x_row, out_row) in enumerate(
+                zip(request.x, pre.outputs)
+            ):
+                draft.observe(x_row, out_row, position)
+        steps: list[DecodeStepResult] = []
+        passes: list[VerifyPassResult] = []
+        x_t = pre.outputs[-1]
+        while len(steps) < new_tokens:
+            new_steps, pass_result = self.run_pass(
+                state, x_t, new_tokens - len(steps), draft=draft, tree=tree
+            )
+            steps.extend(new_steps)
+            passes.append(pass_result)
+            x_t = new_steps[-1].output
+        return GenerateResult.from_passes(
+            pre, steps, passes,
+            self.unit._lifetime_counters().diff(before),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -1245,9 +1372,8 @@ class ContinuousBatchResult:
 class _Sequence:
     """Scheduler bookkeeping for one in-flight request.
 
-    Structurally satisfies
-    :class:`repro.serving.policies.SequenceView` — the read-only
-    surface scheduling policies see.
+    Structurally satisfies :class:`~repro.core.waiting.SequenceView` —
+    the read-only surface scheduling policies see.
     """
 
     __slots__ = (
@@ -1404,23 +1530,27 @@ class ContinuousBatchScheduler:
     preemption change where K/V rows live and when work happens, never
     the numerics.
 
-    Every in-flight sequence's step is one draft-and-verify pass
-    (:class:`~repro.core.speculative.SpeculativeDecodeEngine`), fused
-    with the other sequences' passes into the shared lane streams.
-    Plain decode runs the depth-0 tree, with no draft model;
-    ``speculative=True`` drafts the ``spec_tree`` draft tree (default:
-    the engine config's, e.g. a preset's linear ``"1x4"`` chain), with
-    one draft model per sequence from ``draft_factory`` (default: the
-    exact-LUT ``TruncatedTableDraft(config)``).  A pass that cannot get
-    provisional blocks degrades to draft-free before it defers.  Each
-    result is a :class:`GenerateResult` identical to solo generation
-    through the same tree.
+    Every in-flight sequence's step is one draft-and-verify pass of the
+    engine (:meth:`NovaDecodeEngine.plan_with_fallback` /
+    :meth:`NovaDecodeEngine.finish_verify_pass`), fused with the other
+    sequences' passes into the shared lane streams.  ``spec_tree`` is
+    the draft tree every pass plans (a
+    :class:`~repro.core.speculative.DraftTree` or a ``"2x2,1x4"``-style
+    spec); ``None``, the default, is the depth-0 tree — plain decode,
+    with no draft model.  A drafting tree gets one draft model per
+    sequence from ``draft_factory`` (default: the exact-LUT
+    ``TruncatedTableDraft(config)``), which the depth-0 tree never
+    calls.  A pass that cannot get provisional blocks degrades to
+    draft-free before it defers.  Each result is a
+    :class:`GenerateResult` identical to solo
+    :meth:`NovaDecodeEngine.generate` through the same tree.
 
     Scheduling decisions — which waiting request to admit next, which
     active sequences run a step, and who is preempted — are delegated
     to a pluggable ``policy``
-    (:class:`repro.serving.policies.SchedulingPolicy`).  The default,
-    :class:`repro.serving.policies.FCFS`, pins the scheduler's
+    (:class:`~repro.core.waiting.SchedulingPolicy`; the rest of the
+    built-in policies live in :mod:`repro.serving.policies`).  The
+    default, :class:`~repro.core.waiting.FCFS`, pins the scheduler's
     historical behavior exactly: admission in queue order (input
     order; a preempted request rejoins at the *front* of the queue),
     every active sequence steps every scheduler step, and the
@@ -1443,8 +1573,7 @@ class ContinuousBatchScheduler:
         pool_blocks: int | None = None,
         pool_bytes: int | None = None,
         prefix_caching: bool = False,
-        speculative: bool = False,
-        spec_tree: str | None = None,
+        spec_tree: DraftTree | str | None = None,
         draft_factory: Callable[[], DraftModel] | None = None,
         policy: SchedulingPolicy | None = None,
     ) -> None:
@@ -1457,24 +1586,10 @@ class ContinuousBatchScheduler:
             )
         if pool_blocks is not None and pool_bytes is not None:
             raise ValueError("pass pool_blocks or pool_bytes, not both")
-        if not speculative and (
-            spec_tree is not None or draft_factory is not None
-        ):
-            raise ValueError(
-                "spec_tree/draft_factory only apply to the speculative "
-                "scheduler (pass speculative=True)"
-            )
-        from repro.core.speculative import (
-            DraftTree,
-            SpeculativeDecodeEngine,
-            TruncatedTableDraft,
-        )
-
         self.engine = engine
-        #: Every step's pass engine; plain decode is the depth-0 tree.
-        self._verifier = SpeculativeDecodeEngine(
-            engine, tree=spec_tree if speculative else DraftTree(())
-        )
+        #: The draft tree every step's passes plan; plain decode is the
+        #: depth-0 tree.
+        self.tree = DraftTree.of(spec_tree)
         cfg = engine.config
         #: One draft model per admitted sequence (drafts are stateful;
         #: sharing one across interleaved requests would break the
@@ -1489,14 +1604,7 @@ class ContinuousBatchScheduler:
         self.prefix_caching = bool(prefix_caching)
         self.pool_blocks = pool_blocks
         self.pool_bytes = pool_bytes
-        if policy is None:
-            # Imported lazily: repro.serving sits above repro.core in
-            # the layering (it imports core at module scope), so the
-            # default policy can only be pulled in at construction time.
-            from repro.serving.policies import FCFS
-
-            policy = FCFS()
-        self.policy: SchedulingPolicy = policy
+        self.policy: SchedulingPolicy = FCFS() if policy is None else policy
         #: The run's block pool (the last one, when reused).
         self.block_pool: BlockPool | None = None
         self.deferrals = 0
@@ -1506,13 +1614,6 @@ class ContinuousBatchScheduler:
 
     def _build_pool(self, requests: Sequence[DecodeRequest]) -> BlockPool:
         """The run's :class:`~repro.core.paging.BlockPool`."""
-        from repro.core.paging import (
-            BlockPool,
-            BlockPoolExhausted,
-            blocks_needed,
-            worst_case_blocks,
-        )
-
         n_heads = requests[0].n_heads
         head_dim = requests[0].head_dim
         for request in requests:
@@ -1562,8 +1663,6 @@ class ContinuousBatchScheduler:
         """
         if request.window is not None:
             return 0
-        from repro.core.paging import prefix_block_keys
-
         return pool.probe_prefix(
             prefix_block_keys(
                 request.x, request.wk, request.wv,
@@ -1596,8 +1695,6 @@ class ContinuousBatchScheduler:
         virtual clock is invisible: the run is step-for-step identical
         to the pre-metadata scheduler.
         """
-        from repro.core.paging import BlockPoolExhausted, ReservedKVCache
-
         request_list = tuple(requests)
         if not request_list:
             raise ValueError("need at least one decode request")
@@ -1616,7 +1713,7 @@ class ContinuousBatchScheduler:
             self.engine.validate_request(request)
 
         engine = self.engine
-        verifier = self._verifier
+        tree = self.tree
         pool = self._build_pool(request_list)
         self.block_pool = pool
 
@@ -1684,9 +1781,9 @@ class ContinuousBatchScheduler:
             )
             for seq in scheduled:
                 try:
-                    pending = verifier.plan_with_fallback(
+                    pending = engine.plan_with_fallback(
                         seq.live_state, seq.step_input, seq.remaining,
-                        draft=seq.draft,
+                        draft=seq.draft, tree=tree,
                     )
                 except BlockPoolExhausted:
                     self.deferrals += 1
@@ -1739,7 +1836,7 @@ class ContinuousBatchScheduler:
                     state = engine.start(seq.request, cache=cache)
                 waiting.remove(seq)
                 seq.state = state
-                if seq.draft is None and verifier.tree.depth:
+                if seq.draft is None and tree.depth:
                     seq.draft = self.draft_factory()
                 admission_clock += 1
                 seq.admitted_at = admission_clock
@@ -1819,7 +1916,7 @@ class ContinuousBatchScheduler:
                 else:
                     staged = seq.pending_pass
                     assert staged is not None  # planned this very step
-                    new_steps, pass_result = verifier.finish_verify_pass(
+                    new_steps, pass_result = engine.finish_verify_pass(
                         staged, result, draft=seq.draft
                     )
                     seq.pending_pass = None

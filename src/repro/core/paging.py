@@ -1,7 +1,12 @@
-"""One KV pool: a global block pool and its two reservation policies.
+"""The KV caches and their pool: one row store, two reservation policies.
 
-Every decode sequence keeps its K/V rows in its own contiguous row
-store (:class:`~repro.core.decode.KVCache`), read through views.  The
+This module is the bottom of the decode stack (the drafts in
+:mod:`repro.core.speculative`, then the engine and scheduler in
+:mod:`repro.core.decode`, import it; it imports neither).  Every decode
+sequence keeps its K/V rows in its own contiguous row store,
+:class:`KVCache`, read through views: append with optional
+sliding-window eviction, speculative ``truncate``, ``fork`` and
+``reset`` are that class's code for every cache.  The
 :class:`BlockPool` holds no rows: it is the *accounting* of KV memory
 in fixed-size blocks (``block_size`` token slots each;
 ``NovaConfig.kv_block_size`` sets the default) — block ids, reference
@@ -11,7 +16,7 @@ run chooses how its sequences reserve that memory:
 * **Whole-page (contiguous)** — :class:`ReservedKVCache` reserves one
   run of ``blocks_needed(capacity, block_size)`` consecutive blocks at
   admission (:meth:`BlockPool.reserve_run`); otherwise it *is* a
-  :class:`~repro.core.decode.KVCache`: append, views, window shifts
+  :class:`KVCache`: append, views, window shifts
   and forks are that class's own code.  ``reset`` releases the run
   (:meth:`BlockPool.release_run`).
 * **Paged** — :class:`PagedKVCache` charges blocks lazily, one at a
@@ -21,7 +26,7 @@ run chooses how its sequences reserve that memory:
   advances the offset and frees whole head blocks).  It is a
   ``KVCache`` (``append`` / ``evict`` / ``truncate`` / ``keys`` /
   ``values`` / ``values_snapshot`` / ``reset``) plus that block
-  accounting, so the decode engines run unchanged on either cache.
+  accounting, so the decode engine runs unchanged on either cache.
   ``truncate`` is the speculative-decode rollback path: rejected draft
   tokens free whole tail blocks back to the pool.
 
@@ -87,9 +92,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.decode import KVCache
-
 __all__ = [
+    "KVCache",
+    "KVCacheOverflow",
     "BlockPool",
     "BlockPoolExhausted",
     "BlockTable",
@@ -99,6 +104,219 @@ __all__ = [
     "prefix_block_keys",
     "worst_case_blocks",
 ]
+
+
+class KVCacheOverflow(RuntimeError):
+    """Appending to a full :class:`KVCache` that has no eviction window."""
+
+
+class KVCache:
+    """Per-request key/value cache for autoregressive decode.
+
+    The cache owns one contiguous row store per tensor, ``(n_heads,
+    rows, head_dim)``, and presents its live span through views
+    (:attr:`keys` / :attr:`values`).  The store grows by amortised
+    doubling up to ``limit`` rows, so an append is a row write almost
+    always and a reallocation ``O(log limit)`` times per fill.
+    ``window=None`` (the default) makes the capacity hard: appending to
+    a full cache raises :class:`KVCacheOverflow`.  ``window=w`` caps the
+    cache at the last ``w`` tokens instead (sliding-window attention):
+    the oldest entry is evicted to make room and ``start_position``
+    advances, so the cache always holds positions ``[start_position,
+    start_position + length)``.
+
+    The block-pool caches (:class:`PagedKVCache`,
+    :class:`ReservedKVCache`) are this class plus their pool
+    accounting: they keep their rows here, never in the pool.
+    """
+
+    def __init__(
+        self,
+        n_heads: int,
+        head_dim: int,
+        capacity: int,
+        window: int | None = None,
+    ) -> None:
+        if n_heads < 1:
+            raise ValueError(f"n_heads must be >= 1, got {n_heads}")
+        if head_dim < 1:
+            raise ValueError(f"head_dim must be >= 1, got {head_dim}")
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if window is not None:
+            if window < 1:
+                raise ValueError(f"window must be >= 1, got {window}")
+            if window > capacity:
+                raise ValueError(
+                    f"window ({window}) cannot exceed capacity ({capacity})"
+                )
+        self.n_heads = n_heads
+        self.head_dim = head_dim
+        self.capacity = capacity
+        self.window = window
+        self._k = self._v = np.empty((n_heads, 0, head_dim))
+        self.length = 0
+        self.start_position = 0
+        self.evictions = 0
+
+    @property
+    def limit(self) -> int:
+        """Maximum entries held at once (``window`` if set, else capacity)."""
+        return self.capacity if self.window is None else self.window
+
+    @property
+    def keys(self) -> np.ndarray:
+        """View of the valid cached keys, ``(n_heads, length, head_dim)``."""
+        return self._k[:, : self.length]
+
+    @property
+    def values(self) -> np.ndarray:
+        """View of the valid cached values, ``(n_heads, length, head_dim)``."""
+        return self._v[:, : self.length]
+
+    def _reserve(self, rows: int) -> None:
+        """Grow the row store to hold at least ``rows`` rows, keeping
+        the live rows: the store doubles, with at least 16 rows spare,
+        capped at ``limit`` (a fork's fresh store is its live rows plus
+        that spare)."""
+        held = self._k.shape[1]
+        if rows <= held:
+            return
+        size = min(self.limit, max(rows + 16, 2 * held))
+        # One allocation holds both tensors: half the heap blocks, which
+        # keeps many short-lived fork stores from fragmenting the heap.
+        k, v = np.empty((2, self.n_heads, size, self.head_dim))
+        k[:, : self.length] = self._k[:, : self.length]
+        v[:, : self.length] = self._v[:, : self.length]
+        self._k, self._v = k, v
+
+    def _claim_slot(self) -> None:
+        """Reservation hook, called once per append just before its row
+        is written (after any window eviction).  A plain cache has no
+        pool to charge; the block-pool caches account the slot here,
+        raising before any cache state changes."""
+
+    def append(self, k_t: np.ndarray, v_t: np.ndarray) -> None:
+        """Append one token's per-head key/value rows.
+
+        ``k_t``/``v_t`` have shape ``(n_heads, head_dim)``.  A full
+        windowed cache evicts its oldest entry first; a full hard-capacity
+        cache raises :class:`KVCacheOverflow`.  Atomic: a raising
+        append leaves the cache byte-identical (no partial evict, no
+        length change), so callers can defer the token and retry.
+        """
+        expected = (self.n_heads, self.head_dim)
+        k_t = np.asarray(k_t, dtype=np.float64)
+        v_t = np.asarray(v_t, dtype=np.float64)
+        if k_t.shape != expected or v_t.shape != expected:
+            raise ValueError(
+                f"expected per-token k/v of shape {expected}, got "
+                f"{k_t.shape} / {v_t.shape}"
+            )
+        if self.length == self.limit:
+            if self.window is None:
+                raise KVCacheOverflow(
+                    f"KV cache full at capacity {self.capacity} "
+                    f"(position {self.start_position + self.length}); "
+                    "set a window for sliding eviction or raise "
+                    "max_seq_len"
+                )
+            self.evict(1)
+        self._claim_slot()
+        if self.length == self._k.shape[1]:
+            self._reserve(self.length + 1)
+        self._k[:, self.length] = k_t
+        self._v[:, self.length] = v_t
+        self.length += 1
+
+    def evict(self, n: int) -> None:
+        """Drop the ``n`` oldest cached tokens (advances ``start_position``).
+
+        The live rows shift to the front of the store.  Atomic: an
+        out-of-range ``n`` raises before any state changes.
+        """
+        if not 0 <= n <= self.length:
+            raise ValueError(
+                f"cannot evict {n} of {self.length} cached tokens"
+            )
+        if n == 0:
+            return
+        keep = self.length - n
+        self._k[:, :keep] = self._k[:, n : self.length]
+        self._v[:, :keep] = self._v[:, n : self.length]
+        self.length = keep
+        self.start_position += n
+        self.evictions += n
+
+    def truncate(self, n: int) -> None:
+        """Drop the ``n`` *newest* cached tokens (speculative rollback).
+
+        The tail-side complement of :meth:`evict`: rolling back
+        rejected draft tokens just shortens the live span
+        (``start_position`` is untouched) — the next append overwrites
+        the rolled-back rows.  Atomic: an out-of-range ``n`` raises
+        before the length changes.
+        """
+        if not 0 <= n <= self.length:
+            raise ValueError(
+                f"cannot truncate {n} of {self.length} cached tokens"
+            )
+        self.length -= n
+
+    def values_snapshot(self, kv_len: int) -> np.ndarray:
+        """Contiguous copy of the first ``kv_len`` cached values,
+        ``(n_heads, kv_len, head_dim)``.
+
+        A copy outlives later evictions, which shift rows in place:
+        decode plans a windowed cache's context this way.  Append-only
+        caches are read through :attr:`values` instead.  Raises
+        ``ValueError`` unless ``0 <= kv_len <= length``: rows past the
+        live span were never written or were rolled back.
+        """
+        if not 0 <= kv_len <= self.length:
+            raise ValueError(
+                f"cannot snapshot {kv_len} of {self.length} cached values"
+            )
+        return self._v[:, :kv_len].copy()
+
+    def fork(self) -> "KVCache":
+        """An independent private copy of this cache's live state.
+
+        The twin presents the same live span and history in its own row
+        store, so appends on either side never show through.  Only the
+        live rows are copied, into a store with the usual growth
+        headroom.
+        """
+        twin = KVCache(
+            self.n_heads, self.head_dim, self.capacity, window=self.window
+        )
+        twin._adopt_span(self)
+        return twin
+
+    def _adopt_span(self, source: "KVCache") -> None:
+        """Copy ``source``'s live rows, span and eviction history into
+        this fresh cache — :meth:`fork`'s accounting step, on the owner
+        so the eviction counter is only ever written by its own object."""
+        self._reserve(source.length)
+        self._k[:, : source.length] = source.keys
+        self._v[:, : source.length] = source.values
+        self.length = source.length
+        self.start_position = source.start_position
+        self.evictions = source.evictions
+
+    def reset(self) -> None:
+        """Empty the cache in place (row store kept)."""
+        self.length = 0
+        self.start_position = 0
+        self.evictions = 0
+
+    def __repr__(self) -> str:
+        return (
+            f"KVCache({self.n_heads} heads x {self.capacity} x "
+            f"{self.head_dim}, length={self.length}"
+            + (f", window={self.window}" if self.window is not None else "")
+            + ")"
+        )
 
 
 class BlockPoolExhausted(RuntimeError):
@@ -596,7 +814,7 @@ class BlockTable:
 
 
 class PagedKVCache(KVCache):
-    """A :class:`~repro.core.decode.KVCache` whose residency is charged
+    """A :class:`KVCache` whose residency is charged
     to a block table.
 
     The rows live in the cache's own row store, exactly as in the
@@ -892,7 +1110,7 @@ class PagedKVCache(KVCache):
 
 
 class ReservedKVCache(KVCache):
-    """A :class:`~repro.core.decode.KVCache` holding one reserved run
+    """A :class:`KVCache` holding one reserved run
     of pool blocks (the whole-page reservation policy).
 
     Construction reserves ``blocks_needed(capacity, block_size)``

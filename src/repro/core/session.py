@@ -214,8 +214,8 @@ class NovaSession:
         attention output at the last position feeds back as the next
         token's embedding (there is no vocabulary at the
         attention-layer level).  Rejects non-causal requests.  Every
-        token comes out of a draft-and-verify pass; plain decode runs
-        the draft-free pass, one token each.
+        token comes out of a draft-and-verify pass of :attr:`decoder`;
+        plain decode runs the draft-free pass, one token each.
 
         ``speculative=True`` generates the **bit-identical** tokens
         with drafts instead (:mod:`repro.core.speculative`): ``draft``
@@ -226,27 +226,38 @@ class NovaSession:
         drafts).  ``draft`` is any
         :class:`~repro.core.speculative.DraftModel`, passed per call;
         the default is the exact-LUT
-        :class:`~repro.core.speculative.TruncatedTableDraft`.  The
-        speculative engine is built per call around :attr:`decoder`
-        (same unit, tables and caches).  Either way the
-        result is a :class:`~repro.core.decode.GenerateResult`, with
-        per-pass acceptance and rollback accounting — bit-identical
-        for any tree.
+        :class:`~repro.core.speculative.TruncatedTableDraft`.  The tree
+        is a per-call argument of the one decode engine
+        (``decoder.generate(..., tree=...)``); ``spec_tree`` and
+        ``draft`` without ``speculative=True`` raise ``ValueError``.
+        Either way the result is a
+        :class:`~repro.core.decode.GenerateResult`, with per-pass
+        acceptance and rollback accounting — bit-identical for any
+        tree.
         """
-        if not speculative:
-            if spec_tree is not None or draft is not None:
-                raise ValueError(
-                    "spec_tree/draft only apply to speculative "
-                    "generation (pass speculative=True)"
-                )
-            return self.decoder.generate(
-                request, max_new_tokens=max_new_tokens
-            )
-        from repro.core.speculative import SpeculativeDecodeEngine
-
-        return SpeculativeDecodeEngine(self.decoder, tree=spec_tree).generate(
-            request, max_new_tokens=max_new_tokens, draft=draft
+        return self.decoder.generate(
+            request, max_new_tokens=max_new_tokens, draft=draft,
+            tree=self._draft_tree(speculative, spec_tree, draft),
         )
+
+    def _draft_tree(
+        self, speculative: bool, spec_tree: str | None, draft: object
+    ) -> str | None:
+        """The draft tree a decode call runs: ``None`` (plain decode)
+        unless ``speculative``, else ``spec_tree`` or the config's.
+
+        Below the session the tree alone decides, so this is the one
+        place a ``spec_tree`` or a draft (model or factory) without
+        ``speculative=True`` is rejected.
+        """
+        if speculative:
+            return self._config.spec_tree if spec_tree is None else spec_tree
+        if spec_tree is not None or draft is not None:
+            raise ValueError(
+                "spec_tree and drafts only apply to speculative decode "
+                "(pass speculative=True)"
+            )
+        return None
 
     def serve_decode(
         self,
@@ -285,13 +296,16 @@ class NovaSession:
         ``draft_factory()``, defaulting to the exact-LUT
         ``TruncatedTableDraft(config)``), composing with either memory
         mode and still bit-identical to solo :meth:`generate` per
-        request.
+        request.  The scheduler itself takes only the tree
+        (``spec_tree=None`` is plain decode); ``spec_tree`` and
+        ``draft_factory`` without ``speculative=True`` raise
+        ``ValueError`` here.
         """
         scheduler = ContinuousBatchScheduler(
             self.decoder, max_active=max_active, paged=paged,
             pool_blocks=pool_blocks, pool_bytes=pool_bytes,
             prefix_caching=prefix_caching,
-            speculative=speculative, spec_tree=spec_tree,
+            spec_tree=self._draft_tree(speculative, spec_tree, draft_factory),
             draft_factory=draft_factory,
         )
         return scheduler.run(requests)
@@ -322,8 +336,10 @@ class NovaSession:
         (:data:`repro.serving.policies.POLICIES`: ``"fcfs"``,
         ``"priority-preemptive"``, ``"slo-aware"``, ``"tenant-fair"``)
         or takes a policy object; the remaining knobs mirror
-        :meth:`serve_decode` (drafts come per sequence from
-        ``draft_factory``, default the exact-LUT draft).  Returns the
+        :meth:`serve_decode` (``speculative=True`` resolves the draft
+        tree the front door runs, ``spec_tree`` or the config's; drafts
+        come per sequence from ``draft_factory``, default the exact-LUT
+        draft).  Returns the
         JSON-serializable :class:`~repro.serving.metrics.ServingReport`
         (TTFT/latency percentiles, goodput, deferral/preemption rates).
         Whatever the policy decides, per-request outputs stay
@@ -339,8 +355,7 @@ class NovaSession:
             pool_blocks=pool_blocks,
             pool_bytes=pool_bytes,
             prefix_caching=prefix_caching,
-            speculative=speculative,
-            spec_tree=spec_tree,
+            spec_tree=self._draft_tree(speculative, spec_tree, draft_factory),
             draft_factory=draft_factory,
         )
         return door.serve(trace)

@@ -1,4 +1,4 @@
-"""Speculative decode on the NOVA overlay: draft-and-verify over paged KV.
+"""Speculative decode on the NOVA overlay: the drafts and the draft tree.
 
 Every output token of the plain decode path costs one full pass through
 the overlay — one exp stream, one reciprocal stream, one table retarget
@@ -12,6 +12,16 @@ traversal (the fold-small-ops-into-one-pass idea the ROADMAP names).
 Accepted drafts commit; the rejected suffix rolls back atomically by
 truncating the cache — on a :class:`~repro.core.paging.PagedKVCache`
 that frees whole tail blocks back to the shared pool.
+
+The engine
+----------
+:class:`~repro.core.decode.NovaDecodeEngine` plans, executes and
+commits every pass and takes the :class:`DraftTree` and the
+:class:`DraftModel` per call (``tree=``, ``draft=``), the way one NOVA
+unit serves every non-linear function by retargeting its table.  This
+module holds what a pass is planned from — the drafts, the tree, the
+pass record — and imports nothing from :mod:`repro.core.decode` at
+runtime.
 
 Why this is bit-exact by construction
 -------------------------------------
@@ -83,9 +93,11 @@ accept pattern (a pinned property).  The tree is the only speculation
 shape: a width-1 tree plans no forks and *is* the linear chain (every
 preset's default ``spec_tree`` is one, ``"1x4"`` or ``"1x8"``), and the
 depth-0 tree ``DraftTree(())`` plans no drafts: each pass is the one
-true token ``u_0``, i.e. a plain decode step.  Every plain decode path
-runs it, so there is one decode loop; its passes build no tree nodes or
-forks and never touch a draft.
+true token ``u_0``, i.e. a plain decode step.  It is what ``tree=None``
+means on every engine method and on the scheduler, so there is one
+decode loop; its passes build no tree nodes or forks and never touch a
+draft.  Only the session's ``speculative=True`` reads the config's
+``spec_tree`` as a default.
 
 Accounting
 ----------
@@ -102,36 +114,25 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.core.attention import (
     assemble_probabilities,
+    context_for_query,
+    project_token,
+    scores_for_query,
     shift_scores,
     softmax_reduction,
 )
 from repro.core.config import NovaConfig, as_config, parse_tree_spec
-from repro.core.decode import (
-    DecodeRequest,
-    DecodeState,
-    DecodeStepResult,
-    GenerateResult,
-    KVCache,
-    KVCacheOverflow,
-    NovaDecodeEngine,
-    _Job,
-    context_for_query,
-    project_token,
-    scores_for_query,
-)
-from repro.core.paging import BlockPoolExhausted
+from repro.core.paging import KVCache
 from repro.noc.stats import EventCounters
 
 if TYPE_CHECKING:
     from repro.approx.quantize import QuantizedPwl
-    from repro.core.decode import _JobResult, _TokenPlan
-    from repro.core.paging import BlockPool
+    from repro.core.decode import DecodeRequest, _SpecPass
 
 __all__ = [
     "DraftBranch",
@@ -144,8 +145,23 @@ __all__ = [
     "host_step_output",
     "tree_causal_mask",
     "VerifyPassResult",
-    "SpeculativeDecodeEngine",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """``SpeculativeDecodeEngine``: the retired pass engine's name, now
+    :class:`~repro.core.decode.NovaDecodeEngine`.
+
+    The repo benchmark's tracer (``perfbench/layers.py``, ``PATCHES``)
+    still wraps ``plan_with_fallback`` and ``finish_verify_pass`` under
+    this name.  Delete this alias in the benchmark change that re-points
+    ``PATCHES`` at ``repro.core.decode.NovaDecodeEngine``.
+    """
+    if name == "SpeculativeDecodeEngine":
+        from repro.core.decode import NovaDecodeEngine
+
+        return NovaDecodeEngine
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +222,7 @@ def host_level_outputs(
     so each row is bit-identical to evaluating it alone.  The context
     GEMV and output projection run per row, over a view of the
     branch's cached values (no copy; see
-    :func:`~repro.core.decode.context_for_query`).
+    :func:`~repro.core.attention.context_for_query`).
     """
     raw = exp_table.evaluate(np.stack([b.shifted for b in branches]))
     rows = [
@@ -301,6 +317,14 @@ class DraftTree:
         return cls(parse_tree_spec(spec))
 
     @classmethod
+    def of(cls, tree: DraftTree | str | None) -> DraftTree:
+        """``tree`` as a tree: a spec string is parsed, and ``None`` is
+        the depth-0 tree (plain decode)."""
+        if tree is None:
+            return _DEPTH_0
+        return cls.parse(tree) if isinstance(tree, str) else tree
+
+    @classmethod
     def linear(cls, k: int) -> DraftTree:
         """The degenerate width-1 tree: a linear chain of ``k`` drafts."""
         if k < 1:
@@ -348,6 +372,10 @@ class DraftTree:
         return f"DraftTree({self.spec!r})"
 
 
+#: The depth-0 tree: every pass is the one true token (plain decode).
+_DEPTH_0 = DraftTree(())
+
+
 # ----------------------------------------------------------------------
 # Draft models.
 # ----------------------------------------------------------------------
@@ -355,7 +383,7 @@ class DraftTree:
 
 @runtime_checkable
 class DraftModel(Protocol):
-    """What the speculative engine needs from a draft.
+    """What the decode engine needs from a draft.
 
     ``propose_candidates(request, branches, position, width)`` is called
     **once per tree level**: ``branches`` holds every live frontier node
@@ -710,39 +738,6 @@ def _draft_level(
     return level
 
 
-class _TreeNode:
-    """One planned pass token: the root ``u_0`` or a provisional draft.
-
-    ``state`` is the branch this node's k/v row was appended through —
-    the request's live :class:`~repro.core.decode.DecodeState` for the
-    root and every only-child below it (``in_state``), a shadow state
-    over a cache fork for every sibling branch.  ``parent`` is the
-    parent's token index (``None`` for the root), not the node itself:
-    links run only parent-to-children, so a finished pass is freed by
-    reference counting rather than left to the cyclic collector.
-    """
-
-    __slots__ = (
-        "parent", "embedding", "token_index", "state", "in_state",
-        "children",
-    )
-
-    def __init__(
-        self,
-        parent: int | None,
-        embedding: np.ndarray,
-        token_index: int,
-        state: DecodeState,
-        in_state: bool,
-    ) -> None:
-        self.parent = parent
-        self.embedding = embedding
-        self.token_index = token_index
-        self.state = state
-        self.in_state = in_state
-        self.children: list[_TreeNode] = []
-
-
 def tree_causal_mask(spec_pass: _SpecPass) -> np.ndarray:
     """The pass's tree-causal attention mask over its planned tokens.
 
@@ -765,433 +760,3 @@ def tree_causal_mask(spec_pass: _SpecPass) -> np.ndarray:
             mask[node.token_index, ancestor] = True
             ancestor = spec_pass.nodes[ancestor].parent
     return mask
-
-
-class _SpecPass:
-    """One planned verification pass (a draft tree) awaiting execution.
-
-    ``nodes`` is every planned token in job order (the root first,
-    then level by level); ``forks`` the branch caches to release at
-    finish; ``in_state_tokens`` how many pass tokens were appended to
-    the live state's own cache.  A draft-free pass has no tree
-    (``root`` is None): its one token is ``x0``, as the caller passed it.
-    """
-
-    __slots__ = ("job", "x0", "root", "nodes", "forks", "in_state_tokens")
-
-    def __init__(
-        self,
-        job: _Job,
-        x0: np.ndarray,
-        root: _TreeNode | None = None,
-        nodes: Sequence[_TreeNode] = (),
-        forks: Sequence[KVCache] = (),
-        in_state_tokens: int = 1,
-    ) -> None:
-        self.job = job
-        self.x0 = x0
-        self.root = root
-        self.nodes = nodes
-        self.forks = forks
-        self.in_state_tokens = in_state_tokens
-
-
-# ----------------------------------------------------------------------
-# The engine.
-# ----------------------------------------------------------------------
-
-
-class SpeculativeDecodeEngine:
-    """Draft-and-verify decode wrapping one :class:`NovaDecodeEngine`.
-
-    ``engine`` is an existing decode engine (shared with the plain
-    paths — same unit, same tables, same caches) or anything its
-    constructor accepts (a :class:`~repro.core.config.NovaConfig`, a
-    preset name, ``None``).  ``tree`` is the :class:`DraftTree` every
-    pass drafts (a tree object or a ``"2x2,1x4"`` spec string; defaults
-    to ``config.spec_tree``, e.g. the preset's linear ``"1x4"`` chain);
-    ``DraftTree(())`` is plain decode.  The engine holds no draft: every
-    pass-level method takes ``draft=`` per call, and on a drafting tree
-    ``None`` means a fresh exact-LUT ``TruncatedTableDraft(config)``.
-
-    The primitive pair :meth:`plan_verify_pass` /
-    :meth:`finish_verify_pass` is what the continuous batcher fuses
-    across requests; :meth:`run_pass` runs one pass alone and
-    :meth:`generate` is the solo loop (the only decode loop).
-    """
-
-    def __init__(
-        self,
-        engine: NovaDecodeEngine | NovaConfig | str | None = None,
-        tree: DraftTree | str | None = None,
-    ) -> None:
-        if not isinstance(engine, NovaDecodeEngine):
-            engine = NovaDecodeEngine(engine)
-        self.engine = engine
-        if tree is None:
-            tree = engine.config.spec_tree
-        self.tree = DraftTree.parse(tree) if isinstance(tree, str) else tree
-
-    def start(
-        self,
-        request: DecodeRequest,
-        cache: KVCache | None = None,
-        pool: BlockPool | None = None,
-        prefix: bool = False,
-    ) -> DecodeState:
-        """Open a decode state (delegates to the wrapped engine).
-
-        ``prefix=True`` adopts cached prompt blocks exactly as the
-        plain engine does; speculative rollback composes with sharing
-        because :meth:`~repro.core.paging.PagedKVCache.truncate` only
-        drops this request's *references* on shared tail blocks.
-        """
-        return self.engine.start(request, cache=cache, pool=pool,
-                                 prefix=prefix)
-
-    # ------------------------------------------------------------------
-    # The draft-and-verify primitives.
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _rollback(state: DecodeState, n: int) -> None:
-        if n:
-            state.cache.truncate(n)
-            state.position -= n
-
-    def plan_verify_pass(
-        self,
-        state: DecodeState,
-        x_t: np.ndarray,
-        budget: int,
-        draft: DraftModel | None = None,
-        max_drafts: int | None = None,
-    ) -> _SpecPass:
-        """Stage one verification pass: ``x_t`` plus the draft tree's
-        provisional tokens, all appended as cached k/v rows.
-
-        The tree grows level by level.  An only child extends its
-        parent's branch cache in place; siblings each append under a
-        ``fork()`` of the parent cache (copy-on-write block sharing on
-        the paged layer), so every node's KV span is exactly its
-        ancestor chain — the tree-causal mask, structurally
-        (:func:`tree_causal_mask`).  All planned tokens form **one**
-        job: the engine's packed execute scores the whole tree in a
-        single ``table_gather_mac`` launch per phase.  The draft is
-        asked once per level, for every live branch at once, before any
-        of that level's appends.  A width-1 tree plans no forks; a pass
-        clipped to no levels (the depth-0 tree, a budget of 1 or
-        ``max_drafts=0``) plans just ``u_0`` with no tree and no draft
-        call.
-
-        ``budget`` caps the pass at the tokens still owed (a pass never
-        commits more than ``budget``, so the tree is clipped to
-        ``budget - 1`` levels; ``max_drafts`` clips levels the same
-        way — ``0`` plans just ``u_0``).  A branch stops growing at its
-        cache's window limit — provisional tokens must never evict,
-        because eviction cannot be rolled back.  The plan is
-        **atomic**: any failure (a malformed draft answer,
-        ``BlockPoolExhausted`` on a provisional block or fork, a
-        raising draft model) releases every fork and rolls the cache,
-        the pool and the position back to their pre-pass state before
-        the exception propagates.
-        """
-        if budget < 1:
-            raise ValueError(f"pass budget must be >= 1, got {budget}")
-        engine = self.engine
-        widths = self.tree.widths
-        if max_drafts is not None:
-            widths = widths[: max(0, max_drafts)]
-        widths = widths[: budget - 1]
-        if not widths:
-            # Draft-free: the one true token is a plain decode step
-            # (shape-checked, then appended atomically).
-            token = engine._plan_token(state, x_t)
-            return _SpecPass(_Job(state, [token]), x_t)
-        request = state.request
-        x_t = np.asarray(x_t, dtype=np.float64).reshape(-1)
-        if draft is None:
-            draft = TruncatedTableDraft(engine.config)
-        tokens: list[_TokenPlan] = []
-        nodes: list[_TreeNode] = []
-        forks: list[KVCache] = []
-        in_state = 0
-        try:
-            tokens.append(engine._plan_token(state, x_t))
-            in_state = 1
-            root = _TreeNode(None, x_t, 0, state, True)
-            nodes.append(root)
-            frontier = [root]
-            for width in widths:
-                # A branch at its window limit stops growing: one more
-                # provisional append would evict.
-                live = [
-                    node for node in frontier
-                    if node.state.cache.length < node.state.cache.limit
-                ]
-                if not live:
-                    break
-                # Draft every live branch before any of the level's
-                # appends: one proposal call per level.
-                level = _draft_level(
-                    draft, request,
-                    [
-                        DraftBranch(
-                            node.embedding, node.state.cache,
-                            tokens[node.token_index].shifted,
-                        )
-                        for node in live
-                    ],
-                    tokens[live[0].token_index].position, width,
-                )
-                frontier = []
-                for node, candidates in zip(live, level):
-                    if len(candidates) == 1:
-                        # An only child extends the branch in place.
-                        child_states = [node.state]
-                    else:
-                        child_states = []
-                        for _ in candidates:
-                            fork = node.state.cache.fork()
-                            forks.append(fork)
-                            shadow = DecodeState(request, fork)
-                            shadow.position = node.state.position
-                            child_states.append(shadow)
-                    for d, child_state in zip(candidates, child_states):
-                        tokens.append(engine._plan_token(child_state, d))
-                        child = _TreeNode(
-                            node.token_index, d, len(tokens) - 1,
-                            child_state,
-                            child_state is state,
-                        )
-                        if child.in_state:
-                            in_state += 1
-                        nodes.append(child)
-                        node.children.append(child)
-                        frontier.append(child)
-        except BaseException:
-            # Atomic rollback: forks release their block references,
-            # then the in-place appends truncate.  Only u_0's append
-            # can have evicted (and only when the cache sat exactly at
-            # its window limit, in which case no level ever grew, so
-            # nothing can raise after it), so this restores cache, pool
-            # and position exactly.
-            for fork in forks:
-                fork.reset()
-            self._rollback(state, in_state)
-            raise
-        return _SpecPass(
-            _Job(state, tokens), x_t, root, nodes, forks, in_state
-        )
-
-    def finish_verify_pass(
-        self,
-        spec_pass: _SpecPass,
-        result: _JobResult,
-        draft: DraftModel | None = None,
-    ) -> tuple[list[DecodeStepResult], VerifyPassResult]:
-        """Commit the longest-accepted branch, roll back every other.
-
-        ``result`` is the pass's ``_JobResult`` from
-        :meth:`NovaDecodeEngine._execute`.  The walk starts at the root
-        and, at each depth, descends into the child whose drafted
-        embedding equals the parent's true output bit for bit (siblings
-        are deduplicated at plan time, so at most one can match); the
-        walked path is the longest accepted branch.  Returns its
-        committed steps (at least one — ``u_0``'s input is the true
-        previous output by construction) and the pass accounting.
-        Before returning, every branch fork releases its block
-        references, the live cache truncates the in-place tokens the
-        path does not cover, and the path's fork-resident rows are
-        re-appended to the live cache (recomputing the k/v projection
-        is deterministic, hence bit-identical to the rows the released
-        fork held) — zero pool blocks leak for any accept pattern.  A
-        draft-free pass commits its one token as is: nothing to walk,
-        release or roll back.  ``draft`` observes every committed step;
-        ``None`` (the exact-LUT default, whose ``observe`` is a no-op)
-        observes nothing.
-        """
-        tokens = spec_pass.job.tokens
-        outputs = result.outputs
-        if spec_pass.root is None:
-            path = [(0, spec_pass.x0)]  # draft-free: u_0 commits as is
-        else:
-            path = self._commit_longest_branch(spec_pass, outputs)
-        lanes = self.engine.n_lanes
-        heads = spec_pass.job.state.request.n_heads
-        steps: list[DecodeStepResult] = []
-        for i, (index, embedding) in enumerate(path):
-            probs = result.probabilities[index]
-            kv_len = probs.shape[-1]
-            n_exp = heads * kv_len
-            position = tokens[index].position
-            steps.append(
-                DecodeStepResult(
-                    output=outputs[index],
-                    probabilities=probs,
-                    position=position,
-                    kv_length=kv_len,
-                    vector_cycles=-(-n_exp // lanes) + -(-heads // lanes),
-                    nonlinear_queries=n_exp + heads,
-                    drafted=i > 0,
-                )
-            )
-            if draft is not None:
-                draft.observe(embedding, outputs[index], position)
-        committed = len(path)
-        return steps, VerifyPassResult(
-            tokens=len(tokens),
-            drafted=len(tokens) - 1,
-            accepted=committed - 1,
-            committed=committed,
-            rolled_back=len(tokens) - committed,
-            vector_cycles=result.vector_cycles,
-            nonlinear_queries=result.nonlinear_queries,
-            counters=result.counters,
-        )
-
-    def _commit_longest_branch(
-        self, spec_pass: _SpecPass, outputs: list[np.ndarray]
-    ) -> list[tuple[int, np.ndarray]]:
-        """Walk the tree's accepted path, leave only it in the live
-        cache, and return it as ``(token index, input embedding)``."""
-        node = spec_pass.root
-        assert node is not None  # a tree pass
-        path = [node]
-        while True:
-            out = outputs[node.token_index]
-            match = None
-            for child in node.children:
-                if np.array_equal(child.embedding, out):
-                    match = child
-                    break
-            if match is None:
-                break
-            path.append(match)
-            node = match
-        # Forks first (shared tail blocks drop to their surviving
-        # refcounts), then the in-place suffix beyond the accepted
-        # in-place prefix truncates — the accepted path can only leave
-        # the live cache for a fork, never come back, so the in-place
-        # tokens it covers are exactly a prefix.
-        for fork in spec_pass.forks:
-            fork.reset()
-        state = spec_pass.job.state
-        kept_in_state = sum(1 for n in path if n.in_state)
-        self._rollback(state, spec_pass.in_state_tokens - kept_in_state)
-        request = state.request
-        for n in path:
-            if not n.in_state:
-                _, k_t, v_t = project_token(
-                    n.embedding, request.wq, request.wk, request.wv,
-                    request.n_heads,
-                )
-                state.cache.append(k_t, v_t)
-                state.position += 1
-        return [(n.token_index, n.embedding) for n in path]
-
-    def plan_with_fallback(
-        self,
-        state: DecodeState,
-        x_t: np.ndarray,
-        budget: int,
-        draft: DraftModel | None = None,
-    ) -> _SpecPass:
-        """Plan a pass, degrading to draft-free on pool exhaustion.
-
-        Speculation is opportunistic: when the block pool cannot hold
-        the provisional tokens, a pass of just ``u_0`` (one plain decode
-        step's worth of memory) still makes progress.  Only when even
-        that cannot allocate does :class:`~repro.core.paging.
-        BlockPoolExhausted` propagate (with cache and pool untouched) —
-        the scheduler's cue to defer or preempt.  A plan that had no
-        drafts to shed (the depth-0 tree or a budget of 1) is not
-        retried.
-        """
-        try:
-            return self.plan_verify_pass(state, x_t, budget, draft=draft)
-        except BlockPoolExhausted:
-            if not self.tree.depth or budget < 2:
-                raise
-            return self.plan_verify_pass(
-                state, x_t, budget, draft=draft, max_drafts=0
-            )
-
-    def run_pass(
-        self,
-        state: DecodeState,
-        x_t: np.ndarray,
-        budget: int,
-        draft: DraftModel | None = None,
-    ) -> tuple[list[DecodeStepResult], VerifyPassResult]:
-        """Plan, execute and commit one pass on its own streams."""
-        spec_pass = self.plan_with_fallback(state, x_t, budget, draft=draft)
-        (result,), _ = self.engine._execute([spec_pass.job])
-        return self.finish_verify_pass(spec_pass, result, draft=draft)
-
-    # ------------------------------------------------------------------
-    # The solo loop.
-    # ------------------------------------------------------------------
-
-    def generate(
-        self,
-        request: DecodeRequest,
-        max_new_tokens: int | None = None,
-        state: DecodeState | None = None,
-        draft: DraftModel | None = None,
-    ) -> GenerateResult:
-        """Prefill, then run passes until the budget is met.
-
-        ``max_new_tokens`` defaults to the request's budget (an override
-        beyond the request's capacity fails before any work); ``state``
-        optionally supplies a pre-opened state; ``draft`` drafts every
-        pass (``None``: each drafting pass plans with a fresh exact-LUT
-        :class:`TruncatedTableDraft`, which keeps no state between
-        calls).  Outputs are bit-identical to plain decode for any tree
-        and any draft.
-        """
-        engine = self.engine
-        new_tokens = (
-            request.max_new_tokens
-            if max_new_tokens is None
-            else max_new_tokens
-        )
-        if new_tokens < 0:
-            raise ValueError(
-                f"max_new_tokens must be >= 0, got {new_tokens}"
-            )
-        if request.window is None and request.seq + new_tokens > request.capacity:
-            raise KVCacheOverflow(
-                f"generate needs {request.seq + new_tokens} cache slots "
-                f"({request.seq} prompt + {new_tokens} new) but the "
-                f"request's capacity is {request.capacity}; shorten "
-                "max_new_tokens, raise max_seq_len, or set a sliding "
-                "window"
-            )
-        if draft is not None:
-            draft.reset()
-        if state is None:
-            state = engine.start(request)
-        before = engine.unit._lifetime_counters()
-        pre = engine.prefill(state)
-        if draft is not None:
-            # Seed stateful drafts with the prompt's own (input, output)
-            # trajectory, exactly as the committed steps will extend it.
-            for position, (x_row, out_row) in enumerate(
-                zip(request.x, pre.outputs)
-            ):
-                draft.observe(x_row, out_row, position)
-        steps: list[DecodeStepResult] = []
-        passes: list[VerifyPassResult] = []
-        x_t = pre.outputs[-1]
-        while len(steps) < new_tokens:
-            new_steps, pass_result = self.run_pass(
-                state, x_t, new_tokens - len(steps), draft=draft
-            )
-            steps.extend(new_steps)
-            passes.append(pass_result)
-            x_t = new_steps[-1].output
-        return GenerateResult.from_passes(
-            pre, steps, passes,
-            engine.unit._lifetime_counters().diff(before),
-        )

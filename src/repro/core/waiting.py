@@ -1,4 +1,4 @@
-"""The continuous-batching scheduler's waiting queue.
+"""The continuous-batching scheduler's waiting queue and policy interface.
 
 :class:`WaitingQueue` holds the requests a
 :class:`~repro.core.decode.ContinuousBatchScheduler` run has not
@@ -6,16 +6,33 @@ admitted yet: an arrival cursor over those still to arrive, and the
 arrived ones ranked in queue order, with per-key heaps so a scheduling
 policy picks its next request in O(log n) instead of scanning the
 backlog.
+
+The scheduler's decision interface lives here too, below the engine in
+the import order: :class:`SchedulingPolicy` (what a policy answers),
+:class:`SequenceView` (what it sees of a sequence) and :class:`FCFS`,
+the scheduler's default.  The other built-in policies subclass
+:class:`FCFS` in :mod:`repro.serving.policies`, which re-exports all
+three.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Callable, Hashable, Iterable, Iterator
-from typing import Any, Generic, Protocol, TypeVar
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Generic,
+    Protocol,
+    TypeVar,
+    runtime_checkable,
+)
 
-__all__ = ["WaitingQueue"]
+if TYPE_CHECKING:
+    from repro.core.decode import DecodeRequest
+
+__all__ = ["WaitingQueue", "SequenceView", "SchedulingPolicy", "FCFS"]
 
 
 class _Queued(Protocol):
@@ -42,7 +59,7 @@ class WaitingQueue(Generic[_W]):
 
     ``len``, ``in``, iteration (in queue order) and ``[0]`` cover the
     arrived set only: it is the ``waiting`` view every
-    :class:`~repro.serving.policies.SchedulingPolicy` hook receives.
+    :class:`SchedulingPolicy` hook receives.
     ``len``, ``in`` and :meth:`remove` are O(1).  :meth:`first`,
     :meth:`first_by` and :meth:`heads_by` are O(log n) amortised: each
     key (or group) function gets its own lazy-deletion heap, built on
@@ -218,3 +235,136 @@ class WaitingQueue(Generic[_W]):
                 raise RuntimeError(
                     f"waiting queue invariant broken: {invariant}"
                 )
+
+
+@runtime_checkable
+class SequenceView(Protocol):
+    """The read-only surface a policy sees of one request's sequence.
+
+    Structurally satisfied by the scheduler's internal bookkeeping
+    objects; policies must treat it as immutable.  ``index`` is the
+    request's submission position, ``arrival``/``deadline`` are virtual
+    cycles (:class:`~repro.core.decode.SequenceMeta`), ``admitted_at``
+    is a monotone admission ticket (-1 while waiting), and
+    ``remaining`` counts the generation budget still owed.
+    """
+
+    index: int
+    arrival: float
+    priority: int
+    tenant: str
+    deadline: float | None
+    admitted_at: int
+    remaining: int
+    request: DecodeRequest
+
+
+S = TypeVar("S", bound=SequenceView)
+
+
+class SchedulingPolicy(Protocol):
+    """Decision interface of the continuous-batching scheduler.
+
+    One scheduler step consults the policy up to three times:
+
+    1. :meth:`preemptions` — optional voluntary eviction of in-flight
+       sequences (e.g. to make room for a higher-priority arrival);
+    2. :meth:`step_order` — which active sequences run a decode step
+       this round (normally all of them, in place);
+    3. :meth:`admit_next` — repeatedly, the next arrived-and-waiting
+       request to admit while slots and memory allow.
+
+    :meth:`select_victim` is consulted only when every in-flight
+    sequence is starved of memory and something must be preempted for
+    the run to progress.  Every hook receives ``now``, the virtual
+    clock in cycles.  Implementations must be deterministic pure
+    functions of their arguments (ties broken on stable keys such as
+    ``index`` or ``admitted_at``) — scheduler reproducibility rests on
+    it.
+
+    ``waiting`` is the run's :class:`WaitingQueue`, a view of the
+    arrived-and-waiting sequences in queue order (submission order;
+    preempted and deferred sequences rejoin at the front).  The
+    built-in policies answer from its heaps —
+    :meth:`WaitingQueue.first`, :meth:`WaitingQueue.first_by` and
+    :meth:`WaitingQueue.heads_by` — in O(log n) per
+    decision.  It also supports ``len``, ``in``, ``[0]`` and iteration
+    in queue order, so a custom policy that scans it like a list still
+    works, at a scan's O(n) per call (plus a sort by rank to iterate).
+    """
+
+    name: str
+
+    def step_order(
+        self, active: Sequence[S], now: float
+    ) -> Sequence[S]:
+        """The active sequences that decode this step, in job order."""
+        ...
+
+    def admit_next(
+        self,
+        waiting: WaitingQueue[S],
+        in_flight: Sequence[S],
+        now: float,
+    ) -> S | None:
+        """The next waiting (already arrived) request to admit.
+
+        ``None`` ends admission for this step.
+        """
+        ...
+
+    def select_victim(self, active: Sequence[S], now: float) -> S:
+        """The sequence to preempt when every active one is starved."""
+        ...
+
+    def preemptions(
+        self,
+        waiting: WaitingQueue[S],
+        active: Sequence[S],
+        now: float,
+        free_slots: int,
+    ) -> Sequence[S]:
+        """Active sequences to voluntarily evict before this step."""
+        ...
+
+
+class FCFS:
+    """First-come-first-served: the scheduler's historical behavior.
+
+    Admission takes the head of the queue (submission order; a
+    preempted request rejoins at the front and is readmitted first),
+    stops at the first request that cannot get memory (head-of-line
+    blocking — a deliberate part of the pinned behavior), every active
+    sequence steps every round, and forced preemption evicts the most
+    recently admitted sequence.  The equivalence test pins a default
+    scheduler run byte-identical to an explicit ``FCFS()`` run, and the
+    golden traces pin both to the pre-policy scheduler.
+    """
+
+    name = "fcfs"
+
+    def step_order(self, active: Sequence[S], now: float) -> Sequence[S]:
+        return list(active)
+
+    def admit_next(
+        self,
+        waiting: WaitingQueue[S],
+        in_flight: Sequence[S],
+        now: float,
+    ) -> S | None:
+        return waiting.first()
+
+    def select_victim(self, active: Sequence[S], now: float) -> S:
+        return max(active, key=lambda s: s.admitted_at)
+
+    def preemptions(
+        self,
+        waiting: WaitingQueue[S],
+        active: Sequence[S],
+        now: float,
+        free_slots: int,
+    ) -> Sequence[S]:
+        return []
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"

@@ -1057,16 +1057,15 @@ def speculative_decode_speedup(
     --speculative`` and ``benchmarks/bench_speculative.py``: one batch
     of causal decode requests is served three ways — plain one-at-a-time
     :meth:`~repro.core.decode.NovaDecodeEngine.generate`, speculative
-    one-at-a-time :meth:`~repro.core.speculative.SpeculativeDecodeEngine.
-    generate` (the config's ``spec_tree`` chain per packed verification
-    pass — it must be linear, e.g. ``"1x4"``; draft trees have their own
-    study — drafted by a
+    one-at-a-time ``generate(..., tree=config.spec_tree)`` (the
+    config's chain per packed verification pass — it must be linear,
+    e.g. ``"1x4"``; draft trees have their own study — drafted by a
     :class:`~repro.core.speculative.TruncatedTableDraft` whose fidelity
     is solved from ``acceptance_rate`` by
     :func:`repro.workloads.bert.fidelity_for_acceptance`), and
     speculative **continuous batching**
     (:class:`~repro.core.decode.ContinuousBatchScheduler` with
-    ``speculative=True``, verification passes of different requests
+    ``spec_tree=config.spec_tree``, verification passes of different requests
     fused into shared lane streams).  Before the table is built, every
     speculative path's generated tokens are checked bit-identical to the
     plain path and each speculative result's closed-form
@@ -1079,7 +1078,7 @@ def speculative_decode_speedup(
     deterministic number).
     """
     from repro.core.decode import ContinuousBatchScheduler
-    from repro.core.speculative import SpeculativeDecodeEngine
+    from repro.core.speculative import DraftTree
     from repro.workloads.bert import speculative_decode_batch
 
     cfg, seed, model, session = _setup(
@@ -1091,17 +1090,17 @@ def speculative_decode_speedup(
         config=cfg,
     )
     engine = session.decoder
-    speculator = SpeculativeDecodeEngine(engine)
+    tree = DraftTree.parse(cfg.spec_tree)
 
     (plain, t_plain), (solo, t_solo), (batch, t_batched) = _timed(
         warmup,
         _solo(engine.generate, requests),
         _solo(
-            lambda r: speculator.generate(r, draft=draft_factory()),
+            lambda r: engine.generate(r, draft=draft_factory(), tree=tree),
             requests,
         ),
         lambda: ContinuousBatchScheduler(
-            engine, max_active=max_active, speculative=True,
+            engine, max_active=max_active, spec_tree=tree,
             draft_factory=draft_factory,
         ).run(requests),
     )
@@ -1136,7 +1135,7 @@ def speculative_decode_speedup(
             "each speculative result's closed-form sequential-equivalent "
             "cycles equal the plain run's (checked): a rejected draft "
             "costs rolled-back work, never correctness. One verification "
-            f"pass scores up to {speculator.tree.depth + 1} positions in a "
+            f"pass scores up to {tree.depth + 1} positions in a "
             "single overlay traversal instead of one traversal per "
             f"token. Solo speculative: {drafted} drafted, {accepted} "
             f"accepted, {rolled_back} rolled back "
@@ -1260,7 +1259,7 @@ def tree_speculation_speedup(
         # pool sized so provisional branches never hit the fallback
         # path: the study measures budget shape, not memory pressure
         return ContinuousBatchScheduler(
-            engine, max_active=max_active, paged=True, speculative=True,
+            engine, max_active=max_active, paged=True,
             spec_tree=shape, pool_blocks=1024,
             draft_factory=lambda: TruncatedTableDraft(
                 cfg, fidelity=fidelity, seed=next(draft_seeds)

@@ -84,7 +84,10 @@ class FrontDoor:
     and the scheduler's capacity/memory/speculation knobs; each
     :meth:`serve` call then builds a *fresh*
     :class:`~repro.core.decode.ContinuousBatchScheduler` so pool
-    statistics and counters are per run.
+    statistics and counters are per run.  As on the scheduler,
+    ``spec_tree`` alone picks the draft tree every pass plans, and
+    ``None`` (the default) is plain decode; ``draft_factory`` drafts a
+    deeper tree (default: the exact-LUT draft).
 
     Requests enter either through :meth:`submit` (queued until the
     next :meth:`serve`) or as a prebuilt trace passed to
@@ -108,7 +111,6 @@ class FrontDoor:
     pool_blocks: int | None = None
     pool_bytes: int | None = None
     prefix_caching: bool = False
-    speculative: bool = False
     spec_tree: str | None = None
     draft_factory: "Callable[[], DraftModel] | None" = None
     _pending: list[ServingRequest] = field(default_factory=list, repr=False)
@@ -188,7 +190,6 @@ class FrontDoor:
             pool_blocks=self.pool_blocks,
             pool_bytes=self.pool_bytes,
             prefix_caching=self.prefix_caching,
-            speculative=self.speculative,
             spec_tree=self.spec_tree,
             draft_factory=self.draft_factory,
             policy=build_policy(self.policy),

@@ -161,19 +161,19 @@ def golden_trace(preset_name: str) -> dict:
     }
 
     # -- speculative draft-and-verify under a fixed acceptance schedule
-    # The same generate run once more through the speculative engine
-    # (preset chain, ScheduledDraft accepting per SPECULATIVE_PROGRAM):
+    # The same generate run once more through the preset's draft chain
+    # (tree=cfg.spec_tree, ScheduledDraft accepting per SPECULATIVE_PROGRAM):
     # outputs must stay bit-identical and the closed-form sequential
     # equivalent must equal the plain run's cycles, while the pinned
     # acceptance trace (passes, drafted/accepted/rolled-back, actually
     # charged cycles and counters including rolled-back work) catches
     # any drift in pass planning, acceptance or rollback.  A second,
     # paged run pins the pool accounting of rollback frees.
-    from repro.core.speculative import ScheduledDraft, SpeculativeDecodeEngine
+    from repro.core.speculative import DraftTree, ScheduledDraft
 
-    speculator = SpeculativeDecodeEngine(engine)
-    spec_gen = speculator.generate(
-        request, draft=ScheduledDraft(cfg, SPECULATIVE_PROGRAM)
+    chain = DraftTree.parse(cfg.spec_tree)
+    spec_gen = engine.generate(
+        request, draft=ScheduledDraft(cfg, SPECULATIVE_PROGRAM), tree=chain
     )
     assert np.array_equal(spec_gen.generated, gen.generated), (
         f"{preset_name}: speculative generate diverged from plain"
@@ -184,15 +184,16 @@ def golden_trace(preset_name: str) -> dict:
     spec_pool = BlockPool(
         request.n_heads, request.head_dim, cfg.kv_block_size,
         n_blocks=worst_case_blocks(
-            request.total_tokens + speculator.tree.depth, request.window,
+            request.total_tokens + chain.depth, request.window,
             cfg.kv_block_size,
         ),
     )
-    spec_state = speculator.start(request, pool=spec_pool)
-    spec_paged = speculator.generate(
+    spec_state = engine.start(request, pool=spec_pool)
+    spec_paged = engine.generate(
         request,
         state=spec_state,
         draft=ScheduledDraft(cfg, SPECULATIVE_PROGRAM),
+        tree=chain,
     )
     assert np.array_equal(spec_paged.generated, gen.generated), (
         f"{preset_name}: paged speculative generate diverged from plain"
@@ -205,7 +206,7 @@ def golden_trace(preset_name: str) -> dict:
     # the pool exactly (allocated == freed, nothing leaked).
     spec_state.cache.reset()
     decode["speculative"] = {
-        "spec_k": speculator.tree.depth,
+        "spec_k": chain.depth,
         "program": "".join("1" if p else "0" for p in SPECULATIVE_PROGRAM),
         "vector_cycles": spec_gen.vector_cycles,
         "sequential_vector_cycles": spec_gen.sequential_vector_cycles,
@@ -233,12 +234,9 @@ def golden_trace(preset_name: str) -> dict:
     # changes it).  The paged twin pins the fork/rollback accounting:
     # sibling branches fork the cache copy-on-write, and every losing
     # branch's blocks come home (allocated == freed after retirement).
-    from repro.core.speculative import DraftTree
-
     tree = DraftTree.parse(SPECULATIVE_TREE)
-    tree_speculator = SpeculativeDecodeEngine(engine, tree=tree)
-    tree_gen = tree_speculator.generate(
-        request, draft=ScheduledDraft(cfg, TREE_PROGRAM)
+    tree_gen = engine.generate(
+        request, draft=ScheduledDraft(cfg, TREE_PROGRAM), tree=tree
     )
     assert np.array_equal(tree_gen.generated, gen.generated), (
         f"{preset_name}: tree-speculative generate diverged from plain"
@@ -258,11 +256,12 @@ def golden_trace(preset_name: str) -> dict:
             cfg.kv_block_size,
         ) + tree.max_nodes,
     )
-    tree_state = tree_speculator.start(request, pool=tree_pool)
-    tree_paged = tree_speculator.generate(
+    tree_state = engine.start(request, pool=tree_pool)
+    tree_paged = engine.generate(
         request,
         state=tree_state,
         draft=ScheduledDraft(cfg, TREE_PROGRAM),
+        tree=tree,
     )
     assert np.array_equal(tree_paged.generated, gen.generated), (
         f"{preset_name}: paged tree-speculative generate diverged"

@@ -203,6 +203,11 @@ class TestOneHomePerServingSetting:
             f.name: f.default for f in dataclasses.fields(FrontDoor)
             if f.name not in self.DOOR_STATE
         }
+        # speculative= lives on the session only: below it, the draft
+        # tree alone decides (spec_tree=None is plain decode)
+        assert "speculative" not in scheduler
+        assert serve_async.pop("speculative") is False
+        assert decode.pop("speculative") is False
         assert set(serve_async) == set(door) == set(scheduler)
         # serve_decode has no policy: it always serves FCFS
         assert set(decode) == set(scheduler) - {"policy"}

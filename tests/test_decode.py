@@ -294,8 +294,7 @@ class TestDecodeAccounting:
             request = toy_request(prompt_len=prompt_len)
             state = engine.start(request)
             engine.prefill(state)
-            plain = engine._draft_free()
-            jobs.append(plain.plan_verify_pass(state, request.x[-1], 1).job)
+            jobs.append(engine.plan_verify_pass(state, request.x[-1], 1).job)
         shifted = [[t.shifted.copy() for t in job.tokens] for job in jobs]
         results, _ = engine._execute(jobs)
         multi_segment = engine.unit.schedule.traversal_segments > 1

@@ -28,11 +28,7 @@ from repro.core.config import NovaConfig
 from repro.core.decode import DecodeRequest, KVCache, NovaDecodeEngine
 from repro.core.paging import BlockPool, PagedKVCache, blocks_needed
 from repro.core.session import NovaSession
-from repro.core.speculative import (
-    DraftTree,
-    ScheduledDraft,
-    SpeculativeDecodeEngine,
-)
+from repro.core.speculative import DraftTree, ScheduledDraft
 from repro.utils.fixed_point import FixedPointFormat
 
 #: Small geometry shared by the hardware-backed properties (module
@@ -418,16 +414,16 @@ class TestSpeculativeEquivalenceProperties:
         plain_state = DECODER.start(request)
         plain = DECODER.generate(request, state=plain_state)
 
-        speculator = SpeculativeDecodeEngine(DECODER, tree=chain)
         pool = BlockPool(
             request.n_heads, request.head_dim, 3,
             n_blocks=worst_case_blocks(
                 request.total_tokens + chain.depth, request.window, 3
             ),
         )
-        spec_state = speculator.start(request, pool=pool)
-        spec = speculator.generate(
-            request, state=spec_state, draft=ScheduledDraft(SMALL, program)
+        spec_state = DECODER.start(request, pool=pool)
+        spec = DECODER.generate(
+            request, state=spec_state, draft=ScheduledDraft(SMALL, program),
+            tree=chain,
         )
 
         assert np.array_equal(spec.generated, plain.generated)

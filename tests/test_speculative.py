@@ -36,7 +36,6 @@ from repro.core.speculative import (
     DraftTree,
     NGramDraft,
     ScheduledDraft,
-    SpeculativeDecodeEngine,
     TruncatedTableDraft,
     host_step_output,
 )
@@ -48,6 +47,8 @@ from tests.queue_checks import QueueChecked
 #: Small shared geometry: tables/schedules compile once per module.
 SMALL = NovaConfig(n_routers=2, neurons_per_router=8)
 ENGINE = NovaDecodeEngine(SMALL)
+#: The geometry's default draft chain ("1x4"), passed per call.
+CHAIN = SMALL.spec_tree
 #: The same geometry with 2-token KV blocks, for pool-pressure tests.
 ENGINE_BS2 = NovaDecodeEngine(SMALL.replace(kv_block_size=2))
 
@@ -187,8 +188,9 @@ class TestDraftModels:
         """fidelity=1.0 proposals are bit-identical to the verification
         outputs, so every draft is accepted."""
         request = toy_request()
-        spec = SpeculativeDecodeEngine(ENGINE).generate(
-            request, draft=TruncatedTableDraft(SMALL, fidelity=1.0)
+        spec = ENGINE.generate(
+            request, draft=TruncatedTableDraft(SMALL, fidelity=1.0),
+            tree=CHAIN,
         )
         assert spec.acceptance_rate == 1.0
         assert spec.rolled_back_tokens == 0
@@ -197,8 +199,9 @@ class TestDraftModels:
     def test_zero_fidelity_draft_rejects_everything_but_stays_exact(self):
         request = toy_request()
         plain = ENGINE.generate(request)
-        spec = SpeculativeDecodeEngine(ENGINE).generate(
-            request, draft=TruncatedTableDraft(SMALL, fidelity=0.0)
+        spec = ENGINE.generate(
+            request, draft=TruncatedTableDraft(SMALL, fidelity=0.0),
+            tree=CHAIN,
         )
         assert spec.accepted_tokens == 0
         assert spec.rolled_back_tokens == spec.drafted_tokens
@@ -344,8 +347,8 @@ class TestSpeculativeEngine:
     def test_exact_draft_saves_overlay_cycles(self):
         request = toy_request(prompt_len=4, max_new_tokens=8)
         plain = ENGINE.generate(request)
-        spec = SpeculativeDecodeEngine(ENGINE, tree="1x4").generate(
-            request, draft=TruncatedTableDraft(SMALL)
+        spec = ENGINE.generate(
+            request, draft=TruncatedTableDraft(SMALL), tree="1x4"
         )
         assert spec.vector_cycles < plain.vector_cycles
         assert spec.cycle_speedup > 1.0
@@ -355,10 +358,10 @@ class TestSpeculativeEngine:
         request = toy_request(prompt_len=5, max_new_tokens=6, window=4)
         plain_state = ENGINE.start(request)
         plain = ENGINE.generate(request, state=plain_state)
-        spec_engine = SpeculativeDecodeEngine(ENGINE, tree="1x3")
-        spec_state = spec_engine.start(request)
-        spec = spec_engine.generate(
-            request, state=spec_state, draft=TruncatedTableDraft(SMALL)
+        spec_state = ENGINE.start(request)
+        spec = ENGINE.generate(
+            request, state=spec_state, draft=TruncatedTableDraft(SMALL),
+            tree="1x3",
         )
         assert np.array_equal(spec.generated, plain.generated)
         assert spec.sequential_vector_cycles == plain.vector_cycles
@@ -371,8 +374,8 @@ class TestSpeculativeEngine:
     def test_committed_steps_mirror_plain_step_accounting(self):
         request = toy_request(prompt_len=3, max_new_tokens=4)
         plain = ENGINE.generate(request)
-        spec = SpeculativeDecodeEngine(ENGINE).generate(
-            request, draft=TruncatedTableDraft(SMALL)
+        spec = ENGINE.generate(
+            request, draft=TruncatedTableDraft(SMALL), tree=CHAIN
         )
         for plain_step, spec_step in zip(plain.steps, spec.steps):
             assert spec_step.position == plain_step.position
@@ -386,33 +389,34 @@ class TestSpeculativeEngine:
 
     def test_zero_budget_runs_prefill_only(self):
         request = toy_request(max_new_tokens=0)
-        spec = SpeculativeDecodeEngine(ENGINE).generate(request)
+        spec = ENGINE.generate(request, tree=CHAIN)
         assert spec.n_generated == 0
         assert spec.verify_passes == 0
         assert spec.vector_cycles == spec.prefill.vector_cycles
 
     def test_speculative_config_validation(self):
         with pytest.raises(ValueError, match="must be >= 1"):
-            SpeculativeDecodeEngine(ENGINE, tree="1x0")
+            ENGINE.generate(toy_request(), tree="1x0")
         with pytest.raises(ValueError, match="must be >= 1"):
             NovaConfig(spec_tree="0x4")
 
     def test_config_overrides_reach_the_speculative_fields(self):
         cfg = preset("jetson-nx").with_overrides(["spec_tree=1x7"])
         assert cfg.spec_tree == "1x7"
-        engine = SpeculativeDecodeEngine(cfg)
-        assert engine.tree == DraftTree.linear(7)
+        assert DraftTree.parse(cfg.spec_tree) == DraftTree.linear(7)
+        # speculative=True plans the config's chain: the exact-LUT
+        # draft's first pass is u_0 plus all seven drafts
+        result = NovaSession(cfg).generate(
+            toy_request(prompt_len=3, max_new_tokens=9), speculative=True
+        )
+        assert result.passes[0].tokens == 8
 
     def test_budget_overflow_rejected_at_admission(self):
         request = toy_request(prompt_len=4, max_new_tokens=2)
         with pytest.raises(KVCacheOverflow):
-            SpeculativeDecodeEngine(ENGINE).generate(
-                request, max_new_tokens=10 ** 6
-            )
+            ENGINE.generate(request, max_new_tokens=10 ** 6, tree=CHAIN)
         with pytest.raises(ValueError, match="max_new_tokens"):
-            SpeculativeDecodeEngine(ENGINE).generate(
-                request, max_new_tokens=-1
-            )
+            ENGINE.generate(request, max_new_tokens=-1, tree=CHAIN)
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +441,7 @@ class TestPerCallDraft:
 
     def test_engine_takes_no_draft(self):
         with pytest.raises(TypeError, match="draft"):
-            SpeculativeDecodeEngine(ENGINE, draft=NGramDraft())
+            NovaDecodeEngine(SMALL, draft=NGramDraft())
 
     def test_default_draft_is_a_fresh_exact_lut_draft(self):
         """``draft=None`` on a drafting tree runs exactly the passes an
@@ -520,12 +524,12 @@ class _MalformedLevelDraft(TruncatedTableDraft):
 
 
 class TestErrorPaths:
-    def _paged_state_after_prefill(self, spec_engine, request, n_blocks):
+    def _paged_state_after_prefill(self, request, n_blocks):
         pool = BlockPool(
             request.n_heads, request.head_dim, 2, n_blocks=n_blocks
         )
-        state = spec_engine.start(request, pool=pool)
-        spec_engine.engine.prefill(state)
+        state = ENGINE.start(request, pool=pool)
+        ENGINE.prefill(state)
         return state, pool
 
     def test_pool_exhaustion_mid_draft_is_atomic(self):
@@ -533,31 +537,26 @@ class TestErrorPaths:
         rolls the whole pass back: cache, position and pool return to
         their pre-pass state before the exception propagates."""
         request = toy_request(prompt_len=2, max_new_tokens=6)
-        spec_engine = SpeculativeDecodeEngine(ENGINE, tree="1x4")
         # prompt fills 1 block; 1 spare block holds u_0 + one draft,
         # the second draft's block allocation must fail mid-pass
-        state, pool = self._paged_state_after_prefill(
-            spec_engine, request, n_blocks=2
-        )
+        state, pool = self._paged_state_after_prefill(request, n_blocks=2)
         x_t = np.zeros(request.hidden)
         baseline = (state.cache.length, state.position, pool.in_use,
                     pool.live_tokens)
         with pytest.raises(BlockPoolExhausted):
-            spec_engine.plan_verify_pass(
-                state, x_t, budget=6, draft=TruncatedTableDraft(SMALL)
+            ENGINE.plan_verify_pass(
+                state, x_t, budget=6, draft=TruncatedTableDraft(SMALL),
+                tree="1x4",
             )
         assert (state.cache.length, state.position, pool.in_use,
                 pool.live_tokens) == baseline
 
     def test_fallback_degrades_to_a_draft_free_pass(self):
         request = toy_request(prompt_len=2, max_new_tokens=6)
-        spec_engine = SpeculativeDecodeEngine(ENGINE, tree="1x4")
-        state, pool = self._paged_state_after_prefill(
-            spec_engine, request, n_blocks=2
-        )
-        spec_pass = spec_engine.plan_with_fallback(
+        state, pool = self._paged_state_after_prefill(request, n_blocks=2)
+        spec_pass = ENGINE.plan_with_fallback(
             state, np.zeros(request.hidden), budget=6,
-            draft=TruncatedTableDraft(SMALL),
+            draft=TruncatedTableDraft(SMALL), tree="1x4",
         )
         assert len(spec_pass.job.tokens) >= 1
         # could not fit the full depth: fewer than 4 drafts after u_0
@@ -565,14 +564,13 @@ class TestErrorPaths:
 
     def test_wrong_shape_draft_raises_with_no_net_state_change(self):
         request = toy_request(prompt_len=3, max_new_tokens=4)
-        spec_engine = SpeculativeDecodeEngine(ENGINE, tree="1x2")
-        state = spec_engine.start(request)
+        state = ENGINE.start(request)
         ENGINE.prefill(state)
         baseline = (state.cache.length, state.position)
         with pytest.raises(ValueError, match="draft proposed"):
-            spec_engine.plan_verify_pass(
+            ENGINE.plan_verify_pass(
                 state, np.zeros(request.hidden), budget=4,
-                draft=_WrongShapeDraft(),
+                draft=_WrongShapeDraft(), tree="1x2",
             )
         assert (state.cache.length, state.position) == baseline
 
@@ -587,17 +585,14 @@ class TestErrorPaths:
         more alternatives than the width, is rejected — never silently
         cut — and the level-1 forks and appends roll back with it."""
         request = toy_request(prompt_len=2, max_new_tokens=6)
-        spec_engine = SpeculativeDecodeEngine(ENGINE, tree="2x2")
-        state, pool = self._paged_state_after_prefill(
-            spec_engine, request, n_blocks=16
-        )
+        state, pool = self._paged_state_after_prefill(request, n_blocks=16)
         baseline = (state.cache.length, state.position, pool.in_use,
                     pool.live_tokens)
         draft = _MalformedLevelDraft(fault)
         x_t = np.random.default_rng(0).standard_normal(request.hidden)
         with pytest.raises(ValueError, match=message):
-            spec_engine.plan_verify_pass(
-                state, x_t, budget=6, draft=draft
+            ENGINE.plan_verify_pass(
+                state, x_t, budget=6, draft=draft, tree="2x2"
             )
         assert draft.levels == 2
         assert (state.cache.length, state.position, pool.in_use,
@@ -605,22 +600,20 @@ class TestErrorPaths:
 
     def test_bad_input_embedding_raises_before_any_state_change(self):
         request = toy_request(prompt_len=3, max_new_tokens=4)
-        spec_engine = SpeculativeDecodeEngine(ENGINE)
-        state = spec_engine.start(request)
+        state = ENGINE.start(request)
         ENGINE.prefill(state)
         baseline = (state.cache.length, state.position)
         with pytest.raises(ValueError, match="hidden width"):
-            spec_engine.plan_verify_pass(state, np.zeros(3), budget=4)
+            ENGINE.plan_verify_pass(state, np.zeros(3), budget=4, tree=CHAIN)
         assert (state.cache.length, state.position) == baseline
 
     def test_pass_budget_validation(self):
         request = toy_request()
-        spec_engine = SpeculativeDecodeEngine(ENGINE)
-        state = spec_engine.start(request)
+        state = ENGINE.start(request)
         ENGINE.prefill(state)
         with pytest.raises(ValueError, match="budget"):
-            spec_engine.plan_verify_pass(
-                state, np.zeros(request.hidden), budget=0
+            ENGINE.plan_verify_pass(
+                state, np.zeros(request.hidden), budget=0, tree=CHAIN
             )
 
     def test_fallback_propagates_when_even_u0_cannot_allocate(self):
@@ -628,16 +621,13 @@ class TestErrorPaths:
         draft-free fallback fails too and the exhaustion propagates
         with cache and pool untouched — the scheduler's defer signal."""
         request = toy_request(prompt_len=2, max_new_tokens=4)
-        spec_engine = SpeculativeDecodeEngine(ENGINE)
-        state, pool = self._paged_state_after_prefill(
-            spec_engine, request, n_blocks=1
-        )
+        state, pool = self._paged_state_after_prefill(request, n_blocks=1)
         assert pool.free_blocks == 0
         baseline = (state.cache.length, state.position, pool.in_use)
         with pytest.raises(BlockPoolExhausted):
-            spec_engine.plan_with_fallback(
+            ENGINE.plan_with_fallback(
                 state, np.zeros(request.hidden), budget=4,
-                draft=TruncatedTableDraft(SMALL),
+                draft=TruncatedTableDraft(SMALL), tree=CHAIN,
             )
         assert (state.cache.length, state.position, pool.in_use) == baseline
 
@@ -661,9 +651,9 @@ class TestSchedulerSpeculative:
         return factory
 
     def _solo(self, requests, factory):
-        speculator = SpeculativeDecodeEngine(ENGINE)
         return [
-            speculator.generate(r, draft=factory()) for r in requests
+            ENGINE.generate(r, draft=factory(), tree=CHAIN)
+            for r in requests
         ]
 
     def assert_solo_equivalent(self, solo, batch):
@@ -685,7 +675,7 @@ class TestSchedulerSpeculative:
         factory = self._factory()
         solo = self._solo(requests, factory)
         scheduler = ContinuousBatchScheduler(
-            ENGINE, max_active=2, speculative=True, draft_factory=factory
+            ENGINE, max_active=2, spec_tree=CHAIN, draft_factory=factory
         )
         batch = scheduler.run(requests)
         self.assert_solo_equivalent(solo, batch)
@@ -699,7 +689,7 @@ class TestSchedulerSpeculative:
         solo = self._solo(requests, factory)
         scheduler = ContinuousBatchScheduler(
             NovaDecodeEngine(SMALL.replace(kv_block_size=4)), max_active=3,
-            speculative=True, paged=True, draft_factory=factory,
+            spec_tree=CHAIN, paged=True, draft_factory=factory,
         )
         batch = scheduler.run(requests)
         self.assert_solo_equivalent(solo, batch)
@@ -719,7 +709,7 @@ class TestSchedulerSpeculative:
         solo = self._solo(requests, factory)
         policy = QueueChecked(FCFS())
         scheduler = ContinuousBatchScheduler(
-            ENGINE_BS2, max_active=2, speculative=True, paged=True,
+            ENGINE_BS2, max_active=2, spec_tree=CHAIN, paged=True,
             pool_blocks=6, draft_factory=factory, policy=policy,
         )
         batch = scheduler.run(requests)
@@ -741,7 +731,7 @@ class TestSchedulerSpeculative:
         solo = self._solo(requests, factory)
         policy = QueueChecked(FCFS())
         scheduler = ContinuousBatchScheduler(
-            ENGINE_BS2, max_active=2, speculative=True, paged=True,
+            ENGINE_BS2, max_active=2, spec_tree=CHAIN, paged=True,
             pool_blocks=5, draft_factory=factory, policy=policy,
         )
         batch = scheduler.run(requests)
@@ -756,10 +746,35 @@ class TestSchedulerSpeculative:
         scheduler.block_pool.check_invariants()
 
     def test_speculative_kwargs_need_speculative_mode(self):
-        with pytest.raises(ValueError, match="speculative scheduler"):
-            ContinuousBatchScheduler(ENGINE, spec_tree="1x4")
-        with pytest.raises(ValueError, match="speculative scheduler"):
-            ContinuousBatchScheduler(ENGINE, draft_factory=lambda: None)
+        """The session is the one home of ``speculative=``: a tree or
+        a draft factory without it is rejected there, on every serving
+        surface."""
+        session = NovaSession(SMALL)
+        requests = self._requests()
+        with pytest.raises(ValueError, match="speculative=True"):
+            session.serve_decode(requests, spec_tree="1x4")
+        with pytest.raises(ValueError, match="speculative=True"):
+            session.serve_decode(requests, draft_factory=lambda: None)
+        with pytest.raises(ValueError, match="speculative=True"):
+            session.serve_async([], spec_tree="1x4")
+
+    def test_scheduler_without_a_tree_is_plain_decode(self):
+        """Below the session the tree alone decides: the scheduler's
+        ``spec_tree=None`` is the depth-0 tree, so a draft factory is
+        never called and every pass is one draft-free token."""
+        requests = self._requests()
+
+        def never():
+            raise AssertionError("the depth-0 tree drafts nothing")
+
+        batch = ContinuousBatchScheduler(
+            ENGINE, max_active=2, draft_factory=never
+        ).run(requests)
+        plain = [ENGINE.generate(r) for r in requests]
+        self.assert_solo_equivalent(plain, batch)
+        assert all(
+            p.tokens == 1 for r in batch.results for p in r.passes
+        )
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ from repro.core.decode import (
     ContinuousBatchScheduler,
     DecodeState,
     NovaDecodeEngine,
+    _TreeNode,
     context_for_query,
     project_token,
     scores_for_query,
@@ -41,9 +42,7 @@ from repro.core.speculative import (
     DraftTree,
     NGramDraft,
     ScheduledDraft,
-    SpeculativeDecodeEngine,
     TruncatedTableDraft,
-    _TreeNode,
     host_step_output,
     tree_causal_mask,
 )
@@ -144,19 +143,41 @@ class TestDraftTreeSpec:
         with pytest.raises(ValueError, match="malformed"):
             preset("jetson-nx").with_overrides(["spec_tree=none"])
 
+    def test_engine_tree_argument_forms(self):
+        # a spec string, a tree object, or None: the depth-0 tree
+        assert DraftTree.of("3x1,1x1").widths == (3, 1)
+        assert DraftTree.of(DraftTree((2, 1))).widths == (2, 1)
+        assert DraftTree.of(None) == DraftTree(())
+
     def test_engine_tree_resolution_order(self):
-        # explicit argument > config.spec_tree
-        cfg = SMALL.replace(spec_tree="2x2")
-        assert SpeculativeDecodeEngine(
-            NovaDecodeEngine(cfg), tree="3x1,1x1"
-        ).tree.widths == (3, 1)
-        assert SpeculativeDecodeEngine(
-            NovaDecodeEngine(cfg)
-        ).tree.widths == (2, 2)
-        assert SpeculativeDecodeEngine(ENGINE).tree == DraftTree.linear(4)
-        assert SpeculativeDecodeEngine(
-            ENGINE, tree=DraftTree((2, 1))
-        ).tree.widths == (2, 1)
+        """The engine runs the tree it is given per call (``None``: the
+        depth-0 tree); the session's ``speculative=True`` resolves an
+        explicit ``spec_tree`` before the config's."""
+        def records(result):
+            return [
+                (p.tokens, p.drafted, p.accepted, p.vector_cycles)
+                for p in result.passes
+            ]
+
+        request = toy_request(prompt_len=4, max_new_tokens=9)
+        session = NovaSession(SMALL.replace(spec_tree="2x2"))
+        engine = session.decoder
+        assert records(session.generate(request, speculative=True)) == (
+            records(engine.generate(request, tree="2x2"))
+        )
+        assert records(
+            session.generate(request, speculative=True, spec_tree="3x1,1x1")
+        ) == records(engine.generate(request, tree="3x1,1x1"))
+        assert records(session.generate(request)) == (
+            records(engine.generate(request, tree=DraftTree(())))
+        )
+        # the config's linear chain: the exact-LUT default draft
+        # commits u_0 and all four drafts in the first pass
+        linear = NovaSession(SMALL).generate(request, speculative=True)
+        assert records(linear) == records(
+            ENGINE.generate(request, tree=DraftTree.linear(4))
+        )
+        assert linear.passes[0].tokens == 5
 
 
 # ----------------------------------------------------------------------
@@ -187,9 +208,9 @@ class TestTreeBitExactness:
     def test_contiguous_matches_plain_generate(self, spec, fidelity):
         request = toy_request(prompt_len=4, max_new_tokens=7)
         plain = ENGINE.generate(request)
-        spec_engine = SpeculativeDecodeEngine(ENGINE, tree=spec)
-        result = spec_engine.generate(
-            request, draft=TruncatedTableDraft(SMALL, fidelity=fidelity)
+        result = ENGINE.generate(
+            request, draft=TruncatedTableDraft(SMALL, fidelity=fidelity),
+            tree=spec,
         )
         assert_plain_exact(result, plain)
         assert result.n_generated == request.max_new_tokens
@@ -203,11 +224,10 @@ class TestTreeBitExactness:
         request = toy_request(prompt_len=4, max_new_tokens=7)
         plain = ENGINE.generate(request)
         pool = BlockPool(request.n_heads, request.head_dim, 2, n_blocks=64)
-        spec_engine = SpeculativeDecodeEngine(ENGINE, tree=spec)
-        state = spec_engine.start(request, pool=pool)
-        result = spec_engine.generate(
+        state = ENGINE.start(request, pool=pool)
+        result = ENGINE.generate(
             request, state=state,
-            draft=TruncatedTableDraft(SMALL, fidelity=0.55),
+            draft=TruncatedTableDraft(SMALL, fidelity=0.55), tree=spec,
         )
         assert_plain_exact(result, plain)
         # every fork's blocks came back: only the live cache holds refs
@@ -221,11 +241,10 @@ class TestTreeBitExactness:
         request = toy_request(prompt_len=3, max_new_tokens=6)
         plain_state = ENGINE.start(request)
         ENGINE.generate(request, state=plain_state)
-        spec_engine = SpeculativeDecodeEngine(ENGINE, tree="2x2")
-        spec_state = spec_engine.start(request)
-        spec_engine.generate(
+        spec_state = ENGINE.start(request)
+        ENGINE.generate(
             request, state=spec_state,
-            draft=TruncatedTableDraft(SMALL, fidelity=0.6),
+            draft=TruncatedTableDraft(SMALL, fidelity=0.6), tree="2x2",
         )
         assert spec_state.position == plain_state.position
         assert np.array_equal(spec_state.cache.keys, plain_state.cache.keys)
@@ -236,8 +255,9 @@ class TestTreeBitExactness:
     def test_windowed_request_stays_exact(self):
         request = toy_request(prompt_len=5, max_new_tokens=6, window=4)
         plain = ENGINE.generate(request)
-        result = SpeculativeDecodeEngine(ENGINE, tree="2x2").generate(
-            request, draft=TruncatedTableDraft(SMALL, fidelity=1.0)
+        result = ENGINE.generate(
+            request, draft=TruncatedTableDraft(SMALL, fidelity=1.0),
+            tree="2x2",
         )
         assert np.array_equal(result.generated, plain.generated)
         assert result.sequential_vector_cycles == plain.vector_cycles
@@ -245,9 +265,7 @@ class TestTreeBitExactness:
     def test_ngram_draft_proposes_tree_candidates(self):
         request = toy_request(prompt_len=4, max_new_tokens=8)
         plain = ENGINE.generate(request)
-        result = SpeculativeDecodeEngine(ENGINE, tree="2x2").generate(
-            request, draft=NGramDraft()
-        )
+        result = ENGINE.generate(request, draft=NGramDraft(), tree="2x2")
         assert np.array_equal(result.generated, plain.generated)
 
 
@@ -260,23 +278,22 @@ class TestTreeBitExactness:
 class TestTreeCausalMask:
     def _plan_pass(self, spec, program, pool_blocks=None):
         request = toy_request(prompt_len=4, max_new_tokens=8)
-        spec_engine = SpeculativeDecodeEngine(ENGINE, tree=spec)
         pool = (
             BlockPool(request.n_heads, request.head_dim, 2, pool_blocks)
             if pool_blocks
             else None
         )
-        state = spec_engine.start(request, pool=pool)
+        state = ENGINE.start(request, pool=pool)
         pre = ENGINE.prefill(state)
         draft = ScheduledDraft(SMALL, program)
-        spec_pass = spec_engine.plan_verify_pass(
-            state, pre.outputs[-1], budget=8, draft=draft
+        spec_pass = ENGINE.plan_verify_pass(
+            state, pre.outputs[-1], budget=8, draft=draft, tree=spec
         )
-        return spec_engine, state, spec_pass, draft, pool
+        return state, spec_pass, draft, pool
 
     def test_mask_is_the_ancestor_matrix(self):
         # alternating program -> distinct siblings survive dedup
-        _, _, spec_pass, _, _ = self._plan_pass("2x2", (True, False))
+        _, spec_pass, _, _ = self._plan_pass("2x2", (True, False))
         mask = tree_causal_mask(spec_pass)
         n = len(spec_pass.nodes)
         assert mask.shape == (n, n)
@@ -304,19 +321,19 @@ class TestTreeCausalMask:
         assert not mask[a, b] and not mask[b, a]
 
     def test_one_packed_job_covers_every_branch(self):
-        _, state, spec_pass, _, _ = self._plan_pass("2x2", (True, False))
+        state, spec_pass, _, _ = self._plan_pass("2x2", (True, False))
         assert spec_pass.job.state is state
         assert len(spec_pass.job.tokens) == len(spec_pass.nodes)
         assert spec_pass.nodes[0] is spec_pass.root
 
     def test_forks_are_released_and_longest_branch_committed(self):
-        spec_engine, state, spec_pass, draft, pool = self._plan_pass(
+        state, spec_pass, draft, pool = self._plan_pass(
             "2x2", (True, True, False, False), pool_blocks=32
         )
         assert len(spec_pass.forks) > 0
         in_use_during = pool.in_use
         (result,), _ = ENGINE._execute([spec_pass.job])
-        steps, pass_result = spec_engine.finish_verify_pass(
+        steps, pass_result = ENGINE.finish_verify_pass(
             spec_pass, result, draft=draft
         )
         assert pass_result.committed == pass_result.accepted + 1
@@ -468,8 +485,7 @@ class TestLevelProposals:
                 return level
 
         request = toy_request(prompt_len=4, max_new_tokens=8)
-        spec_engine = SpeculativeDecodeEngine(ENGINE, tree="2x2")
-        state = spec_engine.start(request)
+        state = ENGINE.start(request)
         pre = ENGINE.prefill(state)
         # level 1: two distinct wrong siblings; level 2: the first
         # branch's two decisions, then the second's (alternative-major
@@ -477,8 +493,8 @@ class TestLevelProposals:
         draft = Recording(
             SMALL, (False, False, True, True, False, False)
         )
-        spec_pass = spec_engine.plan_verify_pass(
-            state, pre.outputs[-1], budget=8, draft=draft
+        spec_pass = ENGINE.plan_verify_pass(
+            state, pre.outputs[-1], budget=8, draft=draft, tree="2x2"
         )
         assert draft.calls == [(0, 1, 2), (2, 2, 2)]
         assert draft._cursor == 6
@@ -493,35 +509,33 @@ class TestLevelProposals:
 
 
 class TestTreeErrorPaths:
-    def _paged_state(self, spec_engine, request, n_blocks):
+    def _paged_state(self, request, n_blocks):
         pool = BlockPool(
             request.n_heads, request.head_dim, 2, n_blocks=n_blocks
         )
-        state = spec_engine.start(request, pool=pool)
-        spec_engine.engine.prefill(state)
+        state = ENGINE.start(request, pool=pool)
+        ENGINE.prefill(state)
         return state, pool
 
     def test_pool_exhaustion_mid_tree_is_atomic(self):
         request = toy_request(prompt_len=2, max_new_tokens=6)
-        spec_engine = SpeculativeDecodeEngine(ENGINE, tree="2x2")
-        state, pool = self._paged_state(spec_engine, request, n_blocks=2)
+        state, pool = self._paged_state(request, n_blocks=2)
         baseline = (state.cache.length, state.position, pool.in_use,
                     pool.live_tokens)
         with pytest.raises(BlockPoolExhausted):
-            spec_engine.plan_verify_pass(
+            ENGINE.plan_verify_pass(
                 state, np.zeros(request.hidden), budget=6,
-                draft=TruncatedTableDraft(SMALL, fidelity=0.5),
+                draft=TruncatedTableDraft(SMALL, fidelity=0.5), tree="2x2",
             )
         assert (state.cache.length, state.position, pool.in_use,
                 pool.live_tokens) == baseline
 
     def test_fallback_degrades_to_a_draft_free_pass(self):
         request = toy_request(prompt_len=2, max_new_tokens=6)
-        spec_engine = SpeculativeDecodeEngine(ENGINE, tree="2x2")
-        state, pool = self._paged_state(spec_engine, request, n_blocks=2)
-        spec_pass = spec_engine.plan_with_fallback(
+        state, pool = self._paged_state(request, n_blocks=2)
+        spec_pass = ENGINE.plan_with_fallback(
             state, np.zeros(request.hidden), budget=6,
-            draft=TruncatedTableDraft(SMALL, fidelity=0.5),
+            draft=TruncatedTableDraft(SMALL, fidelity=0.5), tree="2x2",
         )
         assert len(spec_pass.job.tokens) >= 1
         assert len(spec_pass.forks) == 0
@@ -529,12 +543,11 @@ class TestTreeErrorPaths:
     def test_tight_pool_generation_still_exact_and_leak_free(self):
         request = toy_request(prompt_len=2, max_new_tokens=6)
         plain = ENGINE.generate(request)
-        spec_engine = SpeculativeDecodeEngine(ENGINE, tree="2x2")
         pool = BlockPool(request.n_heads, request.head_dim, 2, n_blocks=6)
-        state = spec_engine.start(request, pool=pool)
-        result = spec_engine.generate(
+        state = ENGINE.start(request, pool=pool)
+        result = ENGINE.generate(
             request, state=state,
-            draft=TruncatedTableDraft(SMALL, fidelity=0.6),
+            draft=TruncatedTableDraft(SMALL, fidelity=0.6), tree="2x2",
         )
         assert np.array_equal(result.generated, plain.generated)
         state.cache.reset()
@@ -568,16 +581,17 @@ class TestTreeWiring:
             scheduler.draft_factory = _never_called
             return scheduler
         return ContinuousBatchScheduler(
-            engine, speculative=True, spec_tree=spec,
-            draft_factory=self._factory(), **kwargs,
+            engine, spec_tree=spec, draft_factory=self._factory(), **kwargs,
         )
 
     def test_scheduler_tree_matches_solo_tree(self):
         requests = self._requests()
         for spec, tree in (("2x2", "2x2"), (None, DraftTree(()))):
             factory = self._factory()
-            speculator = SpeculativeDecodeEngine(ENGINE, tree=tree)
-            solo = [speculator.generate(r, draft=factory()) for r in requests]
+            solo = [
+                ENGINE.generate(r, draft=factory(), tree=tree)
+                for r in requests
+            ]
             batch = self._scheduler(spec, max_active=2).run(requests)
             for ref, got in zip(solo, batch.results):
                 assert np.array_equal(got.generated, ref.generated)
@@ -651,8 +665,16 @@ class TestTreeWiring:
             assert all(r.drafted_tokens == 0 for r in batch.results)
 
     def test_spec_tree_kwarg_needs_speculative_mode(self):
-        with pytest.raises(ValueError, match="speculative scheduler"):
-            ContinuousBatchScheduler(ENGINE, spec_tree="2x2")
+        """Only the session takes ``speculative=``: it rejects a tree
+        without it, and the scheduler and front door have no such
+        flag (their ``spec_tree`` alone picks the tree)."""
+        session = NovaSession(SMALL)
+        with pytest.raises(ValueError, match="speculative=True"):
+            session.serve_decode(self._requests(), spec_tree="2x2")
+        with pytest.raises(TypeError, match="speculative"):
+            ContinuousBatchScheduler(ENGINE, speculative=True)
+        with pytest.raises(TypeError, match="speculative"):
+            FrontDoor(ENGINE, speculative=True)
 
     def test_session_generate_spec_tree(self):
         session = NovaSession(SMALL)
@@ -669,18 +691,99 @@ class TestTreeWiring:
     def test_frontdoor_spec_tree_matches_solo(self):
         requests = self._requests()
         factory = self._factory()
-        speculator = SpeculativeDecodeEngine(ENGINE, tree="2x2")
-        solo = [speculator.generate(r, draft=factory()) for r in requests]
-        door = FrontDoor(
-            ENGINE, speculative=True, spec_tree="2x2",
-            draft_factory=factory,
-        )
+        solo = [
+            ENGINE.generate(r, draft=factory(), tree="2x2") for r in requests
+        ]
+        door = FrontDoor(ENGINE, spec_tree="2x2", draft_factory=factory)
         for i, r in enumerate(requests):
             door.submit(r, arrival=float(i))
         report = door.serve()
         assert report.n_requests == len(requests)
         for rid, got in door.last_results().items():
             assert np.array_equal(got.generated, solo[rid].generated)
+
+
+# ----------------------------------------------------------------------
+# One engine: the tree is a per-call argument.
+# ----------------------------------------------------------------------
+
+
+def _arrays(*arrays):
+    return tuple(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+def _step_record(step):
+    return (
+        _arrays(step.output, step.probabilities), step.position,
+        step.kv_length, step.vector_cycles, step.nonlinear_queries,
+        step.drafted,
+    )
+
+
+def _generate_record(result):
+    """Every byte and number a generate call returns."""
+    return (
+        _arrays(
+            result.generated, result.prefill.outputs,
+            result.prefill.probabilities,
+        ),
+        [_step_record(step) for step in result.steps],
+        [
+            (p.tokens, p.drafted, p.accepted, p.committed, p.rolled_back,
+             p.vector_cycles, p.nonlinear_queries, p.counters.as_dict())
+            for p in result.passes
+        ],
+        result.vector_cycles,
+        result.sequential_vector_cycles,
+        result.prefill.counters.as_dict(),
+        result.counters.as_dict(),
+    )
+
+
+class TestOneEngineTreesPerCall:
+    """The decode engine holds no tree: calls with different trees
+    interleave on one shared engine, and each returns exactly what the
+    same call returns on a fresh engine."""
+
+    REQUEST = toy_request(prompt_len=4, max_new_tokens=7)
+
+    def _call(self, engine, kind):
+        request = self.REQUEST
+        if kind == "plain":
+            return _generate_record(engine.generate(request))
+        if kind == "depth0":
+            return _generate_record(
+                engine.generate(request, tree=DraftTree(()))
+            )
+        if kind == "1x4":
+            return _generate_record(engine.generate(request, tree="1x4"))
+        if kind == "tree":
+            return _generate_record(
+                engine.generate(
+                    request, tree="4x1,2x1,1x1",
+                    draft=TruncatedTableDraft(SMALL, fidelity=0.45),
+                )
+            )
+        state = engine.start(request)
+        pre = engine.prefill(state)
+        return _step_record(engine.decode_step(state, pre.outputs[-1]))
+
+    def test_interleaved_trees_match_fresh_engines(self):
+        shared = NovaDecodeEngine(SMALL)
+        order = ["plain", "1x4", "tree", "step", "depth0", "tree", "1x4",
+                 "step", "plain"]
+        for kind in order:
+            got = self._call(shared, kind)
+            assert got == self._call(NovaDecodeEngine(SMALL), kind), kind
+
+    def test_depth0_tree_is_plain_decode(self):
+        engine = NovaDecodeEngine(SMALL)
+        plain = self._call(engine, "plain")
+        assert self._call(engine, "depth0") == plain
+        # decode_step is the first committed step of plain generate
+        assert self._call(engine, "step") == plain[1][0]
+        # a drafting tree commits the same tokens at a different cost
+        assert self._call(engine, "tree")[0][0] == plain[0][0]
 
 
 # ----------------------------------------------------------------------
@@ -698,9 +801,10 @@ class TestTreeProperties:
     def test_any_tree_any_program_matches_plain(self, widths, program, seed):
         request = toy_request(prompt_len=3, max_new_tokens=5, seed=seed)
         plain = ENGINE.generate(request)
-        result = SpeculativeDecodeEngine(
-            ENGINE, tree=DraftTree(tuple(widths))
-        ).generate(request, draft=ScheduledDraft(SMALL, program))
+        result = ENGINE.generate(
+            request, draft=ScheduledDraft(SMALL, program),
+            tree=DraftTree(tuple(widths)),
+        )
         assert_plain_exact(result, plain)
         assert result.n_generated == request.max_new_tokens
         assert (
@@ -717,12 +821,10 @@ class TestTreeProperties:
         request = toy_request(prompt_len=3, max_new_tokens=5)
         plain = ENGINE.generate(request)
         pool = BlockPool(request.n_heads, request.head_dim, 2, n_blocks=48)
-        spec_engine = SpeculativeDecodeEngine(
-            ENGINE, tree=DraftTree(tuple(widths))
-        )
-        state = spec_engine.start(request, pool=pool)
-        result = spec_engine.generate(
-            request, state=state, draft=ScheduledDraft(SMALL, program)
+        state = ENGINE.start(request, pool=pool)
+        result = ENGINE.generate(
+            request, state=state, draft=ScheduledDraft(SMALL, program),
+            tree=DraftTree(tuple(widths)),
         )
         assert_plain_exact(result, plain)
         assert pool.in_use == state.cache.blocks_in_use
