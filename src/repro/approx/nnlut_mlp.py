@@ -15,7 +15,14 @@ NOVA broadcasts over its NoC.
 
 The trainer is plain numpy Adam; it runs in well under a second for the
 table sizes the paper uses (8/16 breakpoints) because the "dataset" is just
-a dense sample of a scalar function.
+a dense sample of a scalar function.  The epoch loop trains in place: its
+(samples, hidden) arrays are allocated once and rewritten every epoch, and
+one flat parameter vector takes one Adam update per epoch.  The table bytes
+depend on the order of each gradient reduction (``hidden.T @ err``,
+``grad_hidden.T @ xs``, ``grad_hidden.sum(axis=0)``, ``err @ xs``,
+``err.sum()``), so keep them in these forms;
+``tests/test_approx_nnlut_mlp.py`` checks the loop byte for byte against a
+reference that allocates every epoch.
 """
 
 from __future__ import annotations
@@ -192,6 +199,10 @@ def train_nnlut_mlp(
 
     if n_segments < 1:
         raise ValueError(f"n_segments must be >= 1, got {n_segments}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     n_hidden = max(n_segments - 1, 1)
     rng = make_rng(seed)
     low, high = domain
@@ -217,43 +228,52 @@ def train_nnlut_mlp(
     skip_slope = float(seed_fit.slopes[0])
     skip_bias = float(seed_fit.biases[0])
 
-    params = [w, c, v, np.array([skip_slope]), np.array([skip_bias])]
-    moments_m = [np.zeros_like(p) for p in params]
-    moments_v = [np.zeros_like(p) for p in params]
+    # One flat parameter vector ``[w, c, v, skip_slope, skip_bias]`` with
+    # its Adam moments beside it, so one update per epoch covers every
+    # parameter; ``w``, ``c`` and ``v`` are views into it.
+    theta = np.concatenate([w, c, v, [skip_slope, skip_bias]])
+    w, c, v = np.split(theta[:-2], 3)
+    grad = np.empty_like(theta)
+    moment_m = np.zeros_like(theta)
+    moment_v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
+    # (N, H) work buffers, written in place every epoch.
     n = len(xs)
+    pre = np.empty((n, n_hidden))
+    active = np.empty((n, n_hidden), dtype=bool)
+    hidden = np.empty((n, n_hidden))
+    grad_hidden = np.empty((n, n_hidden))
     for epoch in range(1, epochs + 1):
         lr = learning_rate * 0.5 * (1.0 + np.cos(np.pi * (epoch - 1) / epochs))
-        w, c, v, ss, sb = params
-        pre = np.outer(xs, w) + c  # (N, H)
-        active = pre > 0
-        hidden = np.where(active, pre, 0.0)
-        pred = hidden @ v + ss[0] * xs + sb[0]
+        np.multiply.outer(xs, w, out=pre)
+        pre += c
+        np.greater(pre, 0, out=active)
+        hidden.fill(0.0)
+        np.copyto(hidden, pre, where=active)
+        pred = hidden @ v + theta[-2] * xs + theta[-1]
         err = pred - ys  # (N,)
 
-        grad_v = hidden.T @ err * (2.0 / n)
-        grad_hidden = np.outer(err, v) * active  # (N, H)
-        grad_w = grad_hidden.T @ xs * (2.0 / n)
-        grad_c = grad_hidden.sum(axis=0) * (2.0 / n)
-        grad_ss = np.array([float(err @ xs) * (2.0 / n)])
-        grad_sb = np.array([float(err.sum()) * (2.0 / n)])
+        grad[2 * n_hidden:-2] = hidden.T @ err * (2.0 / n)
+        np.multiply.outer(err, v, out=grad_hidden)
+        grad_hidden *= active
+        grad[:n_hidden] = grad_hidden.T @ xs * (2.0 / n)
+        grad[n_hidden:2 * n_hidden] = grad_hidden.sum(axis=0) * (2.0 / n)
+        grad[-2] = float(err @ xs) * (2.0 / n)
+        grad[-1] = float(err.sum()) * (2.0 / n)
 
-        grads = [grad_w, grad_c, grad_v, grad_ss, grad_sb]
-        for i, (p, g) in enumerate(zip(params, grads)):
-            moments_m[i] = beta1 * moments_m[i] + (1 - beta1) * g
-            moments_v[i] = beta2 * moments_v[i] + (1 - beta2) * g * g
-            m_hat = moments_m[i] / (1 - beta1 ** epoch)
-            v_hat = moments_v[i] / (1 - beta2 ** epoch)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        moment_m = beta1 * moment_m + (1 - beta1) * grad
+        moment_v = beta2 * moment_v + (1 - beta2) * grad * grad
+        m_hat = moment_m / (1 - beta1 ** epoch)
+        v_hat = moment_v / (1 - beta2 ** epoch)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
-    w, c, v, ss, sb = params
     return NnLutMlp(
-        w=w,
-        c=c,
-        v=v,
-        skip_slope=float(ss[0]),
-        skip_bias=float(sb[0]),
+        w=w.copy(),
+        c=c.copy(),
+        v=v.copy(),
+        skip_slope=float(theta[-2]),
+        skip_bias=float(theta[-1]),
         domain=domain,
         name=name,
     )

@@ -49,10 +49,13 @@ def compiled_table(
 
     Trains on first use of a ``(function, n_segments, seed)`` key and
     returns the cached :class:`QuantizedPwl` object itself afterwards.
-    Unknown function names raise ``KeyError`` from the function registry
-    before anything is cached.
+    Unknown function names raise ``KeyError`` from the function registry,
+    and ``n_segments < 2`` raises ``ValueError`` (a table needs at least
+    one breakpoint), before anything is trained or cached.
     """
     global _HITS, _MISSES
+    if n_segments < 2:
+        raise ValueError(f"n_segments must be >= 2, got {n_segments}")
     key = (function, int(n_segments), int(seed))
     with _LOCK:
         table = _CACHE.get(key)

@@ -75,6 +75,8 @@ __all__ = ["NovaAttentionEngine", "AttentionLayerResult"]
 
 #: The non-linear functions an encoder layer schedules onto the overlay.
 ATTENTION_FUNCTIONS = ("exp", "reciprocal", "gelu")
+#: The functions the shared serving overlay retargets (the softmax pair).
+OVERLAY_FUNCTIONS = ("exp", "reciprocal")
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ from repro.approx.quantize import beat_of_address
 from repro.approx.table_cache import compiled_table
 from repro.core.config import NovaConfig, as_config
 from repro.core.attention import (
-    ATTENTION_FUNCTIONS,
+    OVERLAY_FUNCTIONS,
     AttentionLayerResult,
     assemble_probabilities,
     finish_attention_layer,
@@ -213,6 +213,13 @@ class BatchedNovaAttentionEngine:
     :class:`NovaVectorUnit` serves every non-linear function by table
     switching (``retarget``), as the paper's overlay does, instead of
     one instance per function.
+
+    ``tables`` holds only the :data:`~repro.core.attention.
+    OVERLAY_FUNCTIONS` the overlay retargets, exp and reciprocal, so
+    building an engine compiles two tables, not the reference engine's
+    three: serving never reads gelu, which is the costliest of the
+    three to train.  ``NovaSession.unit("gelu")`` and the reference
+    engine still compile it on first use.
     """
 
     def __init__(self, config: NovaConfig | str | None = None) -> None:
@@ -220,7 +227,7 @@ class BatchedNovaAttentionEngine:
         cfg = self.config
         self.tables = {
             name: compiled_table(name, n_segments=cfg.n_segments, seed=cfg.seed)
-            for name in ATTENTION_FUNCTIONS
+            for name in OVERLAY_FUNCTIONS
         }
         self.unit = NovaVectorUnit(self.tables["exp"], cfg)
         self.n_routers = cfg.n_routers

@@ -201,8 +201,10 @@ class NovaConfig:
                     f"{name} must be an int, got {type(value).__name__}"
                 )
             object.__setattr__(self, name, int(value))
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            # a compiled table needs at least one breakpoint
+            floor = 2 if name == "n_segments" else 1
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
             raise TypeError(
                 f"seed must be an int, got {type(self.seed).__name__}"

@@ -179,10 +179,12 @@ class NovaSession:
     def decoder(self) -> NovaDecodeEngine:
         """The KV-cached decode engine (built lazily).
 
-        Tables are compiled once when the engine is first built; decode
-        steps only retarget the shared unit, so :meth:`cache_info`'s
-        table-cache misses stay flat no matter how many tokens are
-        decoded (the suite pins this).
+        Building it compiles two tables, exp and reciprocal (the
+        overlay's :data:`~repro.core.attention.OVERLAY_FUNCTIONS`; gelu
+        waits for :attr:`reference` or :meth:`unit`).  Decode steps only
+        retarget the shared unit, so :meth:`cache_info`'s table-cache
+        misses stay flat no matter how many tokens are decoded (the
+        suite pins this).
         """
         if self._decoder is None:
             self._decoder = NovaDecodeEngine(self._config)

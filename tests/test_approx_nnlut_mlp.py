@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.approx.functions import get_function
+from repro.approx.functions import FUNCTIONS, get_function
 from repro.approx.nnlut_mlp import NnLutMlp, train_nnlut_mlp
 from repro.approx.pwl import PiecewiseLinear
+from repro.approx.quantize import QuantizedPwl
+from repro.utils.rng import make_rng
 
 
 class TestMlpForward:
@@ -96,6 +98,22 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_nnlut_mlp(spec, n_segments=0)
 
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ValueError, match="epochs"):
+            train_nnlut_mlp(get_function("exp"), n_segments=8, epochs=-1)
+
+    def test_zero_epochs_is_the_seed_fit(self):
+        spec = get_function("exp")
+        mlp = train_nnlut_mlp(spec, n_segments=8, epochs=0)
+        seed_fit = PiecewiseLinear.fit(spec.fn, spec.domain, 8, strategy="curvature")
+        assert mlp.skip_slope == seed_fit.slopes[0]
+        assert np.array_equal(mlp.v, np.diff(seed_fit.slopes))
+
+    @pytest.mark.parametrize("n_samples", [1, 0, -3])
+    def test_too_few_samples_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            train_nnlut_mlp(get_function("exp"), n_segments=8, n_samples=n_samples)
+
     def test_oversized_extraction_rejected(self):
         spec = get_function("tanh")
         mlp = train_nnlut_mlp(spec, n_segments=16, seed=7, epochs=60)
@@ -112,3 +130,102 @@ class TestTraining:
             pwl = train_nnlut_mlp(spec, n_segments=16, seed=8).to_piecewise_linear(16)
             span = np.ptp(spec.fn(spec.sample(1000)))
             assert pwl.max_error(spec.fn) < 0.02 * span + 1e-3, name
+
+
+def _reference_train(spec, n_segments, seed, epochs=400):
+    """The trainer as it was before its loop trained in place: fresh
+    (samples, hidden) arrays and five per-parameter Adam updates every
+    epoch.  Kept verbatim as the oracle for :class:`TestInPlaceTrainer`.
+    """
+    fn_callable, domain = spec.fn, spec.domain
+    n_samples, learning_rate = 2048, 0.01
+    n_hidden = max(n_segments - 1, 1)
+    rng = make_rng(seed)
+    low, high = domain
+    span = high - low
+
+    xs = np.linspace(low, high, n_samples)
+    ys = fn_callable(xs)
+
+    seed_fit = PiecewiseLinear.fit(
+        fn_callable, domain, n_segments=n_hidden + 1, strategy="curvature"
+    )
+    kink_targets = seed_fit.cuts  # length n_hidden
+    slope_deltas = np.diff(seed_fit.slopes)  # length n_hidden
+    w = np.ones(n_hidden)
+    c = -kink_targets + rng.normal(0.0, span * 1e-6, size=n_hidden)
+    v = slope_deltas.copy()
+    skip_slope = float(seed_fit.slopes[0])
+    skip_bias = float(seed_fit.biases[0])
+
+    params = [w, c, v, np.array([skip_slope]), np.array([skip_bias])]
+    moments_m = [np.zeros_like(p) for p in params]
+    moments_v = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    n = len(xs)
+    for epoch in range(1, epochs + 1):
+        lr = learning_rate * 0.5 * (1.0 + np.cos(np.pi * (epoch - 1) / epochs))
+        w, c, v, ss, sb = params
+        pre = np.outer(xs, w) + c  # (N, H)
+        active = pre > 0
+        hidden = np.where(active, pre, 0.0)
+        pred = hidden @ v + ss[0] * xs + sb[0]
+        err = pred - ys  # (N,)
+
+        grad_v = hidden.T @ err * (2.0 / n)
+        grad_hidden = np.outer(err, v) * active  # (N, H)
+        grad_w = grad_hidden.T @ xs * (2.0 / n)
+        grad_c = grad_hidden.sum(axis=0) * (2.0 / n)
+        grad_ss = np.array([float(err @ xs) * (2.0 / n)])
+        grad_sb = np.array([float(err.sum()) * (2.0 / n)])
+
+        grads = [grad_w, grad_c, grad_v, grad_ss, grad_sb]
+        for i, (p, g) in enumerate(zip(params, grads)):
+            moments_m[i] = beta1 * moments_m[i] + (1 - beta1) * g
+            moments_v[i] = beta2 * moments_v[i] + (1 - beta2) * g * g
+            m_hat = moments_m[i] / (1 - beta1 ** epoch)
+            v_hat = moments_v[i] / (1 - beta2 ** epoch)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+    w, c, v, ss, sb = params
+    return NnLutMlp(
+        w=w, c=c, v=v, skip_slope=float(ss[0]), skip_bias=float(sb[0]),
+        domain=domain, name=spec.name,
+    )
+
+
+def _assert_byte_identical(name, n_segments, seed, epochs):
+    spec = get_function(name)
+    want = _reference_train(spec, n_segments, seed, epochs=epochs)
+    got = train_nnlut_mlp(spec, n_segments=n_segments, seed=seed, epochs=epochs)
+    for field in ("w", "c", "v"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    for field in ("skip_slope", "skip_bias"):
+        assert np.float64(getattr(got, field)).tobytes() == np.float64(
+            getattr(want, field)
+        ).tobytes(), field
+    got_table = QuantizedPwl(got.to_piecewise_linear(n_segments)).quantized_pwl
+    want_table = QuantizedPwl(want.to_piecewise_linear(n_segments)).quantized_pwl
+    for field in ("cuts", "slopes", "biases"):
+        assert getattr(got_table, field).tobytes() == getattr(
+            want_table, field
+        ).tobytes(), field
+
+
+class TestInPlaceTrainer:
+    """The in-place epoch loop reproduces the allocate-per-epoch loop
+    byte for byte: parameters and the quantised tables built from them.
+    """
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_every_function_at_paper_size(self, name):
+        _assert_byte_identical(name, n_segments=16, seed=0, epochs=400)
+
+    # a shorter schedule keeps the sweep cheap; it still runs the cosine
+    # decay to zero and Adam's bias correction
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("n_segments", [2, 8, 32])
+    @pytest.mark.parametrize("name", ["exp", "reciprocal"])
+    def test_table_sizes_and_seeds(self, name, n_segments, seed):
+        _assert_byte_identical(name, n_segments, seed, epochs=60)

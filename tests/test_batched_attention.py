@@ -9,18 +9,20 @@ to the sequential reference engine.
 import numpy as np
 import pytest
 
+from repro.approx import table_cache
 from repro.approx.table_cache import (
     clear_table_cache,
     compiled_table,
     table_cache_info,
 )
-from repro.core.attention import NovaAttentionEngine
+from repro.core.attention import OVERLAY_FUNCTIONS, NovaAttentionEngine
 from repro.core.batched_attention import (
     AttentionRequest,
     BatchedNovaAttentionEngine,
 )
 from repro.core.config import NovaConfig
 from repro.core.mapper import NovaMapper
+from repro.core.session import NovaSession
 from repro.workloads.bert import bert_attention_batch
 from repro.workloads.transformer import TransformerConfig, attention_request
 
@@ -36,6 +38,15 @@ def engines():
         NovaAttentionEngine(GEOMETRY),
         BatchedNovaAttentionEngine(GEOMETRY),
     )
+
+
+@pytest.fixture
+def empty_table_cache(monkeypatch):
+    """An empty process-wide table cache for one test; the tables and
+    counters of the rest of the run come back afterwards."""
+    monkeypatch.setattr(table_cache, "_CACHE", {})
+    monkeypatch.setattr(table_cache, "_HITS", 0)
+    monkeypatch.setattr(table_cache, "_MISSES", 0)
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +138,21 @@ class TestTableCache:
 
     def test_engines_share_table_objects(self, engines):
         sequential, batched = engines
-        for name in ("exp", "reciprocal", "gelu"):
+        assert set(batched.tables) == set(OVERLAY_FUNCTIONS)
+        for name in OVERLAY_FUNCTIONS:
             assert sequential.tables[name] is batched.tables[name]
+
+    def test_overlay_compiles_only_the_tables_it_retargets(
+        self, empty_table_cache
+    ):
+        session = NovaSession(GEOMETRY)
+        decoder = session.decoder
+        assert table_cache_info()["misses"] == 2
+        reference = session.reference  # compiles gelu, hits the other two
+        info = table_cache_info()
+        assert info["misses"] == 3 and info["entries"] == 3
+        for name in OVERLAY_FUNCTIONS:
+            assert reference.tables[name] is decoder.tables[name]
 
     def test_cache_info_counts_hits(self):
         compiled_table("exp", n_segments=16, seed=0)  # prime (hit or miss)
@@ -138,7 +162,7 @@ class TestTableCache:
         assert info1["hits"] == info0["hits"] + 1
         assert info1["entries"] == info0["entries"]
 
-    def test_clear_and_rebuild(self):
+    def test_clear_and_rebuild(self, empty_table_cache):
         before = compiled_table("reciprocal", n_segments=8, seed=1)
         clear_table_cache()
         assert table_cache_info()["entries"] == 0
@@ -153,6 +177,11 @@ class TestTableCache:
     def test_unknown_function_rejected(self):
         with pytest.raises(KeyError):
             compiled_table("definitely_not_a_function")
+
+    def test_single_segment_rejected_before_training(self, empty_table_cache):
+        with pytest.raises(ValueError, match="n_segments must be >= 2"):
+            compiled_table("exp", n_segments=1)
+        assert table_cache_info() == {"entries": 0, "hits": 0, "misses": 0}
 
 
 class TestScheduleCache:

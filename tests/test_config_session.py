@@ -41,6 +41,12 @@ class TestNovaConfigValidation:
             with pytest.raises(ValueError, match=field):
                 NovaConfig(**{field: bad})
 
+    def test_single_segment_table_rejected(self):
+        # one segment has no breakpoint, so no table can be compiled
+        with pytest.raises(ValueError, match="n_segments must be >= 2"):
+            NovaConfig(n_segments=1)
+        assert NovaConfig(n_segments=2).n_segments == 2
+
     @pytest.mark.parametrize("field", ["pe_frequency_ghz", "hop_mm"])
     def test_nonpositive_reals_rejected(self, field):
         for bad in (0.0, -0.5):
