@@ -1,13 +1,13 @@
 """System benchmark: batched attention serving vs the sequential engine.
 
 The acceptance gate for the serving path: a batch of 16 BERT-base
-attention layers through :class:`BatchedNovaAttentionEngine` (one shared
-overlay, lane packing, cached tables/schedules, vectorised streams) must
-deliver at least 3x the wall-clock throughput of looping the
-cycle-accurate single-request :class:`NovaAttentionEngine`, while every
-request's ``vector_cycles`` and event counters — the hardware cost
-model — stay identical between the two paths and outputs stay bit-exact
-(the shared harness in
+attention layers through :meth:`NovaDecodeEngine.attention_batch` (one
+shared overlay, lane packing, cached tables/schedules, vectorised
+streams) must deliver at least 3x the wall-clock throughput of looping
+the cycle-accurate single-request :class:`NovaAttentionEngine`, while
+every request's ``vector_cycles`` and event counters — the hardware
+cost model — stay identical between the two paths and outputs and
+probabilities stay byte-identical (the shared harness in
 :func:`repro.eval.experiments.batched_serving_throughput` raises on any
 divergence before reporting).
 

@@ -19,7 +19,7 @@ door to every execution mode, configured by a typed
     unit = session.unit("gelu")          # raw vector-unit access
     y = unit.approximate(np.zeros((8, 128))).outputs
     result = session.attention_layer(x, wq, wk, wv, wo, n_heads=12)
-    batch = session.serve(requests)      # batched serving engine
+    batch = session.serve(requests)      # batched serving, one overlay
 
 Lower-level construction (custom tables on a custom geometry)::
 

@@ -197,13 +197,13 @@ def train_nnlut_mlp(
             raise ValueError("domain is required when fn is a raw callable")
         name = name or getattr(fn, "__name__", "mlp")
 
-    if n_segments < 1:
-        raise ValueError(f"n_segments must be >= 1, got {n_segments}")
+    if n_segments < 2:
+        raise ValueError(f"n_segments must be >= 2, got {n_segments}")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    n_hidden = max(n_segments - 1, 1)
+    n_hidden = n_segments - 1
     rng = make_rng(seed)
     low, high = domain
     span = high - low

@@ -50,11 +50,11 @@ from repro.core.table_scheduler import (
     ScheduleReport,
     reconfiguration_cycles,
 )
-from repro.core.attention import NovaAttentionEngine, AttentionLayerResult
-from repro.core.batched_attention import (
+from repro.core.attention import (
+    NovaAttentionEngine,
+    AttentionLayerResult,
     AttentionRequest,
     BatchedAttentionResult,
-    BatchedNovaAttentionEngine,
 )
 from repro.core.paging import (
     KVCache,
@@ -113,7 +113,6 @@ __all__ = [
     "AttentionLayerResult",
     "AttentionRequest",
     "BatchedAttentionResult",
-    "BatchedNovaAttentionEngine",
     "BlockPool",
     "BlockPoolExhausted",
     "BlockTable",

@@ -22,9 +22,9 @@ Serving model
 This engine is the *cycle-accurate reference*: every non-linear query is
 driven beat-by-beat through the NoC simulation, one request at a time.
 Production-style serving lives in
-:class:`repro.core.batched_attention.BatchedNovaAttentionEngine`, which
-packs many requests through one shared overlay and is validated
-bit-exact and cycle-exact against this engine.
+:meth:`repro.core.decode.NovaDecodeEngine.attention_batch`, which packs
+many requests through one shared overlay and is validated bit-exact and
+cycle-exact against this engine.
 
 The recommended entry point to both engines (and to raw vector-unit
 access) is :class:`repro.core.session.NovaSession`, driven by a typed
@@ -71,7 +71,12 @@ from repro.core.table_scheduler import TableScheduler
 from repro.core.vector_unit import NovaVectorUnit
 from repro.noc.stats import EventCounters
 
-__all__ = ["NovaAttentionEngine", "AttentionLayerResult"]
+__all__ = [
+    "NovaAttentionEngine",
+    "AttentionLayerResult",
+    "AttentionRequest",
+    "BatchedAttentionResult",
+]
 
 #: The non-linear functions an encoder layer schedules onto the overlay.
 ATTENTION_FUNCTIONS = ("exp", "reciprocal", "gelu")
@@ -88,6 +93,102 @@ class AttentionLayerResult:
     vector_cycles: int            # PE cycles the vector unit was busy
     nonlinear_queries: int
     counters: EventCounters
+
+
+@dataclass(frozen=True)
+class AttentionRequest:
+    """One independent multi-head self-attention request.
+
+    ``x`` is ``(seq, hidden)``; the four weight matrices are
+    ``(hidden, hidden)``.  Requests in a batch may differ in sequence
+    length (and even hidden size) — the packed lane stream is flat.
+    Every input must be finite: construction raises ``ValueError``
+    naming the first field that holds a NaN or inf.
+    """
+
+    x: np.ndarray
+    wq: np.ndarray
+    wk: np.ndarray
+    wv: np.ndarray
+    wo: np.ndarray
+    n_heads: int
+
+    def __post_init__(self) -> None:
+        x = np.asarray(self.x, dtype=np.float64)
+        object.__setattr__(self, "x", x)
+        if x.ndim != 2:
+            raise ValueError(f"x must be (seq, hidden), got shape {x.shape}")
+        seq, hidden = x.shape
+        if seq < 1:
+            raise ValueError(
+                "request must contain at least one token (got an empty "
+                f"sequence: x has shape {x.shape})"
+            )
+        if hidden < 1:
+            raise ValueError(
+                "request must have a hidden width >= 1 (got zero-width "
+                f"x of shape {x.shape})"
+            )
+        if self.n_heads < 1:
+            raise ValueError(f"n_heads must be >= 1, got {self.n_heads}")
+        if hidden % self.n_heads != 0:
+            raise ValueError(
+                f"hidden ({hidden}) must divide by n_heads ({self.n_heads})"
+            )
+        for name in ("wq", "wk", "wv", "wo"):
+            w = np.asarray(getattr(self, name), dtype=np.float64)
+            object.__setattr__(self, name, w)
+            if w.shape != (hidden, hidden):
+                raise ValueError(
+                    f"{name} must have shape ({hidden}, {hidden}), got {w.shape}"
+                )
+        # Checked once here, never per token: a NaN score would reach
+        # the table's quantiser as an address and come back finite.
+        for name in ("x", "wq", "wk", "wv", "wo"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(
+                    f"{name} holds NaN or inf; request inputs must be finite"
+                )
+
+    @property
+    def seq(self) -> int:
+        """Sequence length of this request."""
+        return self.x.shape[0]
+
+    @property
+    def hidden(self) -> int:
+        """Hidden width of this request."""
+        return self.x.shape[1]
+
+
+@dataclass(frozen=True)
+class BatchedAttentionResult:
+    """Outcome of one batch through the shared overlay.
+
+    ``results[i]`` is the full per-request result, identical (outputs,
+    probabilities, cycles, counters) to running request ``i`` alone on a
+    sequential engine with the same tables.  ``packed_vector_cycles`` is
+    what the shared overlay actually spent; ``sequential_vector_cycles``
+    is the sum of the per-request costs.  ``counters`` are the events
+    the shared overlay actually produced for the whole batch.
+    """
+
+    results: tuple[AttentionLayerResult, ...]
+    packed_vector_cycles: int
+    sequential_vector_cycles: int
+    counters: EventCounters
+
+    @property
+    def n_requests(self) -> int:
+        """Requests served in this batch."""
+        return len(self.results)
+
+    @property
+    def packing_speedup(self) -> float:
+        """Sequential vector cycles per packed vector cycle (>= 1)."""
+        if self.packed_vector_cycles == 0:
+            return 1.0
+        return self.sequential_vector_cycles / self.packed_vector_cycles
 
 
 # ----------------------------------------------------------------------
@@ -294,7 +395,7 @@ class NovaAttentionEngine:
         values = np.asarray(values, dtype=np.float64)
         batches, n_batches = pack_lane_stream([values], self._shape)
         # simulate=True: this engine is the cycle-accurate reference the
-        # batched serving engine is validated against, so its queries go
+        # batched serving path is validated against, so its queries go
         # through the beat-level NoC model rather than the vectorised path.
         stream = unit.run_stream(batches, simulate=True)
         out = stream.outputs.reshape(-1)[: values.size]

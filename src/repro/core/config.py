@@ -21,7 +21,7 @@ engine constructor:
 
 Engines (:class:`~repro.core.vector_unit.NovaVectorUnit`,
 :class:`~repro.core.attention.NovaAttentionEngine`,
-:class:`~repro.core.batched_attention.BatchedNovaAttentionEngine`)
+:class:`~repro.core.decode.NovaDecodeEngine`)
 accept a ``NovaConfig`` — or a preset name — as their constructor
 argument.  The recommended front door for running anything is
 :class:`~repro.core.session.NovaSession`.

@@ -1,21 +1,23 @@
-"""Autoregressive decode on the NOVA overlay: the engine and the batcher.
+"""The NOVA overlay engine: batched attention, decode and the batcher.
 
-The paper motivates NOVA with attention-heavy inference, and the serving
-regime that dominates such traffic is not full-prefill attention but
-token-by-token *decode* over a KV cache: each new token attends to every
-cached key/value pair, so the softmax runs over exactly one row per head
-per step.  This module opens that workload on the same cycle/event-exact
-hardware model the prefill engines use:
+The paper motivates NOVA with attention-heavy inference.  Two serving
+regimes dominate such traffic: batches of independent full-prefill
+attention requests, and token-by-token *decode* over a KV cache, where
+each new token attends to every cached key/value pair, so the softmax
+runs over exactly one row per head per step.  This module runs both on
+the same cycle/event-exact hardware model as the reference engine
+(:class:`~repro.core.attention.NovaAttentionEngine`):
 
-* :class:`NovaDecodeEngine` — incremental single-token attention
-  (``decode_step``) plus a causal packed prefill (``prefill``) and a
-  self-feeding ``generate`` loop, built directly on top of
-  :class:`~repro.core.batched_attention.BatchedNovaAttentionEngine`'s
-  shared-table machinery: one physical
-  :class:`~repro.core.vector_unit.NovaVectorUnit` serves the softmax
-  exponential and the normaliser reciprocal by table retargeting, and
-  per-request costs come from the same closed-form sequential-equivalent
-  accounting the batched engine uses.
+* :class:`NovaDecodeEngine` — one physical
+  :class:`~repro.core.vector_unit.NovaVectorUnit` serving the softmax
+  exponential and the normaliser reciprocal by table retargeting, as the
+  paper's overlay does (table switching is free on NOVA — the table
+  lives on the wires).  Its entry points are batched attention
+  (``attention_batch``), incremental single-token attention
+  (``decode_step``), a causal packed prefill (``prefill``) and a
+  self-feeding ``generate`` loop.  All of them run one packed softmax
+  stage, so per-request costs come from one closed-form
+  sequential-equivalent accounting.
 * :class:`ContinuousBatchScheduler` — Orca-style continuous batching:
   every scheduler step packs the prefill rows of newly admitted requests
   *and* the decode rows of in-flight requests into a single lane stream
@@ -37,15 +39,66 @@ The decode stack imports one way: :mod:`repro.core.paging` (the caches
 and the pool), then :mod:`repro.core.speculative` (drafts and trees),
 then this module.
 
+Serving model
+-------------
+Four mechanisms make the packed softmax stage fast without changing a
+single output bit or cycle count:
+
+* **Lane packing.**  All jobs' queries for one function are
+  concatenated into a single lane stream, so the tail of job ``i`` and
+  the head of job ``i + 1`` share a PE cycle instead of each job padding
+  its final batch with idle lanes.  The vector unit stays full between
+  jobs; only the final batch of the whole phase is padded.
+* **Compiled-table cache.**  Tables come from the process-wide
+  :mod:`repro.approx.table_cache`, keyed on
+  ``(function, n_segments, seed)`` — training happens once per process,
+  and every engine with the same key shares the same table object, which
+  is what makes batched-vs-sequential comparisons bit-exact by
+  construction.
+* **Vectorised streaming.**  The packed stream goes through the vector
+  unit's whole-stream gather path (one NumPy segment-index gather per
+  phase), which is output- and counter-exact against the beat-level
+  simulation.
+* **Per-table state, computed once.**  Everything that depends only on
+  a table is derived the first time it is seen: the vector unit keeps
+  each table's beats, broadcast schedule and config, so switching
+  between the exp and reciprocal tables every phase only swaps
+  references, and the engine keeps each table's accounting constants
+  (beats per broadcast, the address-independent events of one
+  broadcast, the beat a zero-padded lane selects).  Every job's
+  sequential-equivalent counters then come from one int64 closed form
+  over all jobs of a phase (``_sequential_counters``), fed by each
+  job's query count and tag sum.
+
+Accounting semantics
+--------------------
+* Each job — a batched attention request, a prefill or a verify pass —
+  reports the **sequential-equivalent** cost: ``vector_cycles`` and
+  event counters identical to what a dedicated single-job engine
+  invocation would charge it (including its own tail padding and the
+  address-dependent ``tag_match`` count).  For a batched request that
+  is exactly what :class:`~repro.core.attention.NovaAttentionEngine`
+  charges; those are the numbers a per-request SLA or energy bill is
+  written against.
+* The batch-level counters are the events the shared overlay actually
+  produced.  Packing eliminates per-job tail padding and shares
+  broadcasts across jobs, so for the lane-local events
+  (``comparator_eval`` / ``mac_op`` / ``pair_capture``) the batch total
+  is at most the sum of the per-job totals — equal exactly when every
+  job fills its final batch.  The gap *is* the packing win, surfaced as
+  ``packing_speedup`` (:class:`~repro.core.attention.
+  BatchedAttentionResult`, :class:`ContinuousBatchResult`) on the cycle
+  side.
+
 Bit-exactness contract
 ----------------------
-Token-by-token decode, the packed causal prefill and the continuous
-batcher all produce **bit-identical** probabilities and outputs for the
-same causal sequence.  This holds by construction, for the same reason
-the batched engine matches the sequential engine: there is a single copy
-of every numerically sensitive step (:mod:`repro.core.attention`; the
-engine looks each up in this module's namespace).  Per token, both
-paths run
+Batched attention is **bit-identical** to the reference engine, and
+token-by-token decode, the packed causal prefill and the continuous
+batcher all produce bit-identical probabilities and outputs for the
+same causal sequence.  This holds by construction: there is a single
+copy of every numerically sensitive step (:mod:`repro.core.attention`;
+the engine looks each up in this module's namespace).  Per token, the
+decode paths run
 
 1. :func:`~repro.core.attention.project_token` — the token's q/k/v
    projections (vector-matrix, the decode-granularity GEMM),
@@ -62,19 +115,16 @@ paths run
    over the cached values (a view of the row store, or a copy under a
    sliding window).
 
-Cycle/counter accounting mirrors the batched engine: each
-prefill/decode *job* reports the sequential-equivalent cost a dedicated
-engine invocation would charge (closed form, including tail padding and
-the address-dependent ``tag_match`` count), while batch-level results
-additionally report what the shared overlay actually spent — the gap is
-the continuous-batching win.
+Batched attention swaps steps 1, 2 and 5 for the reference engine's own
+host GEMMs (:func:`~repro.core.attention.host_attention_scores` and
+:func:`~repro.core.attention.finish_attention_layer`) and shares steps
+3 and 4.
 
 Tables are compiled once at engine construction through the process-wide
-:mod:`repro.approx.table_cache`; decode steps only *retarget* the unit
-(free on NOVA — the table lives on the wires), so running any number of
-steps performs zero additional table compilations
-(:func:`repro.approx.table_cache.table_cache_info` is pinned flat across
-steps by the test suite).
+:mod:`repro.approx.table_cache`; decode steps only *retarget* the unit,
+so running any number of steps performs zero additional table
+compilations (:func:`repro.approx.table_cache.table_cache_info` is
+pinned flat across steps by the test suite).
 """
 
 from __future__ import annotations
@@ -86,18 +136,24 @@ from typing import Any
 
 import numpy as np
 
+from repro.approx.quantize import beat_of_address
+from repro.approx.table_cache import compiled_table
 from repro.core.attention import (
+    OVERLAY_FUNCTIONS,
+    AttentionLayerResult,
+    AttentionRequest,
+    BatchedAttentionResult,
     assemble_probabilities,
     context_for_query,
+    finish_attention_layer,
+    host_attention_scores,
+    pack_lane_stream,
     project_token,
     scores_for_query,
     shift_scores,
     softmax_reduction,
 )
-from repro.core.batched_attention import (
-    AttentionRequest,
-    BatchedNovaAttentionEngine,
-)
+from repro.core.config import NovaConfig, as_config
 from repro.core.paging import (
     BlockPool,
     BlockPoolExhausted,
@@ -117,6 +173,7 @@ from repro.core.speculative import (
     VerifyPassResult,
     _draft_level,
 )
+from repro.core.vector_unit import NovaVectorUnit
 from repro.core.waiting import FCFS, SchedulingPolicy, WaitingQueue
 from repro.noc.stats import OVERLAY_EVENTS, EventCounters
 
@@ -181,7 +238,7 @@ class SequenceMeta:
 class DecodeRequest(AttentionRequest):
     """One autoregressive decode request: a prompt plus a token budget.
 
-    Extends :class:`~repro.core.batched_attention.AttentionRequest` (its
+    Extends :class:`~repro.core.attention.AttentionRequest` (its
     ``x`` is the prompt embedding matrix) with the decode contract:
 
     * ``max_new_tokens`` — tokens to generate after the prompt,
@@ -580,21 +637,44 @@ class _SpecPass:
         self.in_state_tokens = in_state_tokens
 
 
-class NovaDecodeEngine(BatchedNovaAttentionEngine):
-    """KV-cached autoregressive decode on one shared NOVA overlay.
+#: Events every (padded) lane of a stream charges exactly once: its
+#: comparator evaluation, MAC, pair capture and the tag comparison on
+#: the beat that carries its pair.
+_PER_LANE = np.array(
+    [
+        event in ("comparator_eval", "mac_op", "pair_capture", "tag_match")
+        for event in OVERLAY_EVENTS
+    ],
+    dtype=np.int64,
+)
+_TAG_MATCH = OVERLAY_EVENTS.index("tag_match")
 
-    Built directly on the batched engine's machinery: a single
-    :class:`~repro.core.vector_unit.NovaVectorUnit` serves the softmax
-    exponential and the normaliser reciprocal by table retargeting, the
-    tables come from the process-wide compiled-table cache, and
-    per-request cost accounting reuses the closed-form
-    sequential-equivalent counters.  Constructor interface matches the
-    other engines (a :class:`~repro.core.config.NovaConfig` or a Table II
-    preset name).
 
-    Three entry points, all bit-exact against one another:
+class NovaDecodeEngine:
+    """One shared NOVA overlay serving batched attention and decode.
 
-    * :meth:`prefill` — the whole prompt, packed into one exp stream and
+    The constructor takes a :class:`~repro.core.config.NovaConfig` (or
+    a Table II preset name), mirroring
+    :class:`~repro.core.attention.NovaAttentionEngine`.  The crucial
+    difference from the reference engine is that a *single*
+    :class:`~repro.core.vector_unit.NovaVectorUnit` serves every
+    non-linear function by table switching (``retarget``), as the
+    paper's overlay does, instead of one instance per function.
+
+    ``tables`` holds only the :data:`~repro.core.attention.
+    OVERLAY_FUNCTIONS` the overlay retargets, exp and reciprocal, so
+    building an engine compiles two tables, not the reference engine's
+    three: serving never reads gelu, which is the costliest of the
+    three to train.  ``NovaSession.unit("gelu")`` and the reference
+    engine still compile it on first use.
+
+    Every entry point runs the same packed softmax stage (one exp
+    stream and one reciprocal stream through the shared unit, with
+    closed-form sequential-equivalent costs per job):
+
+    * :meth:`attention_batch` — a batch of independent full-prefill
+      attention requests, bit-exact against the reference engine;
+    * :meth:`prefill` — a whole prompt, packed into one exp stream and
       one reciprocal stream (the efficient way in);
     * :meth:`decode_step` — one token against the KV cache;
     * :meth:`generate` — prefill then a self-feeding decode loop (the
@@ -602,13 +682,29 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
       embedding; with a single attention layer and no vocabulary this is
       the serving-shaped closed loop the benchmarks measure).
 
-    Every decoded token comes out of one draft-and-verify pass
+    The last three are bit-exact against one another.  Every decoded
+    token comes out of one draft-and-verify pass
     (:meth:`plan_verify_pass` / :meth:`finish_verify_pass`, fused
     across requests by :class:`ContinuousBatchScheduler`;
     :meth:`run_pass` runs one alone).  The engine holds no tree and no
     draft: ``tree=`` and ``draft=`` are per-call arguments, and
     ``tree=None`` is the depth-0 tree, i.e. plain decode.
     """
+
+    def __init__(self, config: NovaConfig | str | None = None) -> None:
+        self.config = as_config(config)
+        cfg = self.config
+        self.tables = {
+            name: compiled_table(name, n_segments=cfg.n_segments, seed=cfg.seed)
+            for name in OVERLAY_FUNCTIONS
+        }
+        self.unit = NovaVectorUnit(self.tables["exp"], cfg)
+        self.n_routers = cfg.n_routers
+        self.neurons_per_router = cfg.neurons_per_router
+        self.pe_frequency_ghz = cfg.pe_frequency_ghz
+        self.hop_mm = cfg.hop_mm
+        self.n_lanes = cfg.n_lanes
+        self._shape = cfg.lane_shape
 
     # ------------------------------------------------------------------
     # Request lifecycle.
@@ -770,71 +866,147 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
         return _Job(state, tokens)
 
     # ------------------------------------------------------------------
-    # Execution: the two packed hardware phases plus host assembly.
+    # The packed softmax stage: two hardware phases plus host reductions.
     # ------------------------------------------------------------------
 
-    def _execute(self, jobs: Sequence[_Job]) -> tuple[list[_JobResult], int]:
-        """Run staged jobs through the shared overlay.
+    def _run_packed(
+        self, function: str, groups: Sequence[Sequence[np.ndarray]]
+    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, int]:
+        """One packed lane stream through the shared overlay.
 
-        All jobs' exponentials form one packed lane stream, then all
-        jobs' reciprocals form another — this is the fusion that lets
-        the continuous batcher interleave prefill and decode rows across
-        lanes.  Returns ``(results, packed_vector_cycles)``; per-job
-        costs are sequential-equivalent (closed form).
+        Each group is a sequence of same-shaped member arrays: a list,
+        or an array whose first axis indexes the members.  The groups
+        are written back to back into the lane buffer in one copy
+        (:func:`~repro.core.attention.pack_lane_stream`): an array group
+        as one part, a list group member by member, so no group is
+        stacked first.  Only the stream's final batch is padded.
+        Returns ``(outputs, sizes, tag_sums, packed_vector_cycles)``:
+        ``outputs[g]`` is a view of the stream shaped ``(len(groups[g]),
+        *member_shape)``; ``sizes`` and ``tag_sums`` hold, per member in
+        packed order, its query count and the sum of ``address &
+        (n_beats - 1)`` over its queries (the addresses are a free
+        by-product of the vectorised stream) — the inputs of
+        :meth:`_sequential_counters`.
+        """
+        shapes = [(len(group), *np.shape(group[0])) for group in groups]
+        sizes = np.repeat(
+            [math.prod(shape[1:]) for shape in shapes],
+            [shape[0] for shape in shapes],
+        )
+        bounds = np.cumsum([0, *(math.prod(shape) for shape in shapes)])
+        parts: list[np.ndarray] = []
+        for group in groups:
+            if isinstance(group, np.ndarray):
+                parts.append(group)
+            else:
+                parts.extend(group)
+        self.unit.retarget(self.tables[function])
+        batches, n_batches = pack_lane_stream(parts, self._shape)
+        stream = self.unit.run_stream(batches)
+        out = stream.outputs.reshape(-1)
+        addresses = stream.addresses.reshape(-1)[: bounds[-1]]
+        starts = np.cumsum(sizes) - sizes
+        tag_sums = np.add.reduceat(
+            beat_of_address(addresses, self.unit.schedule.n_beats), starts
+        )
+        outputs = [
+            out[start:stop].reshape(shape)
+            for shape, start, stop in zip(shapes, bounds, bounds[1:])
+        ]
+        return outputs, sizes, tag_sums, n_batches
 
-        The step costs two kernel launches (one
-        :meth:`~repro.core.vector_unit.NovaVectorUnit.run_stream` per
-        phase, inside ``_run_packed``) plus vectorised host work.
-        Tokens are grouped by ``(heads, kv_len)`` score shape and each
-        group is packed contiguously, so the softmax reductions run on
-        one ``(group, heads, kv_len)`` view of the stream per group.
-        That keeps them bit-exact: the reductions in
-        :func:`softmax_reduction` / :func:`assemble_probabilities` are
-        along the last axis, whose pairwise summation order per row is
-        independent of any leading batch dimension, and the lookups are
-        elementwise, so where a query sits in the stream changes no
-        output.  Per-token ``tag_match`` sums fold into per-job sums by
-        one ``np.add.reduceat`` (integer sums, order-insensitive), and
-        every job's counters come from one closed form
+    def _sequential_counters(
+        self, streams: dict[str, tuple[np.ndarray, np.ndarray]]
+    ) -> np.ndarray:
+        """Events dedicated single-job engines would charge, for every
+        job of a step in one closed form.
+
+        ``streams`` maps function name to ``(n_queries, tag_sums)``,
+        int64 arrays with one entry per job: its real (un-padded) query
+        count and the sum of ``address & (n_beats - 1)`` over those
+        queries, sliced from the packed stream's addresses.  Returns an
+        int64 ``(n_jobs, len(OVERLAY_EVENTS))`` matrix whose row ``j``
+        is exactly what a sequential engine charges job ``j``, including
+        the zero-padding of its final lane batch and the
+        address-dependent ``tag_match`` count.
+        """
+        lanes = self.n_lanes
+        per_function = []
+        for function, (n_queries, tag_sums) in streams.items():
+            program = self.unit._program(self.tables[function], self.config)
+            n_batches = -(-n_queries // lanes)
+            padded = n_batches * lanes
+            rows = np.outer(padded, _PER_LANE) + np.outer(
+                n_batches, program.per_batch
+            )
+            rows[:, _TAG_MATCH] += (
+                tag_sums + (padded - n_queries) * program.pad_beat
+            )
+            per_function.append(rows)
+        total: np.ndarray = np.add.reduce(per_function)
+        return total
+
+    def _packed_softmax(
+        self, shifted: Sequence[np.ndarray], first: np.ndarray
+    ) -> tuple[list[np.ndarray], list[int], list[int], np.ndarray, int]:
+        """Hardware softmax over every job of a step, in one exp stream
+        and one reciprocal stream.
+
+        ``shifted`` holds max-shifted score arrays of any shapes (a
+        decode token's ``(heads, kv_len)`` row, a batched request's
+        ``(heads, seq, seq)`` matrix), job by job; ``first[j]`` is the
+        index of job ``j``'s first array.  Returns ``(probabilities,
+        cycles, queries, counter_rows, packed_vector_cycles)``:
+        ``probabilities[i]`` is array ``i``'s softmax over its last
+        axis; ``cycles[j]``, ``queries[j]`` and ``counter_rows[j]`` are
+        job ``j``'s sequential-equivalent vector cycles, non-linear
+        queries and int64 event row; the last is what the shared
+        overlay spent.
+
+        Arrays are grouped by shape and each group is packed
+        contiguously, so the softmax reductions run on one
+        ``(group, *shape)`` view of the stream per group.  That keeps
+        them bit-exact: the reductions in :func:`softmax_reduction` /
+        :func:`assemble_probabilities` are along the last axis, whose
+        pairwise summation order per row is independent of any leading
+        batch dimension, and the lookups are elementwise, so where a
+        query sits in the stream changes no output.  Per-array
+        ``tag_match`` sums fold into per-job sums by one
+        ``np.add.reduceat`` (integer sums, order-insensitive), and every
+        job's counters come from one closed form
         (:meth:`_sequential_counters`).
         """
-        if not jobs:
-            return [], 0
         lanes = self.n_lanes
-        tokens = [t for j in jobs for t in j.tokens]
-        first_token = np.cumsum([0] + [len(j.tokens) for j in jobs[:-1]])
         shape_groups: dict[tuple[int, ...], list[int]] = {}
-        for i, token in enumerate(tokens):
-            shape_groups.setdefault(token.shifted.shape, []).append(i)
+        for i, scores in enumerate(shifted):
+            shape_groups.setdefault(scores.shape, []).append(i)
         members = list(shape_groups.values())
 
         # Phase 1: every job's exponentials in one stream.
         raw, exp_sizes, exp_tags, exp_batches = self._run_packed(
-            "exp", [[tokens[i].shifted for i in m] for m in members]
+            "exp", [[shifted[i] for i in m] for m in members]
         )
-        for token in tokens:
-            token.shifted = None  # packed: the stream holds the scores
         reduced = [softmax_reduction(group) for group in raw]
 
         # Phase 2: every job's normaliser reciprocals in one stream.
         inv, recip_sizes, recip_tags, recip_batches = self._run_packed(
             "reciprocal", [mantissa for _, mantissa, _ in reduced]
         )
-        token_probs: list[np.ndarray] = [np.empty(0)] * len(tokens)
+        probabilities: list[np.ndarray] = [np.empty(0)] * len(shifted)
         for m, (numer, _, exponent), group_inv in zip(members, reduced, inv):
             probs = assemble_probabilities(numer, group_inv, exponent)
             for pos, i in enumerate(m):
-                token_probs[i] = probs[pos]
+                probabilities[i] = probs[pos]
 
         # Per-job sequential-equivalent costs, every job in one closed
-        # form: per-token sizes and tag sums (packed order) back into
-        # token order, then summed per job.
-        per_token = np.empty((4, len(tokens)), dtype=np.int64)
-        per_token[:, np.concatenate(members)] = (
+        # form: per-array sizes and tag sums (packed order) back into
+        # array order, then summed per job.
+        per_array = np.empty((4, len(shifted)), dtype=np.int64)
+        per_array[:, np.concatenate(members)] = (
             exp_sizes, exp_tags, recip_sizes, recip_tags,
         )
         job_exp_sizes, job_exp_tags, job_recip_sizes, job_recip_tags = (
-            np.add.reduceat(per_token, first_token, axis=1)
+            np.add.reduceat(per_array, first, axis=1)
         )
         counter_rows = self._sequential_counters(
             {
@@ -842,10 +1014,38 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
                 "reciprocal": (job_recip_sizes, job_recip_tags),
             }
         )
-        job_cycles = (
+        cycles = (
             -(-job_exp_sizes // lanes) + -(-job_recip_sizes // lanes)
         ).tolist()
-        job_queries = (job_exp_sizes + job_recip_sizes).tolist()
+        queries = (job_exp_sizes + job_recip_sizes).tolist()
+        return (
+            probabilities, cycles, queries, counter_rows,
+            exp_batches + recip_batches,
+        )
+
+    # ------------------------------------------------------------------
+    # Execution: the packed softmax stage plus host assembly.
+    # ------------------------------------------------------------------
+
+    def _execute(self, jobs: Sequence[_Job]) -> tuple[list[_JobResult], int]:
+        """Run staged jobs through the shared overlay.
+
+        All jobs' tokens go through one :meth:`_packed_softmax` — this
+        is the fusion that lets the continuous batcher interleave
+        prefill and decode rows across lanes — and then each token's
+        context GEMV.  Returns ``(results, packed_vector_cycles)``;
+        per-job costs are sequential-equivalent (closed form).  The step
+        costs two kernel launches (one
+        :meth:`~repro.core.vector_unit.NovaVectorUnit.run_stream` per
+        phase) plus vectorised host work.
+        """
+        if not jobs:
+            return [], 0
+        tokens = [t for j in jobs for t in j.tokens]
+        first_token = np.cumsum([0] + [len(j.tokens) for j in jobs[:-1]])
+        token_probs, job_cycles, job_queries, counter_rows, packed = (
+            self._packed_softmax([t.shifted for t in tokens], first_token)
+        )
 
         # Host assembly: the context GEMVs stay per token (each attends
         # to its own span of the values), as does result wrapping.
@@ -871,7 +1071,57 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
                     counter_row=counter_rows[jnum],
                 )
             )
-        return results, exp_batches + recip_batches
+        return results, packed
+
+    def attention_batch(
+        self, requests: Sequence[AttentionRequest] | Iterable[AttentionRequest]
+    ) -> BatchedAttentionResult:
+        """Serve a batch of independent attention requests.
+
+        Host GEMMs (projections, scores, context) run per request in
+        plain numpy, with the exact helpers the reference engine uses
+        (the "host-side numerics" section of
+        :mod:`repro.core.attention`); the non-linear phases run as one
+        :meth:`_packed_softmax` over the whole batch, each request a job
+        of one ``(heads, seq, seq)`` score matrix.  Outputs are
+        bit-identical to per-request sequential execution and each
+        per-request result carries its sequential-equivalent cycle and
+        event cost.
+        """
+        requests = tuple(requests)
+        if not requests:
+            raise ValueError("need at least one request")
+        before = self.unit._lifetime_counters()
+        values: list[np.ndarray] = []
+        shifted: list[np.ndarray] = []
+        for req in requests:
+            scores, v = host_attention_scores(
+                req.x, req.wq, req.wk, req.wv, req.n_heads
+            )
+            values.append(v)
+            shifted.append(shift_scores(scores))
+        probabilities, cycles, queries, counter_rows, packed = (
+            self._packed_softmax(shifted, np.arange(len(requests)))
+        )
+        results = tuple(
+            AttentionLayerResult(
+                outputs=finish_attention_layer(probs, v, req.wo),
+                probabilities=probs,
+                vector_cycles=vector_cycles,
+                nonlinear_queries=n_queries,
+                counters=EventCounters.from_vector(row),
+            )
+            for req, v, probs, vector_cycles, n_queries, row in zip(
+                requests, values, probabilities, cycles, queries,
+                counter_rows,
+            )
+        )
+        return BatchedAttentionResult(
+            results=results,
+            packed_vector_cycles=packed,
+            sequential_vector_cycles=sum(cycles),
+            counters=self.unit._lifetime_counters().diff(before),
+        )
 
     # ------------------------------------------------------------------
     # Result wrapping.
@@ -1081,13 +1331,13 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
         at most one can match); the walked path is the longest accepted
         branch.  Returns its committed steps (at least one — ``u_0``'s
         input is the true previous output by construction) and the
-        pass accounting.  Before returning, every branch fork releases
-        its block references, the live cache truncates the in-place
-        tokens the path does not cover, and the path's fork-resident
-        rows are re-appended to the live cache (recomputing the k/v
-        projection is deterministic, hence bit-identical to the rows
-        the released fork held) — zero pool blocks leak for any accept
-        pattern.  A draft-free pass commits its one token as is:
+        pass accounting.  Before returning, the path's fork-resident
+        k/v rows are copied out of the deepest path node's branch cache,
+        every branch fork releases its block references, the live cache
+        truncates the in-place tokens the path does not cover, and the
+        copied rows are appended to the live cache — the very rows
+        planning wrote, so nothing is projected again — and zero pool
+        blocks leak for any accept pattern.  A draft-free pass commits its one token as is:
         nothing to walk, release or roll back.  ``draft`` observes
         every committed step; ``None`` (the exact-LUT default, whose
         ``observe`` is a no-op) observes nothing.
@@ -1150,25 +1400,33 @@ class NovaDecodeEngine(BatchedNovaAttentionEngine):
                 break
             path.append(match)
             node = match
-        # Forks first (shared tail blocks drop to their surviving
-        # refcounts), then the in-place suffix beyond the accepted
-        # in-place prefix truncates — the accepted path can only leave
-        # the live cache for a fork, never come back, so the in-place
-        # tokens it covers are exactly a prefix.
-        for fork in spec_pass.forks:
-            fork.reset()
+        # The accepted path can only leave the live cache for a fork,
+        # never come back, so the in-place tokens it covers are exactly
+        # a prefix, and its fork-resident rows are the rows up to the
+        # deepest node's own in that node's branch cache (every branch
+        # cache holds its ancestor chain; an only child below the path
+        # may follow them).  Copy those out, then release the forks
+        # (shared tail blocks drop to their surviving refcounts),
+        # truncate the in-place suffix beyond the accepted prefix and
+        # append the copied rows to the live cache.
         state = spec_pass.job.state
         kept_in_state = sum(1 for n in path if n.in_state)
+        moved = len(path) - kept_in_state
+        branch = path[-1].state.cache
+        # provisional appends never evict, so a row's index is its
+        # position past the branch's start
+        end = (
+            spec_pass.job.tokens[path[-1].token_index].position
+            - branch.start_position + 1
+        )
+        keys = branch.keys[:, end - moved : end].copy()
+        values = branch.values[:, end - moved : end].copy()
+        for fork in spec_pass.forks:
+            fork.reset()
         self._rollback(state, spec_pass.in_state_tokens - kept_in_state)
-        request = state.request
-        for n in path:
-            if not n.in_state:
-                _, k_t, v_t = project_token(
-                    n.embedding, request.wq, request.wk, request.wv,
-                    request.n_heads,
-                )
-                state.cache.append(k_t, v_t)
-                state.position += 1
+        for i in range(moved):
+            state.cache.append(keys[:, i], values[:, i])
+            state.position += 1
         return [(n.token_index, n.embedding) for n in path]
 
     def plan_with_fallback(

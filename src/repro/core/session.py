@@ -7,13 +7,13 @@ exposes the four ways this reproduction executes work on it:
   (:class:`~repro.core.attention.NovaAttentionEngine`): one request,
   every non-linear query driven beat-by-beat through the NoC model.
 * :meth:`NovaSession.serve` — the batched serving path
-  (:class:`~repro.core.batched_attention.BatchedNovaAttentionEngine`):
-  many requests lane-packed through one shared overlay, bit-exact and
+  (:meth:`~repro.core.decode.NovaDecodeEngine.attention_batch`): many
+  requests lane-packed through one shared overlay, bit-exact and
   counter-exact against the reference.
 * :meth:`NovaSession.decode` / :meth:`NovaSession.generate` /
   :meth:`NovaSession.serve_decode` — autoregressive decode over a KV
-  cache (:class:`~repro.core.decode.NovaDecodeEngine`), one-at-a-time
-  or continuously batched, bit-exact against the causal prefill.
+  cache on the same engine, one-at-a-time or continuously batched,
+  bit-exact against the causal prefill.
 * :meth:`NovaSession.serve_async` — the async serving front door
   (:class:`~repro.serving.frontdoor.FrontDoor`): streaming requests
   with arrivals/priorities/tenants/deadlines on a deterministic
@@ -22,7 +22,9 @@ exposes the four ways this reproduction executes work on it:
   :class:`~repro.core.vector_unit.NovaVectorUnit` compiled for any
   registered non-linear function at the session geometry.
 
-Engines are built lazily and cached per session; the compile-time state
+Engines are built lazily and cached per session — the reference engine
+and one overlay engine (:attr:`NovaSession.decoder`, which serves both
+batched attention and decode); the compile-time state
 they share — trained PWL tables (:mod:`repro.approx.table_cache`) and
 frozen broadcast schedules (:class:`~repro.core.mapper.NovaMapper`) —
 lives in the process-wide caches, so any number of sessions at the same
@@ -47,11 +49,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.approx.table_cache import table_cache_info
-from repro.core.attention import AttentionLayerResult, NovaAttentionEngine
-from repro.core.batched_attention import (
+from repro.core.attention import (
+    AttentionLayerResult,
     AttentionRequest,
     BatchedAttentionResult,
-    BatchedNovaAttentionEngine,
+    NovaAttentionEngine,
 )
 from repro.core.config import NovaConfig, as_config
 from repro.core.decode import (
@@ -88,7 +90,6 @@ class NovaSession:
     ) -> None:
         self._config = as_config(config)
         self._reference: NovaAttentionEngine | None = None
-        self._server: BatchedNovaAttentionEngine | None = None
         self._decoder: NovaDecodeEngine | None = None
         self._units: dict[str, NovaVectorUnit] = {}
 
@@ -157,19 +158,13 @@ class NovaSession:
     # Mode 2: batched serving.
     # ------------------------------------------------------------------
 
-    @property
-    def server(self) -> BatchedNovaAttentionEngine:
-        """The batched serving engine (built lazily)."""
-        if self._server is None:
-            self._server = BatchedNovaAttentionEngine(self._config)
-        return self._server
-
     def serve(
         self,
         requests: Sequence[AttentionRequest] | Iterable[AttentionRequest],
     ) -> BatchedAttentionResult:
-        """Serve a batch of attention requests on the shared overlay."""
-        return self.server.attention_batch(requests)
+        """Serve a batch of attention requests on the shared overlay
+        (:attr:`decoder`, the one overlay engine of the session)."""
+        return self.decoder.attention_batch(requests)
 
     # ------------------------------------------------------------------
     # Mode 3: autoregressive decode (KV cache + continuous batching).
@@ -177,7 +172,8 @@ class NovaSession:
 
     @property
     def decoder(self) -> NovaDecodeEngine:
-        """The KV-cached decode engine (built lazily).
+        """The overlay engine: batched attention and KV-cached decode
+        (built lazily).
 
         Building it compiles two tables, exp and reciprocal (the
         overlay's :data:`~repro.core.attention.OVERLAY_FUNCTIONS`; gelu

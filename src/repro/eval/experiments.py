@@ -578,18 +578,18 @@ def batched_serving_throughput(
 
     The same batch of attention requests is run once through the
     cycle-accurate single-request engine (looped) and once through the
-    batched serving engine (lane-packed, vectorised), and the table
+    overlay engine's ``attention_batch`` (lane-packed, vectorised), and
+    the table
     reports wall-clock throughput, per-request vector cycles and the
-    packing win.  Before the table is built, outputs, per-request cycle
-    counts and per-request event counters are checked identical between
-    the two paths (``RuntimeError`` on divergence).  ``config``,
+    packing win.  Before the table is built, outputs and probabilities
+    (by dtype, shape and bytes), per-request cycle counts and
+    per-request event counters are checked identical between the two
+    paths (``RuntimeError`` on divergence).  ``config``,
     ``seed`` and ``model_name`` resolve as in :func:`_setup`;
     ``warmup`` runs each path once first (:func:`_timed`).  This is
     also the single harness behind
     ``benchmarks/bench_batched_serving.py``.
     """
-    import numpy as np
-
     from repro.workloads.bert import bert_attention_batch
 
     cfg, seed, model, session = _setup(config, seed, model_name)
@@ -597,7 +597,7 @@ def batched_serving_throughput(
         model, batch_size, seq_len=seq_len, seed=seed
     )
     sequential = session.reference
-    batched = session.server
+    batched = session.decoder
 
     def attend(r):
         return sequential.attention_layer(
@@ -610,9 +610,15 @@ def batched_serving_throughput(
         lambda: batched.attention_batch(requests),
     )
 
+    def same_bytes(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and (
+            a.tobytes() == b.tobytes()
+        )
+
     for i, (got, ref) in enumerate(zip(batch.results, seq_results)):
         if (
-            not np.array_equal(got.outputs, ref.outputs)
+            not same_bytes(got.outputs, ref.outputs)
+            or not same_bytes(got.probabilities, ref.probabilities)
             or got.vector_cycles != ref.vector_cycles
             or got.counters.as_dict() != ref.counters.as_dict()
         ):
@@ -634,8 +640,9 @@ def batched_serving_throughput(
             "Cycles/request", "Speedup",
         ],
         notes=(
-            "Outputs bit-identical, per-request vector_cycles and event "
-            "counters identical across both paths (checked). Sequential "
+            "Outputs and probabilities byte-identical, per-request "
+            "vector_cycles and event counters identical across both paths "
+            "(checked). Sequential "
             "drives every query through the beat-level NoC simulation; "
             "batched packs all requests' queries into one lane stream on "
             "a single shared overlay with cached tables and schedules. "

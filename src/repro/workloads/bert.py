@@ -62,7 +62,7 @@ BERT_MODELS: dict[str, TransformerConfig] = {
 
 
 #: Serving-benchmark configurations: the Fig. 8 zoo plus BERT-base
-#: (Devlin et al.), the canonical serving workload the batched engine's
+#: (Devlin et al.), the canonical serving workload batched attention's
 #: throughput benchmark is written against, GPT-2-small (Radford et
 #: al.), the causal decoder the KV-cached decode path serves, and
 #: gpt2-mini, the default model of the paged, prefix-caching and
@@ -112,7 +112,7 @@ def bert_attention_batch(
     """A batch of independent attention requests for one serving model.
 
     ``seq_len`` may be a single length for the whole batch, a
-    per-request sequence of lengths (the batched engine supports mixed
+    per-request sequence of lengths (batched attention supports mixed
     lengths), or ``None`` for the model's configured length.  Request
     ``i`` is seeded with ``seed + i`` so batches are reproducible and
     requests are mutually independent.

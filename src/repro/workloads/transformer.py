@@ -87,12 +87,12 @@ def attention_request(
     Inputs are unit-normal and weights are ``1/sqrt(hidden)``-scaled
     normal (the standard init), which keeps attention logits in the
     approximators' calibrated operating range.  Returns an
-    :class:`repro.core.batched_attention.AttentionRequest` for the
+    :class:`repro.core.attention.AttentionRequest` for the
     serving engines; the same seed always yields the same request.
     """
     # Imported here so the workloads package stays importable without
     # pulling in the simulator stack (core already imports workloads.ops).
-    from repro.core.batched_attention import AttentionRequest
+    from repro.core.attention import AttentionRequest
 
     seq = config.seq_len if seq_len is None else seq_len
     if seq < 1:

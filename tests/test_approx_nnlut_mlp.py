@@ -98,6 +98,12 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_nnlut_mlp(spec, n_segments=0)
 
+    def test_single_segment_rejected(self):
+        # one segment has no kink for a hidden unit to learn: the
+        # trainer raises instead of training a two-segment MLP
+        with pytest.raises(ValueError, match="n_segments must be >= 2, got 1"):
+            train_nnlut_mlp(get_function("exp"), n_segments=1)
+
     def test_negative_epochs_rejected(self):
         with pytest.raises(ValueError, match="epochs"):
             train_nnlut_mlp(get_function("exp"), n_segments=8, epochs=-1)

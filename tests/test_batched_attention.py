@@ -1,9 +1,13 @@
-"""Tests for the batched serving engine and the compile-time caches.
+"""Tests for batched attention on the overlay engine and the
+compile-time caches.
 
 The contract under test: batching changes *when* work happens (packed
 lane streams, shared tables, one overlay) but never *what* is computed —
-outputs bit-identical, per-request cycle counts and event counters equal
-to the sequential reference engine.
+outputs and probabilities byte-identical, per-request cycle counts and
+event counters equal to the sequential reference engine.  Batched
+attention runs on the same engine as decode
+(:meth:`NovaDecodeEngine.attention_batch`), so interleaving the two on
+one engine must change neither.
 """
 
 import numpy as np
@@ -15,15 +19,16 @@ from repro.approx.table_cache import (
     compiled_table,
     table_cache_info,
 )
-from repro.core.attention import OVERLAY_FUNCTIONS, NovaAttentionEngine
-from repro.core.batched_attention import (
+from repro.core.attention import (
+    OVERLAY_FUNCTIONS,
     AttentionRequest,
-    BatchedNovaAttentionEngine,
+    NovaAttentionEngine,
 )
 from repro.core.config import NovaConfig
+from repro.core.decode import ContinuousBatchScheduler, NovaDecodeEngine
 from repro.core.mapper import NovaMapper
 from repro.core.session import NovaSession
-from repro.workloads.bert import bert_attention_batch
+from repro.workloads.bert import bert_attention_batch, decode_batch
 from repro.workloads.transformer import TransformerConfig, attention_request
 
 GEOMETRY = NovaConfig(
@@ -31,12 +36,39 @@ GEOMETRY = NovaConfig(
     seed=0,
 )
 
+def assert_same_bytes(got, ref):
+    assert got.dtype == ref.dtype
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def assert_same_batch(got, ref):
+    """Two batched results agree byte for byte and count for count."""
+    assert got.packed_vector_cycles == ref.packed_vector_cycles
+    assert got.sequential_vector_cycles == ref.sequential_vector_cycles
+    assert got.counters.as_dict() == ref.counters.as_dict()
+    for a, b in zip(got.results, ref.results, strict=True):
+        assert_same_bytes(a.outputs, b.outputs)
+        assert_same_bytes(a.probabilities, b.probabilities)
+        assert a.vector_cycles == b.vector_cycles
+        assert a.nonlinear_queries == b.nonlinear_queries
+        assert a.counters.as_dict() == b.counters.as_dict()
+
+
+def sequential_results(engine, requests):
+    return [
+        engine.attention_layer(
+            req.x, req.wq, req.wk, req.wv, req.wo, n_heads=req.n_heads
+        )
+        for req in requests
+    ]
+
 
 @pytest.fixture(scope="module")
 def engines():
     return (
         NovaAttentionEngine(GEOMETRY),
-        BatchedNovaAttentionEngine(GEOMETRY),
+        NovaDecodeEngine(GEOMETRY),
     )
 
 
@@ -62,36 +94,51 @@ def batch_result(engines, mixed_batch):
     return batched.attention_batch(mixed_batch)
 
 
+@pytest.fixture(scope="module")
+def references(engines, mixed_batch):
+    sequential, _ = engines
+    return sequential_results(sequential, mixed_batch)
+
+
 class TestBatchedEqualsSequential:
-    def test_outputs_bit_identical(self, engines, mixed_batch, batch_result):
-        sequential, _ = engines
-        for req, got in zip(mixed_batch, batch_result.results):
-            ref = sequential.attention_layer(
-                req.x, req.wq, req.wk, req.wv, req.wo, n_heads=req.n_heads
-            )
-            assert np.array_equal(got.outputs, ref.outputs)
-            assert np.array_equal(got.probabilities, ref.probabilities)
+    def test_outputs_bit_identical(self, batch_result, references):
+        for got, ref in zip(batch_result.results, references, strict=True):
+            assert_same_bytes(got.outputs, ref.outputs)
+            assert_same_bytes(got.probabilities, ref.probabilities)
 
     def test_per_request_cycles_match_sequential(
-        self, engines, mixed_batch, batch_result
+        self, batch_result, references
     ):
-        sequential, _ = engines
-        for req, got in zip(mixed_batch, batch_result.results):
-            ref = sequential.attention_layer(
-                req.x, req.wq, req.wk, req.wv, req.wo, n_heads=req.n_heads
-            )
+        for got, ref in zip(batch_result.results, references, strict=True):
             assert got.vector_cycles == ref.vector_cycles
             assert got.nonlinear_queries == ref.nonlinear_queries
 
     def test_per_request_counters_match_sequential(
-        self, engines, mixed_batch, batch_result
+        self, batch_result, references
     ):
-        sequential, _ = engines
-        for req, got in zip(mixed_batch, batch_result.results):
-            ref = sequential.attention_layer(
-                req.x, req.wq, req.wk, req.wv, req.wo, n_heads=req.n_heads
-            )
+        for got, ref in zip(batch_result.results, references, strict=True):
             assert got.counters.as_dict() == ref.counters.as_dict()
+
+    def test_shared_shape_groups_and_a_one_token_request(self, engines):
+        # equal lengths at non-adjacent positions pack as one group
+        # each, so the stream order differs from the request order
+        sequential, batched = engines
+        requests = bert_attention_batch(
+            "BERT-tiny", 5, seq_len=[8, 5, 8, 1, 5], seed=4
+        )
+        result = batched.attention_batch(requests)
+        for got, ref in zip(
+            result.results, sequential_results(sequential, requests),
+            strict=True,
+        ):
+            assert_same_bytes(got.outputs, ref.outputs)
+            assert_same_bytes(got.probabilities, ref.probabilities)
+            assert got.vector_cycles == ref.vector_cycles
+            assert got.nonlinear_queries == ref.nonlinear_queries
+            assert got.counters.as_dict() == ref.counters.as_dict()
+        assert result.sequential_vector_cycles == sum(
+            r.vector_cycles for r in result.results
+        )
 
     def test_packing_never_slower_than_sequential(self, batch_result):
         assert batch_result.packed_vector_cycles <= (
@@ -100,7 +147,7 @@ class TestBatchedEqualsSequential:
         assert batch_result.packing_speedup >= 1.0
 
     def test_batch_counters_are_the_shared_overlay_events(
-        self, engines, mixed_batch, batch_result
+        self, engines, batch_result
     ):
         # lane-local events on the shared overlay equal the packed lane
         # count exactly: packed cycles x lanes, with only the phase tails
@@ -117,6 +164,50 @@ class TestBatchedEqualsSequential:
         _, batched = engines
         with pytest.raises(ValueError):
             batched.attention_batch([])
+
+
+class TestOneEngineServesBoth:
+    def test_attention_batch_between_scheduler_steps(self, monkeypatch):
+        """Batched attention run after every scheduler step of a decode
+        run on the same engine equals both calls on fresh engines; only
+        the run's overlay-wide counters also hold the batches' events."""
+        requests = bert_attention_batch(
+            "BERT-tiny", 3, seq_len=[6, 3, 6], seed=11
+        )
+        decode_requests = decode_batch(
+            "gpt2-mini", 3, prompt_len=5, max_new_tokens=4, seed=2
+        )
+        engine = NovaDecodeEngine(GEOMETRY)
+        execute = engine._execute
+        batches = []
+
+        def execute_then_attend(jobs):
+            step = execute(jobs)
+            batches.append(engine.attention_batch(requests))
+            return step
+
+        monkeypatch.setattr(engine, "_execute", execute_then_attend)
+        run = ContinuousBatchScheduler(engine, max_active=2).run(
+            decode_requests
+        )
+        alone = ContinuousBatchScheduler(
+            NovaDecodeEngine(GEOMETRY), max_active=2
+        ).run(decode_requests)
+        fresh = NovaDecodeEngine(GEOMETRY).attention_batch(requests)
+
+        assert len(batches) == run.scheduler_steps > 1
+        for batch in batches:
+            assert_same_batch(batch, fresh)
+        assert run.step_cycles == alone.step_cycles
+        for got, ref in zip(run.results, alone.results, strict=True):
+            assert_same_bytes(got.generated, ref.generated)
+            assert_same_bytes(got.prefill.outputs, ref.prefill.outputs)
+            assert got.vector_cycles == ref.vector_cycles
+            assert got.counters.as_dict() == ref.counters.as_dict()
+        expected = alone.counters
+        for batch in batches:
+            expected = expected.merge(batch.counters)
+        assert run.counters.as_dict() == expected.as_dict()
 
 
 class TestTableCache:

@@ -11,8 +11,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.core.attention import NovaAttentionEngine
-from repro.core.batched_attention import AttentionRequest
+from repro.core.attention import AttentionRequest, NovaAttentionEngine
 from repro.core.config import (
     ENGINE_FIELDS,
     GEOMETRY_FIELDS,
@@ -268,12 +267,12 @@ class TestNovaSession:
 
     def test_engines_lazy_and_cached(self, session):
         assert session.reference is session.reference
-        assert session.server is session.server
+        assert session.decoder is session.decoder
         assert session.unit("exp") is session.unit("exp")
 
     def test_session_shares_compiled_tables_with_engines(self, session):
         assert session.unit("exp").table is session.reference.tables["exp"]
-        assert session.unit("exp").table is session.server.tables["exp"]
+        assert session.unit("exp").table is session.decoder.tables["exp"]
 
     def test_attention_layer_matches_direct_engine(self, session):
         rng = np.random.default_rng(3)

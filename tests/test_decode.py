@@ -20,7 +20,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.attention import pack_lane_stream, softmax_reduction
+from repro.core.attention import (
+    AttentionRequest,
+    pack_lane_stream,
+    softmax_reduction,
+)
 from repro.core.config import PRESETS, NovaConfig
 from repro.core.decode import (
     ContinuousBatchScheduler,
@@ -393,8 +397,6 @@ class TestEngineAdmission:
                     session.serve_decode([poisoned], paged=True)
 
     def test_rejects_plain_attention_requests(self):
-        from repro.core.batched_attention import AttentionRequest
-
         request = toy_request()
         plain = AttentionRequest(
             x=request.x, wq=request.wq, wk=request.wk, wv=request.wv,

@@ -25,6 +25,7 @@ from repro.core.attention import (
     shift_scores,
     softmax_reduction,
 )
+from repro.core import decode
 from repro.core.config import NovaConfig, parse_tree_spec, preset
 from repro.core.decode import (
     ContinuousBatchScheduler,
@@ -343,6 +344,87 @@ class TestTreeCausalMask:
         assert pool.in_use == state.cache.blocks_in_use
         assert pool.live_tokens == state.cache.length
         assert state.cache.length == 4 + pass_result.committed
+
+
+class TestCommitCopiesForkRows:
+    """The commit moves the accepted path's fork-resident k/v rows into
+    the live cache as planning wrote them: byte-identical to projecting
+    the committed embeddings, with no projection at commit time."""
+
+    def _commit(self, spec, pool_blocks=None, window=None, monkeypatch=None,
+                program=(True, False)):
+        request = toy_request(prompt_len=4, max_new_tokens=8, window=window)
+        pool = (
+            BlockPool(request.n_heads, request.head_dim, 2, pool_blocks)
+            if pool_blocks
+            else None
+        )
+        state = ENGINE.start(request, pool=pool)
+        pre = ENGINE.prefill(state)
+        draft = ScheduledDraft(SMALL, program)
+        x0 = pre.outputs[-1]
+        spec_pass = ENGINE.plan_verify_pass(
+            state, x0, budget=8, draft=draft, tree=spec
+        )
+        (result,), _ = ENGINE._execute([spec_pass.job])
+        calls = []
+        if monkeypatch is not None:
+
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return project_token(*args, **kwargs)
+
+            monkeypatch.setattr(decode, "project_token", counted)
+        steps, pass_result = ENGINE.finish_verify_pass(
+            spec_pass, result, draft=draft
+        )
+        # the accepted path left the live cache for a fork
+        assert pass_result.accepted >= 1
+        assert any(not n.in_state for n in spec_pass.nodes)
+        embeddings = [x0] + [step.output for step in steps[:-1]]
+        return request, state, embeddings, calls
+
+    @staticmethod
+    def _assert_rows_reprojected(request, state, embeddings):
+        committed = len(embeddings)
+        keys = state.cache.keys[:, -committed:]
+        values = state.cache.values[:, -committed:]
+        for i, embedding in enumerate(embeddings):
+            _, k, v = project_token(
+                embedding, request.wq, request.wk, request.wv,
+                request.n_heads,
+            )
+            assert keys[:, i].tobytes() == k.tobytes()
+            assert values[:, i].tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("pool_blocks", [None, 32])
+    @pytest.mark.parametrize("spec", ["2x2", "4x1,2x1,1x1"])
+    def test_live_rows_equal_reprojected_embeddings(self, spec, pool_blocks):
+        request, state, embeddings, _ = self._commit(spec, pool_blocks)
+        assert state.cache.length == request.seq + len(embeddings)
+        self._assert_rows_reprojected(request, state, embeddings)
+
+    @pytest.mark.parametrize("pool_blocks", [None, 32])
+    def test_rejected_only_child_stays_behind(self, pool_blocks):
+        # the accepted sibling's only child extends its fork in place
+        # and is rejected: the fork's last row is not on the path
+        request, state, embeddings, _ = self._commit(
+            "3x1,1x1", pool_blocks, program=(False, True)
+        )
+        assert len(embeddings) == 2
+        self._assert_rows_reprojected(request, state, embeddings)
+
+    def test_windowed_request(self):
+        request, state, embeddings, _ = self._commit("2x2", window=7)
+        assert state.cache.length == min(7, request.seq + len(embeddings))
+        self._assert_rows_reprojected(request, state, embeddings)
+
+    @pytest.mark.parametrize("pool_blocks", [None, 32])
+    def test_commit_projects_nothing(self, monkeypatch, pool_blocks):
+        _, _, _, calls = self._commit(
+            "4x1,2x1,1x1", pool_blocks, monkeypatch=monkeypatch
+        )
+        assert calls == []
 
 
 # ----------------------------------------------------------------------
