@@ -3,8 +3,9 @@
 Bit-exactness against the golden traces is the repo's core promise,
 and it dies the moment any code path draws from global or entropy-fed
 RNG state.  The sanctioned entry points live in ``repro.utils.rng``
-(:func:`make_rng`, :func:`derive_seed`); everywhere else, drawing
-randomness requires an explicitly seeded ``numpy`` Generator.
+(:func:`make_rng`, :func:`derive_seed`, :func:`first_random`);
+everywhere else, drawing randomness requires an explicitly seeded
+``numpy`` Generator.
 
 Flagged:
 

@@ -81,7 +81,9 @@ Accounting semantics
   charges; those are the numbers a per-request SLA or energy bill is
   written against.
 * The batch-level counters are the events the shared overlay actually
-  produced.  Packing eliminates per-job tail padding and shares
+  produced: the sum of what the call's (or the run's) own streams
+  charged, so work run on the same engine in between is not billed to
+  it.  Packing eliminates per-job tail padding and shares
   broadcasts across jobs, so for the lane-local events
   (``comparator_eval`` / ``mac_op`` / ``pair_capture``) the batch total
   is at most the sum of the per-job totals — equal exactly when every
@@ -101,7 +103,9 @@ the engine looks each up in this module's namespace).  Per token, the
 decode paths run
 
 1. :func:`~repro.core.attention.project_token` — the token's q/k/v
-   projections (vector-matrix, the decode-granularity GEMM),
+   projections (vector-matrix, the decode-granularity GEMM; a prompt,
+   or a draft-tree level, is projected in one rows call that runs one
+   gemv per row, byte-identical to projecting each row alone),
 2. :func:`~repro.core.attention.scores_for_query` — scaled
    dot-products against the cached keys (same cache layout, hence same
    strides, in every path),
@@ -871,7 +875,7 @@ class NovaDecodeEngine:
 
     def _run_packed(
         self, function: str, groups: Sequence[Sequence[np.ndarray]]
-    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, int]:
+    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, int, EventCounters]:
         """One packed lane stream through the shared overlay.
 
         Each group is a sequence of same-shaped member arrays: a list,
@@ -880,13 +884,14 @@ class NovaDecodeEngine:
         (:func:`~repro.core.attention.pack_lane_stream`): an array group
         as one part, a list group member by member, so no group is
         stacked first.  Only the stream's final batch is padded.
-        Returns ``(outputs, sizes, tag_sums, packed_vector_cycles)``:
-        ``outputs[g]`` is a view of the stream shaped ``(len(groups[g]),
-        *member_shape)``; ``sizes`` and ``tag_sums`` hold, per member in
-        packed order, its query count and the sum of ``address &
-        (n_beats - 1)`` over its queries (the addresses are a free
-        by-product of the vectorised stream) — the inputs of
-        :meth:`_sequential_counters`.
+        Returns ``(outputs, sizes, tag_sums, packed_vector_cycles,
+        counters)``: ``outputs[g]`` is a view of the stream shaped
+        ``(len(groups[g]), *member_shape)``; ``sizes`` and ``tag_sums``
+        hold, per member in packed order, its query count and the sum of
+        ``address & (n_beats - 1)`` over its queries (the addresses are
+        a free by-product of the vectorised stream) — the inputs of
+        :meth:`_sequential_counters`; ``counters`` are the events the
+        stream charged the unit.
         """
         shapes = [(len(group), *np.shape(group[0])) for group in groups]
         sizes = np.repeat(
@@ -913,7 +918,7 @@ class NovaDecodeEngine:
             out[start:stop].reshape(shape)
             for shape, start, stop in zip(shapes, bounds, bounds[1:])
         ]
-        return outputs, sizes, tag_sums, n_batches
+        return outputs, sizes, tag_sums, n_batches, stream.counters
 
     def _sequential_counters(
         self, streams: dict[str, tuple[np.ndarray, np.ndarray]]
@@ -948,7 +953,10 @@ class NovaDecodeEngine:
 
     def _packed_softmax(
         self, shifted: Sequence[np.ndarray], first: np.ndarray
-    ) -> tuple[list[np.ndarray], list[int], list[int], np.ndarray, int]:
+    ) -> tuple[
+        list[np.ndarray], list[int], list[int], np.ndarray, int,
+        EventCounters,
+    ]:
         """Hardware softmax over every job of a step, in one exp stream
         and one reciprocal stream.
 
@@ -956,12 +964,13 @@ class NovaDecodeEngine:
         decode token's ``(heads, kv_len)`` row, a batched request's
         ``(heads, seq, seq)`` matrix), job by job; ``first[j]`` is the
         index of job ``j``'s first array.  Returns ``(probabilities,
-        cycles, queries, counter_rows, packed_vector_cycles)``:
-        ``probabilities[i]`` is array ``i``'s softmax over its last
-        axis; ``cycles[j]``, ``queries[j]`` and ``counter_rows[j]`` are
-        job ``j``'s sequential-equivalent vector cycles, non-linear
-        queries and int64 event row; the last is what the shared
-        overlay spent.
+        cycles, queries, counter_rows, packed_vector_cycles,
+        packed_counters)``: ``probabilities[i]`` is array ``i``'s
+        softmax over its last axis; ``cycles[j]``, ``queries[j]`` and
+        ``counter_rows[j]`` are job ``j``'s sequential-equivalent vector
+        cycles, non-linear queries and int64 event row; the last two are
+        what the shared overlay spent, in cycles and in the events its
+        two streams charged.
 
         Arrays are grouped by shape and each group is packed
         contiguously, so the softmax reductions run on one
@@ -983,14 +992,16 @@ class NovaDecodeEngine:
         members = list(shape_groups.values())
 
         # Phase 1: every job's exponentials in one stream.
-        raw, exp_sizes, exp_tags, exp_batches = self._run_packed(
-            "exp", [[shifted[i] for i in m] for m in members]
+        raw, exp_sizes, exp_tags, exp_batches, exp_counters = (
+            self._run_packed("exp", [[shifted[i] for i in m] for m in members])
         )
         reduced = [softmax_reduction(group) for group in raw]
 
         # Phase 2: every job's normaliser reciprocals in one stream.
-        inv, recip_sizes, recip_tags, recip_batches = self._run_packed(
-            "reciprocal", [mantissa for _, mantissa, _ in reduced]
+        inv, recip_sizes, recip_tags, recip_batches, recip_counters = (
+            self._run_packed(
+                "reciprocal", [mantissa for _, mantissa, _ in reduced]
+            )
         )
         probabilities: list[np.ndarray] = [np.empty(0)] * len(shifted)
         for m, (numer, _, exponent), group_inv in zip(members, reduced, inv):
@@ -1020,32 +1031,36 @@ class NovaDecodeEngine:
         queries = (job_exp_sizes + job_recip_sizes).tolist()
         return (
             probabilities, cycles, queries, counter_rows,
-            exp_batches + recip_batches,
+            exp_batches + recip_batches, exp_counters.merge(recip_counters),
         )
 
     # ------------------------------------------------------------------
     # Execution: the packed softmax stage plus host assembly.
     # ------------------------------------------------------------------
 
-    def _execute(self, jobs: Sequence[_Job]) -> tuple[list[_JobResult], int]:
+    def _execute(
+        self, jobs: Sequence[_Job]
+    ) -> tuple[list[_JobResult], int, EventCounters]:
         """Run staged jobs through the shared overlay.
 
         All jobs' tokens go through one :meth:`_packed_softmax` — this
         is the fusion that lets the continuous batcher interleave
         prefill and decode rows across lanes — and then each token's
-        context GEMV.  Returns ``(results, packed_vector_cycles)``;
-        per-job costs are sequential-equivalent (closed form).  The step
-        costs two kernel launches (one
-        :meth:`~repro.core.vector_unit.NovaVectorUnit.run_stream` per
-        phase) plus vectorised host work.
+        context GEMV.  Returns ``(results, packed_vector_cycles,
+        packed_counters)``: per-job costs are sequential-equivalent
+        (closed form), and the last two are what the step's streams
+        spent on the shared overlay.  The step costs two kernel launches
+        (one :meth:`~repro.core.vector_unit.NovaVectorUnit.run_stream`
+        per phase) plus vectorised host work.
         """
         if not jobs:
-            return [], 0
+            return [], 0, EventCounters()
         tokens = [t for j in jobs for t in j.tokens]
         first_token = np.cumsum([0] + [len(j.tokens) for j in jobs[:-1]])
-        token_probs, job_cycles, job_queries, counter_rows, packed = (
-            self._packed_softmax([t.shifted for t in tokens], first_token)
-        )
+        (
+            token_probs, job_cycles, job_queries, counter_rows, packed,
+            packed_counters,
+        ) = self._packed_softmax([t.shifted for t in tokens], first_token)
 
         # Host assembly: the context GEMVs stay per token (each attends
         # to its own span of the values), as does result wrapping.
@@ -1071,7 +1086,7 @@ class NovaDecodeEngine:
                     counter_row=counter_rows[jnum],
                 )
             )
-        return results, packed
+        return results, packed, packed_counters
 
     def attention_batch(
         self, requests: Sequence[AttentionRequest] | Iterable[AttentionRequest]
@@ -1091,7 +1106,6 @@ class NovaDecodeEngine:
         requests = tuple(requests)
         if not requests:
             raise ValueError("need at least one request")
-        before = self.unit._lifetime_counters()
         values: list[np.ndarray] = []
         shifted: list[np.ndarray] = []
         for req in requests:
@@ -1100,7 +1114,7 @@ class NovaDecodeEngine:
             )
             values.append(v)
             shifted.append(shift_scores(scores))
-        probabilities, cycles, queries, counter_rows, packed = (
+        probabilities, cycles, queries, counter_rows, packed, counters = (
             self._packed_softmax(shifted, np.arange(len(requests)))
         )
         results = tuple(
@@ -1120,7 +1134,7 @@ class NovaDecodeEngine:
             results=results,
             packed_vector_cycles=packed,
             sequential_vector_cycles=sum(cycles),
-            counters=self.unit._lifetime_counters().diff(before),
+            counters=counters,
         )
 
     # ------------------------------------------------------------------
@@ -1151,7 +1165,7 @@ class NovaDecodeEngine:
 
     def prefill(self, state: DecodeState) -> CausalPrefillResult:
         """Run the prompt through the cache as one packed causal job."""
-        (result,), _ = self._execute([self._plan_prefill(state)])
+        (result,), _, _ = self._execute([self._plan_prefill(state)])
         return self._wrap_prefill(result)
 
     def decode_step(
@@ -1219,8 +1233,12 @@ class NovaDecodeEngine:
         planned tokens form **one** job: the packed execute scores the
         whole tree in a single ``table_gather_mac`` launch per phase.
         The draft is asked once per level, for every live branch at
-        once, before any of that level's appends.  A width-1 tree plans
-        no forks.
+        once, before any of that level's appends, and the level's
+        deduplicated drafts are projected in one :func:`project_token`
+        rows call (one gemv per row, byte-identical to projecting each
+        alone), then forked and staged node by node.  So a pass makes
+        one projection for ``u_0`` plus one per planned level, not one
+        per node.  A width-1 tree plans no forks.
 
         ``budget`` caps the pass at the tokens still owed (a pass never
         commits more than ``budget``, so the tree is clipped to
@@ -1276,6 +1294,15 @@ class NovaDecodeEngine:
                     ],
                     tokens[live[0].token_index].position, width,
                 )
+                drafts = [d for candidates in level for d in candidates]
+                if not drafts:
+                    break
+                # The level's drafts in one rows call (one gemv per row,
+                # byte-identical to projecting each draft alone).
+                rows = zip(*project_token(
+                    np.stack(drafts), request.wq, request.wk, request.wv,
+                    request.n_heads,
+                ))
                 frontier = []
                 for node, candidates in zip(live, level):
                     if len(candidates) == 1:
@@ -1290,7 +1317,9 @@ class NovaDecodeEngine:
                             shadow.position = node.state.position
                             child_states.append(shadow)
                     for d, child_state in zip(candidates, child_states):
-                        tokens.append(self._plan_token(child_state, d))
+                        tokens.append(
+                            self._stage_row(child_state, *next(rows))
+                        )
                         child = _TreeNode(
                             node.token_index, d, len(tokens) - 1,
                             child_state,
@@ -1470,7 +1499,7 @@ class NovaDecodeEngine:
         spec_pass = self.plan_with_fallback(
             state, x_t, budget, draft=draft, tree=tree
         )
-        (result,), _ = self._execute([spec_pass.job])
+        (result,), _, _ = self._execute([spec_pass.job])
         return self.finish_verify_pass(spec_pass, result, draft=draft)
 
     def generate(
@@ -1556,7 +1585,9 @@ class ContinuousBatchResult:
     probabilities, cycles and counters) to solo generation of
     ``requests[i]`` through the same draft tree.  ``packed_vector_cycles``
     is what the shared overlay actually spent across all fused scheduler
-    steps; ``sequential_vector_cycles`` is the sum of the per-request
+    steps, and ``counters`` the events the run's own streams charged it
+    (work run on the same engine between steps is not billed to the
+    run); ``sequential_vector_cycles`` is the sum of the per-request
     costs — the ratio is the continuous-batching win on the cycle side.
     ``pages_allocated`` counts this run's whole-page reservations (one
     per contiguous admission, readmissions included; zero in paged
@@ -1975,7 +2006,7 @@ class ContinuousBatchScheduler:
         pool = self._build_pool(request_list)
         self.block_pool = pool
 
-        before = engine.unit._lifetime_counters()
+        counters = EventCounters()
         pages_allocated = 0
         deferrals_before = self.deferrals
         preemptions_before = self.preemptions
@@ -2145,7 +2176,8 @@ class ContinuousBatchScheduler:
                 peak_fragmentation, pool.fragmentation_slots
             )
 
-            results, cycles = engine._execute(jobs)
+            results, cycles, step_counters = engine._execute(jobs)
+            counters = counters.merge(step_counters)
             packed_cycles += cycles
             step_cycles.append(cycles)
             now += float(cycles)
@@ -2207,7 +2239,7 @@ class ContinuousBatchScheduler:
             packed_vector_cycles=packed_cycles,
             sequential_vector_cycles=sequential_cycles,
             scheduler_steps=scheduler_steps,
-            counters=engine.unit._lifetime_counters().diff(before),
+            counters=counters,
             pages_allocated=pages_allocated,
             peak_active=peak_active,
             peak_kv_slots=peak_kv_slots,

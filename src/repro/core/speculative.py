@@ -63,6 +63,11 @@ seeded, per-position fraction of tokens through the same LUTs at
 *reduced output precision* instead — those proposals disagree and are
 rejected, making ``fidelity`` the long-run acceptance-rate knob the
 serving studies sweep (the simulator stand-in for draft-model quality).
+Its coins are ``default_rng(key).random()`` values, computed without a
+generator per coin: the first level to reach a position draws each
+alternative's coins for every position the request has left in one
+vectorised :func:`~repro.utils.rng.first_random` call, and memoises
+them.
 :class:`NGramDraft` is the model-free alternative: it replays the output
 last seen after a matching (reduced-precision-keyed) input, which starts
 paying off once a self-fed trajectory revisits states.
@@ -129,6 +134,7 @@ from repro.core.attention import (
 from repro.core.config import NovaConfig, as_config, parse_tree_spec
 from repro.core.paging import KVCache
 from repro.noc.stats import EventCounters
+from repro.utils.rng import first_random
 
 if TYPE_CHECKING:
     from repro.approx.quantize import QuantizedPwl
@@ -429,9 +435,16 @@ class TruncatedTableDraft:
     verification, so ``fidelity`` is the long-run acceptance rate of a
     uniformly-mixed workload — the knob standing in for draft-model
     quality in the serving studies.  The coin is
-    keyed on ``(seed, absolute position)``, never on pass boundaries,
-    so acceptance decisions are identical no matter how steps are
-    grouped into passes or scheduler steps.
+    keyed on ``(seed, absolute position)`` (``(seed, position,
+    alternative)`` for a sibling alternative), never on pass
+    boundaries, so acceptance decisions are identical no matter how
+    steps are grouped into passes or scheduler steps.  A coin is
+    ``np.random.default_rng(key).random() < fidelity``, but no
+    generator is built: the first proposal at a position draws each
+    missing alternative's coins for every position in ``[position,
+    request.total_tokens)`` with one :func:`~repro.utils.rng.
+    first_random` call (byte-identical to the generators) and memoises
+    them.  ``seed`` must be a non-negative integer.
     """
 
     def __init__(
@@ -447,6 +460,10 @@ class TruncatedTableDraft:
             raise ValueError(
                 f"reduced_bits must be >= 0, got {reduced_bits}"
             )
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(
+                f"seed must be a non-negative integer, got {seed!r}"
+            )
         cfg = as_config(config)
         self.fidelity = float(fidelity)
         self.seed = int(seed)
@@ -457,23 +474,32 @@ class TruncatedTableDraft:
         self._coins: dict[tuple[int, int], bool] = {}
 
     def _exact(self, position: int, alternative: int) -> bool:
+        """Whether alternative ``alternative`` drafts ``position`` exactly
+        (memoised; a miss draws just this coin)."""
         if self.fidelity >= 1.0:
             return True
         if self.fidelity <= 0.0:
             return False
-        coin = self._coins.get((position, alternative))
-        if coin is None:
-            # Alternative 0 keeps the historical (seed, position) key so
-            # a width-1 tree draws the exact coins the linear chain
-            # always has; siblings flip independent coins.
-            key = (
-                (self.seed, position)
-                if alternative == 0
-                else (self.seed, position, alternative)
-            )
-            coin = bool(np.random.default_rng(key).random() < self.fidelity)
-            self._coins[(position, alternative)] = coin
-        return coin
+        if (position, alternative) not in self._coins:
+            self._draw(alternative, position, position + 1)
+        return self._coins[(position, alternative)]
+
+    def _draw(self, alternative: int, start: int, stop: int) -> None:
+        """Memoise ``alternative``'s coins for positions ``[start, stop)``
+        in one vectorised :func:`~repro.utils.rng.first_random` call."""
+        positions = np.arange(start, stop)
+        # Alternative 0 keeps the historical (seed, position) key so a
+        # width-1 tree draws the exact coins the linear chain always
+        # has; siblings flip independent coins.
+        key = (
+            (self.seed, positions)
+            if alternative == 0
+            else (self.seed, positions, alternative)
+        )
+        coins = (first_random(*key) < self.fidelity).tolist()
+        self._coins.update(
+            zip([(p, alternative) for p in range(start, stop)], coins)
+        )
 
     def propose_candidates(
         self,
@@ -492,6 +518,14 @@ class TruncatedTableDraft:
         copies of the same miss.  The whole level is one
         :func:`host_level_outputs` call.
         """
+        if 0.0 < self.fidelity < 1.0:
+            # The first level to reach a position draws each missing
+            # alternative's coins for every position the request has
+            # left, in one call.
+            stop = max(request.total_tokens, position + 1)
+            for j in range(width):
+                if (position, j) not in self._coins:
+                    self._draw(j, position, stop)
         drops = [
             None if self._exact(position, j) else self.reduced_bits + j
             for j in range(width)

@@ -300,7 +300,7 @@ class TestDecodeAccounting:
             engine.prefill(state)
             jobs.append(engine.plan_verify_pass(state, request.x[-1], 1).job)
         shifted = [[t.shifted.copy() for t in job.tokens] for job in jobs]
-        results, _ = engine._execute(jobs)
+        results, _, _ = engine._execute(jobs)
         multi_segment = engine.unit.schedule.traversal_segments > 1
         assert multi_segment == (config is LONG_LINE)
         for result, rows in zip(results, shifted):

@@ -252,6 +252,17 @@ class TestDraftModels:
         with pytest.raises(ValueError, match="at least one decision"):
             ScheduledDraft(SMALL, [])
 
+    @pytest.mark.parametrize("seed", [-3, 1.5, "7", None])
+    def test_truncated_draft_rejects_a_bad_seed_at_construction(self, seed):
+        """A seed no coin key can take fails when the draft is built,
+        not in the middle of a pass."""
+        with pytest.raises(ValueError, match="seed"):
+            TruncatedTableDraft(SMALL, fidelity=0.5, seed=seed)
+
+    def test_truncated_draft_takes_numpy_and_wide_integer_seeds(self):
+        assert TruncatedTableDraft(SMALL, seed=np.int64(3)).seed == 3
+        assert TruncatedTableDraft(SMALL, seed=2**64).seed == 2**64
+
     def test_draft_reprs_are_informative(self):
         assert "fidelity=0.5" in repr(TruncatedTableDraft(SMALL, fidelity=0.5))
         assert "history=0" in repr(NGramDraft())

@@ -333,7 +333,7 @@ class TestTreeCausalMask:
         )
         assert len(spec_pass.forks) > 0
         in_use_during = pool.in_use
-        (result,), _ = ENGINE._execute([spec_pass.job])
+        (result,), _, _ = ENGINE._execute([spec_pass.job])
         steps, pass_result = ENGINE.finish_verify_pass(
             spec_pass, result, draft=draft
         )
@@ -366,7 +366,7 @@ class TestCommitCopiesForkRows:
         spec_pass = ENGINE.plan_verify_pass(
             state, x0, budget=8, draft=draft, tree=spec
         )
-        (result,), _ = ENGINE._execute([spec_pass.job])
+        (result,), _, _ = ENGINE._execute([spec_pass.job])
         calls = []
         if monkeypatch is not None:
 
@@ -425,6 +425,77 @@ class TestCommitCopiesForkRows:
             "4x1,2x1,1x1", pool_blocks, monkeypatch=monkeypatch
         )
         assert calls == []
+
+
+class TestLevelProjection:
+    """A tree pass projects ``u_0`` in one :func:`project_token` call
+    and each planned level's drafts in one rows call, not one call per
+    node; the rows staged that way are the rows of projecting each
+    draft alone (the bit-exactness suites above compare whole runs)."""
+
+    @staticmethod
+    def _depths(spec_pass):
+        depths = []
+        for node in spec_pass.nodes:
+            parent = node.parent
+            depths.append(0 if parent is None else depths[parent] + 1)
+        return depths
+
+    @pytest.mark.parametrize("pool_blocks", [None, 32])
+    @pytest.mark.parametrize(
+        "spec, draft",
+        [
+            ("4x1,2x1,1x1", TruncatedTableDraft(SMALL, fidelity=0.45)),
+            ("2x2", ScheduledDraft(SMALL, (True, False, False))),
+            ("1x4", TruncatedTableDraft(SMALL)),
+            ("3x1,1x2", NGramDraft()),
+        ],
+    )
+    def test_one_projection_for_the_root_plus_one_per_level(
+        self, monkeypatch, spec, draft, pool_blocks
+    ):
+        request = toy_request(prompt_len=4, max_new_tokens=8)
+        pool = (
+            BlockPool(request.n_heads, request.head_dim, 2, pool_blocks)
+            if pool_blocks
+            else None
+        )
+        state = ENGINE.start(request, pool=pool)
+        x0 = ENGINE.prefill(state).outputs[-1]
+        calls = []
+
+        def counted(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return project_token(x, *args, **kwargs)
+
+        monkeypatch.setattr(decode, "project_token", counted)
+        draft.reset()
+        spec_pass = ENGINE.plan_verify_pass(
+            state, x0, budget=8, draft=draft, tree=spec
+        )
+        depths = self._depths(spec_pass)
+        levels = max(depths)
+        assert levels >= 1
+        assert len(calls) == 1 + levels
+        assert calls[0] == (request.hidden,)
+        for depth, shape in enumerate(calls[1:], start=1):
+            assert shape == (depths.count(depth), request.hidden)
+        for fork in spec_pass.forks:
+            fork.reset()
+
+    def test_a_level_with_no_drafts_ends_the_tree(self):
+        class Silent(ScheduledDraft):
+            def propose_candidates(self, request, branches, position, width):
+                return [[] for _ in branches]
+
+        request = toy_request(prompt_len=4, max_new_tokens=8)
+        state = ENGINE.start(request)
+        x0 = ENGINE.prefill(state).outputs[-1]
+        spec_pass = ENGINE.plan_verify_pass(
+            state, x0, budget=8, draft=Silent(SMALL, (True,)), tree="2x2"
+        )
+        assert len(spec_pass.nodes) == 1
+        assert state.cache.length == request.seq + 1
 
 
 # ----------------------------------------------------------------------
@@ -583,6 +654,32 @@ class TestLevelProposals:
         # the first branch's exact twins dedup to one child
         first, second = spec_pass.root.children
         assert (len(first.children), len(second.children)) == (1, 2)
+
+
+class TestCoinTable:
+    def test_first_level_at_a_position_draws_the_rest_of_the_request(self):
+        """One proposal call memoises each requested alternative's coin
+        for every position the request has left, each equal to its
+        ``default_rng`` coin; later positions are memo hits."""
+        request, branches, position = _sibling_level("contiguous", 2, 0)
+        draft = TruncatedTableDraft(SMALL, fidelity=0.45, seed=5)
+        draft.propose_candidates(request, branches, position, 3)
+        positions = range(position, request.total_tokens)
+        assert set(draft._coins) == {
+            (p, j) for p in positions for j in range(3)
+        }
+        for (p, j), coin in draft._coins.items():
+            assert coin is _coin(5, p, j, 0.45)
+        filled = dict(draft._coins)
+        draft.propose_candidates(request, branches, position + 2, 2)
+        assert draft._coins == filled
+
+    @pytest.mark.parametrize("fidelity", [0.0, 1.0])
+    def test_certain_coins_draw_nothing(self, fidelity):
+        request, branches, position = _sibling_level("contiguous", 1, 0)
+        draft = TruncatedTableDraft(SMALL, fidelity=fidelity)
+        draft.propose_candidates(request, branches, position, 2)
+        assert draft._coins == {}
 
 
 # ----------------------------------------------------------------------
