@@ -116,8 +116,8 @@ decode paths run
    :func:`~repro.core.attention.assemble_probabilities` on the token's
    own ``(heads, kv_len)`` row, and
 5. :func:`~repro.core.attention.context_for_query` — the context GEMV
-   over the cached values (a view of the row store, or a copy under a
-   sliding window).
+   over the cached values (a view of the row store, taken at plan time,
+   with or without a sliding window).
 
 Batched attention swaps steps 1, 2 and 5 for the reference engine's own
 host GEMMs (:func:`~repro.core.attention.host_attention_scores` and
@@ -136,6 +136,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Any
 
 import numpy as np
@@ -346,7 +347,8 @@ class CausalPrefillResult:
 @dataclass(frozen=True)
 class DecodeResult:
     """A sequence decoded token by token (the pure decode regime);
-    ``passes[i]`` is the single-token pass that produced ``steps[i]``."""
+    ``passes[i]`` is the single-token pass that produced ``steps[i]``,
+    and ``counters`` merges the passes' own counters."""
 
     steps: tuple[DecodeStepResult, ...]
     passes: tuple[VerifyPassResult, ...]
@@ -374,6 +376,8 @@ class GenerateResult:
     work included); ``sequential_vector_cycles`` what plain decode
     charges for the same tokens, so ``cycle_speedup`` is the
     speculation win on the cycle side (1.0 for plain decode).
+    ``counters`` merges the prefill's and the passes' own counters, so
+    other work on the same engine meanwhile is not billed to it.
     """
 
     prefill: CausalPrefillResult
@@ -484,57 +488,43 @@ class DecodeState:
 
 
 class _TokenPlan:
-    """Host-side state of one planned token, awaiting the hardware exp."""
+    """Host-side state of one planned token, awaiting the hardware exp.
 
-    __slots__ = ("position", "span_start", "shifted", "_values", "_cache",
-                 "_kv_len")
+    ``values`` is the cache's ``values`` view taken at plan time, not a
+    copy: a cache writes no row a view shows until it is truncated or
+    reset (see :class:`~repro.core.paging.KVCache`).  Invariant: no
+    planned token's cache is truncated or reset before its job's
+    :meth:`NovaDecodeEngine._execute`.  The scheduler truncates
+    (commit), resets (finish, preemption) and releases forks only after
+    the step's ``_execute``; a failed plan's rollback (the
+    ``plan_with_fallback`` retry, a paged admission's reset, the fork
+    release) drops its tokens before any ``_execute``.
+    """
 
-    # ``shifted``/``_values``/``_cache`` are ``Any`` rather than
-    # Optional ndarrays: ``release()`` nulls them after execution, and
-    # the planning/execution code touches them without narrowing.
+    __slots__ = ("position", "span_start", "shifted", "values")
+
+    # ``shifted``/``values`` are ``Any`` rather than Optional ndarrays:
+    # ``release()`` nulls them after execution, and the
+    # planning/execution code touches them without narrowing.
     position: int
     span_start: int
     shifted: Any
-    _values: Any
-    _cache: Any
-    _kv_len: int | None
+    values: Any
 
     def __init__(
         self,
         position: int,
         span_start: int,
         shifted: np.ndarray,
-        *,
-        values: np.ndarray | None = None,
-        cache: KVCache | None = None,
-        kv_len: int | None = None,
+        values: np.ndarray,
     ) -> None:
         self.position = position
         self.span_start = span_start
         self.shifted = shifted      # (heads, kv_len), max-subtracted scores
-        self._values = values       # eager copy (windowed caches)
-        self._cache = cache         # row store read at use (append-only)
-        self._kv_len = kv_len
-
-    def take_values(self) -> np.ndarray:
-        """The ``(heads, kv_len, head_dim)`` values this token attends to.
-
-        Windowed caches evict between appends, and eviction shifts
-        rows, so their values are copied at plan time.  Append-only
-        caches (``window=None``) never change rows ``< kv_len`` between
-        planning and execution (a job executes in the step that planned
-        it), so they are read at use as a view of the row store, with
-        no copy.  The store may have grown (moved) since planning,
-        which is why the view is taken here and not at plan time.  A
-        view and a copy give byte-identical contexts (see
-        :func:`context_for_query`).
-        """
-        if self._values is not None:
-            return self._values
-        return self._cache.values[:, : self._kv_len]
+        self.values = values        # (heads, kv_len, head_dim) store view
 
     def release(self) -> None:
-        self.shifted = self._values = self._cache = None
+        self.shifted = self.values = None
 
 
 class _Job:
@@ -834,18 +824,11 @@ class NovaDecodeEngine:
         """Append one projected row to the cache, stage its softmax row."""
         cache = state.cache
         cache.append(k, v)
-        scores = scores_for_query(q, cache.keys)
-        # See _TokenPlan.take_values: a windowed cache's values are
-        # copied now, an append-only cache's are read at use.
-        if cache.window is None:
-            values = dict(cache=cache, kv_len=cache.length)
-        else:
-            values = dict(values=cache.values_snapshot(cache.length))
         plan = _TokenPlan(
             position=state.position,
             span_start=cache.start_position,
-            shifted=shift_scores(scores),
-            **values,
+            shifted=shift_scores(scores_for_query(q, cache.keys)),
+            values=cache.values,
         )
         state.position += 1
         return plan
@@ -1072,7 +1055,7 @@ class NovaDecodeEngine:
             for token in job.tokens:
                 probs = token_probs[token_index]
                 token_index += 1
-                context = context_for_query(probs, token.take_values())
+                context = context_for_query(probs, token.values)
                 probabilities.append(probs)
                 outputs.append(context @ wo)
                 token.release()
@@ -1182,7 +1165,6 @@ class NovaDecodeEngine:
         equivalence test compares bit-for-bit against :meth:`prefill`.
         """
         state = self.start(request)
-        before = self.unit._lifetime_counters()
         steps: list[DecodeStepResult] = []
         passes: list[VerifyPassResult] = []
         for row in request.x:
@@ -1194,7 +1176,10 @@ class NovaDecodeEngine:
             passes=tuple(passes),
             outputs=np.stack([s.output for s in steps]),
             vector_cycles=sum(p.vector_cycles for p in passes),
-            counters=self.unit._lifetime_counters().diff(before),
+            counters=reduce(
+                EventCounters.merge, (p.counters for p in passes),
+                EventCounters(),
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -1547,7 +1532,6 @@ class NovaDecodeEngine:
             draft.reset()
         if state is None:
             state = self.start(request)
-        before = self.unit._lifetime_counters()
         pre = self.prefill(state)
         if draft is not None:
             # Seed stateful drafts with the prompt's own (input, output)
@@ -1568,7 +1552,10 @@ class NovaDecodeEngine:
             x_t = new_steps[-1].output
         return GenerateResult.from_passes(
             pre, steps, passes,
-            self.unit._lifetime_counters().diff(before),
+            reduce(
+                EventCounters.merge, (p.counters for p in passes),
+                pre.counters,
+            ),
         )
 
 

@@ -6,7 +6,8 @@ This module is the bottom of the decode stack (the drafts in
 sequence keeps its K/V rows in its own contiguous row store,
 :class:`KVCache`, read through views: append with optional
 sliding-window eviction, speculative ``truncate``, ``fork`` and
-``reset`` are that class's code for every cache.  The
+``reset`` are that class's code for every cache (eviction writes no
+row, so a view keeps its bytes until a truncate or reset).  The
 :class:`BlockPool` holds no rows: it is the *accounting* of KV memory
 in fixed-size blocks (``block_size`` token slots each;
 ``NovaConfig.kv_block_size`` sets the default) — block ids, reference
@@ -16,7 +17,7 @@ run chooses how its sequences reserve that memory:
 * **Whole-page (contiguous)** — :class:`ReservedKVCache` reserves one
   run of ``blocks_needed(capacity, block_size)`` consecutive blocks at
   admission (:meth:`BlockPool.reserve_run`); otherwise it *is* a
-  :class:`KVCache`: append, views, window shifts
+  :class:`KVCache`: append, views, window eviction
   and forks are that class's own code.  ``reset`` releases the run
   (:meth:`BlockPool.release_run`).
 * **Paged** — :class:`PagedKVCache` charges blocks lazily, one at a
@@ -25,8 +26,8 @@ run chooses how its sequences reserve that memory:
   the first live token inside the first block; sliding-window eviction
   advances the offset and frees whole head blocks).  It is a
   ``KVCache`` (``append`` / ``evict`` / ``truncate`` / ``keys`` /
-  ``values`` / ``values_snapshot`` / ``reset``) plus that block
-  accounting, so the decode engine runs unchanged on either cache.
+  ``values`` / ``reset``) plus that block accounting, so the decode
+  engine runs unchanged on either cache.
   ``truncate`` is the speculative-decode rollback path: rejected draft
   tokens free whole tail blocks back to the pool.
 
@@ -55,11 +56,10 @@ Numerics contract
 The reservation policy changes only **what the pool charges**, never
 where rows live or their values.  Every cache keeps its live span in
 its own contiguous store, and the decode engines read it through the
-``keys`` / ``values`` views (``values_snapshot`` copies, for windowed
-caches only), on the same code path for every policy; every
-downstream GEMV (scores, context) is bit-exact between the two
-policies.  The equivalence gate in ``tests/test_paging.py``
-pins this per Table II preset, and the golden traces prove the
+``keys`` / ``values`` views, windowed or not, on the same code path
+for every policy; every downstream GEMV (scores, context) is bit-exact
+between the two policies.  The equivalence gate in
+``tests/test_paging.py`` pins this per Table II preset, and the golden traces prove the
 cycle/counter accounting is untouched.
 
 Accounting
@@ -116,14 +116,21 @@ class KVCache:
     The cache owns one contiguous row store per tensor, ``(n_heads,
     rows, head_dim)``, and presents its live span through views
     (:attr:`keys` / :attr:`values`).  The store grows by amortised
-    doubling up to ``limit`` rows, so an append is a row write almost
-    always and a reallocation ``O(log limit)`` times per fill.
+    doubling up to ``capacity`` rows, so an append is a row write almost
+    always and a reallocation ``O(log capacity)`` times per fill.
     ``window=None`` (the default) makes the capacity hard: appending to
     a full cache raises :class:`KVCacheOverflow`.  ``window=w`` caps the
     cache at the last ``w`` tokens instead (sliding-window attention):
     the oldest entry is evicted to make room and ``start_position``
     advances, so the cache always holds positions ``[start_position,
     start_position + length)``.
+
+    Eviction only advances the live span's start in the store.  A
+    windowed store grows to at most ``2 * w`` rows; once it is full, an
+    append with no row past the span moves the span to the front of a
+    new store, about once per ``w`` appends.  Appends write only past
+    the span and a store left behind is never written again, so a view
+    keeps its bytes until :meth:`truncate` or :meth:`reset`.
 
     The block-pool caches (:class:`PagedKVCache`,
     :class:`ReservedKVCache`) are this class plus their pool
@@ -155,6 +162,8 @@ class KVCache:
         self.capacity = capacity
         self.window = window
         self._k = self._v = np.empty((n_heads, 0, head_dim))
+        #: Store row of the oldest live token (eviction advances it).
+        self._start = 0
         self.length = 0
         self.start_position = 0
         self.evictions = 0
@@ -167,28 +176,27 @@ class KVCache:
     @property
     def keys(self) -> np.ndarray:
         """View of the valid cached keys, ``(n_heads, length, head_dim)``."""
-        return self._k[:, : self.length]
+        return self._k[:, self._start : self._start + self.length]
 
     @property
     def values(self) -> np.ndarray:
         """View of the valid cached values, ``(n_heads, length, head_dim)``."""
-        return self._v[:, : self.length]
+        return self._v[:, self._start : self._start + self.length]
 
     def _reserve(self, rows: int) -> None:
-        """Grow the row store to hold at least ``rows`` rows, keeping
-        the live rows: the store doubles, with at least 16 rows spare,
-        capped at ``limit`` (a fork's fresh store is its live rows plus
-        that spare)."""
-        held = self._k.shape[1]
-        if rows <= held:
-            return
-        size = min(self.limit, max(rows + 16, 2 * held))
+        """Move the live rows to the front of a new row store of at
+        least ``rows`` rows: the store doubles, with at least 16 rows
+        spare, capped at ``capacity`` (``2 * window`` under a window; a
+        fork's fresh store is its live rows plus that spare)."""
+        cap = self.capacity if self.window is None else 2 * self.window
+        size = min(cap, max(rows + 16, 2 * self._k.shape[1]))
         # One allocation holds both tensors: half the heap blocks, which
         # keeps many short-lived fork stores from fragmenting the heap.
         k, v = np.empty((2, self.n_heads, size, self.head_dim))
-        k[:, : self.length] = self._k[:, : self.length]
-        v[:, : self.length] = self._v[:, : self.length]
+        k[:, : self.length] = self.keys
+        v[:, : self.length] = self.values
         self._k, self._v = k, v
+        self._start = 0
 
     def _claim_slot(self) -> None:
         """Reservation hook, called once per append just before its row
@@ -223,28 +231,26 @@ class KVCache:
                 )
             self.evict(1)
         self._claim_slot()
-        if self.length == self._k.shape[1]:
+        row = self._start + self.length
+        if row == self._k.shape[1]:
             self._reserve(self.length + 1)
-        self._k[:, self.length] = k_t
-        self._v[:, self.length] = v_t
+            row = self.length
+        self._k[:, row] = k_t
+        self._v[:, row] = v_t
         self.length += 1
 
     def evict(self, n: int) -> None:
         """Drop the ``n`` oldest cached tokens (advances ``start_position``).
 
-        The live rows shift to the front of the store.  Atomic: an
-        out-of-range ``n`` raises before any state changes.
+        Writes no row: the live span's start in the store advances.
+        Atomic: an out-of-range ``n`` raises before any state changes.
         """
         if not 0 <= n <= self.length:
             raise ValueError(
                 f"cannot evict {n} of {self.length} cached tokens"
             )
-        if n == 0:
-            return
-        keep = self.length - n
-        self._k[:, :keep] = self._k[:, n : self.length]
-        self._v[:, :keep] = self._v[:, n : self.length]
-        self.length = keep
+        self._start += n
+        self.length -= n
         self.start_position += n
         self.evictions += n
 
@@ -262,22 +268,6 @@ class KVCache:
                 f"cannot truncate {n} of {self.length} cached tokens"
             )
         self.length -= n
-
-    def values_snapshot(self, kv_len: int) -> np.ndarray:
-        """Contiguous copy of the first ``kv_len`` cached values,
-        ``(n_heads, kv_len, head_dim)``.
-
-        A copy outlives later evictions, which shift rows in place:
-        decode plans a windowed cache's context this way.  Append-only
-        caches are read through :attr:`values` instead.  Raises
-        ``ValueError`` unless ``0 <= kv_len <= length``: rows past the
-        live span were never written or were rolled back.
-        """
-        if not 0 <= kv_len <= self.length:
-            raise ValueError(
-                f"cannot snapshot {kv_len} of {self.length} cached values"
-            )
-        return self._v[:, :kv_len].copy()
 
     def fork(self) -> "KVCache":
         """An independent private copy of this cache's live state.
@@ -306,6 +296,7 @@ class KVCache:
 
     def reset(self) -> None:
         """Empty the cache in place (row store kept)."""
+        self._start = 0
         self.length = 0
         self.start_position = 0
         self.evictions = 0
@@ -819,8 +810,7 @@ class PagedKVCache(KVCache):
 
     The rows live in the cache's own row store, exactly as in the
     contiguous cache (same ``keys`` / ``values`` views, same
-    ``values_snapshot``, same eviction shift); ``n_heads`` /
-    ``head_dim`` come from the pool.  What the class adds is the
+    eviction); ``n_heads`` / ``head_dim`` come from the pool.  What the class adds is the
     pool accounting, all of it on the memory side:
 
     * blocks are charged **lazily on append** — an idle request holds
@@ -1027,8 +1017,8 @@ class PagedKVCache(KVCache):
 
     def evict(self, n: int) -> None:
         """Drop the ``n`` oldest cached tokens, freeing whole head
-        blocks back to the pool (rows shift and ``start_position``
-        advances exactly as in the contiguous cache).  A shared head
+        blocks back to the pool (``start_position`` advances, and no row
+        is written, exactly as in the contiguous cache).  A shared head
         block only loses this table's reference.  Atomic: an
         out-of-range ``n`` raises before any state changes."""
         super().evict(n)
@@ -1118,8 +1108,8 @@ class ReservedKVCache(KVCache):
     with nothing reserved, when no free run is that long.  The run is
     accounting only: the cache keeps its rows in its own row store,
     sized for the whole page up front as the run is, and everything
-    else is ``KVCache``'s own code (appends, views, window shifts, and
-    :meth:`fork`, a private copy outside the pool).
+    else is ``KVCache``'s own code (appends, views, window eviction,
+    and :meth:`fork`, a private copy outside the pool).
     :meth:`reset` empties the cache *and* releases the run: the cache
     is finished afterwards.
     """

@@ -207,6 +207,39 @@ class TestOneEngineServesBoth:
             assert got.counters.as_dict() == ref.counters.as_dict()
         assert run.counters.as_dict() == alone.counters.as_dict()
 
+    @pytest.mark.parametrize("tree", [None, "2x1,1x1"])
+    def test_attention_batch_between_generate_passes(self, tree, monkeypatch):
+        """``generate`` and ``decode`` bill only their own prefill's and
+        passes' events: batched attention run after every pass on the
+        same engine stays out of their ``counters``."""
+        requests = bert_attention_batch("BERT-tiny", 2, seq_len=4, seed=3)
+        request = decode_batch(
+            "gpt2-mini", 1, prompt_len=4, max_new_tokens=5, seed=4
+        )[0]
+        engine = NovaDecodeEngine(GEOMETRY)
+        execute = engine._execute
+        batches = []
+
+        def execute_then_attend(jobs):
+            step = execute(jobs)
+            batches.append(engine.attention_batch(requests))
+            return step
+
+        monkeypatch.setattr(engine, "_execute", execute_then_attend)
+        generated = engine.generate(request, tree=tree)
+        decoded = engine.decode(request)
+        fresh = NovaDecodeEngine(GEOMETRY)
+        assert len(batches) == (
+            1 + generated.verify_passes + request.seq
+        )
+        for got, ref in (
+            (generated, fresh.generate(request, tree=tree)),
+            (decoded, fresh.decode(request)),
+        ):
+            assert got.counters.total() > 0
+            assert got.counters.as_dict() == ref.counters.as_dict()
+            assert got.vector_cycles == ref.vector_cycles
+
 
 class TestTableCache:
     def test_same_key_returns_same_object(self):

@@ -14,7 +14,8 @@ switching are pinned next to the engines they belong to, in
   GEMV over a view of a row store with spare rows against the same
   values copied, and a lane stream packed in one copy against
   concatenate-then-pad;
-* ``values_snapshot`` reads only the live span, on every cache class.
+* the ``keys`` / ``values`` views show only the live span, on every
+  cache class, and a decode plan holds a view of the store, not a copy.
 """
 
 import math
@@ -192,24 +193,45 @@ CACHES = {
 }
 
 
-class TestValuesSnapshotBounds:
+class TestValueViewBounds:
     @pytest.mark.parametrize("kind", CACHES)
     def test_only_the_live_span_is_readable(self, kind):
-        """A 3-row cache in a 10-row store: rows never written, negative
-        lengths and rolled-back rows are all rejected."""
+        """The views show exactly the live rows, in order, after a
+        truncate, an evict and the compaction that moves the span to a
+        new store: no rolled-back, evicted or never-written row."""
         cache = CACHES[kind]()
         rng = np.random.default_rng(0)
-        for _ in range(3):
-            cache.append(rng.standard_normal((2, 4)), rng.standard_normal((2, 4)))
-        for kv_len in (cache.length + 1, -1, 10):
-            with pytest.raises(ValueError, match="cannot snapshot"):
-                cache.values_snapshot(kv_len)
-        assert cache.values_snapshot(0).shape == (2, 0, 4)
-        assert_same_bytes(cache.values_snapshot(3), cache.values.copy())
+        live = []
+
+        def append(n):
+            for _ in range(n):
+                k, v = rng.standard_normal((2, 2, 4))
+                cache.append(k, v)
+                live.append((k, v))
+
+        def assert_live_span():
+            for view, i in ((cache.keys, 0), (cache.values, 1)):
+                expected = np.empty((2, len(live), 4))
+                for row, kv in enumerate(live):
+                    expected[:, row] = kv[i]
+                assert_same_bytes(view, expected)
+
+        append(3)
+        assert_live_span()
         cache.truncate(1)
-        with pytest.raises(ValueError, match="cannot snapshot 3 of 2"):
-            cache.values_snapshot(3)
-        assert_same_bytes(cache.values_snapshot(2), cache.values.copy())
+        live.pop()
+        assert_live_span()
+        cache.evict(1)
+        live.pop(0)
+        assert_live_span()
+        # the live row sits at store row 1 of 10: the ninth append
+        # finds no row past the span and compacts into a new store
+        store = cache.values.base
+        append(8)
+        assert cache.values.base is store
+        append(1)
+        assert cache.values.base is not store
+        assert_live_span()
 
 
 class TestNoCopyPlanning:
@@ -217,8 +239,8 @@ class TestNoCopyPlanning:
     def test_prefill_projects_once_and_reads_values_by_view(
         self, window, monkeypatch
     ):
-        """One projection call per prompt; an append-only cache's values
-        are read in place, a windowed cache's are copied at plan time."""
+        """One projection call per prompt; every token's values are a
+        view of the cache's row store, windowed or not."""
         engine = NovaDecodeEngine(SMALL)
         calls = []
 
@@ -231,7 +253,5 @@ class TestNoCopyPlanning:
         job = engine._plan_prefill(state)
         assert calls == [(5, 16)]
         for token in job.tokens:
-            values = token.take_values()
-            assert np.shares_memory(values, state.cache.values) == (
-                window is None
-            )
+            assert token.values.base is state.cache.values.base
+            assert token.values.shape[1] == token.shifted.shape[-1]

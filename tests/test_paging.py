@@ -5,6 +5,9 @@ The headline contracts:
 * a :class:`PagedKVCache` presents byte-identical ``keys`` / ``values``
   to a contiguous :class:`KVCache` for the same appended tokens, for
   every block size, including ones that do not divide the window;
+* eviction writes no row, on every cache class: a view of the live
+  span keeps its bytes until a truncate or reset, and a windowed store
+  of at most ``2 * window`` rows is reallocated about once per window;
 * decode over a paged cache is **bit-, cycle- and counter-exact**
   against the contiguous cache on every Table II preset (the
   equivalence gate: paging moves K/V rows, nothing else);
@@ -18,6 +21,8 @@ The headline contracts:
 * the block size has one home, ``NovaConfig.kv_block_size``, and pool
   statistics are per run (no process-wide registry).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -259,9 +264,7 @@ class TestPagedKVCache:
             paged.append(k, v)
         assert np.array_equal(ref.keys, paged.keys)
         assert np.array_equal(ref.values, paged.values)
-        assert np.array_equal(
-            ref.values_snapshot(7), paged.values_snapshot(7)
-        )
+        assert np.array_equal(ref.values[:, :7], paged.values[:, :7])
         assert paged.length == ref.length == 13
         assert paged.blocks_in_use == blocks_needed(13, block_size)
 
@@ -387,6 +390,96 @@ class TestPagedKVCache:
         assert table.physical(5, 4) == (3, 1)
         assert table.physical(11, 4) == (9, 3)
         assert table.n_blocks == 3
+
+
+#: The three cache classes at one window, drawing on ``pool``.
+WINDOWED_CACHES = {
+    "KVCache": lambda pool, w: KVCache(2, 4, capacity=w, window=w),
+    "PagedKVCache": lambda pool, w: PagedKVCache(pool, capacity=w, window=w),
+    "ReservedKVCache": (
+        lambda pool, w: ReservedKVCache(pool, capacity=w, window=w)
+    ),
+}
+
+
+class TestStoreOffsetEviction:
+    """Eviction advances the live span's start in the row store and
+    writes no row; the span moves to the front of a new store only when
+    the store is reallocated.  Windows 1 and 2 divide the block size 4,
+    3 and 5 do not, and 8 is a multiple of it."""
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("kind", WINDOWED_CACHES)
+    def test_views_keep_their_bytes_until_reset(self, kind, window):
+        """A view taken after every append, evict and truncate keeps
+        its bytes (a truncate frees only its rolled-back rows), and the
+        live views equal the last-``window``-rows reference model."""
+        pool = BlockPool(n_heads=2, head_dim=4, block_size=4, n_blocks=16)
+        cache = WINDOWED_CACHES[kind](pool, window)
+        rng = np.random.default_rng(window)
+        live: list[tuple[np.ndarray, np.ndarray]] = []
+        start = 0
+        #: (first position, [keys view, keys then, values view, values
+        #: then]) of every view taken so far
+        views: list[tuple[int, list[np.ndarray]]] = []
+        for i in range(80):
+            op = rng.choice(["append"] * 6 + ["evict", "truncate"])
+            n = int(rng.integers(0, len(live) + 1))
+            if op == "append":
+                k, v = token(i)
+                cache.append(k, v)
+                if len(live) == window:
+                    live.pop(0)
+                    start += 1
+                live.append((k, v))
+            elif op == "evict":
+                cache.evict(n)
+                live = live[n:]
+                start += n
+            else:
+                cache.truncate(n)
+                live = live[: len(live) - n]
+                # rows past the new tail are free to be rewritten
+                end = start + len(live)
+                views = [
+                    (first, [a[:, : max(0, end - first)] for a in arrays])
+                    for first, arrays in views
+                ]
+            assert cache.start_position == start
+            assert cache.length == len(live)
+            for view, column in ((cache.keys, 0), (cache.values, 1)):
+                expected = np.zeros((2, len(live), 4))
+                for row, kv in enumerate(live):
+                    expected[:, row] = kv[column]
+                assert view.tobytes() == expected.tobytes()
+            for _, (keys, keys_then, values, values_then) in views:
+                assert keys.tobytes() == keys_then.tobytes()
+                assert values.tobytes() == values_then.tobytes()
+            views.append((start, [
+                cache.keys, cache.keys.copy(),
+                cache.values, cache.values.copy(),
+            ]))
+        cache.reset()
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 5, 8, 20])
+    @pytest.mark.parametrize("kind", WINDOWED_CACHES)
+    def test_full_store_reallocates_once_per_window(self, kind, window):
+        """The store grows to at most ``2 * window`` rows, and over ten
+        windows of sliding appends it is reallocated at most once per
+        ``window`` appends plus its log2 growth steps."""
+        pool = BlockPool(n_heads=2, head_dim=4, block_size=4, n_blocks=16)
+        cache = WINDOWED_CACHES[kind](pool, window)
+        appends = 11 * window
+        stores: list[np.ndarray] = []
+        for i in range(appends):
+            cache.append(*token(i))
+            store = cache.values.base
+            if not any(store is seen for seen in stores):
+                stores.append(store)
+            assert store.shape[-2] <= 2 * window
+        growth = math.ceil(math.log2(2 * window))
+        assert len(stores) <= (appends - window) // window + growth
+        cache.reset()
 
 
 # ----------------------------------------------------------------------

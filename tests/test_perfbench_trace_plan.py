@@ -25,7 +25,7 @@ RESOLVED = {
     "frontdoor.build_report",
     "kernels.table_gather_mac",
     "kernels.tag_match_totals",
-    *(f"kvcache.{name}" for name in ("append", "keys", "values_snapshot")),
+    *(f"kvcache.{name}" for name in ("append", "keys")),
     *(f"paging.{name}" for name in (
         "allocate", "append", "fork", "free", "reset", "share", "truncate",
     )),
@@ -46,10 +46,15 @@ RESOLVED = {
 }
 
 #: ``PagedKVCache`` inherits its row views from ``KVCache``, and the
-#: tracer patches only attributes a class defines itself, so these read
-#: 0 (paged reads land in ``kvcache.*``).  Folding the two families is
-#: a benchmark change of its own.
-UNRESOLVED = {"paging.keys", "paging.values", "paging.values_snapshot"}
+#: tracer patches only attributes a class defines itself, so the
+#: ``paging.*`` views read 0 (paged reads land in ``kvcache.*``).
+#: ``values_snapshot`` names no method of the program (decode reads the
+#: ``values`` view), so the tracer skips it.  Folding the two families
+#: and tracing ``values`` are a benchmark change of their own.
+UNRESOLVED = {
+    "paging.keys", "paging.values", "paging.values_snapshot",
+    "kvcache.values_snapshot",
+}
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +64,7 @@ def session():
 
 def test_trace_plan_resolves_every_known_span(session):
     names = {name for _, _, name, _ in layers.trace_plan(session)}
-    assert len(RESOLVED) == 32
+    assert len(RESOLVED) == 31
     assert names == RESOLVED
 
 

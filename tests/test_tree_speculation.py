@@ -544,8 +544,7 @@ def _reference_step(request, cache, x_t, drop_to_bits):
     numer, mantissa, exponent = softmax_reduction(raw)
     inv = truncate(SMALL.table("reciprocal").evaluate(mantissa))
     probs = assemble_probabilities(numer, inv, exponent)
-    values = cache.values_snapshot(cache.length)
-    return context_for_query(probs, values) @ request.wo
+    return context_for_query(probs, cache.values) @ request.wo
 
 
 def _coin(seed, position, alternative, fidelity):
