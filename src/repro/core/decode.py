@@ -18,17 +18,14 @@ the same cycle/event-exact hardware model as the reference engine
   self-feeding ``generate`` loop.  All of them run one packed softmax
   stage, so per-request costs come from one closed-form
   sequential-equivalent accounting.
-* :class:`ContinuousBatchScheduler` — Orca-style continuous batching:
-  every scheduler step packs the prefill rows of newly admitted requests
-  *and* the decode rows of in-flight requests into a single lane stream
-  through the shared overlay; requests join and leave the batch between
-  steps.  Every run's KV memory is accounted in one
-  :class:`~repro.core.paging.BlockPool` of fixed-size blocks; ``paged``
-  only picks the reservation policy: a whole page (one run of
-  consecutive blocks) per request at admission, or — with
-  ``paged=True`` — vLLM-style lazy block allocation with
-  first-block-fit admission and a deferral/preemption policy under
-  memory pressure.
+* :class:`ContinuousBatchScheduler` — Orca-style continuous batching,
+  run as a step machine (``start``, then ``step`` until it returns
+  ``False``): every step packs the prefill rows of newly admitted
+  requests *and* the decode rows of in-flight requests into a single
+  lane stream through the shared overlay; requests join and leave the
+  batch between steps.  Every run's KV memory is accounted in one
+  :class:`~repro.core.paging.BlockPool`; ``paged`` picks whole-page or
+  vLLM-style lazy block reservation.
 
 Every generated token comes out of one draft-and-verify pass of the
 engine.  The :class:`~repro.core.speculative.DraftTree` is a per-call
@@ -1419,10 +1416,11 @@ class NovaDecodeEngine:
         # a prefix, and its fork-resident rows are the rows up to the
         # deepest node's own in that node's branch cache (every branch
         # cache holds its ancestor chain; an only child below the path
-        # may follow them).  Copy those out, then release the forks
-        # (shared tail blocks drop to their surviving refcounts),
-        # truncate the in-place suffix beyond the accepted prefix and
-        # append the copied rows to the live cache.
+        # may follow them).  View those (each fork has its own store,
+        # and neither a reset nor anything after it writes a fork row),
+        # release the forks (shared tail blocks drop to their surviving
+        # refcounts), truncate the in-place suffix beyond the accepted
+        # prefix and append the viewed rows to the live cache.
         state = spec_pass.job.state
         kept_in_state = sum(1 for n in path if n.in_state)
         moved = len(path) - kept_in_state
@@ -1433,8 +1431,8 @@ class NovaDecodeEngine:
             spec_pass.job.tokens[path[-1].token_index].position
             - branch.start_position + 1
         )
-        keys = branch.keys[:, end - moved : end].copy()
-        values = branch.values[:, end - moved : end].copy()
+        keys = branch.keys[:, end - moved : end]
+        values = branch.values[:, end - moved : end]
         for fork in spec_pass.forks:
             fork.reset()
         self._rollback(state, spec_pass.in_state_tokens - kept_in_state)
@@ -1570,12 +1568,11 @@ class ContinuousBatchResult:
 
     ``results[i]`` is a :class:`GenerateResult` bit-identical (outputs,
     probabilities, cycles and counters) to solo generation of
-    ``requests[i]`` through the same draft tree.  ``packed_vector_cycles``
-    is what the shared overlay actually spent across all fused scheduler
-    steps, and ``counters`` the events the run's own streams charged it
-    (work run on the same engine between steps is not billed to the
-    run); ``sequential_vector_cycles`` is the sum of the per-request
-    costs — the ratio is the continuous-batching win on the cycle side.
+    ``requests[i]`` through the same draft tree, and ``counters`` are the
+    events the run's own streams charged the shared overlay (work run on
+    the same engine between steps is not billed to the run).  The cycle
+    totals and ``scheduler_steps`` are properties over ``step_cycles``
+    and ``results``, so they cannot disagree with them.
     ``pages_allocated`` counts this run's whole-page reservations (one
     per contiguous admission, readmissions included; zero in paged
     mode).
@@ -1599,8 +1596,7 @@ class ContinuousBatchResult:
     ``first_token_steps[i]`` / ``finish_steps[i]`` are the 0-based
     scheduler-step indices at which request ``i``'s prefill landed (its
     first visible token) and at which it completed; ``step_cycles[k]``
-    is the packed vector cycles step ``k`` spent, so
-    ``sum(step_cycles) == packed_vector_cycles``.
+    is the packed vector cycles step ``k`` spent.
     ``first_token_times[i]`` / ``finish_times[i]`` are the same two
     events on the scheduler's **virtual clock** (cycles; idle gaps
     between arrivals included), which is what turns step indices into
@@ -1610,9 +1606,6 @@ class ContinuousBatchResult:
     """
 
     results: tuple[GenerateResult, ...]
-    packed_vector_cycles: int
-    sequential_vector_cycles: int
-    scheduler_steps: int
     counters: EventCounters
     pages_allocated: int
     peak_active: int = 0
@@ -1626,6 +1619,22 @@ class ContinuousBatchResult:
     first_token_times: tuple[float, ...] = ()
     finish_times: tuple[float, ...] = ()
     step_cycles: tuple[int, ...] = ()
+
+    @property
+    def scheduler_steps(self) -> int:
+        """Fused scheduler steps executed."""
+        return len(self.step_cycles)
+
+    @property
+    def packed_vector_cycles(self) -> int:
+        """What the shared overlay actually spent across every step."""
+        return sum(self.step_cycles)
+
+    @property
+    def sequential_vector_cycles(self) -> int:
+        """The per-request costs, summed: their ratio to
+        ``packed_vector_cycles`` is the continuous-batching win."""
+        return sum(r.vector_cycles for r in self.results)
 
     @property
     def n_requests(self) -> int:
@@ -1669,17 +1678,8 @@ class _Sequence:
     ) -> None:
         self.index = index
         self.request = request
-        self.state: DecodeState | None = None
-        self.remaining = request.max_new_tokens
-        self.next_x: np.ndarray | None = None
-        self.prefill_result: CausalPrefillResult | None = None
-        self.steps: list[DecodeStepResult] = []
-        self.admitted_at = -1
-        # The draft model (None for the draft-free tree), the completed
-        # passes, and the pass staged this step.
+        #: The draft model (None for the draft-free tree).
         self.draft: DraftModel | None = None
-        self.passes: list[VerifyPassResult] = []
-        self.pending_pass: _SpecPass | None = None
         # Serving metadata (virtual-clock times; defaults for plain
         # callers) and the step-timing record the metrics layer reads.
         meta = SequenceMeta() if meta is None else meta
@@ -1691,9 +1691,7 @@ class _Sequence:
         self.finish_step = -1
         self.first_token_time = -1.0
         self.finish_time = -1.0
-        #: Sequential-equivalent events of every job that landed since
-        #: the last (re)admission, indexed by OVERLAY_EVENTS.
-        self.counter_total = np.zeros(len(OVERLAY_EVENTS), dtype=np.int64)
+        self.reset_progress()
 
     @property
     def live_state(self) -> DecodeState:
@@ -1720,14 +1718,16 @@ class _Sequence:
         ``first_token_step``/``first_token_time`` survive on purpose:
         recomputation regenerates the same tokens, so the user-visible
         first token stays where it first landed."""
-        self.state = None
+        self.state: DecodeState | None = None
         self.remaining = self.request.max_new_tokens
-        self.next_x = None
-        self.prefill_result = None
-        self.steps = []
+        self.next_x: np.ndarray | None = None
+        self.prefill_result: CausalPrefillResult | None = None
+        self.steps: list[DecodeStepResult] = []
         self.admitted_at = -1
-        self.passes = []
-        self.pending_pass = None
+        self.passes: list[VerifyPassResult] = []
+        self.pending_pass: _SpecPass | None = None
+        #: Sequential-equivalent events of every job that landed since
+        #: the last (re)admission, indexed by OVERLAY_EVENTS.
         self.counter_total = np.zeros(len(OVERLAY_EVENTS), dtype=np.int64)
         if self.draft is not None:
             self.draft.reset()
@@ -1761,7 +1761,11 @@ class ContinuousBatchScheduler:
     (:meth:`NovaDecodeEngine._execute`), so lanes that one request would
     leave as tail padding carry another request's queries.  Requests
     join as slots free up (``max_active``) and leave the moment their
-    budget is exhausted.
+    budget is exhausted.  A run is a step machine: :meth:`start` builds
+    the run state on the scheduler, :meth:`step` runs one fused step
+    until it returns ``False`` (the state may be inspected in between),
+    and :meth:`run` is both, then :meth:`result`.  A ``step()`` that
+    raises leaves the run unusable.
 
     One memory model, two reservation policies.  Every run accounts its
     KV memory in one :class:`~repro.core.paging.BlockPool` of
@@ -1800,11 +1804,13 @@ class ContinuousBatchScheduler:
     pages, or paged worst cases).  Every request must agree on head
     geometry.
 
-    Outputs are bit-identical to running each request alone through
-    :meth:`NovaDecodeEngine.generate` in **both** modes (checked by the
-    serving experiments before any throughput is reported): paging and
-    preemption change where K/V rows live and when work happens, never
-    the numerics.
+    Each result is a :class:`GenerateResult` bit-identical (outputs,
+    per-step sequential-equivalent cycles, event counters) to running
+    the request alone through :meth:`NovaDecodeEngine.generate` with the
+    same draft tree, in **both** modes and under every policy (checked
+    by the serving experiments before any throughput is reported):
+    paging, preemption and policies change where K/V rows live and when
+    work happens, never what it computes.
 
     Every in-flight sequence's step is one draft-and-verify pass of the
     engine (:meth:`NovaDecodeEngine.plan_with_fallback` /
@@ -1817,9 +1823,7 @@ class ContinuousBatchScheduler:
     sequence from ``draft_factory`` (default: the exact-LUT
     ``TruncatedTableDraft(config)``), which the depth-0 tree never
     calls.  A pass that cannot get provisional blocks degrades to
-    draft-free before it defers.  Each result is a
-    :class:`GenerateResult` identical to solo
-    :meth:`NovaDecodeEngine.generate` through the same tree.
+    draft-free before it defers.
 
     Scheduling decisions — which waiting request to admit next, which
     active sequences run a step, and who is preempted — are delegated
@@ -1831,10 +1835,7 @@ class ContinuousBatchScheduler:
     order; a preempted request rejoins at the *front* of the queue),
     every active sequence steps every scheduler step, and the
     forced-preemption victim is the most recently admitted sequence.
-    Whatever the policy decides, each request's outputs, per-step
-    sequential-equivalent cycles and event counters stay bit-identical
-    to solo :meth:`NovaDecodeEngine.generate` — policies reorder *when*
-    work happens, never what it computes.  The waiting requests live in
+    The waiting requests live in
     one :class:`~repro.core.waiting.WaitingQueue` per run, so under the
     built-in policies a step's admission work grows as O(log n) in the
     backlog, not O(n).
@@ -1881,12 +1882,21 @@ class ContinuousBatchScheduler:
         self.pool_blocks = pool_blocks
         self.pool_bytes = pool_bytes
         self.policy: SchedulingPolicy = FCFS() if policy is None else policy
-        #: The run's block pool (the last one, when reused).
-        self.block_pool: BlockPool | None = None
-        self.deferrals = 0
-        self.preemptions = 0
+        # The run state: empty (a one-block pool) until start().
+        self.block_pool = BlockPool(1, 1, 1, 1)
+        self.sequences: tuple[_Sequence, ...] = ()
+        self.waiting: WaitingQueue[_Sequence] = WaitingQueue(())
+        self.active: list[_Sequence] = []
+        #: The run's virtual clock, in cycles: each step's packed vector
+        #: cycles plus idle jumps to the next arrival, never the host's
+        #: time (NV008).
+        self.now = 0.0
+        self.step_cycles: list[int] = []
+        self.counters = EventCounters()
+        self.deferrals = self.preemptions = self._admissions = 0
+        self.peak_active = self.peak_kv_slots = self.peak_fragmentation = 0
 
-    # -- the scheduling loop --------------------------------------------
+    # -- the step machine -----------------------------------------------
 
     def _build_pool(self, requests: Sequence[DecodeRequest]) -> BlockPool:
         """The run's :class:`~repro.core.paging.BlockPool`."""
@@ -1946,84 +1956,68 @@ class ContinuousBatchScheduler:
             )
         )
 
-    def _preempt(self, victim: _Sequence) -> None:
-        """Evict one in-flight sequence (preemption by recomputation).
+    def _requeue(self, seq: _Sequence) -> None:
+        """Preempt an admitted sequence, or roll back its prefill: free
+        its memory, forget its progress and put it back at the front of
+        the queue, to replay from its prompt when readmitted."""
+        seq.live_state.cache.reset()
+        seq.reset_progress()
+        self.waiting.rejoin(seq)
 
-        Its blocks or reserved run go straight back to the pool and all
-        progress is forgotten; when readmitted it replays from its
-        prompt, deterministically reproducing bit-identical results.
-        """
-        victim.live_state.cache.reset()
-        victim.reset_progress()
-        self.preemptions += 1
-
-    def run(
+    def start(
         self,
         requests: Iterable[DecodeRequest],
         meta: Sequence[SequenceMeta] | None = None,
-    ) -> ContinuousBatchResult:
-        """Serve every request to completion, continuously batched.
+    ) -> None:
+        """Begin a run: validate the requests and build the run state,
+        replacing any earlier run's.
 
         ``meta`` optionally attaches one :class:`SequenceMeta` per
         request (arrival time on the virtual clock, priority, tenant,
         deadline) — the front door's interface.  Without it every
-        request is present at cycle 0 with default metadata, and the
-        virtual clock is invisible: the run is step-for-step identical
-        to the pre-metadata scheduler.
+        request is present at cycle 0 with default metadata.
         """
         request_list = tuple(requests)
         if not request_list:
             raise ValueError("need at least one decode request")
-        if meta is None:
-            metas: tuple[SequenceMeta, ...] = tuple(
-                SequenceMeta() for _ in request_list
+        metas: tuple[SequenceMeta | None, ...] = (
+            (None,) * len(request_list) if meta is None else tuple(meta)
+        )
+        if len(metas) != len(request_list):
+            raise ValueError(
+                f"got {len(metas)} SequenceMeta entries for "
+                f"{len(request_list)} requests"
             )
-        else:
-            metas = tuple(meta)
-            if len(metas) != len(request_list):
-                raise ValueError(
-                    f"got {len(metas)} SequenceMeta entries for "
-                    f"{len(request_list)} requests"
-                )
         for request in request_list:
             self.engine.validate_request(request)
-
-        engine = self.engine
-        tree = self.tree
-        pool = self._build_pool(request_list)
-        self.block_pool = pool
-
-        counters = EventCounters()
-        pages_allocated = 0
-        deferrals_before = self.deferrals
-        preemptions_before = self.preemptions
-        sequences = tuple(
+        self.block_pool = self._build_pool(request_list)
+        self.sequences = tuple(
             _Sequence(i, request, meta=m)
             for i, (request, m) in enumerate(zip(request_list, metas))
         )
-        waiting = WaitingQueue(sequences)
-        active: list[_Sequence] = []
-        slots: list[GenerateResult | None] = [None] * len(request_list)
-        policy = self.policy
-        packed_cycles = 0
-        scheduler_steps = 0
-        admission_clock = 0
-        peak_active = 0
-        peak_kv_slots = 0
-        peak_fragmentation = 0
-        #: The run's virtual clock, in cycles: advances by each step's
-        #: packed vector cycles and jumps over idle gaps to the next
-        #: arrival.  Fully determined by the workload and the engine's
-        #: cycle accounting — never by the host (NV008).
-        now = 0.0
-        step_cycles: list[int] = []
+        self.waiting = WaitingQueue(self.sequences)
+        self.active = []
+        self.now = 0.0
+        self.step_cycles = []
+        self.counters = EventCounters()
+        self.deferrals = self.preemptions = self._admissions = 0
+        self.peak_active = self.peak_kv_slots = self.peak_fragmentation = 0
 
+    def step(self) -> bool:
+        """Run one scheduler step: one fused :meth:`_execute` and one
+        ``step_cycles`` entry, after any idle clock jumps and forced
+        preemptions before it.  Returns ``False``, changing nothing,
+        once no request remains."""
+        if not self.sequences:
+            raise RuntimeError("no run to step: call start() first")
+        engine, tree, policy = self.engine, self.tree, self.policy
+        pool, waiting, active = self.block_pool, self.waiting, self.active
+        step_cycles, now = self.step_cycles, self.now
         while waiting or waiting.upcoming or active:
             waiting.advance(now)
             # Policy-initiated (voluntary) preemption, e.g. a
             # higher-priority arrival displacing a low-priority
-            # sequence when every slot is taken.  The victim's memory
-            # frees immediately; it rejoins the front of the queue.
+            # sequence when every slot is taken.
             if active and waiting:
                 free_slots = self.max_active - len(active)
                 victims = _policy_answer(
@@ -2035,8 +2029,8 @@ class ContinuousBatchScheduler:
                 )
                 for victim in victims:
                     active.remove(victim)
-                    self._preempt(victim)
-                    waiting.rejoin(victim)
+                    self._requeue(victim)
+                self.preemptions += len(victims)
 
             jobs: list[_Job] = []
             joining: list[_Sequence] = []
@@ -2108,21 +2102,18 @@ class ContinuousBatchScheduler:
                         )
                     except BlockPoolExhausted:
                         break
-                    pages_allocated += 1
                     state = engine.start(seq.request, cache=cache)
                 waiting.remove(seq)
                 seq.state = state
                 if seq.draft is None and tree.depth:
                     seq.draft = self.draft_factory()
-                admission_clock += 1
-                seq.admitted_at = admission_clock
+                self._admissions += 1
+                seq.admitted_at = self._admissions
                 try:
                     job = engine._plan_prefill(state)
                 except BlockPoolExhausted:  # paged: pool ran dry
-                    state.cache.reset()
-                    seq.reset_progress()
+                    self._requeue(seq)
                     self.deferrals += 1
-                    waiting.rejoin(seq)
                     break
                 jobs.append(job)
                 joining.append(seq)
@@ -2131,8 +2122,7 @@ class ContinuousBatchScheduler:
                 if active:
                     # Every in-flight sequence is starved: the policy
                     # picks a preemption victim (FCFS: the most
-                    # recently admitted — recomputation frees its
-                    # blocks now, it restarts from the prompt).
+                    # recently admitted).
                     victim = policy.select_victim(active, now)
                     if victim not in active:
                         raise ValueError(
@@ -2140,13 +2130,13 @@ class ContinuousBatchScheduler:
                             "victim that is not an active sequence"
                         )
                     active.remove(victim)
-                    self._preempt(victim)
-                    waiting.rejoin(victim)
+                    self._requeue(victim)
+                    self.preemptions += 1
                     continue
                 if not waiting:
                     # Idle: nothing in flight and nothing has arrived
                     # yet — jump the virtual clock to the next arrival.
-                    now = waiting.next_arrival()
+                    self.now = now = waiting.next_arrival()
                     continue
                 # An idle pool is empty and every request fits it alone
                 # (_build_pool), so only the policy can stall here.
@@ -2156,19 +2146,18 @@ class ContinuousBatchScheduler:
                     "one when no sequence is active"
                 )
 
-            scheduler_steps += 1
-            peak_active = max(peak_active, len(joining) + len(active))
-            peak_kv_slots = max(peak_kv_slots, pool.in_use * pool.block_size)
-            peak_fragmentation = max(
-                peak_fragmentation, pool.fragmentation_slots
+            self.peak_active = max(self.peak_active, len(active + joining))
+            self.peak_kv_slots = max(
+                self.peak_kv_slots, pool.in_use * pool.block_size
+            )
+            self.peak_fragmentation = max(
+                self.peak_fragmentation, pool.fragmentation_slots
             )
 
             results, cycles, step_counters = engine._execute(jobs)
-            counters = counters.merge(step_counters)
-            packed_cycles += cycles
+            self.counters = self.counters.merge(step_counters)
             step_cycles.append(cycles)
-            now += float(cycles)
-            step_index = scheduler_steps - 1
+            self.now = now = now + float(cycles)
 
             for seq, result in zip(stepping + joining, results):
                 seq.counter_total += result.counter_row
@@ -2181,7 +2170,7 @@ class ContinuousBatchScheduler:
                         # first visible token; preserved across
                         # preemption (recomputation replays the same
                         # token), so TTFT is the first landing.
-                        seq.first_token_step = step_index
+                        seq.first_token_step = len(step_cycles) - 1
                         seq.first_token_time = now
                     if seq.draft is not None:
                         # Seed the draft with the prompt trajectory, in
@@ -2207,36 +2196,51 @@ class ContinuousBatchScheduler:
                 if seq.remaining > 0:
                     survivors.append(seq)
                     continue
-                seq.finish_step = step_index
+                seq.finish_step = len(step_cycles) - 1
                 seq.finish_time = now
                 seq.live_state.cache.reset()  # memory back to the pool
-                slots[seq.index] = GenerateResult.from_passes(
-                    seq.finished_prefill, seq.steps, seq.passes,
-                    EventCounters.from_vector(seq.counter_total),
-                )
-            active = survivors
+            self.active = survivors
+            return True
+        return False
 
-        finished: list[GenerateResult] = []
-        for slot in slots:
-            assert slot is not None  # the loop only exits once every slot fills
-            finished.append(slot)
-        sequential_cycles = sum(r.vector_cycles for r in finished)
+    def result(self) -> ContinuousBatchResult:
+        """The finished run, read off its sequences and the pool."""
+        sequences = self.sequences
+        if not sequences or any(s.finish_step < 0 for s in sequences):
+            raise RuntimeError("the run has not finished")
         return ContinuousBatchResult(
-            results=tuple(finished),
-            packed_vector_cycles=packed_cycles,
-            sequential_vector_cycles=sequential_cycles,
-            scheduler_steps=scheduler_steps,
-            counters=counters,
-            pages_allocated=pages_allocated,
-            peak_active=peak_active,
-            peak_kv_slots=peak_kv_slots,
-            peak_fragmentation_slots=peak_fragmentation,
-            deferrals=self.deferrals - deferrals_before,
-            preemptions=self.preemptions - preemptions_before,
-            paging=pool.pool_info(),
+            results=tuple(
+                GenerateResult.from_passes(
+                    s.finished_prefill, s.steps, s.passes,
+                    EventCounters.from_vector(s.counter_total),
+                )
+                for s in sequences
+            ),
+            counters=self.counters,
+            # every contiguous admission reserves one whole page
+            pages_allocated=0 if self.paged else self._admissions,
+            peak_active=self.peak_active,
+            peak_kv_slots=self.peak_kv_slots,
+            peak_fragmentation_slots=self.peak_fragmentation,
+            deferrals=self.deferrals,
+            preemptions=self.preemptions,
+            paging=self.block_pool.pool_info(),
             first_token_steps=tuple(s.first_token_step for s in sequences),
             finish_steps=tuple(s.finish_step for s in sequences),
             first_token_times=tuple(s.first_token_time for s in sequences),
             finish_times=tuple(s.finish_time for s in sequences),
-            step_cycles=tuple(step_cycles),
+            step_cycles=tuple(self.step_cycles),
         )
+
+    def run(
+        self,
+        requests: Iterable[DecodeRequest],
+        meta: Sequence[SequenceMeta] | None = None,
+    ) -> ContinuousBatchResult:
+        """Serve every request to completion, continuously batched:
+        :meth:`start` (``meta`` as there), :meth:`step` until it
+        returns ``False``, then :meth:`result`."""
+        self.start(requests, meta)
+        while self.step():
+            pass
+        return self.result()

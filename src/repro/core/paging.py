@@ -295,7 +295,8 @@ class KVCache:
         self.evictions = source.evictions
 
     def reset(self) -> None:
-        """Empty the cache in place (row store kept)."""
+        """Empty the cache in place (row store kept).  A reset writes no
+        row: views keep their bytes until a later append."""
         self._start = 0
         self.length = 0
         self.start_position = 0
@@ -1081,8 +1082,9 @@ class PagedKVCache(KVCache):
         self.prefix_len = 0
 
     def reset(self) -> None:
-        """Empty the cache, drop its row store and return every block
-        (reference) to the pool."""
+        """Empty the cache, drop its row store (a reset writes no row:
+        views keep their bytes) and return every block (reference) to
+        the pool."""
         self._free_blocks()
         self.pool.live_tokens -= self.length
         self._pending_keys.clear()

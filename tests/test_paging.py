@@ -412,8 +412,9 @@ class TestStoreOffsetEviction:
     @pytest.mark.parametrize("kind", WINDOWED_CACHES)
     def test_views_keep_their_bytes_until_reset(self, kind, window):
         """A view taken after every append, evict and truncate keeps
-        its bytes (a truncate frees only its rolled-back rows), and the
-        live views equal the last-``window``-rows reference model."""
+        its bytes (a truncate frees only its rolled-back rows) through
+        the final reset, which writes no row, and the live views equal
+        the last-``window``-rows reference model."""
         pool = BlockPool(n_heads=2, head_dim=4, block_size=4, n_blocks=16)
         cache = WINDOWED_CACHES[kind](pool, window)
         rng = np.random.default_rng(window)
@@ -460,6 +461,10 @@ class TestStoreOffsetEviction:
                 cache.values, cache.values.copy(),
             ]))
         cache.reset()
+        assert cache.length == 0
+        for _, (keys, keys_then, values, values_then) in views:
+            assert keys.tobytes() == keys_then.tobytes()
+            assert values.tobytes() == values_then.tobytes()
 
     @pytest.mark.parametrize("window", [1, 2, 3, 5, 8, 20])
     @pytest.mark.parametrize("kind", WINDOWED_CACHES)
@@ -732,6 +737,69 @@ class TestPagedScheduler:
         """Pool statistics are per run (the result's ``paging``); the
         process-wide cache report carries no pool aggregate."""
         assert "paging" not in NovaSession.cache_info()
+
+
+class TestStepMachine:
+    """``run()`` is ``start()``, ``step()`` until it returns ``False``,
+    then ``result()``; the run state lives on the scheduler, per run."""
+
+    @staticmethod
+    def _tight():
+        """A paged scheduler whose pool is small enough to defer and
+        preempt, and the requests it serves."""
+        requests = decode_batch(toy_model(), 4, prompt_len=3,
+                                max_new_tokens=4, seed=0)
+        scheduler = ContinuousBatchScheduler(
+            NovaDecodeEngine(SMALL_BS4), max_active=4, paged=True,
+            pool_blocks=2,
+        )
+        return scheduler, requests
+
+    def test_step_before_start_raises(self):
+        scheduler, _ = self._tight()
+        with pytest.raises(RuntimeError, match="start"):
+            scheduler.step()
+        with pytest.raises(RuntimeError, match="not finished"):
+            scheduler.result()
+
+    def test_step_after_the_run_returns_false_and_changes_nothing(self):
+        scheduler, requests = self._tight()
+        batch = scheduler.run(requests)
+        engine = scheduler.engine
+
+        def snapshot():
+            return (
+                scheduler.now, list(scheduler.step_cycles),
+                scheduler.deferrals, scheduler.preemptions,
+                scheduler.block_pool.pool_info(),
+                [seq.finish_step for seq in scheduler.sequences],
+                engine.unit._lifetime_counters().as_dict(),
+            )
+
+        before = snapshot()
+        assert scheduler.step() is False
+        assert snapshot() == before
+        again = scheduler.result()
+        assert again.step_cycles == batch.step_cycles
+        assert again.finish_times == batch.finish_times
+        for a, b in zip(again.results, batch.results):
+            assert a.generated.tobytes() == b.generated.tobytes()
+
+    def test_second_run_reports_per_run_counts_and_a_fresh_pool(self):
+        scheduler, requests = self._tight()
+        first = scheduler.run(requests)
+        first_pool = scheduler.block_pool
+        assert first.deferrals > 0 and first.preemptions > 0
+        second = scheduler.run(requests)
+        assert scheduler.block_pool is not first_pool
+        # the same inputs again: the same counts, not their running sum
+        assert second.deferrals == first.deferrals == scheduler.deferrals
+        assert second.preemptions == first.preemptions
+        assert scheduler.preemptions == second.preemptions
+        assert second.paging == first.paging
+        assert second.step_cycles == first.step_cycles
+        for a, b in zip(first.results, second.results):
+            assert a.generated.tobytes() == b.generated.tobytes()
 
 
 # ----------------------------------------------------------------------

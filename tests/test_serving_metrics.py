@@ -44,9 +44,6 @@ def toy_request(seed=0, prompt_len=3, max_new_tokens=3):
 def empty_result() -> ContinuousBatchResult:
     return ContinuousBatchResult(
         results=(),
-        packed_vector_cycles=0,
-        sequential_vector_cycles=0,
-        scheduler_steps=0,
         counters=EventCounters(),
         pages_allocated=0,
     )

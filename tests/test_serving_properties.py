@@ -2,7 +2,7 @@
 
 Random **arrival programs** — request shapes x arrival times x
 priorities x deadlines x tenants x pool sizes x policies — drive the
-front door, and three families of invariants must survive every draw:
+front door, and four families of invariants must survive every draw:
 
 * **no request is lost**: every submitted request comes back, exactly
   once, served to its full generation budget, whatever the policy
@@ -10,18 +10,27 @@ front door, and three families of invariants must survive every draw:
 * **solo-exactness**: each request's outputs, cycles and counters are
   bit-identical to running it alone through ``generate`` — scheduling
   is when, never what;
-* **conservation of the event accounting**: the scheduler's deferral/
-  preemption counters match the per-run deltas on the scheduler
-  object, step timing covers every request, and the virtual clock
-  never runs backwards (TTFT/latency are positive, measured from
-  arrival, and ``sum(step_cycles) == packed_vector_cycles``).
+* **conservation of the event accounting**: the result's deferral/
+  preemption counts match the scheduler's per-run counts, step timing
+  covers every request, and the virtual clock never runs backwards
+  (TTFT/latency are positive, measured from arrival, and
+  ``sum(step_cycles) == packed_vector_cycles``);
+* **step-boundary invariants**: driven through ``start()``/``step()``,
+  after every step the pool and the waiting queue pass their own
+  checks, each request is in exactly one of waiting, active and
+  finished, the clock has not moved back, and a step that ran added
+  exactly one ``step_cycles`` entry — and the stepped run's result
+  equals ``run()``'s on a fresh scheduler.
 """
+
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import NovaConfig
 from repro.core.decode import (
+    ContinuousBatchResult,
     ContinuousBatchScheduler,
     NovaDecodeEngine,
     SequenceMeta,
@@ -82,6 +91,59 @@ def build_policy_under_test(name):
     return POLICIES[name]()
 
 
+def step_checked(scheduler, requests, meta):
+    """Drive one run through ``start``/``step``, checking the run state
+    at every step boundary, and return its result."""
+    scheduler.start(requests, meta=meta)
+    sequences = scheduler.sequences
+    clock = scheduler.now
+    stepped = True
+    while stepped:
+        steps_before = len(scheduler.step_cycles)
+        stepped = scheduler.step()
+        assert len(scheduler.step_cycles) == steps_before + stepped
+        scheduler.block_pool.check_invariants()
+        scheduler.waiting.check_invariants()
+        assert scheduler.now >= clock
+        clock = scheduler.now
+        # waiting (arrived), active or finished; the rest not arrived
+        homes = [
+            (seq in scheduler.waiting)
+            + scheduler.active.count(seq)
+            + (seq.finish_step >= 0)
+            for seq in sequences
+        ]
+        assert max(homes) <= 1
+        assert homes.count(0) == scheduler.waiting.upcoming
+    assert not scheduler.waiting and not scheduler.active
+    return scheduler.result()
+
+
+def assert_same_run(got, want):
+    """Every field of two continuous-batch results is equal, each
+    request's generated bytes included."""
+    for name in [f.name for f in fields(ContinuousBatchResult)] + [
+        "scheduler_steps", "packed_vector_cycles",
+        "sequential_vector_cycles",
+    ]:
+        a, b = getattr(got, name), getattr(want, name)
+        if name == "results":
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                assert x.generated.tobytes() == y.generated.tobytes()
+                assert (
+                    x.prefill.outputs.tobytes() == y.prefill.outputs.tobytes()
+                )
+                assert x.vector_cycles == y.vector_cycles
+                assert x.sequential_vector_cycles == y.sequential_vector_cycles
+                assert x.counters.as_dict() == y.counters.as_dict()
+                assert len(x.passes) == len(y.passes)
+        elif name == "counters":
+            assert a.as_dict() == b.as_dict()
+        else:
+            assert a == b, name
+
+
 class TestArrivalProgramProperties:
     @given(
         program=request_programs,
@@ -118,14 +180,19 @@ class TestArrivalProgramProperties:
             pool_blocks = data.draw(
                 st.integers(min_value=1, max_value=3), label="pool_blocks"
             )
-        scheduler = ContinuousBatchScheduler(
-            ENGINE,
-            max_active=max_active,
-            paged=paged,
-            pool_blocks=pool_blocks,
-            policy=build_policy_under_test(policy_name),
-        )
-        result = scheduler.run(requests, meta=meta)
+
+        def fresh_scheduler():
+            return ContinuousBatchScheduler(
+                ENGINE,
+                max_active=max_active,
+                paged=paged,
+                pool_blocks=pool_blocks,
+                policy=build_policy_under_test(policy_name),
+            )
+
+        scheduler = fresh_scheduler()
+        result = step_checked(scheduler, requests, meta)
+        assert_same_run(result, fresh_scheduler().run(requests, meta=meta))
 
         # No request lost: one result per request, full budget served.
         assert len(result.results) == len(requests)
@@ -138,7 +205,7 @@ class TestArrivalProgramProperties:
             assert got.counters.as_dict() == ref.counters.as_dict()
 
         # Conservation: the result's event counts are exactly this
-        # run's deltas on the scheduler, and both are sane.
+        # run's counts on the scheduler, and both are sane.
         assert result.deferrals == scheduler.deferrals
         assert result.preemptions == scheduler.preemptions
         assert result.deferrals >= 0 and result.preemptions >= 0
