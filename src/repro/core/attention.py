@@ -197,7 +197,12 @@ class BatchedAttentionResult:
 # These are the numerically sensitive steps between the hardware calls;
 # every engine MUST use these exact helpers — the bit-exactness
 # contracts (batched vs sequential, decode vs causal prefill) hold by
-# construction only because there is a single copy of each step.
+# construction only because there is a single copy of each step.  The
+# softmax pair takes a whole lane stream's values at once (flat, with
+# per-group row extents; an array is the one-group case), so the
+# serving engine runs each once per stream whatever its shapes, and
+# the reference engine and the draft models run the same code on one
+# array.
 # ----------------------------------------------------------------------
 
 
@@ -252,32 +257,102 @@ def shift_scores(scores: np.ndarray) -> np.ndarray:
     return scores - scores.max(axis=-1, keepdims=True)
 
 
+#: A softmax stream's shape groups, in stream order: each group's
+#: ``(n_rows, row_len)``, its rows back to back.
+RowGroups = Sequence[tuple[int, int]]
+
+
+def _one_group(values: np.ndarray) -> tuple[np.ndarray, RowGroups]:
+    """An array as a stream: one group, its rows its last axis."""
+    row_len = values.shape[-1]
+    return values.reshape(-1), ((values.size // row_len, row_len),)
+
+
+def _row_sums(values: np.ndarray, groups: RowGroups) -> np.ndarray:
+    """Every row's sum, one ``sum(axis=-1)`` per group.
+
+    numpy's pairwise sum splits a row by its length alone, so a row
+    sums to the same bits in any group of any size; a ragged reduction
+    over the whole stream (``np.add.reduceat``) sums sequentially and
+    differs from row length 3 up.
+    """
+    sums = np.empty(sum(n_rows for n_rows, _ in groups))
+    start = row = 0
+    for n_rows, row_len in groups:
+        stop = start + n_rows * row_len
+        # np.add.reduce is what ndarray.sum runs, minus its wrappers
+        np.add.reduce(
+            values[start:stop].reshape(n_rows, row_len), axis=-1,
+            out=sums[row : row + n_rows],
+        )
+        start, row = stop, row + n_rows
+    return sums
+
+
 def softmax_reduction(
-    raw_numer: np.ndarray,
+    raw_numer: np.ndarray, groups: RowGroups | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Post-exp host stage: clamp, row sums, power-of-two reduction.
 
-    Returns ``(numer, mantissa, exponent)``: the clamped numerators, the
-    normalised mantissas in ``[1, 2)`` to feed the reciprocal table, and
-    the exponents to undo afterwards.
+    ``raw_numer`` is a stream: flat values whose shape groups sit back
+    to back, ``groups`` giving each group's ``(n_rows, row_len)`` in
+    stream order.  An array without ``groups`` is the one-group case,
+    its rows its last axis.  Returns ``(numer, mantissa, exponent)``:
+    the clamped numerators, shaped like ``raw_numer``, and per row the
+    normalised mantissa in ``[1, 2)`` to feed the reciprocal table and
+    the exponent to undo afterwards, flat in stream order for a stream
+    and shaped ``raw_numer.shape[:-1] + (1,)`` for an array.  Only the
+    row sums run per group; every other step is elementwise and runs
+    once over the whole stream.
     """
+    if groups is None:
+        numer, mantissa, exponent = softmax_reduction(*_one_group(raw_numer))
+        rows = (*raw_numer.shape[:-1], 1)
+        return (
+            numer.reshape(raw_numer.shape), mantissa.reshape(rows),
+            exponent.reshape(rows),
+        )
     numer = np.maximum(raw_numer, 0.0)
-    denom = numer.sum(axis=-1, keepdims=True)
-    denom = np.where(denom <= 0, 1.0, denom)
+    denom = _row_sums(numer, groups)
+    denom[denom <= 0] = 1.0
     mantissa, exponent = np.frexp(denom)
     return numer, mantissa * 2.0, exponent - 1
 
 
 def assemble_probabilities(
-    numer: np.ndarray, inv: np.ndarray, exponent: np.ndarray
+    numer: np.ndarray,
+    inv: np.ndarray,
+    exponent: np.ndarray,
+    groups: RowGroups | None = None,
 ) -> np.ndarray:
     """Scale numerators by the hardware reciprocal and renormalise.
 
-    The final renormalisation is the host's output scale stage; it keeps
-    rows summing to one exactly despite residual reciprocal error.
+    The arguments are :func:`softmax_reduction`'s outputs (``inv`` the
+    reciprocals of its mantissas), in the same form: a stream with its
+    ``groups``, or arrays.  Each row's reciprocal and exponent scale
+    are spread over its elements, so the scaling and the division run
+    once over the whole stream; the renormalising row sums run per
+    group.  The final renormalisation is the host's output scale stage;
+    it keeps rows summing to one exactly despite residual reciprocal
+    error.
     """
-    probs = numer * inv * np.ldexp(1.0, -exponent)
-    return probs / probs.sum(axis=-1, keepdims=True)
+    if groups is None:
+        flat, groups = _one_group(numer)
+        probs = assemble_probabilities(
+            flat, inv.reshape(-1), exponent.reshape(-1), groups
+        )
+        return probs.reshape(numer.shape)
+    n_rows, row_lens = zip(*groups)
+    # one group (an array) spreads by a scalar, the cheaper repeat
+    lengths = (
+        row_lens[0] if len(groups) == 1
+        else np.array(row_lens).repeat(n_rows)
+    )
+    probs = (
+        numer * inv.repeat(lengths)
+        * np.ldexp(1.0, -exponent).repeat(lengths)
+    )
+    return probs / _row_sums(probs, groups).repeat(lengths)
 
 
 def project_token(

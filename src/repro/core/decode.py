@@ -38,7 +38,7 @@ then this module.
 
 Serving model
 -------------
-Four mechanisms make the packed softmax stage fast without changing a
+Five mechanisms make the packed softmax stage fast without changing a
 single output bit or cycle count:
 
 * **Lane packing.**  All jobs' queries for one function are
@@ -66,6 +66,11 @@ single output bit or cycle count:
   sequential-equivalent counters then come from one int64 closed form
   over all jobs of a phase (``_sequential_counters``), fed by each
   job's query count and tag sum.
+* **One host pass per stream.**  The host softmax between and after
+  the two phases is one :func:`~repro.core.attention.softmax_reduction`
+  call and one :func:`~repro.core.attention.assemble_probabilities`
+  call per step, over the flat stream, however many shapes the step
+  packs.
 
 Accounting semantics
 --------------------
@@ -101,8 +106,9 @@ decode paths run
 
 1. :func:`~repro.core.attention.project_token` — the token's q/k/v
    projections (vector-matrix, the decode-granularity GEMM; a prompt,
-   or a draft-tree level, is projected in one rows call that runs one
-   gemv per row, byte-identical to projecting each row alone),
+   a draft-tree level, or a scheduler step's pass roots per weight
+   identity, is projected in one rows call that runs one gemv per row,
+   byte-identical to projecting each row alone),
 2. :func:`~repro.core.attention.scores_for_query` — scaled
    dot-products against the cached keys (same cache layout, hence same
    strides, in every path),
@@ -111,7 +117,10 @@ decode paths run
    lane batches),
 4. :func:`~repro.core.attention.softmax_reduction` /
    :func:`~repro.core.attention.assemble_probabilities` on the token's
-   own ``(heads, kv_len)`` row, and
+   ``(heads, kv_len)`` rows — run once over a step's whole stream:
+   their elementwise stages do not depend on where a row sits, and the
+   row sums run one ``sum(axis=-1)`` per shape group over its
+   contiguous rows, the bits of summing each row alone — and
 5. :func:`~repro.core.attention.context_for_query` — the context GEMV
    over the cached values (a view of the row store, taken at plan time,
    with or without a sliding window).
@@ -803,17 +812,27 @@ class NovaDecodeEngine:
     # Planning: host math up to (and excluding) the hardware exp.
     # ------------------------------------------------------------------
 
-    def _plan_token(self, state: DecodeState, x_t: np.ndarray) -> _TokenPlan:
-        """Project one token, append to the cache, stage its softmax row."""
-        req = state.request
-        x_t = np.asarray(x_t, dtype=np.float64).reshape(-1)
-        if x_t.shape[0] != req.hidden:
-            raise ValueError(
-                f"token embedding must have hidden width {req.hidden}, "
-                f"got {x_t.shape[0]}"
+    def _plan_token(
+        self,
+        state: DecodeState,
+        x_t: np.ndarray,
+        projected: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ) -> _TokenPlan:
+        """Project one token (unless ``projected`` is its
+        :func:`project_token` row already), append to the cache, stage
+        its softmax row."""
+        if projected is None:
+            req = state.request
+            x_t = np.asarray(x_t, dtype=np.float64).reshape(-1)
+            if x_t.shape[0] != req.hidden:
+                raise ValueError(
+                    f"token embedding must have hidden width {req.hidden}, "
+                    f"got {x_t.shape[0]}"
+                )
+            projected = project_token(
+                x_t, req.wq, req.wk, req.wv, req.n_heads
             )
-        q, k, v = project_token(x_t, req.wq, req.wk, req.wv, req.n_heads)
-        return self._stage_row(state, q, k, v)
+        return self._stage_row(state, *projected)
 
     def _stage_row(
         self, state: DecodeState, q: np.ndarray, k: np.ndarray, v: np.ndarray
@@ -853,52 +872,35 @@ class NovaDecodeEngine:
     # The packed softmax stage: two hardware phases plus host reductions.
     # ------------------------------------------------------------------
 
-    def _run_packed(
-        self, function: str, groups: Sequence[Sequence[np.ndarray]]
-    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, int, EventCounters]:
+    def _run_stream(
+        self, function: str, parts: Sequence[np.ndarray], sizes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, int, EventCounters]:
         """One packed lane stream through the shared overlay.
 
-        Each group is a sequence of same-shaped member arrays: a list,
-        or an array whose first axis indexes the members.  The groups
-        are written back to back into the lane buffer in one copy
-        (:func:`~repro.core.attention.pack_lane_stream`): an array group
-        as one part, a list group member by member, so no group is
-        stacked first.  Only the stream's final batch is padded.
-        Returns ``(outputs, sizes, tag_sums, packed_vector_cycles,
-        counters)``: ``outputs[g]`` is a view of the stream shaped
-        ``(len(groups[g]), *member_shape)``; ``sizes`` and ``tag_sums``
-        hold, per member in packed order, its query count and the sum of
-        ``address & (n_beats - 1)`` over its queries (the addresses are
-        a free by-product of the vectorised stream) — the inputs of
-        :meth:`_sequential_counters`; ``counters`` are the events the
-        stream charged the unit.
+        ``parts`` are written back to back into the lane buffer in one
+        copy (:func:`~repro.core.attention.pack_lane_stream`); only the
+        stream's final batch is padded.  ``sizes`` holds the query count
+        of every member of the stream, in stream order.  Returns
+        ``(outputs, tag_sums, n_batches, counters)``: ``outputs`` is the
+        flat, un-padded output stream; ``tag_sums[m]`` the sum of
+        ``address & (n_beats - 1)`` over member ``m``'s queries (the
+        addresses are a free by-product of the vectorised stream), an
+        input of :meth:`_sequential_counters`; ``counters`` the events
+        the stream charged the unit.
         """
-        shapes = [(len(group), *np.shape(group[0])) for group in groups]
-        sizes = np.repeat(
-            [math.prod(shape[1:]) for shape in shapes],
-            [shape[0] for shape in shapes],
-        )
-        bounds = np.cumsum([0, *(math.prod(shape) for shape in shapes)])
-        parts: list[np.ndarray] = []
-        for group in groups:
-            if isinstance(group, np.ndarray):
-                parts.append(group)
-            else:
-                parts.extend(group)
         self.unit.retarget(self.tables[function])
         batches, n_batches = pack_lane_stream(parts, self._shape)
         stream = self.unit.run_stream(batches)
-        out = stream.outputs.reshape(-1)
-        addresses = stream.addresses.reshape(-1)[: bounds[-1]]
-        starts = np.cumsum(sizes) - sizes
+        ends = np.cumsum(sizes)
+        n = int(ends[-1])
         tag_sums = np.add.reduceat(
-            beat_of_address(addresses, self.unit.schedule.n_beats), starts
+            beat_of_address(
+                stream.addresses.reshape(-1)[:n], self.unit.schedule.n_beats
+            ),
+            ends - sizes,
         )
-        outputs = [
-            out[start:stop].reshape(shape)
-            for shape, start, stop in zip(shapes, bounds, bounds[1:])
-        ]
-        return outputs, sizes, tag_sums, n_batches, stream.counters
+        outputs = stream.outputs.reshape(-1)[:n]
+        return outputs, tag_sums, n_batches, stream.counters
 
     def _sequential_counters(
         self, streams: dict[str, tuple[np.ndarray, np.ndarray]]
@@ -938,7 +940,7 @@ class NovaDecodeEngine:
         EventCounters,
     ]:
         """Hardware softmax over every job of a step, in one exp stream
-        and one reciprocal stream.
+        and one reciprocal stream, and one host pass over each.
 
         ``shifted`` holds max-shifted score arrays of any shapes (a
         decode token's ``(heads, kv_len)`` row, a batched request's
@@ -953,47 +955,66 @@ class NovaDecodeEngine:
         two streams charged.
 
         Arrays are grouped by shape and each group is packed
-        contiguously, so the softmax reductions run on one
-        ``(group, *shape)`` view of the stream per group.  That keeps
-        them bit-exact: the reductions in :func:`softmax_reduction` /
-        :func:`assemble_probabilities` are along the last axis, whose
-        pairwise summation order per row is independent of any leading
-        batch dimension, and the lookups are elementwise, so where a
-        query sits in the stream changes no output.  Per-array
-        ``tag_match`` sums fold into per-job sums by one
-        ``np.add.reduceat`` (integer sums, order-insensitive), and every
-        job's counters come from one closed form
-        (:meth:`_sequential_counters`).
+        contiguously, so every group's rows sit back to back in the exp
+        stream.  The host stage is then one :func:`softmax_reduction`
+        call over the whole exp stream and one
+        :func:`assemble_probabilities` call over the whole step, with
+        the groups' row extents: the clamp, the power-of-two reduction,
+        the reciprocal scale and the division are elementwise and run
+        once over the stream, and only the row sums run per group (one
+        ``sum(axis=-1)`` over its contiguous rows, whose pairwise order
+        per row is independent of the group).  The lookups are
+        elementwise too, so where a query sits in the stream changes no
+        output.  The reciprocal stream is the step's mantissas, one per
+        row, as one array.  Per-array ``tag_match`` sums fold into
+        per-job sums by one ``np.add.reduceat`` (integer sums,
+        order-insensitive), and every job's counters come from one
+        closed form (:meth:`_sequential_counters`).
         """
         lanes = self.n_lanes
         shape_groups: dict[tuple[int, ...], list[int]] = {}
         for i, scores in enumerate(shifted):
             shape_groups.setdefault(scores.shape, []).append(i)
-        members = list(shape_groups.values())
+        # The packed order, each group's row extent and, per array in
+        # packed order, its exp queries and its rows (one reciprocal
+        # query each).
+        packed: list[int] = []
+        groups: list[tuple[int, int]] = []
+        sizes: list[int] = []
+        rows: list[int] = []
+        for shape, members in shape_groups.items():
+            n_rows = math.prod(shape[:-1])
+            packed += members
+            groups.append((len(members) * n_rows, shape[-1]))
+            sizes += [n_rows * shape[-1]] * len(members)
+            rows += [n_rows] * len(members)
+        exp_sizes, recip_sizes = np.array(sizes), np.array(rows)
 
         # Phase 1: every job's exponentials in one stream.
-        raw, exp_sizes, exp_tags, exp_batches, exp_counters = (
-            self._run_packed("exp", [[shifted[i] for i in m] for m in members])
+        raw, exp_tags, exp_batches, exp_counters = self._run_stream(
+            "exp", [shifted[i] for i in packed], exp_sizes
         )
-        reduced = [softmax_reduction(group) for group in raw]
+        numer, mantissa, exponent = softmax_reduction(raw, groups)
 
         # Phase 2: every job's normaliser reciprocals in one stream.
-        inv, recip_sizes, recip_tags, recip_batches, recip_counters = (
-            self._run_packed(
-                "reciprocal", [mantissa for _, mantissa, _ in reduced]
-            )
+        inv, recip_tags, recip_batches, recip_counters = self._run_stream(
+            "reciprocal", [mantissa], recip_sizes
         )
+        probs = assemble_probabilities(numer, inv, exponent, groups)
         probabilities: list[np.ndarray] = [np.empty(0)] * len(shifted)
-        for m, (numer, _, exponent), group_inv in zip(members, reduced, inv):
-            probs = assemble_probabilities(numer, group_inv, exponent)
-            for pos, i in enumerate(m):
-                probabilities[i] = probs[pos]
+        start = 0
+        for shape, members in shape_groups.items():
+            stop = start + len(members) * math.prod(shape)
+            block = probs[start:stop].reshape(len(members), *shape)
+            for pos, i in enumerate(members):
+                probabilities[i] = block[pos]
+            start = stop
 
         # Per-job sequential-equivalent costs, every job in one closed
         # form: per-array sizes and tag sums (packed order) back into
         # array order, then summed per job.
         per_array = np.empty((4, len(shifted)), dtype=np.int64)
-        per_array[:, np.concatenate(members)] = (
+        per_array[:, packed] = (
             exp_sizes, exp_tags, recip_sizes, recip_tags,
         )
         job_exp_sizes, job_exp_tags, job_recip_sizes, job_recip_tags = (
@@ -1196,6 +1217,7 @@ class NovaDecodeEngine:
         budget: int,
         draft: DraftModel | None = None,
         tree: DraftTree | str | None = None,
+        projected: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> _SpecPass:
         """Stage one verification pass: ``x_t`` plus the draft tree's
         provisional tokens, all appended as cached k/v rows.
@@ -1204,7 +1226,10 @@ class NovaDecodeEngine:
         (or its spec string); ``None``, the depth-0 tree, plans just
         ``u_0`` — a plain decode step, with no tree and no draft call.
         On a drafting tree ``draft=None`` means a fresh exact-LUT
-        ``TruncatedTableDraft(config)``.
+        ``TruncatedTableDraft(config)``.  ``projected`` is ``x_t``'s
+        :func:`project_token` row ``(q, k, v)`` when the caller has it
+        already (the scheduler projects a step's roots together);
+        ``None`` projects ``x_t`` here.
 
         The tree grows level by level.  An only child extends its
         parent's branch cache in place; siblings each append under a
@@ -1238,7 +1263,7 @@ class NovaDecodeEngine:
         if not widths:
             # Draft-free: the one true token is a plain decode step
             # (shape-checked, then appended atomically).
-            token = self._plan_token(state, x_t)
+            token = self._plan_token(state, x_t, projected)
             return _SpecPass(_Job(state, [token]), x_t)
         request = state.request
         x_t = np.asarray(x_t, dtype=np.float64).reshape(-1)
@@ -1249,7 +1274,7 @@ class NovaDecodeEngine:
         forks: list[KVCache] = []
         in_state = 0
         try:
-            tokens.append(self._plan_token(state, x_t))
+            tokens.append(self._plan_token(state, x_t, projected))
             in_state = 1
             root = _TreeNode(None, x_t, 0, state, True)
             nodes.append(root)
@@ -1448,6 +1473,7 @@ class NovaDecodeEngine:
         budget: int,
         draft: DraftModel | None = None,
         tree: DraftTree | str | None = None,
+        projected: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> _SpecPass:
         """Plan a pass, degrading to draft-free on pool exhaustion.
 
@@ -1458,17 +1484,21 @@ class NovaDecodeEngine:
         BlockPoolExhausted` propagate (with cache and pool untouched) —
         the scheduler's cue to defer or preempt.  A plan that had no
         drafts to shed (the depth-0 tree or a budget of 1) is not
-        retried.
+        retried.  ``projected`` is as in :meth:`plan_verify_pass`, and
+        the retry reuses it.
         """
         tree = DraftTree.of(tree)
         try:
             return self.plan_verify_pass(
-                state, x_t, budget, draft=draft, tree=tree
+                state, x_t, budget, draft=draft, tree=tree,
+                projected=projected,
             )
         except BlockPoolExhausted:
             if not tree.depth or budget < 2:
                 raise
-            return self.plan_verify_pass(state, x_t, budget)
+            return self.plan_verify_pass(
+                state, x_t, budget, projected=projected
+            )
 
     def run_pass(
         self,
@@ -1750,6 +1780,32 @@ def _policy_answer(
             raise ValueError(f"policy {policy.name!r} {violation}")
         seen.add(id(seq))
     return chosen
+
+
+def _project_roots(
+    seqs: Sequence[_Sequence],
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every scheduled pass's ``u_0`` projection, in sequence order.
+
+    Sequences are grouped by the identity of their ``wq``/``wk``/``wv``
+    (never by value: equal copies are separate groups), and each group's
+    step inputs are projected in one :func:`project_token` rows call
+    (one gemv per row, byte-identical to projecting each input alone).
+    """
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, seq in enumerate(seqs):
+        req = seq.request
+        groups.setdefault((id(req.wq), id(req.wk), id(req.wv)), []).append(i)
+    roots: list[Any] = [None] * len(seqs)
+    for members in groups.values():
+        req = seqs[members[0]].request
+        q, k, v = project_token(
+            np.array([seqs[i].step_input for i in members]),
+            req.wq, req.wk, req.wv, req.n_heads,
+        )
+        for pos, i in enumerate(members):
+            roots[i] = (q[pos], k[pos], v[pos])
+    return roots
 
 
 class ContinuousBatchScheduler:
@@ -2049,11 +2105,11 @@ class ContinuousBatchScheduler:
                 policy, policy.step_order(active, now), active,
                 "scheduled a sequence that is not active, or one twice",
             )
-            for seq in scheduled:
+            for seq, root in zip(scheduled, _project_roots(scheduled)):
                 try:
                     pending = engine.plan_with_fallback(
                         seq.live_state, seq.step_input, seq.remaining,
-                        draft=seq.draft, tree=tree,
+                        draft=seq.draft, tree=tree, projected=root,
                     )
                 except BlockPoolExhausted:
                     self.deferrals += 1

@@ -159,9 +159,10 @@ class TestBitIdentityProbes:
     def test_packing_matches_concatenate_then_pad(
         self, groups, lane_shape, seed
     ):
-        """Mixed groups (arrays passed whole, lists member by member, as
-        ``_run_packed`` passes them) pack to the bytes of the old
-        concatenate-then-pad stream, zero tail included."""
+        """Mixed parts (whole arrays, as the reciprocal stream's
+        mantissas, and arrays member by member, as the exp stream's
+        score rows; ``_run_stream`` passes both) pack to the bytes of
+        the old concatenate-then-pad stream, zero tail included."""
         rng = np.random.default_rng(seed)
         parts, flat = [], []
         for is_array, members, member_shape in groups:
