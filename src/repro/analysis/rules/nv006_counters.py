@@ -1,12 +1,14 @@
 """NV006 — counters are owned: no mutation through a foreign handle.
 
 The cycle/event counters (``*_count``, ``*_cycles``, ``cycles``,
-``events``, and the paging conservation set: ``blocks_allocated``,
-``blocks_freed``, ``evictions``, ``live_tokens``, ...) feed the energy
-model and the golden traces directly.  Their invariants (monotonicity,
-conservation) hold because each owner mutates its own counters inside
-its accounting methods.  Code that reaches *through* a handle —
-``engine.counters.events += 1``, ``seq.cache.evictions = 0`` — bypasses
+``events``, the int64 event rows ``counter_*`` such as ``counter_row``
+and ``counter_total``, and the paging conservation set:
+``blocks_allocated``, ``blocks_freed``, ``evictions``, ``live_tokens``,
+...) feed the energy model and the golden traces directly.  Their
+invariants (monotonicity, conservation) hold because each owner
+mutates its own counters inside its accounting methods.  Code that
+reaches *through* a handle — ``engine.counters.events += 1``,
+``seq.cache.evictions = 0``, ``seq.counter_total += row`` — bypasses
 that accounting and silently skews every downstream report.
 
 Flagged: an assignment or augmented assignment whose target is a
@@ -42,9 +44,16 @@ _EXACT = {
 
 _SUFFIXES = ("_count", "_counts", "_cycles")
 
+#: Event rows indexed by OVERLAY_EVENTS (``counter_row``,
+#: ``counter_total``).
+_PREFIXES = ("counter_",)
+
 
 def _is_counter(attr: str) -> bool:
-    return attr in _EXACT or attr.endswith(_SUFFIXES)
+    return (
+        attr in _EXACT or attr.endswith(_SUFFIXES)
+        or attr.startswith(_PREFIXES)
+    )
 
 
 class CounterOwnershipRule(Rule):

@@ -252,11 +252,6 @@ def host_attention_scores(
     return scores, v
 
 
-def shift_scores(scores: np.ndarray) -> np.ndarray:
-    """Max-subtraction for numerical stability (host row max)."""
-    return scores - scores.max(axis=-1, keepdims=True)
-
-
 #: A softmax stream's shape groups, in stream order: each group's
 #: ``(n_rows, row_len)``, its rows back to back.
 RowGroups = Sequence[tuple[int, int]]
@@ -266,6 +261,16 @@ def _one_group(values: np.ndarray) -> tuple[np.ndarray, RowGroups]:
     """An array as a stream: one group, its rows its last axis."""
     row_len = values.shape[-1]
     return values.reshape(-1), ((values.size // row_len, row_len),)
+
+
+def _row_lengths(groups: RowGroups) -> int | np.ndarray:
+    """Every row's length, the ``repeat`` count that spreads one value
+    per row over the row's elements: a scalar for one group (an array),
+    the cheaper repeat."""
+    n_rows, row_lens = zip(*groups)
+    if len(groups) == 1:
+        return row_lens[0]
+    return np.array(row_lens).repeat(n_rows)
 
 
 def _row_sums(values: np.ndarray, groups: RowGroups) -> np.ndarray:
@@ -289,6 +294,31 @@ def _row_sums(values: np.ndarray, groups: RowGroups) -> np.ndarray:
     return sums
 
 
+def shift_scores(
+    scores: np.ndarray, groups: RowGroups | None = None
+) -> np.ndarray:
+    """Max-subtraction for numerical stability (host row max).
+
+    ``scores`` is a stream, flat with its ``groups`` as in
+    :func:`softmax_reduction`, or an array, the one-group case, its
+    rows its last axis; the result has the same form.  The row maxima
+    are one ragged ``np.maximum.reduceat`` over the whole stream:
+    unlike a sum, a maximum is exact in any order, so every row gets
+    the bits of its own ``max(axis=-1)`` (up to the sign of a zero
+    maximum, which no table input code tells apart).  A NaN score
+    makes its whole row NaN, which the exp table then rejects.
+    """
+    if groups is None:
+        flat, groups = _one_group(scores)
+        return shift_scores(flat, groups).reshape(scores.shape)
+    lengths = _row_lengths(groups)
+    starts = (
+        np.arange(0, scores.size, groups[0][1]) if len(groups) == 1
+        else np.cumsum(lengths) - lengths
+    )
+    return scores - np.maximum.reduceat(scores, starts).repeat(lengths)
+
+
 def softmax_reduction(
     raw_numer: np.ndarray, groups: RowGroups | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -304,6 +334,11 @@ def softmax_reduction(
     and shaped ``raw_numer.shape[:-1] + (1,)`` for an array.  Only the
     row sums run per group; every other step is elementwise and runs
     once over the whole stream.
+
+    A row whose numerators all clamp to 0 has no normaliser: it raises
+    ``ValueError`` naming the row, before any reciprocal is looked up.
+    A max-shifted row cannot get there through a table whose output at
+    0 is positive, as every preset's exp table's is.
     """
     if groups is None:
         numer, mantissa, exponent = softmax_reduction(*_one_group(raw_numer))
@@ -314,7 +349,12 @@ def softmax_reduction(
         )
     numer = np.maximum(raw_numer, 0.0)
     denom = _row_sums(numer, groups)
-    denom[denom <= 0] = 1.0
+    if not denom.all():
+        row = int(np.flatnonzero(denom <= 0.0)[0])
+        raise ValueError(
+            f"softmax row {row} of the stream has no positive numerator "
+            "(every exp output clamped to 0), so it cannot be normalised"
+        )
     mantissa, exponent = np.frexp(denom)
     return numer, mantissa * 2.0, exponent - 1
 
@@ -342,12 +382,7 @@ def assemble_probabilities(
             flat, inv.reshape(-1), exponent.reshape(-1), groups
         )
         return probs.reshape(numer.shape)
-    n_rows, row_lens = zip(*groups)
-    # one group (an array) spreads by a scalar, the cheaper repeat
-    lengths = (
-        row_lens[0] if len(groups) == 1
-        else np.array(row_lens).repeat(n_rows)
-    )
+    lengths = _row_lengths(groups)
     probs = (
         numer * inv.repeat(lengths)
         * np.ldexp(1.0, -exponent).repeat(lengths)

@@ -39,7 +39,7 @@ then this module.
 Serving model
 -------------
 Five mechanisms make the packed softmax stage fast without changing a
-single output bit or cycle count:
+single output bit, cycle count or counter:
 
 * **Lane packing.**  All jobs' queries for one function are
   concatenated into a single lane stream, so the tail of job ``i`` and
@@ -64,13 +64,21 @@ single output bit or cycle count:
   (beats per broadcast, the address-independent events of one
   broadcast, the beat a zero-padded lane selects).  Every job's
   sequential-equivalent counters then come from one int64 closed form
-  over all jobs of a phase (``_sequential_counters``), fed by each
-  job's query count and tag sum.
-* **One host pass per stream.**  The host softmax between and after
-  the two phases is one :func:`~repro.core.attention.softmax_reduction`
-  call and one :func:`~repro.core.attention.assemble_probabilities`
-  call per step, over the flat stream, however many shapes the step
-  packs.
+  over all jobs and both functions of a step (``_sequential_counters``),
+  fed by each job's query count and tag sum.
+* **Counters as rows.**  Events stay int64 rows indexed by
+  :data:`~repro.noc.stats.OVERLAY_EVENTS` from the vector unit's
+  stream to the result: a job's, a pass's, a ``generate`` fold and the
+  scheduler's step total are rows, and an
+  :class:`~repro.noc.stats.EventCounters` bag is built only where a
+  public result exposes ``counters``.
+* **One host pass per stream and per weight group.**  The host
+  softmax around the two phases is one
+  :func:`~repro.core.attention.shift_scores` call over the packed exp
+  stream, one :func:`~repro.core.attention.softmax_reduction` call and
+  one :func:`~repro.core.attention.assemble_probabilities` call per
+  step, however many shapes the step packs; the output projection is
+  one call per weight identity per step.
 
 Accounting semantics
 --------------------
@@ -111,24 +119,33 @@ decode paths run
    byte-identical to projecting each row alone),
 2. :func:`~repro.core.attention.scores_for_query` — scaled
    dot-products against the cached keys (same cache layout, hence same
-   strides, in every path),
-3. the hardware exponential (elementwise through the shared table — the
+   strides, in every path), kept raw in the token's plan,
+3. :func:`~repro.core.attention.shift_scores` — the row max-shift, run
+   once over a step's packed exp stream: a maximum is exact in any
+   order, so one ragged reduction gives every row its own maximum (a
+   drafting pass shifts the rows it drafts from itself, through the
+   same helper),
+4. the hardware exponential (elementwise through the shared table — the
    output of each query is independent of how queries are packed into
    lane batches),
-4. :func:`~repro.core.attention.softmax_reduction` /
+5. :func:`~repro.core.attention.softmax_reduction` /
    :func:`~repro.core.attention.assemble_probabilities` on the token's
    ``(heads, kv_len)`` rows — run once over a step's whole stream:
    their elementwise stages do not depend on where a row sits, and the
    row sums run one ``sum(axis=-1)`` per shape group over its
-   contiguous rows, the bits of summing each row alone — and
-5. :func:`~repro.core.attention.context_for_query` — the context GEMV
+   contiguous rows, the bits of summing each row alone —
+6. :func:`~repro.core.attention.context_for_query` — the context GEMV
    over the cached values (a view of the row store, taken at plan time,
-   with or without a sliding window).
+   with or without a sliding window), and
+7. the output projection ``context @ wo`` — run once per weight
+   identity per step as ``rows[:, None, :] @ wo``, a stack of one-row
+   products that numpy runs as one gemv per row, the bytes of each
+   token's own product.
 
-Batched attention swaps steps 1, 2 and 5 for the reference engine's own
-host GEMMs (:func:`~repro.core.attention.host_attention_scores` and
+Batched attention swaps steps 1, 2, 6 and 7 for the reference engine's
+own host GEMMs (:func:`~repro.core.attention.host_attention_scores` and
 :func:`~repro.core.attention.finish_attention_layer`) and shares steps
-3 and 4.
+3 to 5.
 
 Tables are compiled once at engine construction through the process-wide
 :mod:`repro.approx.table_cache`; decode steps only *retarget* the unit,
@@ -142,7 +159,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Any
 
 import numpy as np
@@ -152,6 +168,7 @@ from repro.approx.table_cache import compiled_table
 from repro.core.attention import (
     OVERLAY_FUNCTIONS,
     AttentionLayerResult,
+    RowGroups,
     AttentionRequest,
     BatchedAttentionResult,
     assemble_probabilities,
@@ -341,13 +358,22 @@ class CausalPrefillResult:
     the cached span, zero elsewhere (upper triangle and, under a sliding
     window, evicted columns).  ``vector_cycles`` is the packed cost of
     the whole prefill — one exp stream and one reciprocal stream.
+    ``counter_row`` holds its sequential-equivalent events as an int64
+    row indexed by :data:`~repro.noc.stats.OVERLAY_EVENTS`, and
+    ``counters`` is that row as a bag, built on access: a scheduler
+    lands prefills inside its step loop, where no bag is needed.
     """
 
     outputs: np.ndarray           # (prompt_len, hidden)
     probabilities: np.ndarray     # (n_heads, prompt_len, prompt_len)
     vector_cycles: int
     nonlinear_queries: int
-    counters: EventCounters
+    counter_row: np.ndarray
+
+    @property
+    def counters(self) -> EventCounters:
+        """The prefill's events as a counter bag."""
+        return EventCounters.from_vector(self.counter_row)
 
 
 @dataclass(frozen=True)
@@ -400,9 +426,11 @@ class GenerateResult:
         prefill: CausalPrefillResult,
         steps: Sequence[DecodeStepResult],
         passes: Sequence[VerifyPassResult],
-        counters: EventCounters,
+        counter_row: np.ndarray,
     ) -> GenerateResult:
-        """Assemble the result of a prefill and the passes after it."""
+        """Assemble the result of a prefill and the passes after it;
+        ``counter_row`` is their summed int64 event row, indexed by
+        ``OVERLAY_EVENTS``, and becomes the result's one counter bag."""
         generated = (
             np.stack([s.output for s in steps])
             if steps
@@ -417,7 +445,7 @@ class GenerateResult:
             + sum(p.vector_cycles for p in passes),
             sequential_vector_cycles=prefill.vector_cycles
             + sum(s.vector_cycles for s in steps),
-            counters=counters,
+            counters=EventCounters.from_vector(counter_row),
         )
 
     @property
@@ -496,6 +524,10 @@ class DecodeState:
 class _TokenPlan:
     """Host-side state of one planned token, awaiting the hardware exp.
 
+    ``scores`` are the token's raw scaled scores against its cache,
+    ``(heads, kv_len)``: the max-shift runs once per step over the
+    whole packed exp stream (:meth:`NovaDecodeEngine._packed_softmax`),
+    and a drafting pass shifts the rows it drafts from itself.
     ``values`` is the cache's ``values`` view taken at plan time, not a
     copy: a cache writes no row a view shows until it is truncated or
     reset (see :class:`~repro.core.paging.KVCache`).  Invariant: no
@@ -507,30 +539,30 @@ class _TokenPlan:
     release) drops its tokens before any ``_execute``.
     """
 
-    __slots__ = ("position", "span_start", "shifted", "values")
+    __slots__ = ("position", "span_start", "scores", "values")
 
-    # ``shifted``/``values`` are ``Any`` rather than Optional ndarrays:
+    # ``scores``/``values`` are ``Any`` rather than Optional ndarrays:
     # ``release()`` nulls them after execution, and the
     # planning/execution code touches them without narrowing.
     position: int
     span_start: int
-    shifted: Any
+    scores: Any
     values: Any
 
     def __init__(
         self,
         position: int,
         span_start: int,
-        shifted: np.ndarray,
+        scores: np.ndarray,
         values: np.ndarray,
     ) -> None:
         self.position = position
         self.span_start = span_start
-        self.shifted = shifted      # (heads, kv_len), max-subtracted scores
+        self.scores = scores        # (heads, kv_len), raw scaled scores
         self.values = values        # (heads, kv_len, head_dim) store view
 
     def release(self) -> None:
-        self.shifted = self.values = None
+        self.scores = self.values = None
 
 
 class _Job:
@@ -568,11 +600,6 @@ class _JobResult:
         self.nonlinear_queries = nonlinear_queries
         #: int64 event counts indexed by OVERLAY_EVENTS
         self.counter_row = counter_row
-
-    @property
-    def counters(self) -> EventCounters:
-        """The job's sequential-equivalent events as a counter bag."""
-        return EventCounters.from_vector(self.counter_row)
 
 
 class _TreeNode:
@@ -705,6 +732,16 @@ class NovaDecodeEngine:
         self.hop_mm = cfg.hop_mm
         self.n_lanes = cfg.n_lanes
         self._shape = cfg.lane_shape
+        # The closed-form accounting constants of both overlay tables'
+        # programs, read once, one row per function of
+        # OVERLAY_FUNCTIONS: the address-independent events of one
+        # broadcast and the beat a zero-padded lane selects.
+        programs = [
+            self.unit._program(self.tables[name], cfg)
+            for name in OVERLAY_FUNCTIONS
+        ]
+        self._per_batch = np.stack([p.per_batch for p in programs])
+        self._pad_beat = np.array([[p.pad_beat] for p in programs])
 
     # ------------------------------------------------------------------
     # Request lifecycle.
@@ -837,13 +874,13 @@ class NovaDecodeEngine:
     def _stage_row(
         self, state: DecodeState, q: np.ndarray, k: np.ndarray, v: np.ndarray
     ) -> _TokenPlan:
-        """Append one projected row to the cache, stage its softmax row."""
+        """Append one projected row to the cache, stage its scores."""
         cache = state.cache
         cache.append(k, v)
         plan = _TokenPlan(
             position=state.position,
             span_start=cache.start_position,
-            shifted=shift_scores(scores_for_query(q, cache.keys)),
+            scores=scores_for_query(q, cache.keys),
             values=cache.values,
         )
         state.position += 1
@@ -873,26 +910,36 @@ class NovaDecodeEngine:
     # ------------------------------------------------------------------
 
     def _run_stream(
-        self, function: str, parts: Sequence[np.ndarray], sizes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int, EventCounters]:
+        self,
+        function: str,
+        parts: Sequence[np.ndarray],
+        sizes: np.ndarray,
+        groups: RowGroups | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
         """One packed lane stream through the shared overlay.
 
         ``parts`` are written back to back into the lane buffer in one
         copy (:func:`~repro.core.attention.pack_lane_stream`); only the
         stream's final batch is padded.  ``sizes`` holds the query count
-        of every member of the stream, in stream order.  Returns
-        ``(outputs, tag_sums, n_batches, counters)``: ``outputs`` is the
-        flat, un-padded output stream; ``tag_sums[m]`` the sum of
-        ``address & (n_beats - 1)`` over member ``m``'s queries (the
-        addresses are a free by-product of the vectorised stream), an
-        input of :meth:`_sequential_counters`; ``counters`` the events
-        the stream charged the unit.
+        of every member of the stream, in stream order.  With
+        ``groups``, the stream's row extents, the un-padded stream is
+        max-shifted in the buffer by one :func:`shift_scores` call
+        before the lookup (the exp stream).  Returns ``(outputs,
+        tag_sums, n_batches, counter_row)``: ``outputs`` is the flat,
+        un-padded output stream; ``tag_sums[m]`` the sum of ``address &
+        (n_beats - 1)`` over member ``m``'s queries (the addresses are a
+        free by-product of the vectorised stream), an input of
+        :meth:`_sequential_counters`; ``counter_row`` the events the
+        stream charged the unit, indexed by ``OVERLAY_EVENTS``.
         """
         self.unit.retarget(self.tables[function])
         batches, n_batches = pack_lane_stream(parts, self._shape)
-        stream = self.unit.run_stream(batches)
         ends = np.cumsum(sizes)
         n = int(ends[-1])
+        if groups is not None:
+            queries = batches.reshape(-1)[:n]
+            queries[:] = shift_scores(queries, groups)
+        stream = self.unit.run_stream(batches)
         tag_sums = np.add.reduceat(
             beat_of_address(
                 stream.addresses.reshape(-1)[:n], self.unit.schedule.n_beats
@@ -900,81 +947,80 @@ class NovaDecodeEngine:
             ends - sizes,
         )
         outputs = stream.outputs.reshape(-1)[:n]
-        return outputs, tag_sums, n_batches, stream.counters
+        return outputs, tag_sums, n_batches, stream.counter_row
 
     def _sequential_counters(
-        self, streams: dict[str, tuple[np.ndarray, np.ndarray]]
+        self, n_queries: np.ndarray, tag_sums: np.ndarray
     ) -> np.ndarray:
         """Events dedicated single-job engines would charge, for every
-        job of a step in one closed form.
+        job of a step and both functions in one closed form.
 
-        ``streams`` maps function name to ``(n_queries, tag_sums)``,
-        int64 arrays with one entry per job: its real (un-padded) query
-        count and the sum of ``address & (n_beats - 1)`` over those
-        queries, sliced from the packed stream's addresses.  Returns an
-        int64 ``(n_jobs, len(OVERLAY_EVENTS))`` matrix whose row ``j``
-        is exactly what a sequential engine charges job ``j``, including
-        the zero-padding of its final lane batch and the
-        address-dependent ``tag_match`` count.
+        ``n_queries`` and ``tag_sums`` are int64 ``(2, n_jobs)`` arrays,
+        one row per function of ``OVERLAY_FUNCTIONS`` (exp, then
+        reciprocal): each job's real (un-padded) query count and the
+        sum of ``address & (n_beats - 1)`` over those queries, sliced
+        from the packed stream's addresses.  Returns an int64 ``(n_jobs,
+        len(OVERLAY_EVENTS))`` matrix whose row ``j`` is exactly what a
+        sequential engine charges job ``j``, including the zero-padding
+        of its final lane batches and the address-dependent
+        ``tag_match`` count.
         """
         lanes = self.n_lanes
-        per_function = []
-        for function, (n_queries, tag_sums) in streams.items():
-            program = self.unit._program(self.tables[function], self.config)
-            n_batches = -(-n_queries // lanes)
-            padded = n_batches * lanes
-            rows = np.outer(padded, _PER_LANE) + np.outer(
-                n_batches, program.per_batch
-            )
-            rows[:, _TAG_MATCH] += (
-                tag_sums + (padded - n_queries) * program.pad_beat
-            )
-            per_function.append(rows)
-        total: np.ndarray = np.add.reduce(per_function)
-        return total
+        n_batches = -(-n_queries // lanes)
+        padded = n_batches * lanes
+        rows: np.ndarray = (
+            padded.sum(axis=0)[:, None] * _PER_LANE
+            + n_batches.T @ self._per_batch
+        )
+        rows[:, _TAG_MATCH] += (
+            tag_sums + (padded - n_queries) * self._pad_beat
+        ).sum(axis=0)
+        return rows
 
     def _packed_softmax(
-        self, shifted: Sequence[np.ndarray], first: np.ndarray
+        self, scores: Sequence[np.ndarray], first: np.ndarray
     ) -> tuple[
-        list[np.ndarray], list[int], list[int], np.ndarray, int,
-        EventCounters,
+        list[np.ndarray], list[int], list[int], np.ndarray, int, np.ndarray,
     ]:
         """Hardware softmax over every job of a step, in one exp stream
         and one reciprocal stream, and one host pass over each.
 
-        ``shifted`` holds max-shifted score arrays of any shapes (a
-        decode token's ``(heads, kv_len)`` row, a batched request's
-        ``(heads, seq, seq)`` matrix), job by job; ``first[j]`` is the
-        index of job ``j``'s first array.  Returns ``(probabilities,
-        cycles, queries, counter_rows, packed_vector_cycles,
-        packed_counters)``: ``probabilities[i]`` is array ``i``'s
-        softmax over its last axis; ``cycles[j]``, ``queries[j]`` and
-        ``counter_rows[j]`` are job ``j``'s sequential-equivalent vector
-        cycles, non-linear queries and int64 event row; the last two are
-        what the shared overlay spent, in cycles and in the events its
-        two streams charged.
+        ``scores`` holds raw score arrays of any shapes (a decode
+        token's ``(heads, kv_len)`` row, a batched request's ``(heads,
+        seq, seq)`` matrix), job by job; ``first[j]`` is the index of
+        job ``j``'s first array.  Returns ``(probabilities, cycles,
+        queries, counter_rows, packed_vector_cycles, packed_row)``:
+        ``probabilities[i]`` is array ``i``'s softmax over its last
+        axis; ``cycles[j]``, ``queries[j]`` and ``counter_rows[j]`` are
+        job ``j``'s sequential-equivalent vector cycles, non-linear
+        queries and int64 event row; the last two are what the shared
+        overlay spent, in cycles and in the events its two streams
+        charged (an int64 row).
 
         Arrays are grouped by shape and each group is packed
         contiguously, so every group's rows sit back to back in the exp
-        stream.  The host stage is then one :func:`softmax_reduction`
-        call over the whole exp stream and one
-        :func:`assemble_probabilities` call over the whole step, with
-        the groups' row extents: the clamp, the power-of-two reduction,
-        the reciprocal scale and the division are elementwise and run
-        once over the stream, and only the row sums run per group (one
-        ``sum(axis=-1)`` over its contiguous rows, whose pairwise order
-        per row is independent of the group).  The lookups are
-        elementwise too, so where a query sits in the stream changes no
-        output.  The reciprocal stream is the step's mantissas, one per
-        row, as one array.  Per-array ``tag_match`` sums fold into
-        per-job sums by one ``np.add.reduceat`` (integer sums,
-        order-insensitive), and every job's counters come from one
-        closed form (:meth:`_sequential_counters`).
+        stream.  The host stage is then one :func:`shift_scores` call
+        over the packed exp stream, in place before the lookup, one
+        :func:`softmax_reduction` call over the whole exp output stream
+        and one :func:`assemble_probabilities` call over the whole step,
+        with the groups' row extents: the shift, the clamp, the
+        power-of-two reduction, the reciprocal scale and the division
+        are elementwise and run once over the stream, the row maxima
+        are one ragged reduction (a maximum is exact in any order), and
+        only the row sums run per group (one ``sum(axis=-1)`` over its
+        contiguous rows, whose pairwise order per row is independent of
+        the group).  The lookups are elementwise too, so where a query
+        sits in the stream changes no output.  The reciprocal stream is
+        the step's mantissas, one per row, as one array.  Per-array
+        ``tag_match`` sums fold into per-job sums by one
+        ``np.add.reduceat`` (integer sums, order-insensitive), and every
+        job's counters come from one closed form
+        (:meth:`_sequential_counters`).
         """
         lanes = self.n_lanes
         shape_groups: dict[tuple[int, ...], list[int]] = {}
-        for i, scores in enumerate(shifted):
-            shape_groups.setdefault(scores.shape, []).append(i)
+        for i, array in enumerate(scores):
+            shape_groups.setdefault(array.shape, []).append(i)
         # The packed order, each group's row extent and, per array in
         # packed order, its exp queries and its rows (one reciprocal
         # query each).
@@ -982,30 +1028,31 @@ class NovaDecodeEngine:
         groups: list[tuple[int, int]] = []
         sizes: list[int] = []
         rows: list[int] = []
-        for shape, members in shape_groups.items():
-            n_rows = math.prod(shape[:-1])
+        for array_shape, members in shape_groups.items():
+            n_rows = math.prod(array_shape[:-1])
             packed += members
-            groups.append((len(members) * n_rows, shape[-1]))
-            sizes += [n_rows * shape[-1]] * len(members)
+            groups.append((len(members) * n_rows, array_shape[-1]))
+            sizes += [n_rows * array_shape[-1]] * len(members)
             rows += [n_rows] * len(members)
         exp_sizes, recip_sizes = np.array(sizes), np.array(rows)
 
-        # Phase 1: every job's exponentials in one stream.
-        raw, exp_tags, exp_batches, exp_counters = self._run_stream(
-            "exp", [shifted[i] for i in packed], exp_sizes
+        # Phase 1: every job's exponentials in one stream, max-shifted
+        # in the lane buffer.
+        raw, exp_tags, exp_batches, exp_row = self._run_stream(
+            "exp", [scores[i] for i in packed], exp_sizes, groups
         )
         numer, mantissa, exponent = softmax_reduction(raw, groups)
 
         # Phase 2: every job's normaliser reciprocals in one stream.
-        inv, recip_tags, recip_batches, recip_counters = self._run_stream(
+        inv, recip_tags, recip_batches, recip_row = self._run_stream(
             "reciprocal", [mantissa], recip_sizes
         )
         probs = assemble_probabilities(numer, inv, exponent, groups)
-        probabilities: list[np.ndarray] = [np.empty(0)] * len(shifted)
+        probabilities: list[np.ndarray] = [np.empty(0)] * len(scores)
         start = 0
-        for shape, members in shape_groups.items():
-            stop = start + len(members) * math.prod(shape)
-            block = probs[start:stop].reshape(len(members), *shape)
+        for array_shape, members in shape_groups.items():
+            stop = start + len(members) * math.prod(array_shape)
+            block = probs[start:stop].reshape(len(members), *array_shape)
             for pos, i in enumerate(members):
                 probabilities[i] = block[pos]
             start = stop
@@ -1013,26 +1060,16 @@ class NovaDecodeEngine:
         # Per-job sequential-equivalent costs, every job in one closed
         # form: per-array sizes and tag sums (packed order) back into
         # array order, then summed per job.
-        per_array = np.empty((4, len(shifted)), dtype=np.int64)
-        per_array[:, packed] = (
-            exp_sizes, exp_tags, recip_sizes, recip_tags,
-        )
-        job_exp_sizes, job_exp_tags, job_recip_sizes, job_recip_tags = (
-            np.add.reduceat(per_array, first, axis=1)
-        )
-        counter_rows = self._sequential_counters(
-            {
-                "exp": (job_exp_sizes, job_exp_tags),
-                "reciprocal": (job_recip_sizes, job_recip_tags),
-            }
-        )
-        cycles = (
-            -(-job_exp_sizes // lanes) + -(-job_recip_sizes // lanes)
-        ).tolist()
-        queries = (job_exp_sizes + job_recip_sizes).tolist()
+        per_array = np.empty((4, len(scores)), dtype=np.int64)
+        per_array[:, packed] = (exp_sizes, recip_sizes, exp_tags, recip_tags)
+        per_job = np.add.reduceat(per_array, first, axis=1)
+        n_queries = per_job[:2]
+        counter_rows = self._sequential_counters(n_queries, per_job[2:])
+        cycles = (-(-n_queries // lanes)).sum(axis=0).tolist()
+        queries = n_queries.sum(axis=0).tolist()
         return (
             probabilities, cycles, queries, counter_rows,
-            exp_batches + recip_batches, exp_counters.merge(recip_counters),
+            exp_batches + recip_batches, exp_row + recip_row,
         )
 
     # ------------------------------------------------------------------
@@ -1041,53 +1078,63 @@ class NovaDecodeEngine:
 
     def _execute(
         self, jobs: Sequence[_Job]
-    ) -> tuple[list[_JobResult], int, EventCounters]:
+    ) -> tuple[list[_JobResult], int, np.ndarray]:
         """Run staged jobs through the shared overlay.
 
         All jobs' tokens go through one :meth:`_packed_softmax` — this
         is the fusion that lets the continuous batcher interleave
         prefill and decode rows across lanes — and then each token's
-        context GEMV.  Returns ``(results, packed_vector_cycles,
-        packed_counters)``: per-job costs are sequential-equivalent
-        (closed form), and the last two are what the step's streams
-        spent on the shared overlay.  The step costs two kernel launches
-        (one :meth:`~repro.core.vector_unit.NovaVectorUnit.run_stream`
-        per phase) plus vectorised host work.
+        context GEMV and one output projection per weight group.
+        Returns ``(results, packed_vector_cycles, packed_row)``: per-job
+        costs are sequential-equivalent (closed form), and the last two
+        are what the step's streams spent on the shared overlay, in
+        cycles and as an int64 event row.  The step costs two kernel
+        launches (one :meth:`~repro.core.vector_unit.NovaVectorUnit.
+        run_stream` per phase) plus vectorised host work.
         """
         if not jobs:
-            return [], 0, EventCounters()
+            return [], 0, np.zeros(len(OVERLAY_EVENTS), dtype=np.int64)
         tokens = [t for j in jobs for t in j.tokens]
-        first_token = np.cumsum([0] + [len(j.tokens) for j in jobs[:-1]])
+        bounds = np.cumsum([0] + [len(j.tokens) for j in jobs])
         (
             token_probs, job_cycles, job_queries, counter_rows, packed,
-            packed_counters,
-        ) = self._packed_softmax([t.shifted for t in tokens], first_token)
+            packed_row,
+        ) = self._packed_softmax([t.scores for t in tokens], bounds[:-1])
+        spans = list(zip(jobs, bounds.tolist(), bounds[1:].tolist()))
 
         # Host assembly: the context GEMVs stay per token (each attends
-        # to its own span of the values), as does result wrapping.
-        results: list[_JobResult] = []
-        token_index = 0
-        for jnum, job in enumerate(jobs):
-            probabilities, outputs = [], []
+        # to its own span of the values).  The output projection runs
+        # once per weight identity (never grouped by value), as one
+        # ``rows[:, None, :] @ wo`` call: a stack of one-row products,
+        # one gemv per row, the bytes of each ``context @ wo`` alone.
+        contexts = [
+            context_for_query(probs, token.values)
+            for probs, token in zip(token_probs, tokens)
+        ]
+        weight_groups: dict[int, tuple[np.ndarray, list[int]]] = {}
+        for job, start, stop in spans:
             wo = job.state.request.wo
-            for token in job.tokens:
-                probs = token_probs[token_index]
-                token_index += 1
-                context = context_for_query(probs, token.values)
-                probabilities.append(probs)
-                outputs.append(context @ wo)
-                token.release()
-            results.append(
-                _JobResult(
-                    job=job,
-                    probabilities=probabilities,
-                    outputs=outputs,
-                    vector_cycles=job_cycles[jnum],
-                    nonlinear_queries=job_queries[jnum],
-                    counter_row=counter_rows[jnum],
-                )
+            weight_groups.setdefault(id(wo), (wo, []))[1].extend(
+                range(start, stop)
             )
-        return results, packed, packed_counters
+        outputs: list[Any] = [None] * len(tokens)
+        for wo, members in weight_groups.values():
+            rows = np.array([contexts[i] for i in members])
+            for i, output in zip(members, (rows[:, None, :] @ wo)[:, 0]):
+                outputs[i] = output
+        for token in tokens:
+            token.release()
+        return [
+            _JobResult(
+                job=job,
+                probabilities=token_probs[start:stop],
+                outputs=outputs[start:stop],
+                vector_cycles=job_cycles[jnum],
+                nonlinear_queries=job_queries[jnum],
+                counter_row=counter_rows[jnum],
+            )
+            for jnum, (job, start, stop) in enumerate(spans)
+        ], packed, packed_row
 
     def attention_batch(
         self, requests: Sequence[AttentionRequest] | Iterable[AttentionRequest]
@@ -1108,15 +1155,15 @@ class NovaDecodeEngine:
         if not requests:
             raise ValueError("need at least one request")
         values: list[np.ndarray] = []
-        shifted: list[np.ndarray] = []
+        scores: list[np.ndarray] = []
         for req in requests:
-            scores, v = host_attention_scores(
+            request_scores, v = host_attention_scores(
                 req.x, req.wq, req.wk, req.wv, req.n_heads
             )
             values.append(v)
-            shifted.append(shift_scores(scores))
-        probabilities, cycles, queries, counter_rows, packed, counters = (
-            self._packed_softmax(shifted, np.arange(len(requests)))
+            scores.append(request_scores)
+        probabilities, cycles, queries, counter_rows, packed, packed_row = (
+            self._packed_softmax(scores, np.arange(len(requests)))
         )
         results = tuple(
             AttentionLayerResult(
@@ -1135,7 +1182,7 @@ class NovaDecodeEngine:
             results=results,
             packed_vector_cycles=packed,
             sequential_vector_cycles=sum(cycles),
-            counters=counters,
+            counters=EventCounters.from_vector(packed_row),
         )
 
     # ------------------------------------------------------------------
@@ -1157,7 +1204,7 @@ class NovaDecodeEngine:
             probabilities=probabilities,
             vector_cycles=result.vector_cycles,
             nonlinear_queries=result.nonlinear_queries,
-            counters=result.counters,
+            counter_row=result.counter_row,
         )
 
     # ------------------------------------------------------------------
@@ -1194,9 +1241,8 @@ class NovaDecodeEngine:
             passes=tuple(passes),
             outputs=np.stack([s.output for s in steps]),
             vector_cycles=sum(p.vector_cycles for p in passes),
-            counters=reduce(
-                EventCounters.merge, (p.counters for p in passes),
-                EventCounters(),
+            counters=EventCounters.from_vector(
+                sum(p.counter_row for p in passes)
             ),
         )
 
@@ -1289,15 +1335,17 @@ class NovaDecodeEngine:
                 if not live:
                     break
                 # Draft every live branch before any of the level's
-                # appends: one proposal call per level.
+                # appends: one proposal call per level, over the live
+                # branches' scores max-shifted in one call (a level's
+                # branches share one position and span length).
+                shifted = shift_scores(
+                    np.stack([tokens[n.token_index].scores for n in live])
+                )
                 level = _draft_level(
                     draft, request,
                     [
-                        DraftBranch(
-                            node.embedding, node.state.cache,
-                            tokens[node.token_index].shifted,
-                        )
-                        for node in live
+                        DraftBranch(node.embedding, node.state.cache, row)
+                        for node, row in zip(live, shifted)
                     ],
                     tokens[live[0].token_index].position, width,
                 )
@@ -1384,6 +1432,12 @@ class NovaDecodeEngine:
             path = [(0, spec_pass.x0)]  # draft-free: u_0 commits as is
         else:
             path = self._commit_longest_branch(spec_pass, outputs)
+            # A committed row is a view of its step's projection block,
+            # which also holds the pass's rolled-back rows: keep only
+            # the row.
+            outputs = list(outputs)
+            for index, _ in path:
+                outputs[index] = outputs[index].copy()
         lanes = self.n_lanes
         heads = spec_pass.job.state.request.n_heads
         steps: list[DecodeStepResult] = []
@@ -1414,7 +1468,7 @@ class NovaDecodeEngine:
             rolled_back=len(tokens) - committed,
             vector_cycles=result.vector_cycles,
             nonlinear_queries=result.nonlinear_queries,
-            counters=result.counters,
+            counter_row=result.counter_row,
         )
 
     def _commit_longest_branch(
@@ -1580,10 +1634,7 @@ class NovaDecodeEngine:
             x_t = new_steps[-1].output
         return GenerateResult.from_passes(
             pre, steps, passes,
-            reduce(
-                EventCounters.merge, (p.counters for p in passes),
-                pre.counters,
-            ),
+            pre.counter_row + sum(p.counter_row for p in passes),
         )
 
 
@@ -1761,6 +1812,10 @@ class _Sequence:
         self.counter_total = np.zeros(len(OVERLAY_EVENTS), dtype=np.int64)
         if self.draft is not None:
             self.draft.reset()
+
+    def charge(self, counter_row: np.ndarray) -> None:
+        """Add one landed job's sequential-equivalent event row."""
+        self.counter_total += counter_row
 
 
 def _policy_answer(
@@ -1948,7 +2003,9 @@ class ContinuousBatchScheduler:
         #: time (NV008).
         self.now = 0.0
         self.step_cycles: list[int] = []
-        self.counters = EventCounters()
+        #: The events the run's own streams charged, indexed by
+        #: OVERLAY_EVENTS.
+        self.counter_total = np.zeros(len(OVERLAY_EVENTS), dtype=np.int64)
         self.deferrals = self.preemptions = self._admissions = 0
         self.peak_active = self.peak_kv_slots = self.peak_fragmentation = 0
 
@@ -2055,7 +2112,7 @@ class ContinuousBatchScheduler:
         self.active = []
         self.now = 0.0
         self.step_cycles = []
-        self.counters = EventCounters()
+        self.counter_total = np.zeros(len(OVERLAY_EVENTS), dtype=np.int64)
         self.deferrals = self.preemptions = self._admissions = 0
         self.peak_active = self.peak_kv_slots = self.peak_fragmentation = 0
 
@@ -2210,13 +2267,13 @@ class ContinuousBatchScheduler:
                 self.peak_fragmentation, pool.fragmentation_slots
             )
 
-            results, cycles, step_counters = engine._execute(jobs)
-            self.counters = self.counters.merge(step_counters)
+            results, cycles, step_row = engine._execute(jobs)
+            self.counter_total += step_row
             step_cycles.append(cycles)
             self.now = now = now + float(cycles)
 
             for seq, result in zip(stepping + joining, results):
-                seq.counter_total += result.counter_row
+                seq.charge(result.counter_row)
                 if seq.prefill_result is None:
                     prefill = engine._wrap_prefill(result)
                     seq.prefill_result = prefill
@@ -2267,12 +2324,11 @@ class ContinuousBatchScheduler:
         return ContinuousBatchResult(
             results=tuple(
                 GenerateResult.from_passes(
-                    s.finished_prefill, s.steps, s.passes,
-                    EventCounters.from_vector(s.counter_total),
+                    s.finished_prefill, s.steps, s.passes, s.counter_total
                 )
                 for s in sequences
             ),
-            counters=self.counters,
+            counters=EventCounters.from_vector(self.counter_total),
             # every contiguous admission reserves one whole page
             pages_allocated=0 if self.paged else self._admissions,
             peak_active=self.peak_active,

@@ -180,10 +180,11 @@ class DraftBranch:
     """One live frontier node of a tree level, as a draft sees it.
 
     ``x_t`` is the node's input embedding, ``cache`` its branch cache
-    (already holding ``x_t``'s k/v row) and ``shifted`` the verify
-    plan's max-subtracted scores of ``x_t`` against that cache,
-    ``(heads, kv_len)`` — computed once at plan time, so drafting never
-    re-projects the token or re-reads its keys.  Every branch of one
+    (already holding ``x_t``'s k/v row) and ``shifted`` the max-shifted
+    scores of ``x_t`` against that cache, ``(heads, kv_len)`` — the
+    verify plan's scores, shifted once per level for all of its
+    branches, so drafting never re-projects the token or re-reads its
+    keys.  Every branch of one
     level sits at the same position over the same KV span length.
     """
 
@@ -709,10 +710,12 @@ class VerifyPassResult:
     ``tokens`` positions went through the packed pass (``drafted`` of
     them provisional); ``committed = accepted + 1`` survived (``u_0`` is
     always committed), ``rolled_back`` were truncated from the cache.
-    ``vector_cycles`` / ``counters`` are what the overlay actually
-    charged for the whole pass, rolled-back work included.  A
-    draft-free pass (plain decode) is one token: ``tokens ==
-    committed == 1`` and nothing drafted.
+    ``vector_cycles`` / ``counter_row`` are what the overlay actually
+    charged for the whole pass, rolled-back work included, the events
+    as an int64 row indexed by :data:`~repro.noc.stats.OVERLAY_EVENTS`
+    (``counters`` builds their bag on access).  A draft-free pass
+    (plain decode) is one token: ``tokens == committed == 1`` and
+    nothing drafted.
     """
 
     tokens: int
@@ -722,7 +725,12 @@ class VerifyPassResult:
     rolled_back: int
     vector_cycles: int
     nonlinear_queries: int
-    counters: EventCounters
+    counter_row: np.ndarray
+
+    @property
+    def counters(self) -> EventCounters:
+        """The pass's events as a counter bag."""
+        return EventCounters.from_vector(self.counter_row)
 
 
 def _draft_level(

@@ -54,6 +54,18 @@ if TYPE_CHECKING:
 
 __all__ = ["NovaVectorUnit", "ApproximationResult", "StreamResult"]
 
+#: Events every lane of a stream charges exactly once: its comparator
+#: evaluation, MAC and pair capture.  Its ``tag_match`` count depends on
+#: its address, and the rest are charged per broadcast.
+_LANE_EVENTS = np.array(
+    [
+        event in ("comparator_eval", "mac_op", "pair_capture")
+        for event in OVERLAY_EVENTS
+    ],
+    dtype=np.int64,
+)
+_TAG_MATCH = OVERLAY_EVENTS.index("tag_match")
+
 
 @dataclass(frozen=True)
 class ApproximationResult:
@@ -100,7 +112,10 @@ class StreamResult:
     outputs: np.ndarray  # (n_batches, n_routers, n_neurons)
     total_pe_cycles: int
     batch_latency_pe_cycles: int
-    counters: EventCounters
+    #: The events the stream charged the unit, as one int64 row indexed
+    #: by :data:`~repro.noc.stats.OVERLAY_EVENTS`: closed form on the
+    #: vectorised path, the lifetime-counter delta on the simulated one.
+    counter_row: np.ndarray
     #: Per-lane lookup addresses (segment indices), same shape as
     #: ``outputs``.  Filled on both paths: the vectorised kernel returns
     #: them as a free by-product of the whole-stream gather, and the
@@ -108,6 +123,11 @@ class StreamResult:
     #: table (bit-identical, no extra counter charges) so consumers and
     #: the stream-equivalence tests never have to branch on the path.
     addresses: np.ndarray | None = None
+
+    @property
+    def counters(self) -> EventCounters:
+        """:attr:`counter_row` as a counter bag (built on each access)."""
+        return EventCounters.from_vector(self.counter_row)
 
 
 @dataclass(frozen=True)
@@ -349,21 +369,21 @@ class NovaVectorUnit:
             # beat, with no extra counter charges (the simulation above
             # already accounted every comparator_eval).
             addresses = self.table.segment_index(xs)
-            counters = self._lifetime_counters().diff(before)
+            row = self._lifetime_counters().diff(before).to_vector()
         else:
-            outputs, addresses, counters = self._stream_vectorized(xs)
+            outputs, addresses, row = self._stream_vectorized(xs)
         latency = self.schedule.total_latency_pe_cycles
         return StreamResult(
             outputs=outputs,
             total_pe_cycles=n_batches - 1 + latency,
             batch_latency_pe_cycles=latency,
-            counters=counters,
+            counter_row=row,
             addresses=addresses,
         )
 
     def _stream_vectorized(
         self, xs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, EventCounters]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Whole-stream gather with closed-form event accounting.
 
         Per lookup, a lane whose address selects beat ``b`` performs one
@@ -375,9 +395,11 @@ class NovaVectorUnit:
         The gather/MAC itself and the tag-match reduction are the pure
         primitives of :mod:`repro.core.kernels`; counter charging stays
         here with the unit that owns the counters (NV006/NV009).  Returns
-        the stream's events alongside the outputs and addresses: the
-        same closed form that charges the components, so the stream
-        never has to diff two lifetime snapshots.
+        the stream's events alongside the outputs and addresses, as one
+        int64 row indexed by :data:`~repro.noc.stats.OVERLAY_EVENTS`:
+        the same closed form that charges the components, built from
+        the table program's ``per_batch`` constants, so the stream
+        never has to diff two lifetime snapshots or build a bag.
         """
         n_batches, n_routers, n_neurons = xs.shape
         outputs, idx = self.backend.table_gather_mac(self.table, xs)
@@ -389,16 +411,12 @@ class NovaVectorUnit:
         tag_matches = self.backend.tag_match_totals(idx, self.schedule.n_beats)
         pair_captures = np.full(n_routers, per_router, dtype=np.int64)
         self.noc.charge_broadcasts(n_batches, tag_matches, pair_captures)
-        lanes = per_router * n_routers
-        charged = {
-            "comparator_eval": lanes,
-            "mac_op": lanes,
-            "pair_capture": lanes,
-            "tag_match": int(tag_matches.sum()),
-            **self.schedule.broadcast_event_counts(n_batches),
-        }
-        counters = EventCounters({e: n for e, n in charged.items() if n})
-        return outputs, idx, counters
+        row = (
+            per_router * n_routers * _LANE_EVENTS
+            + n_batches * self._programs[id(self.table)].per_batch
+        )
+        row[_TAG_MATCH] = tag_matches.sum()
+        return outputs, idx, row
 
     def golden_reference(self, x: np.ndarray) -> np.ndarray:
         """The bit-exact functional model the hardware must match."""

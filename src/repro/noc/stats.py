@@ -18,8 +18,9 @@ __all__ = ["EventCounters", "OVERLAY_EVENTS"]
 
 #: The NOVA overlay's event vocabulary, in the order the closed-form
 #: accounting charges it.  This is the fixed index of the int64 counter
-#: vectors the serving engines compute for many jobs at once
-#: (:meth:`EventCounters.from_vector` turns one row back into a bag).
+#: rows the vector unit's streams and the serving engines carry
+#: (:meth:`EventCounters.from_vector` turns one row into a bag,
+#: :meth:`EventCounters.to_vector` a bag into a row).
 OVERLAY_EVENTS: tuple[str, ...] = (
     "comparator_eval",
     "mac_op",
@@ -45,6 +46,22 @@ class EventCounters:
         that did not change.
         """
         return cls({e: n for e, n in zip(OVERLAY_EVENTS, vector.tolist()) if n})
+
+    def to_vector(self) -> np.ndarray:
+        """This bag as an int64 row indexed by :data:`OVERLAY_EVENTS`.
+
+        Raises ``ValueError`` for an event outside that vocabulary,
+        which a row cannot hold.
+        """
+        unknown = sorted(self.counts.keys() - set(OVERLAY_EVENTS))
+        if unknown:
+            raise ValueError(
+                f"events {unknown} are not overlay events; a counter row "
+                f"holds only {OVERLAY_EVENTS}"
+            )
+        return np.array(
+            [self.counts.get(e, 0) for e in OVERLAY_EVENTS], dtype=np.int64
+        )
 
     def add(self, event: str, n: int = 1) -> None:
         """Record ``n`` occurrences of ``event``."""

@@ -23,6 +23,7 @@ import pytest
 from repro.core.attention import (
     AttentionRequest,
     pack_lane_stream,
+    shift_scores,
     softmax_reduction,
 )
 from repro.core.config import PRESETS, NovaConfig
@@ -35,6 +36,7 @@ from repro.core.decode import (
 )
 from repro.core.session import NovaSession
 from repro.core.vector_unit import NovaVectorUnit
+from repro.noc.stats import EventCounters
 from repro.workloads.bert import decode_batch, serving_config
 from repro.workloads.transformer import TransformerConfig, decode_request
 
@@ -275,7 +277,9 @@ class TestDecodeAccounting:
         for done in gen.steps:
             plan = engine._plan_token(state, x_t)
             x_t = done.output
-        simulated = simulated_job_counters(engine, SMALL, [plan.shifted])
+        simulated = simulated_job_counters(
+            engine, SMALL, [shift_scores(plan.scores)]
+        )
         assert last_pass.counters.as_dict() == simulated.as_dict()
 
     @pytest.mark.parametrize(
@@ -299,12 +303,14 @@ class TestDecodeAccounting:
             state = engine.start(request)
             engine.prefill(state)
             jobs.append(engine.plan_verify_pass(state, request.x[-1], 1).job)
-        shifted = [[t.shifted.copy() for t in job.tokens] for job in jobs]
+        shifted = [
+            [shift_scores(t.scores) for t in job.tokens] for job in jobs
+        ]
         results, _, _ = engine._execute(jobs)
         multi_segment = engine.unit.schedule.traversal_segments > 1
         assert multi_segment == (config is LONG_LINE)
         for result, rows in zip(results, shifted):
-            counters = result.counters.as_dict()
+            counters = EventCounters.from_vector(result.counter_row).as_dict()
             assert counters == simulated_job_counters(
                 engine, config, rows
             ).as_dict()

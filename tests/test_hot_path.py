@@ -255,4 +255,4 @@ class TestNoCopyPlanning:
         assert calls == [(5, 16)]
         for token in job.tokens:
             assert token.values.base is state.cache.values.base
-            assert token.values.shape[1] == token.shifted.shape[-1]
+            assert token.values.shape[1] == token.scores.shape[-1]

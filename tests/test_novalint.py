@@ -201,6 +201,29 @@ def test_rule_ids_unique_and_well_formed():
 # ----------------------------------------------------------------------
 
 
+def test_nv006_covers_counter_rows(tmp_path):
+    """An int64 event row is a counter too: accumulating it through a
+    foreign handle fires, the owner's accounting method passes."""
+    bad = (
+        "def land(seq, result):\n"
+        "    seq.counter_total += result.counter_row\n"
+    )
+    findings = lint_source(tmp_path, bad, "repro/core/decode.py")
+    hits = rule_hits(findings, "NV006")
+    assert [hit.line for hit in hits] == [2]
+    assert "seq.counter_total" in hits[0].message
+    good = (
+        "class Sequence:\n"
+        "    def charge(self, counter_row):\n"
+        "        self.counter_total += counter_row\n"
+        "\n"
+        "def land(seq, result):\n"
+        "    seq.charge(result.counter_row)\n"
+    )
+    findings = lint_source(tmp_path, good, "repro/core/decode.py")
+    assert not rule_hits(findings, "NV006")
+
+
 def test_nv002_exempt_inside_paging(tmp_path):
     src = "def grab(self):\n    return self.pool.allocate(1)\n"
     findings = lint_source(tmp_path, src, "repro/core/paging.py")

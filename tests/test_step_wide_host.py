@@ -1,18 +1,24 @@
 """A step's host work runs step-wide, with byte-identical outputs.
 
-Two host passes that used to run per shape group or per token now run
-once per lane stream or once per weight group:
+Host passes that used to run per shape group or per token now run once
+per lane stream or once per weight group:
 
 * the packed softmax's host stage is one
-  :func:`~repro.core.attention.softmax_reduction` call over the whole
-  exp stream and one :func:`~repro.core.attention.assemble_probabilities`
-  call over the whole step, whatever the shape-group count;
+  :func:`~repro.core.attention.shift_scores` call over the packed exp
+  stream, one :func:`~repro.core.attention.softmax_reduction` call over
+  the whole exp output stream and one
+  :func:`~repro.core.attention.assemble_probabilities` call over the
+  whole step, whatever the shape-group count;
 * the scheduler projects every scheduled pass's root ``u_0`` in one
   :func:`~repro.core.attention.project_token` rows call per weight
-  identity.
+  identity;
+* ``_execute`` projects every token's context out in one ``rows[:,
+  None, :] @ wo`` call per weight identity;
+* counters stay int64 rows, so a run builds one counter bag per
+  request and one for the run.
 
-The oracles here are the per-group and per-request compositions those
-passes replace, written out in the tests.
+The oracles here are the per-group, per-token and per-request
+compositions those passes replace, written out in the tests.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from hypothesis import strategies as st
 from repro.core import decode
 from repro.core.attention import (
     assemble_probabilities,
+    context_for_query,
     pack_lane_stream,
     project_token,
     shift_scores,
@@ -37,6 +44,7 @@ from repro.core.config import NovaConfig
 from repro.core.decode import ContinuousBatchScheduler, NovaDecodeEngine
 from repro.core.speculative import TruncatedTableDraft
 from repro.core.vector_unit import NovaVectorUnit
+from repro.noc import stats
 from repro.noc.stats import EventCounters
 from repro.workloads.transformer import TransformerConfig, decode_request
 
@@ -65,7 +73,6 @@ def per_group_softmax(raw):
     fed to the reciprocal table and the probabilities."""
     numer = np.maximum(raw, 0.0)
     denom = numer.sum(axis=-1, keepdims=True)
-    denom = np.where(denom <= 0, 1.0, denom)
     mantissa, exponent = np.frexp(denom)
     mantissa, exponent = mantissa * 2.0, exponent - 1
     probs = numer * RECIP.evaluate(mantissa) * np.ldexp(1.0, -exponent)
@@ -91,29 +98,37 @@ class TestStreamFormHelpers:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_the_per_group_form(self, groups, clamped_row, seed):
-        """One-element rows, a row whose numerators all clamp to 0 and
-        any mix of row lengths: the stream form's mantissas and
-        probabilities are the per-group form's bytes."""
+        """One-element rows, rows partly clamped to 0 and any mix of row
+        lengths: the stream form's mantissas and probabilities are the
+        per-group form's bytes.  A row whose numerators all clamp to 0
+        then raises, naming that row, instead of coming back 0 / 0."""
         rng = np.random.default_rng(seed)
         arrays = [rng.normal(0.3, 1.0, size=g) for g in groups]
-        flat_rows = [row for a in arrays for row in a]
-        flat_rows[clamped_row % len(flat_rows)][:] = -np.abs(
-            flat_rows[clamped_row % len(flat_rows)]
-        )
+        for a in arrays:
+            # every row keeps a positive numerator
+            a[..., 0] = np.abs(a[..., 0]) + 2.0**-8
         raw = np.concatenate([a.reshape(-1) for a in arrays])
-        # the clamped row's probabilities are 0 / 0 in both forms
-        with np.errstate(invalid="ignore"):
-            numer, mantissa, exponent = softmax_reduction(raw, groups)
-            probs = assemble_probabilities(
-                numer, RECIP.evaluate(mantissa), exponent, groups
-            )
-            expected = [per_group_softmax(a) for a in arrays]
+        numer, mantissa, exponent = softmax_reduction(raw, groups)
+        probs = assemble_probabilities(
+            numer, RECIP.evaluate(mantissa), exponent, groups
+        )
+        expected = [per_group_softmax(a) for a in arrays]
         assert mantissa.tobytes() == np.concatenate(
             [m.reshape(-1) for m, _ in expected]
         ).tobytes()
         assert probs.tobytes() == np.concatenate(
             [p.reshape(-1) for _, p in expected]
         ).tobytes()
+
+        flat_rows = [row for a in arrays for row in a]
+        index = clamped_row % len(flat_rows)
+        flat_rows[index][:] = -np.abs(flat_rows[index])
+        raw = np.concatenate([a.reshape(-1) for a in arrays])
+        with pytest.raises(
+            ValueError, match=f"softmax row {index} of the stream has no "
+            "positive numerator"
+        ):
+            softmax_reduction(raw, groups)
 
     def test_an_array_is_the_one_group_case(self):
         raw = np.random.default_rng(3).normal(size=(3, 2, 7))
@@ -169,13 +184,14 @@ class TestPackedSoftmax:
         rows, and the packed cost all equal the per-group composition
         and dedicated per-job streams."""
         rng = np.random.default_rng(seed)
-        shifted = [
-            shift_scores(3.0 * rng.standard_normal(shape))
-            for job in jobs for shape in job
+        scores = [
+            3.0 * rng.standard_normal(shape) for job in jobs for shape in job
         ]
+        # the oracle shifts each array alone; the stage shifts the stream
+        shifted = [shift_scores(a) for a in scores]
         first = np.cumsum([0] + [len(job) for job in jobs[:-1]])
-        probs, cycles, queries, rows, packed, counters = (
-            ENGINE._packed_softmax(shifted, first)
+        probs, cycles, queries, rows, packed, packed_row = (
+            ENGINE._packed_softmax(scores, first)
         )
 
         # Probabilities: the per-group form over each stacked group.
@@ -219,7 +235,9 @@ class TestPackedSoftmax:
             SMALL.lane_shape,
         )
         want = want.merge(unit.run_stream(batches).counters)
-        assert counters.as_dict() == want.as_dict()
+        assert EventCounters.from_vector(packed_row).as_dict() == (
+            want.as_dict()
+        )
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +354,7 @@ class TestWorkGates:
 
         def observed(self, jobs):
             calls.update(dict.fromkeys(calls, 0))
-            shapes = {t.shifted.shape for j in jobs for t in j.tokens}
+            shapes = {t.scores.shape for j in jobs for t in j.tokens}
             out = execute(self, jobs)
             per_execute.append((len(shapes), dict(calls)))
             return out
@@ -391,6 +409,235 @@ class TestWorkGates:
 
 
 # ----------------------------------------------------------------------
+# The stream-form shift and the per-group output projection.
+# ----------------------------------------------------------------------
+
+
+def per_array_shift(scores):
+    """The per-array max-shift the stream form replaces, op by op."""
+    return scores - scores.max(axis=-1, keepdims=True)
+
+
+#: Score values with ties, both zeros and the largest score repeated.
+COARSE = np.array([-0.0, 0.0, -0.0, 0.5, -0.5, 2.0, 2.0, -3.0])
+
+
+class TestStreamShift:
+    @given(
+        jobs=st.lists(
+            st.lists(_shapes(), min_size=1, max_size=4),
+            min_size=1, max_size=5,
+        ),
+        coarse=st.booleans(),
+        nan_at=st.one_of(st.none(), st.integers(min_value=0)),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_per_array_shift(self, jobs, coarse, nan_at, seed):
+        """Rows and matrices, ``kv_len`` 1-64, signed zeros and equal
+        maxima: shifting the packed stream once gives the final
+        probabilities and per-job counter rows of shifting every array
+        alone.  A NaN score raises the exp kernel's ``ValueError`` and
+        leaves the unit's lifetime counters as they were."""
+        rng = np.random.default_rng(seed)
+        scores = []
+        for job in jobs:
+            for shape in job:
+                if coarse:
+                    array = rng.choice(COARSE, size=shape)
+                    # an all-zero row of mixed signs: its maximum is
+                    # +0 or -0 depending on the reduction order
+                    array.reshape(-1, shape[-1])[0] = rng.choice(
+                        COARSE[:3], size=shape[-1]
+                    )
+                else:
+                    array = 3.0 * rng.standard_normal(shape)
+                scores.append(array)
+        first = np.cumsum([0] + [len(job) for job in jobs[:-1]])
+        if nan_at is not None:
+            target = scores[nan_at % len(scores)].reshape(-1)
+            target[nan_at % target.size] = np.nan
+            before = ENGINE.unit._lifetime_counters().as_dict()
+            with pytest.raises(ValueError, match="table 'exp': NaN input"):
+                ENGINE._packed_softmax(scores, first)
+            assert ENGINE.unit._lifetime_counters().as_dict() == before
+            return
+        probs, _, _, rows, _, _ = ENGINE._packed_softmax(scores, first)
+        shifted = [per_array_shift(a) for a in scores]
+        for i, array in enumerate(shifted):
+            _, want = per_group_softmax(EXP.evaluate(array))
+            assert probs[i].tobytes() == want.tobytes()
+        bounds = [*first, len(shifted)]
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            assert EventCounters.from_vector(rows[j]).as_dict() == (
+                _dedicated_counters(shifted[lo:hi]).as_dict()
+            )
+
+    def test_an_array_is_the_one_group_case(self):
+        scores = np.random.default_rng(5).normal(size=(3, 2, 7))
+        flat = scores.reshape(-1)
+        stream = shift_scores(flat, [(6, 7)])
+        assert shift_scores(scores).tobytes() == stream.tobytes()
+        assert stream.tobytes() == per_array_shift(scores).tobytes()
+
+
+class TestOutputProjection:
+    @given(
+        n_rows=st.integers(min_value=1, max_value=64),
+        width=st.sampled_from([16, 64, 128]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_per_token_gemvs(self, n_rows, width, seed):
+        """One ``rows[:, None, :] @ wo`` call is a stack of one-row
+        products: every row's bytes are its own ``context @ wo``."""
+        rng = np.random.default_rng(seed)
+        wo = rng.normal(0.0, 1.0 / np.sqrt(width), size=(width, width))
+        contexts = [rng.standard_normal(width) for _ in range(n_rows)]
+        projected = np.array(contexts)[:, None, :] @ wo
+        for i, context in enumerate(contexts):
+            assert projected[i, 0].tobytes() == (context @ wo).tobytes()
+
+    def test_a_step_matches_per_token_projection(self):
+        """``_execute`` over a mixed step (prefills and decode passes of
+        two weight sets): every token's output is ``context @ wo`` of
+        its own probabilities and values."""
+        requests = _requests(False)
+        engine = NovaDecodeEngine(SMALL)
+        jobs = [
+            engine._plan_prefill(engine.start(r)) for r in requests[:2]
+        ]
+        for request in requests[2:]:
+            state = engine.start(request)
+            engine.prefill(state)
+            jobs.append(engine.plan_verify_pass(state, request.x[-1], 1).job)
+        values = [[t.values for t in job.tokens] for job in jobs]
+        results, _, _ = engine._execute(jobs)
+        for job, result, views in zip(jobs, results, values):
+            wo = job.state.request.wo
+            for probs, view, output in zip(
+                result.probabilities, views, result.outputs
+            ):
+                want = context_for_query(probs, view) @ wo
+                assert output.tobytes() == want.tobytes()
+
+
+class CountingMatrix(np.ndarray):
+    """A weight matrix that records every ``x @ self``."""
+
+    calls: list[int] = []
+
+    def __rmatmul__(self, other):
+        CountingMatrix.calls.append(id(self))
+        return np.asarray(other) @ np.asarray(self)
+
+
+class TestStepWideGates:
+    def test_one_shift_per_execute(self, monkeypatch):
+        """Plain decode: one ``shift_scores`` call per ``_execute``, and
+        none while planning."""
+        calls = []
+        monkeypatch.setattr(
+            decode, "shift_scores",
+            lambda *args: calls.append("shift") or shift_scores(*args),
+        )
+        execute = NovaDecodeEngine._execute
+
+        def observed(self, jobs):
+            calls.append("execute")
+            return execute(self, jobs)
+
+        monkeypatch.setattr(NovaDecodeEngine, "_execute", observed)
+        requests = [toy_request(p, 5, seed=p) for p in (2, 6, 3, 9, 4)]
+        ContinuousBatchScheduler(NovaDecodeEngine(SMALL), 3).run(requests)
+        assert calls[:2] == ["execute", "shift"]
+        assert calls == ["execute", "shift"] * (len(calls) // 2)
+
+    def test_one_output_projection_per_weight_group_per_step(
+        self, monkeypatch
+    ):
+        """Every ``_execute`` of a plain-decode run makes one ``@ wo``
+        call per weight identity among its jobs, prefills and passes
+        alike (an equal copy of a weight set is a group of its own),
+        and the outputs are the bytes of a run on plain arrays."""
+        requests = _requests(False)
+        requests.append(
+            replace(
+                toy_request(3, 6, seed=20),
+                **{
+                    name: getattr(requests[0], name).copy()
+                    for name in WEIGHTS
+                },
+            )
+        )
+        plain = {
+            max_active: ContinuousBatchScheduler(
+                NovaDecodeEngine(SMALL), max_active
+            ).run(requests)
+            for max_active in (3, 5)
+        }
+        counting = {}
+        for request in requests:
+            wo = counting.setdefault(
+                id(request.wo), request.wo.view(CountingMatrix)
+            )
+            object.__setattr__(request, "wo", wo)
+        per_execute = []
+        execute = NovaDecodeEngine._execute
+
+        def observed(self, jobs):
+            CountingMatrix.calls = []
+            out = execute(self, jobs)
+            groups = {id(j.state.request.wo) for j in jobs}
+            mixed = len({len(j.tokens) > 1 for j in jobs}) == 2
+            per_execute.append(
+                (len(groups), mixed, sorted(groups),
+                 sorted(CountingMatrix.calls))
+            )
+            return out
+
+        monkeypatch.setattr(NovaDecodeEngine, "_execute", observed)
+        for max_active, run in plain.items():
+            batch = ContinuousBatchScheduler(
+                NovaDecodeEngine(SMALL), max_active
+            ).run(requests)
+            assert _everything(batch) == _everything(run)
+        # three weight groups in one step, and steps whose calls mix
+        # admissions' prefills with passes
+        assert max(n for n, _, _, _ in per_execute) == 3
+        assert any(mixed for _, mixed, _, _ in per_execute)
+        for _, _, want, calls in per_execute:
+            assert calls == want
+
+    def test_bags_per_request_and_run(self, monkeypatch):
+        """A run builds one counter bag per request (its
+        ``GenerateResult``) and one for the run, through preemption
+        and drafting trees; solo ``generate`` builds one."""
+        built = []
+        init = stats.EventCounters.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(stats.EventCounters, "__init__", counting)
+        requests = _requests(False)
+        scheduler = ContinuousBatchScheduler(
+            NovaDecodeEngine(SMALL.replace(kv_block_size=2)), max_active=4,
+            paged=True, pool_blocks=12, spec_tree="2x1,1x1",
+            draft_factory=lambda: TruncatedTableDraft(SMALL, fidelity=0.6),
+        )
+        built.clear()
+        batch = scheduler.run(requests)
+        assert batch.preemptions > 0
+        assert len(built) == len(requests) + 1 <= 2 * len(requests) + 1
+        engine = NovaDecodeEngine(SMALL)  # its components' own bags
+        built.clear()
+        engine.generate(requests[0], tree="2x1")
+        assert len(built) == 1
+
+
+# ----------------------------------------------------------------------
 # Failure: a NaN score fails the step before the unit charges anything.
 # ----------------------------------------------------------------------
 
@@ -402,8 +649,8 @@ def test_nan_score_in_a_mixed_step_raises_and_charges_nothing():
     state = engine.start(request)
     engine.prefill(state)
     jobs.append(engine.plan_verify_pass(state, request.x[-1], 1).job)
-    assert len({t.shifted.shape for j in jobs for t in j.tokens}) == 4
-    jobs[0].tokens[1].shifted[1, 0] = np.nan
+    assert len({t.scores.shape for j in jobs for t in j.tokens}) == 4
+    jobs[0].tokens[1].scores[1, 0] = np.nan
     before = engine.unit._lifetime_counters().as_dict()
     with pytest.raises(ValueError, match="table 'exp': NaN input"):
         engine._execute(jobs)

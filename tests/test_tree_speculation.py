@@ -522,7 +522,9 @@ def _sibling_level(layout, n_branches, seed):
         shadow.position = state.position
         x_t = rng.standard_normal(request.hidden)
         plan = ENGINE._plan_token(shadow, x_t)
-        branches.append(DraftBranch(x_t, shadow.cache, plan.shifted))
+        branches.append(
+            DraftBranch(x_t, shadow.cache, shift_scores(plan.scores))
+        )
     return request, branches, state.position
 
 
